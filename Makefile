@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json allocguard crash trace-smoke repl-smoke lint apicheck apilock clean
+.PHONY: all build test race bench bench-json bench-selftest allocguard crash trace-smoke repl-smoke lint apicheck apilock clean
 
 all: lint apicheck build test allocguard
 
@@ -30,6 +30,12 @@ bench:
 # trajectory behind bench_results.txt is trackable across PRs.
 bench-json:
 	scripts/bench-json.sh
+
+# mviewload's own vet and tests. benchmark/ is a separate module that
+# imports mview/internal/..., so the root build and test never compile
+# it: run this after changing an exported signature there.
+bench-selftest:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Allocation regression gate: the C-FLAT eval benchmarks must stay
 # within the allocs/op budgets checked in at scripts/allocguard.budget.

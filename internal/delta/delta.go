@@ -41,14 +41,12 @@ func (u Update) Size() int {
 	return n
 }
 
-// Apply mutates r into τ(r) = r ∪ i_r − d_r. Inserted tuples carry
-// their codec key over from the update relation, so applying a delta
-// allocates no new key strings.
+// Apply mutates r into τ(r) = r ∪ i_r − d_r.
 func (u Update) Apply(r *relation.Relation) error {
 	if u.Inserts != nil {
 		var err error
-		u.Inserts.EachEntry(func(k string, t tuple.Tuple) {
-			if e := r.InsertKeyed(k, t); e != nil && err == nil {
+		u.Inserts.Each(func(t tuple.Tuple) {
+			if e := r.Insert(t); e != nil && err == nil {
 				err = e
 			}
 		})
@@ -138,7 +136,7 @@ func ComposeInPlace(base *Update, next Update) {
 		panic("delta: ComposeInPlace across relations " + base.Rel + " and " + next.Rel)
 	}
 	if next.Inserts != nil {
-		next.Inserts.EachEntry(func(k string, t tuple.Tuple) {
+		next.Inserts.Each(func(t tuple.Tuple) {
 			// Re-inserting a tuple base deleted from B0 cancels the
 			// delete (D − i); a genuinely new tuple joins I' (i − D).
 			if base.Deletes != nil && base.Deletes.Has(t) {
@@ -148,11 +146,11 @@ func ComposeInPlace(base *Update, next Update) {
 			if base.Inserts == nil {
 				base.Inserts = relation.New(next.Inserts.Scheme())
 			}
-			_ = base.Inserts.InsertKeyed(k, t)
+			_ = base.Inserts.Insert(t)
 		})
 	}
 	if next.Deletes != nil {
-		next.Deletes.EachEntry(func(k string, t tuple.Tuple) {
+		next.Deletes.Each(func(t tuple.Tuple) {
 			// Deleting a tuple base inserted cancels the insert (I − d);
 			// deleting a B0 tuple joins D' (d − I).
 			if base.Inserts != nil && base.Inserts.Has(t) {
@@ -162,7 +160,7 @@ func ComposeInPlace(base *Update, next Update) {
 			if base.Deletes == nil {
 				base.Deletes = relation.New(next.Deletes.Scheme())
 			}
-			_ = base.Deletes.InsertKeyed(k, t)
+			_ = base.Deletes.Insert(t)
 		})
 	}
 }
@@ -338,25 +336,17 @@ func (tx *Tx) Relations() []string {
 // returned updates satisfy the disjointness invariant: i_r ∩ r = ∅,
 // d_r ⊆ r, i_r ∩ d_r = ∅.
 func (tx *Tx) Net(lookup func(string) (*relation.Relation, bool)) ([]Update, error) {
-	// One map entry per (relation, tuple): the tuple, whether it was
-	// present before the transaction, and whether it is present after
-	// the ops seen so far. Lookups use a scratch key buffer, so the
-	// key string is allocated once per distinct tuple — and then
-	// shared with the Update relations via InsertKeyed.
-	type entry struct {
-		t       tuple.Tuple
-		initial bool
-		final   bool
-	}
+	// The running net effect is kept in the update relations
+	// themselves: an op that undoes an earlier one takes the tuple back
+	// out, and an op that restates the pre-transaction state (insert of
+	// a present tuple, delete of an absent one) changes nothing.
 	type state struct {
-		rel     *relation.Relation
-		m       map[string]int32 // key → index into entries
-		entries []entry
+		rel *relation.Relation
+		u   Update
 	}
 	states := make(map[string]*state)
-	order := make([]string, 0, 4)
+	order := make([]*state, 0, 4)
 	nops := len(tx.ops)
-	var kbuf []byte
 
 	for oi, o := range tx.ops {
 		st := states[o.rel]
@@ -365,48 +355,38 @@ func (tx *Tx) Net(lookup func(string) (*relation.Relation, bool)) ([]Update, err
 			if !ok {
 				return nil, fmt.Errorf("delta: transaction touches unknown relation %q", o.rel)
 			}
-			st = &state{rel: rel, m: make(map[string]int32, nops), entries: make([]entry, 0, nops)}
+			st = &state{rel: rel, u: Update{
+				Rel:     o.rel,
+				Inserts: relation.NewCap(rel.Scheme(), nops),
+				Deletes: relation.NewCap(rel.Scheme(), nops),
+			}}
 			states[o.rel] = st
-			order = append(order, o.rel)
+			order = append(order, st)
 		}
 		t := tx.tupleAt(oi)
 		if len(t) != st.rel.Scheme().Arity() {
 			return nil, fmt.Errorf("delta: tuple %v has arity %d, relation %q has arity %d",
 				t, len(t), o.rel, st.rel.Scheme().Arity())
 		}
-		kbuf = tuple.AppendKey(kbuf[:0], t)
-		i, seen := st.m[string(kbuf)]
-		if !seen {
-			i = int32(len(st.entries))
-			st.entries = append(st.entries, entry{t: t, initial: st.rel.Has(t)})
-			st.m[string(kbuf)] = i
+		// undo holds t if an earlier op did the opposite; do receives it
+		// if the op changes the pre-transaction state.
+		undo, do, changes := st.u.Deletes, st.u.Inserts, !st.rel.Has(t)
+		if o.kind != opInsert {
+			undo, do, changes = do, undo, !changes
 		}
-		st.entries[i].final = o.kind == opInsert
+		if undo.Has(t) {
+			undo.Delete(t)
+		} else if changes {
+			if err := do.Insert(t); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	updates := make([]Update, 0, len(order))
-	for _, name := range order {
-		st := states[name]
-		u := Update{
-			Rel:     name,
-			Inserts: relation.NewCap(st.rel.Scheme(), len(st.entries)),
-			Deletes: relation.NewCap(st.rel.Scheme(), len(st.entries)),
-		}
-		for k, i := range st.m {
-			e := &st.entries[i]
-			switch {
-			case e.final && !e.initial:
-				if err := u.Inserts.InsertKeyed(k, e.t); err != nil {
-					return nil, err
-				}
-			case !e.final && e.initial:
-				if err := u.Deletes.InsertKeyed(k, e.t); err != nil {
-					return nil, err
-				}
-			}
-		}
-		if !u.IsEmpty() {
-			updates = append(updates, u)
+	for _, st := range order {
+		if !st.u.IsEmpty() {
+			updates = append(updates, st.u)
 		}
 	}
 	return updates, nil

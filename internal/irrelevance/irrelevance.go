@@ -294,7 +294,7 @@ func (c *Checker) FilterTuples(ts []tuple.Tuple) ([]tuple.Tuple, error) {
 func (c *Checker) FilterRelation(r *relation.Relation) (*relation.Relation, error) {
 	out := relation.New(r.Scheme())
 	var firstErr error
-	r.EachEntry(func(k string, t tuple.Tuple) {
+	r.Each(func(t tuple.Tuple) {
 		if firstErr != nil {
 			return
 		}
@@ -304,7 +304,7 @@ func (c *Checker) FilterRelation(r *relation.Relation) (*relation.Relation, erro
 			return
 		}
 		if rel {
-			firstErr = out.InsertKeyed(k, t)
+			firstErr = out.Insert(t)
 		}
 	})
 	if firstErr != nil {

@@ -1,317 +1,133 @@
 package relation
 
-import (
-	"maps"
-	"slices"
-	"sync/atomic"
-
-	"mview/internal/tuple"
-)
+import "mview/internal/tuple"
 
 // rowArena is the flat storage unit shared by all three relation
-// representations: tuple values live back-to-back in one []int64 row
-// arena addressed by small-int handles, and the only per-tuple map
-// state is a string-keyed handle index (tuple key → int32). Compared
-// to the seed's map[string]tuple.Tuple, a full scan walks one
-// contiguous array instead of chasing a boxed allocation per tuple,
-// and the per-tuple containers (Counted counts, Tagged tags) become
-// dense side slices indexed by handle.
+// representations: tuple values live back-to-back in pages of int64
+// rows addressed by small-int handles (rows.go), and the only per-tuple
+// index state is one packed hash|handle word in a persistent hash trie
+// (trie.go). Compared to the seed's map[string]tuple.Tuple, a full scan
+// walks contiguous pages instead of chasing a boxed allocation per
+// tuple, no key is ever encoded or stored, and the per-tuple containers
+// (Counted counts, Tagged tags) become dense side columns indexed by
+// handle.
 //
 // Two invariants make zero-copy reads safe:
 //
 //   - Rows are append-only: a stored row is never overwritten in
-//     place. Deletion only marks the handle dead (the row is reclaimed
-//     by the next compaction, which builds a fresh arena — the old
-//     backing array, and any outstanding alias into it, stays intact).
+//     place. Deletion only unlinks the handle from the trie (the row is
+//     reclaimed by the next compaction, which builds a fresh arena —
+//     the old pages, and any outstanding alias into them, stay intact).
 //     Row slices handed out by each/row therefore behave like the
 //     immutable tuples they replace, and may be retained by indexes,
 //     tagged lifts, or snapshot readers.
-//   - Handles are never reused. The next handle is always n, so side
-//     slices (counts, tags) indexed by handle stay aligned by plain
-//     appends.
+//   - Handles are never reused. The next handle is always rows.n, so
+//     side columns (counts, tags) indexed by handle stay aligned by
+//     plain appends.
 //
-// Copy-on-write (cloneShared) is O(pending changes), not O(rows): the
-// clone shares the base index map outright, both sides route
-// subsequent insertions through a small private overlay map (over)
-// that folds back into a private base once it outgrows a fraction of
-// the live set, and deletions flip a bit in a dense private liveness
-// bitmap (liveBits, copied per clone at one word per 64 rows). A
-// commit therefore pays for the tuples it touches plus an amortized
-// fold, never for the full container — the difference between
-// O(|delta|) and O(|view|) maintenance that §5's differential
-// re-evaluation is about. Scans stay linear regardless: dead rows cost
-// a bit test, not a map lookup.
-//
-// Key encoding is the tuple codec (tuple.AppendKey); mutating callers
-// pass a scratch buffer so lookups use the compiler's zero-allocation
-// map[string(bytes)] form and a key string is only materialized when a
-// row is actually inserted.
+// Cost model. Rows, trie and counts are all copy-on-write by
+// generation: whatever an arena allocates carries the arena's
+// generation, an arena writes in place only what carries its own, and
+// cloneShared — O(1), a header copy — moves both sides to fresh
+// generations. A write after that is O(log n): it copies one trie path,
+// and an append copies the page being filled. A scan is O(n): linear
+// over the pages while nothing is dead, otherwise a walk of the trie.
+// Compaction (clone) is the one O(n) step a write can trigger, once
+// dead rows outnumber live ones, so it amortizes to O(1) per delete. A
+// commit therefore pays for the tuples it touches and never for the
+// size of the container — the difference between O(|delta|) and
+// O(|view|) maintenance that §5's differential re-evaluation is about.
 type rowArena struct {
-	arity int
-	n     int32   // rows ever appended = next handle
-	live  int32   // rows currently live
-	rows  []int64 // row-major values; append-only
-	dead  int32   // appended rows no longer live
+	rows rowStore
+	live int32 // rows currently live
+	dead int32 // stored rows no longer live
 
-	// liveBits holds one bit per handle; a clear bit marks a dead row.
-	// Always private to this arena (cloneShared copies it), so deletes
-	// mutate it freely.
-	liveBits []uint64
-
-	// idx maps tuple key → handle. When idxShared is set the map is
-	// referenced by another arena (a cloneShared sibling) and must not
-	// be written; insertions go to over instead, whose entries override
-	// idx. Deletions never touch a shared idx at all — the stale entry
-	// stays and is filtered by its dead liveness bit. A key re-added
-	// after deletion lands in over (or overwrites in a private idx), so
-	// at most one of an entry's (idx, over) handles is ever live.
-	idx       map[string]int32
-	idxShared bool
-	over      map[string]int32
-
-	// tail tracks which arena owns the spare append capacity of the
-	// rows backing array. nil means the backing is unaliased and this
-	// arena owns it implicitly (the common case for intermediates that
-	// are never cloned — no token allocation). cloneShared materializes
-	// the token and hands the tail to the clone (the typical flow
-	// freezes the source and keeps mutating the clone) by winning a
-	// compare-and-swap on the shared cell; a loser — or an arena whose
-	// ownership was claimed by a later clone — reallocates on its next
-	// append. The cell is touched only by mutators and cloners, never
-	// by readers, so published arenas stay bit-for-bit frozen.
-	tail *tailOwner
+	// root indexes the live rows by hash. Only mutators read gen, so
+	// cloneShared may restamp a source that snapshot readers are still
+	// scanning.
+	root *trieNode
+	gen  uint64
 }
 
-// tailOwner is shared by every arena aliasing one rows backing array;
-// at any moment at most one of them (the owner) may append in place.
-type tailOwner struct {
-	owner atomic.Pointer[rowArena]
-}
-
-func newTailOwner(a *rowArena) *tailOwner {
-	t := &tailOwner{}
-	t.owner.Store(a)
-	return t
-}
-
-// newRowArena returns an empty arena. The index map is allocated
-// lazily on first insert — empty relations (a delta's untouched side,
-// scratch outputs) are common enough that the map alloc shows up.
-func newRowArena(arity int) *rowArena {
-	return &rowArena{arity: arity}
-}
+func newRowArena(arity int) *rowArena { return newRowArenaCap(arity, 0) }
 
 func newRowArenaCap(arity, n int) *rowArena {
-	if n == 0 {
-		return &rowArena{arity: arity}
-	}
-	return &rowArena{
-		arity: arity,
-		rows:  make([]int64, 0, n*arity),
-		idx:   make(map[string]int32, n),
-	}
+	return &rowArena{rows: newRowStore(arity, n)}
 }
 
 // len returns the number of live rows.
 func (a *rowArena) len() int { return int(a.live) }
 
-// row returns handle h's values. The full slice expression pins the
-// capacity so a stray append on a retained alias cannot clobber the
-// next row.
-func (a *rowArena) row(h int32) tuple.Tuple {
-	off := int(h) * a.arity
-	return a.rows[off : off+a.arity : off+a.arity]
-}
+// row returns handle h's values.
+func (a *rowArena) row(h int32) tuple.Tuple { return a.rows.row(h) }
 
-// isLive reports whether handle h's row is still live.
-func (a *rowArena) isLive(h int32) bool {
-	return a.liveBits[h>>6]&(1<<(uint(h)&63)) != 0
-}
-
-// find looks a key up without allocating.
-func (a *rowArena) find(k []byte) (int32, bool) {
-	if a.over != nil {
-		if h, ok := a.over[string(k)]; ok {
-			return h, a.isLive(h)
+// rowIs reports whether handle h's row equals the concatenation of p
+// and q.
+func (a *rowArena) rowIs(h int32, p, q []int64) bool {
+	r := a.rows.row(h)
+	for i, v := range p {
+		if r[i] != v {
+			return false
 		}
 	}
-	h, ok := a.idx[string(k)]
-	if ok && !a.isLive(h) {
-		return 0, false
-	}
-	return h, ok
-}
-
-// findKey looks an existing key string up.
-func (a *rowArena) findKey(k string) (int32, bool) {
-	if a.over != nil {
-		if h, ok := a.over[k]; ok {
-			return h, a.isLive(h)
+	r = r[len(p):]
+	for i, v := range q {
+		if r[i] != v {
+			return false
 		}
 	}
-	h, ok := a.idx[k]
-	if ok && !a.isLive(h) {
-		return 0, false
-	}
-	return h, ok
+	return true
 }
 
-// link records key k → handle h in the writable index layer.
-func (a *rowArena) link(k string, h int32) {
-	if a.idxShared {
-		if a.over == nil {
-			// Presized for a typical commit's worth of writes: overlay
-			// maps are recreated every copy-on-write cycle, so growth
-			// retables would recur per commit.
-			a.over = make(map[string]int32, 32)
-		}
-		a.over[k] = h
-		a.maybeFold()
-		return
+// find looks the concatenation of p and q up, without allocating. It
+// also returns the row hash, which add and remove take.
+func (a *rowArena) find(p, q []int64) (h int32, hash uint32, ok bool) {
+	hash = hashRow(p, q)
+	n := a.root
+	for shift := uint(0); n != nil && n.kids != nil; shift += trieBits {
+		n = n.kids[hash>>shift&(trieFan-1)]
 	}
-	if a.idx == nil {
-		a.idx = make(map[string]int32, 8)
-	}
-	a.idx[k] = h
-}
-
-// grow appends the concatenation of parts as a new live row and
-// returns its handle.
-func (a *rowArena) grow(parts ...[]int64) int32 {
-	h := a.n
-	a.n++
-	a.live++
-	if a.tail != nil && a.tail.owner.Load() != a {
-		// The spare capacity was claimed by a clone: clamp our own
-		// alias so append reallocates instead of clobbering rows the
-		// owner appended after the clone point.
-		a.rows = a.rows[:len(a.rows):len(a.rows)]
-	}
-	before := cap(a.rows)
-	for _, p := range parts {
-		a.rows = append(a.rows, p...)
-	}
-	if cap(a.rows) != before {
-		// append moved to a fresh, unaliased backing array: implicit
-		// self-ownership, no token needed until the next cloneShared.
-		a.tail = nil
-	}
-	if int(h>>6) == len(a.liveBits) {
-		a.liveBits = append(a.liveBits, 0)
-	}
-	a.liveBits[h>>6] |= 1 << (uint(h) & 63)
-	return h
-}
-
-// add appends the concatenation of parts as a new row under key k
-// (copied into a fresh string — the one unavoidable allocation of an
-// insert) and returns its handle. The caller has checked absence.
-func (a *rowArena) add(k []byte, parts ...[]int64) int32 {
-	h := a.grow(parts...)
-	a.link(string(k), h)
-	return h
-}
-
-// addKeyed is add for a key that already exists as a string (copied
-// from another arena's index): the string is shared, not re-allocated.
-func (a *rowArena) addKeyed(k string, parts ...[]int64) int32 {
-	h := a.grow(parts...)
-	a.link(k, h)
-	return h
-}
-
-// remove marks key k's row dead. It reports the unlinked handle. No
-// allocation: a delete against a shared index just clears the liveness
-// bit and leaves the stale entry to be filtered on lookup.
-func (a *rowArena) remove(k []byte) (int32, bool) {
-	h, ok := a.find(k)
-	if !ok {
-		return 0, false
-	}
-	a.liveBits[h>>6] &^= 1 << (uint(h) & 63)
-	if !a.idxShared {
-		delete(a.idx, string(k))
-	}
-	delete(a.over, string(k))
-	a.dead++
-	a.live--
-	return h, true
-}
-
-// maybeFold merges the overlay into a fresh private base index once it
-// outgrows a quarter of the live set, bounding the per-clone overlay
-// copy and the double lookup on reads. Amortized cost per insertion is
-// O(1) map work. Only ever called on a writable (unpublished) arena —
-// published arenas are frozen by the engine's snapshot discipline and
-// never mutate, so their idx stays shared.
-func (a *rowArena) maybeFold() {
-	if len(a.over) <= 32 || 4*len(a.over) <= int(a.live) {
-		return
-	}
-	// A bucket-level map clone plus the overlay entries: much cheaper
-	// than a per-entry rebuild. Stale dead-handle entries ride along
-	// harmlessly (their liveness bits filter them) until compaction.
-	idx := maps.Clone(a.idx)
-	if idx == nil {
-		idx = make(map[string]int32, len(a.over))
-	}
-	for k, h := range a.over {
-		idx[k] = h
-	}
-	a.idx = idx
-	a.idxShared = false
-	a.over = nil
-}
-
-// each calls f for every live row. The walk is always a straight pass
-// over the flat arena; dead rows cost a bit test. The callback must
-// not mutate the row (retaining is safe — rows are immutable once
-// stored).
-func (a *rowArena) each(f func(tuple.Tuple)) {
-	if a.arity == 0 {
-		for h := int32(0); h < a.n; h++ {
-			if a.dead == 0 || a.isLive(h) {
-				f(nil)
+	if n != nil {
+		for _, e := range n.ents {
+			if uint32(e>>32) == hash && a.rowIs(entryHandle(e), p, q) {
+				return entryHandle(e), hash, true
 			}
 		}
-		return
 	}
-	if a.dead == 0 {
-		for off := 0; off < len(a.rows); off += a.arity {
-			f(a.rows[off : off+a.arity : off+a.arity])
-		}
-		return
-	}
-	for h := int32(0); h < a.n; h++ {
-		if a.isLive(h) {
-			off := int(h) * a.arity
-			f(a.rows[off : off+a.arity : off+a.arity])
-		}
-	}
+	return 0, hash, false
 }
 
-// eachEntry calls f for every live (key, handle) pair. At most one of
-// a key's (idx, over) entries is live, so the two maps are walked
-// independently with a liveness filter and no cross-lookups. The key
-// string may be shared (stored in another map) — strings are
-// immutable.
-func (a *rowArena) eachEntry(f func(k string, h int32)) {
-	if a.dead == 0 && len(a.over) == 0 {
-		for k, h := range a.idx {
-			f(k, h)
-		}
+// add appends the concatenation of p and q as a new live row under its
+// hash and returns the handle. The caller has checked absence.
+func (a *rowArena) add(hash uint32, p, q []int64) int32 {
+	h := a.rows.n
+	a.rows.add(a.gen, p, q)
+	a.live++
+	a.root = a.trieInsert(a.root, 0, entry(hash, h))
+	return h
+}
+
+// addNew is add for a row known to be absent whose hash is not at hand.
+func (a *rowArena) addNew(p, q []int64) int32 { return a.add(hashRow(p, q), p, q) }
+
+// remove unlinks live handle h, found under hash, and marks its row
+// dead.
+func (a *rowArena) remove(hash uint32, h int32) {
+	a.root = a.trieRemove(a.root, 0, hash, h)
+	a.dead++
+	a.live--
+}
+
+// each calls f for every live row and its handle: a straight pass over
+// the pages while no row is dead, otherwise in trie order. The callback
+// must not mutate the row (retaining is safe — rows are immutable once
+// stored).
+func (a *rowArena) each(f func(h int32, t tuple.Tuple)) {
+	if a.dead == 0 {
+		a.rows.each(f)
 		return
 	}
-	for k, h := range a.idx {
-		if a.isLive(h) {
-			f(k, h)
-		}
-	}
-	for k, h := range a.over {
-		if a.isLive(h) {
-			f(k, h)
-		}
-	}
+	a.root.walk(func(e uint64) { f(entryHandle(e), a.rows.row(entryHandle(e))) })
 }
 
 // tooManyDead reports whether dead rows dominate the arena enough to
@@ -322,63 +138,31 @@ func (a *rowArena) tooManyDead() bool {
 }
 
 // clone returns a compacted deep copy: live rows packed into a fresh
-// arena (handles renumbered), key strings shared with the source. remap,
-// when non-nil, is called once per live row with the old and new
-// handles so callers can carry side slices (counts, tags) over.
-func (a *rowArena) clone(remap func(old, new int32)) *rowArena {
-	out := newRowArenaCap(a.arity, a.len())
-	a.eachEntry(func(k string, h int32) {
-		nh := out.addKeyed(k, a.row(h))
-		if remap != nil {
-			remap(h, nh)
+// arena, handles renumbered from zero. moved, when non-nil, is called
+// with each live row's old handle, in new-handle order, so callers can
+// carry a side column over by pushing.
+func (a *rowArena) clone(moved func(old int32)) *rowArena {
+	out := newRowArenaCap(a.rows.width, a.len())
+	a.root.walk(func(e uint64) {
+		h := entryHandle(e)
+		out.add(uint32(e>>32), a.rows.row(h), nil)
+		if moved != nil {
+			moved(h)
 		}
 	})
 	return out
 }
 
-// cloneShared returns a copy preserving handle numbering at
-// O(pending changes) cost: the base index map is shared outright (both
-// sides switch to overlay writes), the liveness bitmap is copied (one
-// word per 64 rows), and the row storage backing is shared. The spare
-// append capacity beyond the current length transfers to the clone
-// when the source still owns it — the typical flow is "freeze the
-// source as a published snapshot, keep mutating the clone", so the
-// clone appends in place into the tail no reader of the source will
-// ever scan (readers stop at the source's length). Ownership moves by
-// compare-and-swap on the backing's shared tail cell: a second clone
-// of the same source loses the race, receives a capacity-clamped
-// alias, and reallocates on its first append — the source itself is
-// never written, so clones are race-free against concurrent snapshot
-// readers of the source.
-//
-// This is the commit-path copy-on-write primitive: cloning a
-// 100k-tuple view costs a bitmap memmove plus a copy of the (small,
-// regularly folded) overlay, not 100k map inserts or a row-storage
-// copy.
+// cloneShared returns a copy preserving handle numbering in O(1): rows
+// and trie are shared outright, and both arenas move to fresh
+// generations so that whichever writes next copies what it touches.
+// Nothing a reader of the source can see is written, so clones are
+// race-free against concurrent snapshot readers of the source.
 func (a *rowArena) cloneShared() *rowArena {
-	a.idxShared = true
-	c := &rowArena{
-		arity:     a.arity,
-		n:         a.n,
-		live:      a.live,
-		dead:      a.dead,
-		rows:      a.rows[:len(a.rows):len(a.rows)],
-		liveBits:  slices.Clone(a.liveBits),
-		idx:       a.idx,
-		idxShared: true,
-		over:      maps.Clone(a.over),
-	}
-	if a.tail == nil {
-		// Unaliased backing, implicitly ours: materialize the token
-		// with the clone as owner and hand over the full capacity.
-		t := newTailOwner(c)
-		a.tail, c.tail = t, t
-		c.rows = a.rows
-	} else if a.tail.owner.CompareAndSwap(a, c) {
-		c.rows = a.rows
-		c.tail = a.tail
-	}
-	return c
+	c := *a
+	c.gen = lastGen.Add(1)
+	a.gen = lastGen.Add(1)
+	return &c
 }
 
 // handleIndex buckets row references by a projection key for hash

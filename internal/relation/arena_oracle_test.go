@@ -3,6 +3,8 @@ package relation
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"mview/internal/schema"
@@ -11,8 +13,8 @@ import (
 
 // mapOracle is the reference implementation the flat-arena storage is
 // checked against: a plain Go map from encoded key to tuple, with none
-// of the arena's handle indirection, liveness bitmaps, or
-// copy-on-write sharing.
+// of the arena's handle indirection, hash trie, or copy-on-write
+// sharing.
 type mapOracle map[string]tuple.Tuple
 
 func (o mapOracle) insert(t tuple.Tuple) { o[t.Key()] = t.Clone() }
@@ -66,9 +68,9 @@ func saveLoad(t *testing.T, r *Relation) *Relation {
 	} else {
 		loaded = New(r.Scheme())
 	}
-	r.EachEntry(func(k string, tu tuple.Tuple) {
-		if err := loaded.InsertKeyed(k, tu); err != nil {
-			t.Fatalf("InsertKeyed(%v): %v", tu, err)
+	r.Each(func(tu tuple.Tuple) {
+		if err := loaded.Insert(tu); err != nil {
+			t.Fatalf("Insert(%v): %v", tu, err)
 		}
 	})
 	return loaded
@@ -190,5 +192,235 @@ func TestArenaMatchesOracleAcrossShards(t *testing.T) {
 			}
 			oracle.checkAgainst(t, "loaded after mutation", loaded)
 		})
+	}
+}
+
+// cowModel is the oracle of the snapshot-isolation test: tuple → count
+// (always 1 for a set relation), keyed by value so that checking it
+// allocates nothing.
+type cowModel map[[2]int64]int64
+
+func (m cowModel) clone() cowModel {
+	c := make(cowModel, len(m))
+	for k, n := range m {
+		c[k] = n
+	}
+	return c
+}
+
+// cowSubject is one storage representation under the snapshot-isolation
+// test. check must be safe to call concurrently on a subject that is no
+// longer mutated.
+type cowSubject interface {
+	clone() cowSubject
+	mutate(rng *rand.Rand, m cowModel)
+	check(m cowModel) error
+}
+
+var cowScheme = schema.MustScheme("A", "B")
+
+// cowTuple draws from a 24×20 domain: small enough that batches keep
+// re-inserting deleted tuples and deleting present ones, large enough
+// that the tries are several levels deep.
+func cowTuple(rng *rand.Rand) [2]int64 {
+	return [2]int64{int64(rng.Intn(24)), int64(rng.Intn(20)) - 10}
+}
+
+type cowRelation struct{ r *Relation }
+
+func (s cowRelation) clone() cowSubject { return cowRelation{s.r.Clone()} }
+
+func (s cowRelation) mutate(rng *rand.Rand, m cowModel) {
+	for i := 0; i < 16; i++ {
+		k := cowTuple(rng)
+		if rng.Intn(5) < 3 {
+			s.r.put(k[:])
+			m[k] = 1
+		} else {
+			s.r.Delete(k[:])
+			delete(m, k)
+		}
+	}
+}
+
+func (s cowRelation) check(m cowModel) error {
+	if s.r.Len() != len(m) {
+		return fmt.Errorf("Len = %d, model has %d", s.r.Len(), len(m))
+	}
+	seen := 0
+	var err error
+	s.r.Each(func(t tuple.Tuple) {
+		seen++
+		if _, ok := m[[2]int64(t)]; !ok {
+			err = fmt.Errorf("Each yields %v, absent from the model", t)
+		}
+	})
+	if err == nil && seen != len(m) {
+		err = fmt.Errorf("Each visited %d tuples, model has %d", seen, len(m))
+	}
+	fresh := New(cowScheme)
+	for k := range m {
+		if !s.r.Has(k[:]) {
+			err = fmt.Errorf("Has(%v) = false, model holds it", k)
+		}
+		if s.r.Has([]int64{k[0], k[1] + 100}) {
+			err = fmt.Errorf("Has(%v) = true for a tuple outside the domain", k)
+		}
+		fresh.put(k[:])
+	}
+	if err == nil && !(s.r.Equal(fresh) && fresh.Equal(s.r)) {
+		err = fmt.Errorf("not Equal to a relation rebuilt from the model")
+	}
+	return err
+}
+
+type cowCounted struct{ c *Counted }
+
+func (s cowCounted) clone() cowSubject { return cowCounted{s.c.Clone()} }
+
+func (s cowCounted) mutate(rng *rand.Rand, m cowModel) {
+	for i := 0; i < 16; i++ {
+		k := cowTuple(rng)
+		n := int64(rng.Intn(3) + 1)
+		if cur := m[k]; cur > 0 && rng.Intn(5) >= 3 {
+			if rng.Intn(2) == 0 {
+				n = cur // drop the tuple outright
+			}
+			n = -min(n, cur)
+		}
+		if err := s.c.Add(k[:], n); err != nil {
+			panic(err)
+		}
+		if m[k] += n; m[k] == 0 {
+			delete(m, k)
+		}
+	}
+}
+
+func (s cowCounted) check(m cowModel) error {
+	if s.c.Len() != len(m) {
+		return fmt.Errorf("Len = %d, model has %d", s.c.Len(), len(m))
+	}
+	seen := 0
+	var err error
+	s.c.Each(func(t tuple.Tuple, n int64) {
+		seen++
+		if m[[2]int64(t)] != n {
+			err = fmt.Errorf("Each yields %v×%d, model has ×%d", t, n, m[[2]int64(t)])
+		}
+	})
+	if err == nil && seen != len(m) {
+		err = fmt.Errorf("Each visited %d tuples, model has %d", seen, len(m))
+	}
+	fresh := NewCounted(cowScheme)
+	var total int64
+	for k, n := range m {
+		if got := s.c.Count(k[:]); got != n {
+			err = fmt.Errorf("Count(%v) = %d, model has %d", k, got, n)
+		}
+		if got := s.c.Count([]int64{k[0], k[1] + 100}); got != 0 {
+			err = fmt.Errorf("Count(%v) = %d for a tuple outside the domain", k, got)
+		}
+		fresh.bump(k[:], n)
+		total += n
+	}
+	if err == nil && s.c.Total() != total {
+		err = fmt.Errorf("Total = %d, model sums to %d", s.c.Total(), total)
+	}
+	if err == nil && !(s.c.Equal(fresh) && fresh.Equal(s.c)) {
+		err = fmt.Errorf("not Equal to a counted relation rebuilt from the model")
+	}
+	return err
+}
+
+// degenerateHash makes every row hash agree in its low 16 bits, so the
+// trie is four single-child forks deep before it branches at all, and
+// maps one hash in 37 to a single value, so a handful of rows collide
+// outright and share a bucket no split can separate.
+func degenerateHash(h uint32) uint32 {
+	if h>>16%37 == 0 {
+		return 0x12345a5a
+	}
+	return h&^0xffff | 0x5a5a
+}
+
+// TestSnapshotIsolationAcrossGenerations is the copy-on-write property
+// test: the head of each representation goes through 150 clone →
+// mutate → publish generations while the last 16 published generations
+// are held, each with the model it had when it was published. While a
+// batch mutates the head, reader goroutines scan and probe the held
+// generations; after the batch every held generation is verified again
+// in full (Len, Has/Count, Each, Equal). Path copying that wrote to a
+// shared node, or a clone that kept ownership of one, shows up as a
+// held generation drifting from its model — or as a data race under
+// -race. The second pass repeats everything under degenerateHash.
+func TestSnapshotIsolationAcrossGenerations(t *testing.T) {
+	sharded, err := NewSharded(cowScheme, 0, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subjects := map[string]func() cowSubject{
+		"Relation":        func() cowSubject { return cowRelation{New(cowScheme)} },
+		"ShardedRelation": func() cowSubject { return cowRelation{sharded.Clone()} },
+		"Counted":         func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
+	}
+	for _, hash := range []string{"real", "degenerate"} {
+		for name, fresh := range subjects {
+			t.Run(hash+"/"+name, func(t *testing.T) {
+				if hash == "degenerate" {
+					hashMangle = degenerateHash
+					defer func() { hashMangle = nil }()
+				}
+				testSnapshotIsolation(t, fresh())
+			})
+		}
+	}
+}
+
+func testSnapshotIsolation(t *testing.T, head cowSubject) {
+	type generation struct {
+		s cowSubject
+		m cowModel
+	}
+	const held = 16
+	rng := rand.New(rand.NewSource(42))
+	model := cowModel{}
+	var ring []generation
+
+	for g := 0; g < 150; g++ {
+		// Publish the head, keep mutating a clone of it.
+		ring = append(ring, generation{head, model.clone()})
+		if len(ring) > held {
+			ring = ring[1:]
+		}
+		head = head.clone()
+
+		var stop atomic.Bool
+		var readers sync.WaitGroup
+		for r := 0; r < 2; r++ {
+			readers.Add(1)
+			go func(r int) {
+				defer readers.Done()
+				for i := r; !stop.Load(); i++ {
+					old := ring[i%len(ring)]
+					if err := old.s.check(old.m); err != nil {
+						t.Errorf("generation %d, read during the next batch: %v", g, err)
+						return
+					}
+				}
+			}(r)
+		}
+		head.mutate(rng, model)
+		stop.Store(true)
+		readers.Wait()
+
+		if err := head.check(model); err != nil {
+			t.Fatalf("generation %d: head: %v", g, err)
+		}
+		for i, old := range ring {
+			if err := old.s.check(old.m); err != nil {
+				t.Fatalf("generation %d: held generation %d of %d: %v", g, i, len(ring), err)
+			}
+		}
 	}
 }

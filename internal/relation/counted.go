@@ -17,15 +17,15 @@ import (
 // paper: "for base relations, this attribute need not be explicitly
 // stored since its value in every tuple is always one").
 //
-// Storage is one flat row arena plus a dense counts slice indexed by
-// handle. Live entries always have a positive count, so counts[h] == 0
-// doubles as the dead-row marker and Each can walk the arena linearly.
+// Storage is one flat row arena plus a paged counts column indexed by
+// handle (column.go), written under the arena's generation. Live
+// entries always have a positive count, so a zero count doubles as the
+// dead-row marker and Each can walk the arena linearly.
 type Counted struct {
 	scheme *schema.Scheme
 	a      *rowArena
-	counts []int64 // by handle; 0 marks a dead (removed) row
-	total  int64   // sum of all counts, maintained incrementally
-	kbuf   []byte  // key scratch; mutation paths only (serialized), never cloned
+	counts column // by handle; 0 marks a dead (removed) row
+	total  int64  // sum of all counts, maintained incrementally
 }
 
 // CountedTuple pairs a tuple with its multiplicity, for iteration in
@@ -42,27 +42,18 @@ func NewCounted(s *schema.Scheme) *Counted {
 
 // NewCountedCap returns an empty counted relation presized for n
 // distinct tuples, so producers with a known (or bounding) output size
-// skip the incremental map and slice growth of the accumulation loop.
+// skip the incremental growth of the row storage.
 func NewCountedCap(s *schema.Scheme, n int) *Counted {
-	if n == 0 {
-		return NewCounted(s)
-	}
-	return &Counted{
-		scheme: s,
-		a:      newRowArenaCap(s.Arity(), n),
-		counts: make([]int64, 0, n),
-	}
+	return &Counted{scheme: s, a: newRowArenaCap(s.Arity(), n)}
 }
 
 // FromRelation lifts a set relation to a counted relation with every
-// count equal to one (key strings are shared with r's index).
+// count equal to one.
 func FromRelation(r *Relation) *Counted {
-	c := NewCounted(r.scheme)
-	c.a = newRowArenaCap(r.scheme.Arity(), r.Len())
-	c.counts = make([]int64, 0, r.Len())
-	r.eachEntry(func(k string, t tuple.Tuple) {
-		c.a.addKeyed(k, t)
-		c.counts = append(c.counts, 1)
+	c := NewCountedCap(r.scheme, r.Len())
+	r.Each(func(t tuple.Tuple) {
+		c.a.addNew(t, nil)
+		c.counts.push(1, 0)
 	})
 	c.total = int64(r.Len())
 	return c
@@ -78,17 +69,16 @@ func (c *Counted) Len() int { return c.a.len() }
 func (c *Counted) Total() int64 { return c.total }
 
 // Count returns the multiplicity of t (zero when absent). Safe for
-// concurrent readers of a published view (per-call key buffer).
+// concurrent readers of a published view.
 func (c *Counted) Count(t tuple.Tuple) int64 {
 	if len(t) != c.scheme.Arity() {
 		return 0
 	}
-	var buf [keyBufSize]byte
-	h, ok := c.a.find(tuple.AppendKey(buf[:0], t))
+	h, _, ok := c.a.find(t, nil)
 	if !ok {
 		return 0
 	}
-	return c.counts[h]
+	return c.counts.get(h)
 }
 
 // Has reports whether t has a positive count.
@@ -106,27 +96,29 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 	if n == 0 {
 		return nil
 	}
-	c.kbuf = tuple.AppendKey(c.kbuf[:0], t)
-	h, ok := c.a.find(c.kbuf)
+	h, hash, ok := c.a.find(t, nil)
 	var cur int64
 	if ok {
-		cur = c.counts[h]
+		cur = c.counts.get(h)
 	}
 	next := cur + n
 	switch {
 	case next < 0:
 		return fmt.Errorf("relation: counter for %v would become negative (%d%+d)", t, cur, n)
 	case next == 0:
-		c.a.remove(c.kbuf)
-		c.counts[h] = 0
-		c.maybeCompact()
-	default:
-		if ok {
-			c.counts[h] = next
-		} else {
-			c.a.add(c.kbuf, t)
-			c.counts = append(c.counts, next)
+		c.a.remove(hash, h)
+		c.counts.set(h, 0, c.a.gen)
+		if c.a.tooManyDead() {
+			// Carry the counts over to the compacted arena's handles.
+			var counts column
+			c.a = c.a.clone(func(old int32) { counts.push(c.counts.get(old), 0) })
+			c.counts = counts
 		}
+	case ok:
+		c.counts.set(h, next, c.a.gen)
+	default:
+		c.a.add(hash, t, nil)
+		c.counts.push(next, c.a.gen)
 	}
 	c.total += n
 	return nil
@@ -135,53 +127,33 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 // bump adds n (> 0) to t's counter without the error path, for
 // operators that only ever accumulate positive counts.
 func (c *Counted) bump(t tuple.Tuple, n int64) {
-	c.kbuf = tuple.AppendKey(c.kbuf[:0], t)
-	if h, ok := c.a.find(c.kbuf); ok {
-		c.counts[h] += n
+	if h, hash, ok := c.a.find(t, nil); ok {
+		*c.counts.slot(h, c.a.gen) += n
 	} else {
-		c.a.add(c.kbuf, t)
-		c.counts = append(c.counts, n)
+		c.a.add(hash, t, nil)
+		c.counts.push(n, c.a.gen)
 	}
 	c.total += n
-}
-
-// bumpKeyed is bump for a tuple whose key string already exists.
-func (c *Counted) bumpKeyed(k string, t tuple.Tuple, n int64) {
-	if h, ok := c.a.findKey(k); ok {
-		c.counts[h] += n
-	} else {
-		c.a.addKeyed(k, t)
-		c.counts = append(c.counts, n)
-	}
-	c.total += n
-}
-
-// maybeCompact rebuilds the arena once dead rows dominate, carrying
-// the counts over to the renumbered handles.
-func (c *Counted) maybeCompact() {
-	if !c.a.tooManyDead() {
-		return
-	}
-	nc := make([]int64, c.a.len())
-	old := c.counts
-	c.a = c.a.clone(func(o, n int32) { nc[n] = old[o] })
-	c.counts = nc
 }
 
 // Each calls f for every (tuple, count) pair in unspecified order. The
 // walk is linear over the arena; dead rows are skipped by their zero
 // count.
 func (c *Counted) Each(f func(tuple.Tuple, int64)) {
-	for h := int32(0); h < c.a.n; h++ {
-		if n := c.counts[h]; n != 0 {
-			f(c.a.row(h), n)
-		}
-	}
+	c.eachHandle(func(_ int32, t tuple.Tuple, n int64) { f(t, n) })
 }
 
-// eachEntry calls f for every (key, handle) pair of a live row.
-func (c *Counted) eachEntry(f func(k string, h int32)) {
-	c.a.eachEntry(f)
+// eachHandle is Each with the row's handle.
+func (c *Counted) eachHandle(f func(h int32, t tuple.Tuple, n int64)) {
+	var leaf *columnLeaf
+	c.a.rows.each(func(h int32, t tuple.Tuple) {
+		if h&(spineFan-1) == 0 {
+			leaf = c.counts.leaves.get(h >> spineBits)
+		}
+		if n := leaf.vals[h&(spineFan-1)]; n != 0 {
+			f(h, t, n)
+		}
+	})
 }
 
 // Tuples returns all counted tuples sorted lexicographically.
@@ -194,21 +166,10 @@ func (c *Counted) Tuples() []CountedTuple {
 	return out
 }
 
-// Clone returns an independent copy. The common case preserves handle
-// numbering and costs O(map buckets + counts memmove) via the arena's
-// shared-row clone; once dead rows dominate, the copy compacts
-// instead.
+// Clone returns an independent copy in O(1): rows, trie and counts are
+// shared, and either side copies only the paths it later writes.
 func (c *Counted) Clone() *Counted {
-	out := &Counted{scheme: c.scheme, total: c.total}
-	if c.a.tooManyDead() {
-		out.counts = make([]int64, c.a.len())
-		old := c.counts
-		out.a = c.a.clone(func(o, n int32) { out.counts[n] = old[o] })
-		return out
-	}
-	out.a = c.a.cloneShared()
-	out.counts = append([]int64(nil), c.counts...)
-	return out
+	return &Counted{scheme: c.scheme, a: c.a.cloneShared(), counts: c.counts, total: c.total}
 }
 
 // Equal reports whether two counted relations have equal schemes,
@@ -219,24 +180,14 @@ func (c *Counted) Equal(o *Counted) bool {
 		return false
 	}
 	eq := true
-	c.a.eachEntry(func(k string, h int32) {
-		if !eq {
-			return
-		}
-		oh, ok := o.a.findKey(k)
-		if !ok || o.counts[oh] != c.counts[h] {
-			eq = false
-		}
-	})
+	c.Each(func(t tuple.Tuple, n int64) { eq = eq && o.Count(t) == n })
 	return eq
 }
 
 // ToRelation collapses multiplicities, returning the underlying set.
 func (c *Counted) ToRelation() *Relation {
 	out := New(c.scheme)
-	c.a.eachEntry(func(k string, h int32) {
-		out.putKeyed(k, c.a.row(h))
-	})
+	c.Each(func(t tuple.Tuple, _ int64) { out.put(t) })
 	return out
 }
 
@@ -260,9 +211,7 @@ func (c *Counted) Merge(o *Counted) error {
 		return err
 	}
 	// Counts are positive on both sides, so no counter can go negative.
-	o.a.eachEntry(func(k string, h int32) {
-		c.bumpKeyed(k, o.a.row(h), o.counts[h])
-	})
+	o.Each(c.bump)
 	return nil
 }
 
@@ -286,10 +235,9 @@ func (c *Counted) Subtract(o *Counted) error {
 // (§5.2: "the select operation is not affected").
 func SelectCounted(c *Counted, pred func(tuple.Tuple) bool) *Counted {
 	out := NewCountedCap(c.scheme, c.Len())
-	c.a.eachEntry(func(k string, h int32) {
-		t := c.a.row(h)
+	c.Each(func(t tuple.Tuple, n int64) {
 		if pred(t) {
-			out.bumpKeyed(k, t, c.counts[h])
+			out.bump(t, n)
 		}
 	})
 	return out
@@ -348,8 +296,7 @@ func NaturalJoinCounted(a, b *Counted) (*Counted, error) {
 	ix := newHandleIndex(b.a.len())
 	var kb []byte
 	pbuf := make(tuple.Tuple, len(p.rightPos))
-	b.a.eachEntry(func(_ string, h int32) {
-		t := b.a.row(h)
+	b.eachHandle(func(h int32, t tuple.Tuple, _ int64) {
 		for i, pos := range p.rightPos {
 			pbuf[i] = t[pos]
 		}
@@ -366,7 +313,7 @@ func NaturalJoinCounted(a, b *Counted) (*Counted, error) {
 		ix.eachRef(kb, func(ref int64) {
 			h := int32(ref)
 			obuf = p.appendCombine(obuf[:0], ta, b.a.row(h))
-			out.bump(obuf, na*b.counts[h])
+			out.bump(obuf, na*b.counts.get(h))
 		})
 	})
 	return out, nil

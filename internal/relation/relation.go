@@ -10,10 +10,10 @@
 //     of §5.3, used while differentially re-evaluating join views.
 //
 // All three store their tuples in flat row arenas (arena.go): values
-// live back-to-back in one []int64 per shard, the maps hold only
-// int32 handles, and per-tuple payloads (counts, tags) are dense side
-// slices indexed by handle. The representation is invisible behind the
-// package-level ops.
+// live back-to-back in pages of []int64 rows (rows.go), a persistent
+// hash trie (trie.go) indexes them by int32 handle, and per-tuple
+// payloads (counts, tags) are dense side columns indexed by handle. The
+// representation is invisible behind the package-level ops.
 //
 // All operators are pure: they allocate fresh results and never mutate
 // their operands, except for the explicitly mutating methods (Insert,
@@ -28,11 +28,6 @@ import (
 	"mview/internal/tuple"
 )
 
-// keyBufSize is the stack scratch used by concurrent read paths (Has,
-// Count, Get): tuples of up to 8 attributes encode without heap
-// allocation; wider tuples spill, which is correct and merely slower.
-const keyBufSize = 64
-
 // Relation is a set of tuples over a fixed scheme, stored as one or
 // more hash-sharded row arenas keyed on one attribute. Clone shares
 // the shard arenas copy-on-write; concurrent readers of a published
@@ -44,7 +39,6 @@ type Relation struct {
 	parts  []*rowArena
 	shared []bool // parts[i] is also referenced by a clone or snapshot
 	n      int
-	kbuf   []byte // key scratch; mutation paths only (serialized), never cloned
 }
 
 // New returns an empty unsharded relation over the given scheme.
@@ -95,14 +89,12 @@ func (r *Relation) Scheme() *schema.Scheme { return r.scheme }
 func (r *Relation) Len() int { return r.n }
 
 // Has reports whether t is in the relation. Safe for concurrent
-// readers of a published relation (uses a per-call key buffer).
+// readers of a published relation.
 func (r *Relation) Has(t tuple.Tuple) bool {
 	if len(t) != r.scheme.Arity() {
 		return false
 	}
-	var buf [keyBufSize]byte
-	k := tuple.AppendKey(buf[:0], t)
-	_, ok := r.parts[r.part(t)].find(k)
+	_, _, ok := r.parts[r.part(t)].find(t, nil)
 	return ok
 }
 
@@ -130,12 +122,12 @@ func (r *Relation) Delete(t tuple.Tuple) {
 		return
 	}
 	p := r.part(t)
-	r.kbuf = tuple.AppendKey(r.kbuf[:0], t)
-	if _, ok := r.parts[p].find(r.kbuf); !ok {
+	h, hash, ok := r.parts[p].find(t, nil)
+	if !ok {
 		return
 	}
 	a := r.writable(p)
-	a.remove(r.kbuf)
+	a.remove(hash, h)
 	r.n--
 	if a.tooManyDead() {
 		r.parts[p] = a.clone(nil)
@@ -146,14 +138,14 @@ func (r *Relation) Delete(t tuple.Tuple) {
 // not mutate the tuple; retaining it is safe (arena rows are immutable
 // once stored).
 func (r *Relation) Each(f func(tuple.Tuple)) {
-	for _, a := range r.parts {
-		a.each(f)
+	for i := range r.parts {
+		r.EachShard(i, f)
 	}
 }
 
 // EachShard calls f for every tuple of shard i, in unspecified order.
 func (r *Relation) EachShard(i int, f func(tuple.Tuple)) {
-	r.parts[i].each(f)
+	r.parts[i].each(func(_ int32, t tuple.Tuple) { f(t) })
 }
 
 // Tuples returns all tuples sorted lexicographically, for deterministic
@@ -167,8 +159,9 @@ func (r *Relation) Tuples() []tuple.Tuple {
 
 // Clone returns a copy sharing all shard arenas copy-on-write: the
 // copy costs O(#shards), and a subsequent mutation of either side
-// copies only the shard it touches. Callers must serialize Clone with
-// other mutations of r (it marks r's parts shared).
+// copies, per shard it touches, an arena header plus the trie paths it
+// writes. Callers must serialize Clone with other mutations of r (it
+// marks r's parts shared).
 func (r *Relation) Clone() *Relation {
 	out := &Relation{
 		scheme: r.scheme,
@@ -191,17 +184,7 @@ func (r *Relation) Equal(o *Relation) bool {
 		return false
 	}
 	eq := true
-	for _, a := range r.parts {
-		a.eachEntry(func(k string, h int32) {
-			if !eq {
-				return
-			}
-			t := a.row(h)
-			if _, ok := o.parts[o.part(t)].findKey(k); !ok {
-				eq = false
-			}
-		})
-	}
+	r.Each(func(t tuple.Tuple) { eq = eq && o.Has(t) })
 	return eq
 }
 
@@ -225,39 +208,13 @@ func sameScheme(op string, a, b *schema.Scheme) error {
 	return nil
 }
 
-// eachEntry calls f for every (key, tuple) pair across all shards,
-// letting same-scheme derivations share the key strings instead of
-// re-encoding them.
-func (r *Relation) eachEntry(f func(k string, t tuple.Tuple)) {
-	for _, a := range r.parts {
-		a.eachEntry(func(k string, h int32) { f(k, a.row(h)) })
-	}
-}
-
-// EachEntry calls f for every (key, tuple) pair in unspecified order,
-// where key is the tuple's codec key (tuple.Tuple.Key). Passing the
-// key back into InsertKeyed of a same-arity container shares the
-// string instead of re-encoding it; this is how delta pipelines keep
-// one key allocation per tuple end to end.
-func (r *Relation) EachEntry(f func(k string, t tuple.Tuple)) { r.eachEntry(f) }
-
-// InsertKeyed is Insert for a tuple whose codec key is already known:
-// k must equal t.Key(). The key string is shared, not re-encoded.
-func (r *Relation) InsertKeyed(k string, t tuple.Tuple) error {
-	if err := r.checkArity(t); err != nil {
-		return err
-	}
-	r.putKeyed(k, t)
-	return nil
-}
-
 // Union returns r ∪ o. The schemes must be equal.
 func Union(r, o *Relation) (*Relation, error) {
 	if err := sameScheme("union", r.scheme, o.scheme); err != nil {
 		return nil, err
 	}
 	out := r.Clone()
-	o.eachEntry(out.putKeyed)
+	o.Each(out.put)
 	return out, nil
 }
 
@@ -267,9 +224,9 @@ func Diff(r, o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.scheme)
-	r.eachEntry(func(k string, t tuple.Tuple) {
+	r.Each(func(t tuple.Tuple) {
 		if !o.Has(t) {
-			out.putKeyed(k, t)
+			out.put(t)
 		}
 	})
 	return out, nil
@@ -281,9 +238,9 @@ func Intersect(r, o *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(r.scheme)
-	r.eachEntry(func(k string, t tuple.Tuple) {
+	r.Each(func(t tuple.Tuple) {
 		if o.Has(t) {
-			out.putKeyed(k, t)
+			out.put(t)
 		}
 	})
 	return out, nil
@@ -292,9 +249,9 @@ func Intersect(r, o *Relation) (*Relation, error) {
 // Select returns σ_pred(r).
 func Select(r *Relation, pred func(tuple.Tuple) bool) *Relation {
 	out := New(r.scheme)
-	r.eachEntry(func(k string, t tuple.Tuple) {
+	r.Each(func(t tuple.Tuple) {
 		if pred(t) {
-			out.putKeyed(k, t)
+			out.put(t)
 		}
 	})
 	return out
@@ -400,8 +357,7 @@ func NaturalJoin(l, r *Relation) (*Relation, error) {
 	var kb []byte
 	pbuf := make(tuple.Tuple, len(p.rightPos))
 	for pi, a := range r.parts {
-		a.eachEntry(func(_ string, h int32) {
-			b := a.row(h)
+		a.each(func(h int32, b tuple.Tuple) {
 			for i, pos := range p.rightPos {
 				pbuf[i] = b[pos]
 			}

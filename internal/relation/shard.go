@@ -15,8 +15,9 @@ import (
 // exists so that
 //
 //   - commit-time pre-clones are O(#shards), not O(#tuples): Clone
-//     shares the part arenas copy-on-write and a mutation copies only
-//     the one part it lands in (per-shard dirty tracking), and
+//     shares the part arenas copy-on-write and a mutation clones, in
+//     O(1), only the one part it lands in (per-shard dirty tracking),
+//     and
 //   - differential maintenance can split a delta by shard and fan the
 //     per-shard sub-deltas out onto the worker pool, merging the
 //     partial view deltas with the §5 counted operators.
@@ -79,17 +80,12 @@ func (r *Relation) part(t tuple.Tuple) int {
 	return ShardOf(t[r.key], len(r.parts))
 }
 
-// writable returns part i's arena, first cloning it if it is shared
-// with a clone or a published snapshot (copy-on-write: an update pays
-// only for the shards it touches). The cheap handle-preserving clone
-// is used unless dead rows dominate, in which case the copy compacts.
+// writable returns part i's arena, first cloning it (in O(1),
+// preserving handles) if it is shared with a clone or a published
+// snapshot: an update pays only for the shards it touches.
 func (r *Relation) writable(i int) *rowArena {
 	if r.shared[i] {
-		if r.parts[i].tooManyDead() {
-			r.parts[i] = r.parts[i].clone(nil)
-		} else {
-			r.parts[i] = r.parts[i].cloneShared()
-		}
+		r.parts[i] = r.parts[i].cloneShared()
 		r.shared[i] = false
 	}
 	return r.parts[i]
@@ -100,22 +96,10 @@ func (r *Relation) writable(i int) *rowArena {
 // untouched (set semantics).
 func (r *Relation) put(t tuple.Tuple) {
 	p := r.part(t)
-	r.kbuf = tuple.AppendKey(r.kbuf[:0], t)
-	if _, ok := r.parts[p].find(r.kbuf); ok {
+	_, hash, ok := r.parts[p].find(t, nil)
+	if ok {
 		return
 	}
-	r.writable(p).add(r.kbuf, t)
-	r.n++
-}
-
-// putKeyed is put for a tuple whose key string already exists (taken
-// from another container's index): the string is shared, not
-// re-encoded.
-func (r *Relation) putKeyed(k string, t tuple.Tuple) {
-	p := r.part(t)
-	if _, ok := r.parts[p].findKey(k); ok {
-		return
-	}
-	r.writable(p).addKeyed(k, t)
+	r.writable(p).add(hash, t, nil)
 	r.n++
 }

@@ -21,7 +21,6 @@ type Tagged struct {
 	scheme *schema.Scheme
 	a      *rowArena
 	tags   []tuple.Tag
-	kbuf   []byte // key scratch; mutation paths only (serialized), never cloned
 }
 
 // TaggedTuple pairs a tuple with its tag for deterministic iteration.
@@ -45,7 +44,7 @@ func NewTaggedCap(s *schema.Scheme, n int) *Tagged {
 }
 
 // TagRelation lifts a set relation to a tagged relation with every
-// tuple carrying the given tag (key strings are shared with r).
+// tuple carrying the given tag.
 func TagRelation(r *Relation, tag tuple.Tag) *Tagged {
 	g := NewTagged(r.scheme)
 	g.liftFrom(r, tag)
@@ -65,23 +64,21 @@ func TagRelationAs(r *Relation, s *schema.Scheme, tag tuple.Tag) (*Tagged, error
 	return g, nil
 }
 
-// MergeRelation adds every tuple of r tagged tag, sharing r's key
-// strings. A tuple already present has its tag overwritten.
+// MergeRelation adds every tuple of r tagged tag. A tuple already
+// present has its tag overwritten.
 func (g *Tagged) MergeRelation(r *Relation, tag tuple.Tag) error {
 	if r.Scheme().Arity() != g.scheme.Arity() {
 		return fmt.Errorf("relation: cannot merge %s into tagged %s: arity mismatch", r.Scheme(), g.scheme)
 	}
-	r.eachEntry(func(k string, t tuple.Tuple) {
-		g.setKeyed(k, t, tag)
-	})
+	r.Each(func(t tuple.Tuple) { g.set(t, nil, tag) })
 	return nil
 }
 
 func (g *Tagged) liftFrom(r *Relation, tag tuple.Tag) {
 	g.a = newRowArenaCap(g.scheme.Arity(), r.Len())
 	g.tags = make([]tuple.Tag, 0, r.Len())
-	r.eachEntry(func(k string, t tuple.Tuple) {
-		g.a.addKeyed(k, t)
+	r.Each(func(t tuple.Tuple) {
+		g.a.addNew(t, nil)
 		g.tags = append(g.tags, tag)
 	})
 }
@@ -98,13 +95,7 @@ func (g *Tagged) Set(t tuple.Tuple, tag tuple.Tag) error {
 		return fmt.Errorf("relation: tagged tuple %v has arity %d, scheme %s has arity %d",
 			t, len(t), g.scheme, g.scheme.Arity())
 	}
-	g.kbuf = tuple.AppendKey(g.kbuf[:0], t)
-	if h, ok := g.a.find(g.kbuf); ok {
-		g.tags[h] = tag
-		return nil
-	}
-	g.a.add(g.kbuf, t)
-	g.tags = append(g.tags, tag)
+	g.set(t, nil, tag)
 	return nil
 }
 
@@ -117,34 +108,28 @@ func (g *Tagged) SetPair(a, b tuple.Tuple, tag tuple.Tag) error {
 		return fmt.Errorf("relation: tagged pair has arity %d+%d, scheme %s has arity %d",
 			len(a), len(b), g.scheme, g.scheme.Arity())
 	}
-	g.kbuf = tuple.AppendKey(tuple.AppendKey(g.kbuf[:0], a), b)
-	if h, ok := g.a.find(g.kbuf); ok {
-		g.tags[h] = tag
-		return nil
-	}
-	g.a.add(g.kbuf, a, b)
-	g.tags = append(g.tags, tag)
+	g.set(a, b, tag)
 	return nil
 }
 
-// setKeyed records t under an existing key string, sharing it.
-func (g *Tagged) setKeyed(k string, t tuple.Tuple, tag tuple.Tag) {
-	if h, ok := g.a.findKey(k); ok {
+// set records the concatenation of p and q with the given tag.
+func (g *Tagged) set(p, q tuple.Tuple, tag tuple.Tag) {
+	h, hash, ok := g.a.find(p, q)
+	if ok {
 		g.tags[h] = tag
 		return
 	}
-	g.a.addKeyed(k, t)
+	g.a.add(hash, p, q)
 	g.tags = append(g.tags, tag)
 }
 
 // Get returns t's tag and whether t is present. Safe for concurrent
-// readers (per-call key buffer).
+// readers.
 func (g *Tagged) Get(t tuple.Tuple) (tuple.Tag, bool) {
 	if len(t) != g.scheme.Arity() {
 		return 0, false
 	}
-	var buf [keyBufSize]byte
-	h, ok := g.a.find(tuple.AppendKey(buf[:0], t))
+	h, _, ok := g.a.find(t, nil)
 	if !ok {
 		return 0, false
 	}
@@ -154,9 +139,7 @@ func (g *Tagged) Get(t tuple.Tuple) (tuple.Tag, bool) {
 // Each calls f for every (tuple, tag) pair in unspecified order (a
 // linear arena walk — Tagged never has dead rows).
 func (g *Tagged) Each(f func(tuple.Tuple, tuple.Tag)) {
-	for h := int32(0); h < g.a.n; h++ {
-		f(g.a.row(h), g.tags[h])
-	}
+	g.a.rows.each(func(h int32, t tuple.Tuple) { f(t, g.tags[h]) })
 }
 
 // Tuples returns all tagged tuples sorted lexicographically.
@@ -169,8 +152,9 @@ func (g *Tagged) Tuples() []TaggedTuple {
 	return out
 }
 
-// Clone returns an independent copy (handle-preserving; key strings
-// and row storage shared until either side appends).
+// Clone returns an independent copy (handle-preserving; trie and row
+// storage shared until either side writes, tags copied — tagged
+// relations are delta-sized intermediates).
 func (g *Tagged) Clone() *Tagged {
 	return &Tagged{
 		scheme: g.scheme,
@@ -200,20 +184,17 @@ func (g *Tagged) Merge(o *Tagged) error {
 		return err
 	}
 	var firstErr error
-	o.a.eachEntry(func(k string, oh int32) {
+	o.Each(func(t tuple.Tuple, tag tuple.Tag) {
 		if firstErr != nil {
 			return
 		}
-		t, tag := o.a.row(oh), o.tags[oh]
-		if h, ok := g.a.findKey(k); ok {
-			if g.tags[h] != tag {
-				firstErr = fmt.Errorf("relation: tuple %v tagged both %v and %v", t, g.tags[h], tag)
-				return
-			}
-			return
+		h, hash, ok := g.a.find(t, nil)
+		if !ok {
+			g.a.add(hash, t, nil)
+			g.tags = append(g.tags, tag)
+		} else if g.tags[h] != tag {
+			firstErr = fmt.Errorf("relation: tuple %v tagged both %v and %v", t, g.tags[h], tag)
 		}
-		g.a.addKeyed(k, t)
-		g.tags = append(g.tags, tag)
 	})
 	return firstErr
 }
@@ -233,13 +214,11 @@ func (g *Tagged) String() string {
 // SelectTagged returns σ_pred(g); per §5.3's unary tag table, the tag
 // of every surviving tuple is preserved.
 func SelectTagged(g *Tagged, pred func(tuple.Tuple) bool) *Tagged {
-	out := &Tagged{scheme: g.scheme, a: newRowArenaCap(g.scheme.Arity(), g.a.len())}
-	out.tags = make([]tuple.Tag, 0, g.a.len())
-	g.a.eachEntry(func(k string, h int32) {
-		t := g.a.row(h)
+	out := NewTaggedCap(g.scheme, g.a.len())
+	g.Each(func(t tuple.Tuple, tag tuple.Tag) {
 		if pred(t) {
-			out.a.addKeyed(k, t)
-			out.tags = append(out.tags, g.tags[h])
+			out.a.addNew(t, nil)
+			out.tags = append(out.tags, tag)
 		}
 	})
 	return out
@@ -277,8 +256,7 @@ func NaturalJoinTagged(a, b *Tagged) (*Tagged, error) {
 	ix := newHandleIndex(b.a.len())
 	var kb []byte
 	pbuf := make(tuple.Tuple, len(p.rightPos))
-	b.a.eachEntry(func(_ string, h int32) {
-		t := b.a.row(h)
+	b.a.rows.each(func(h int32, t tuple.Tuple) {
 		for i, pos := range p.rightPos {
 			pbuf[i] = t[pos]
 		}
@@ -329,8 +307,7 @@ func JoinOnScheme(a, b *Tagged, lpos, rpos []int, cs *schema.Scheme) (*Tagged, e
 	ix := newHandleIndex(b.a.len())
 	var kb []byte
 	pbuf := make(tuple.Tuple, len(rpos))
-	b.a.eachEntry(func(_ string, h int32) {
-		t := b.a.row(h)
+	b.a.rows.each(func(h int32, t tuple.Tuple) {
 		for i, pos := range rpos {
 			pbuf[i] = t[pos]
 		}
@@ -415,12 +392,6 @@ func (g *Tagged) CountAll(attrs []schema.Attribute) (*Counted, error) {
 		return nil, err
 	}
 	out := NewCountedCap(ps, g.Len())
-	if isIdentity(pos, g.scheme.Arity()) {
-		g.a.eachEntry(func(k string, h int32) {
-			out.bumpKeyed(k, g.a.row(h), 1)
-		})
-		return out, nil
-	}
 	buf := make(tuple.Tuple, len(pos))
 	g.Each(func(t tuple.Tuple, _ tuple.Tag) {
 		for i, p := range pos {
@@ -432,8 +403,7 @@ func (g *Tagged) CountAll(attrs []schema.Attribute) (*Counted, error) {
 }
 
 // isIdentity reports whether projecting onto pos reproduces a tuple of
-// the given arity unchanged — in which case projection outputs can
-// share the operand's key strings.
+// the given arity unchanged.
 func isIdentity(pos []int, arity int) bool {
 	if len(pos) != arity {
 		return false
@@ -470,19 +440,6 @@ func (g *Tagged) Deltas(attrs []schema.Attribute) (ins, del *Counted, err error)
 // the plan instead of re-deriving two schemes per transaction.
 func (g *Tagged) DeltasPlanned(pos []int, ps *schema.Scheme) (ins, del *Counted, err error) {
 	ins, del = NewCountedCap(ps, g.Len()), NewCountedCap(ps, g.Len())
-	if isIdentity(pos, g.scheme.Arity()) {
-		// Select-shaped views project every column: the delta tuples
-		// keep their keys, so share the strings instead of re-encoding.
-		g.a.eachEntry(func(k string, h int32) {
-			switch g.tags[h] {
-			case tuple.TagInsert:
-				ins.bumpKeyed(k, g.a.row(h), 1)
-			case tuple.TagDelete:
-				del.bumpKeyed(k, g.a.row(h), 1)
-			}
-		})
-		return ins, del, nil
-	}
 	buf := make(tuple.Tuple, len(pos))
 	g.Each(func(t tuple.Tuple, tag tuple.Tag) {
 		var target *Counted

@@ -10,14 +10,15 @@
 # `go test -bench` output passes through on stderr for humans.
 #
 # Usage: scripts/bench-json.sh [bench-regex] [benchtime]
-#   default regex covers the C-* system benchmarks; default benchtime
-#   100x keeps a full sweep tractable in CI.
+#   default regex covers the C-* system benchmarks in the root package
+#   and the storage layer's BenchmarkCloneWrite in internal/relation;
+#   default benchtime 100x keeps a full sweep tractable in CI.
 set -eu
 
-BENCH="${1:-ParallelCommit|SnapshotReads|GroupCommit|ShardedCommit|Checkpoint|FlatEval|Replication|RefreshPolicy}"
+BENCH="${1:-ParallelCommit|SnapshotReads|GroupCommit|ShardedCommit|Checkpoint|FlatEval|Replication|RefreshPolicy|CloneWrite}"
 BENCHTIME="${2:-100x}"
 
-go test -run=NONE -bench="$BENCH" -benchtime="$BENCHTIME" -benchmem . |
+go test -run=NONE -bench="$BENCH" -benchtime="$BENCHTIME" -benchmem . ./internal/relation |
 	tee /dev/stderr |
 	awk '
 		/^Benchmark/ {
