@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-selftest allocguard crash trace-smoke repl-smoke lint apicheck apilock clean
+.PHONY: all build test race bench bench-json bench-selftest bench-smoke allocguard crash trace-smoke repl-smoke lint apicheck apilock clean
 
 all: lint apicheck build test allocguard
 
@@ -36,6 +36,22 @@ bench-json:
 # it: run this after changing an exported signature there.
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# One short filter-fanout run of the real benchmark, traced and
+# untraced, which must end correct with no failed operation. The traced
+# pass compares the engine's filter counters with the generator's own
+# count of (tuple, filtered view) verdicts, so it catches a commit path
+# that stops counting the verdicts the relevance index reaches without
+# running a view's test; both passes catch a broken internal API the
+# root build cannot see (benchmark/ is its own module).
+bench-smoke:
+	@for trace in 1 0; do \
+		out=$$(bash benchmark/run.sh --workload filter-fanout --seed 1 --seconds 4 --trace $$trace | tail -n 1); \
+		case "$$out" in \
+		*'"correct":true,"failed":0'*) echo "bench-smoke: ok   filter-fanout --trace $$trace" ;; \
+		*) echo "bench-smoke: FAIL filter-fanout --trace $$trace: $$out"; exit 1 ;; \
+		esac; \
+	done
 
 # Allocation regression gate: the C-FLAT eval benchmarks must stay
 # within the allocs/op budgets checked in at scripts/allocguard.budget.

@@ -1574,3 +1574,114 @@ func BenchmarkRefreshPolicy(b *testing.B) {
 		})
 	}
 }
+
+// ---------- C-FANOUT: §4 filter cost vs number of filtered views ----------
+
+// BenchmarkFilterFanout commits the benchmark's filter-fanout
+// transaction shape — 8 rows of ev(K, A, B) replaced, 16 net tuples,
+// 5% of them with a key some view can see — against V filtered views:
+// eight in nine are K-range selections (K >= lo && K < hi && A < B + 5)
+// over disjoint 1000-key ranges, one in nine a K-range join with
+// dim(DB, W) over nine such ranges. With the commit routed through the
+// relevance index (internal/db/route.go) the maintenance share is flat
+// in V — a tuple costs one lookup plus its candidates — and what still
+// grows is the per-view classification in the commit's phase 3; before,
+// every view cost a task, a filtered copy of the update and an empty
+// delta.
+func BenchmarkFilterFanout(b *testing.B) {
+	for _, views := range []int{36, 288, 1000} {
+		b.Run(fmt.Sprintf("views=%d", views), func(b *testing.B) {
+			const (
+				width = 1000
+				rows  = 20000
+				hot   = rows / 20
+				dims  = 200
+			)
+			joins := views / 9
+			sels := views - joins
+			span := sels * width
+			d := Open()
+			if err := d.CreateRelation("ev", "K", "A", "B"); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.CreateRelation("dim", "DB", "W"); err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(11))
+			ev := make([][3]int64, rows)
+			var seed []Op
+			for i := range ev {
+				k := int64(span + i - hot)
+				if i < hot {
+					k = int64(i) * int64(span) / hot
+				}
+				ev[i] = [3]int64{k, int64(rng.Intn(dims + 10)), int64(rng.Intn(dims))}
+				seed = append(seed, Insert("ev", ev[i][:]...))
+			}
+			for j := 0; j < dims; j++ {
+				seed = append(seed, Insert("dim", int64(j), int64(rng.Intn(1000))))
+			}
+			if _, err := d.Exec(seed...); err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < sels; i++ {
+				spec := ViewSpec{From: []string{"ev"},
+					Where: fmt.Sprintf("K >= %d && K < %d && A < B + 5", i*width, (i+1)*width)}
+				if err := d.CreateView("sel"+strconv.Itoa(i), spec, WithFilter()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for j := 0; j < joins; j++ {
+				spec := ViewSpec{From: []string{"ev", "dim"}, Select: []string{"K", "A", "W"},
+					Where: fmt.Sprintf("B = DB && K >= %d && K < %d", j*span/joins, (j+1)*span/joins)}
+				if err := d.CreateView("join"+strconv.Itoa(j), spec, WithFilter()); err != nil {
+					b.Fatal(err)
+				}
+			}
+			tx := func() []Op {
+				ops := make([]Op, 0, 16)
+				var picked [8]int
+				for n := 0; n < len(picked); {
+					r := hot + rng.Intn(rows-hot)
+					if rng.Intn(20) == 0 {
+						r = rng.Intn(hot)
+					}
+					dup := false
+					for _, p := range picked[:n] {
+						dup = dup || p == r
+					}
+					if dup {
+						continue
+					}
+					picked[n] = r
+					n++
+					old := ev[r]
+					ev[r][1] = (old[1] + 1 + int64(rng.Intn(dims+9))) % (dims + 10)
+					ev[r][2] = (old[2] + 1 + int64(rng.Intn(dims-1))) % dims
+					ops = append(ops, Delete("ev", old[:]...), Insert("ev", ev[r][:]...))
+				}
+				return ops
+			}
+			for i := 0; i < 64; i++ { // first commit builds the index
+				if _, err := d.Exec(tx()...); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var chunk [256][]Op
+			for i := 0; i < b.N; i++ {
+				if i%len(chunk) == 0 {
+					b.StopTimer()
+					for j := range chunk {
+						chunk[j] = tx()
+					}
+					b.StartTimer()
+				}
+				if _, err := d.Exec(chunk[i%len(chunk)]...); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -200,9 +200,12 @@ type viewState struct {
 	pending map[string]delta.Update // composed net updates since last refresh
 	stats   ViewStats
 	vo      *viewObs // per-view metric handles; nil when obs is off
-	// ck caches the §4 irrelevance checkers for the Relevant API; it is
-	// shared with every published snapshot of the view (see snapshot.go).
-	ck *checkerCache
+	// away counts the commits the relevance index kept wholly away from
+	// the view; shared with every published snapshot (see routedAway).
+	// routeSlot is 1 + the view's position among the current commit's
+	// routing candidates, 0 outside routing (route.go).
+	away      *routedAway
+	routeSlot int
 	// dataShared marks data as referenced by a published snapshot:
 	// maintenance must clone it before the next in-place mutation
 	// (copy-on-write). snapDirty marks any change — data, stats, or
@@ -340,6 +343,11 @@ type Engine struct {
 	// RefreshPeriodically registration — off one timer wheel
 	// (scheduler.go). Created at New, its goroutine starts lazily.
 	sched *scheduler
+	// routes holds the per-relation relevance indexes over the filtered
+	// views (route.go): nil after view DDL, rebuilt by the next commit.
+	// routeCands is that path's per-commit scratch. Guarded by mu.
+	routes     map[string]*relRoute
+	routeCands []routeCand
 	// now is the engine's wall clock (staleness stamps and the
 	// scheduler's deadlines); tests substitute a fake. Immutable after
 	// construction except by same-package tests before first use.
@@ -795,7 +803,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 		maint:   maint,
 		data:    data,
 		pending: make(map[string]delta.Update),
-		ck:      newCheckerCache(bound, cfg),
+		away:    new(routedAway),
 		reads:   new(atomic.Int64),
 	}
 	if o := e.o.Load(); o != nil {
@@ -805,6 +813,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	}
 	e.views[v.Name] = st
 	e.viewOrder = append(e.viewOrder, v.Name)
+	e.routes = nil
 	e.publishLocked()
 	if cfg.When.scheduled() {
 		e.sched.ensure()
@@ -820,6 +829,7 @@ func (e *Engine) DropView(name string) error {
 		return fmt.Errorf("db: unknown view %q", name)
 	}
 	delete(e.views, name)
+	e.routes = nil
 	for i, n := range e.viewOrder {
 		if n == name {
 			e.viewOrder = append(e.viewOrder[:i], e.viewOrder[i+1:]...)
@@ -857,7 +867,7 @@ func (e *Engine) ViewStats(name string) (ViewStats, error) {
 	if !ok {
 		return ViewStats{}, fmt.Errorf("db: unknown view %q", name)
 	}
-	return sv.stats, nil
+	return sv.away.addTo(sv.stats), nil
 }
 
 // ViewDef returns the bound definition of a view.
@@ -1007,6 +1017,8 @@ type refreshed struct {
 	deferred   bool                 // backlog staging only; no computation
 	pend       []delta.Update       // staged updates, composed into the backlog at install
 	insts      []*relation.Relation // operand instances for the computation
+	perOp      []delta.Update       // differential input: each operand's net update
+	routed     bool                 // perOp came filtered out of the relevance index (route.go)
 	d          *diffeval.ViewDelta  // differential result
 	vc         *relation.Counted    // recompute shadow (PolicyRecompute)
 	cow        *relation.Counted    // phase-1 clone for the copy-on-write install
@@ -1455,9 +1467,9 @@ func (e *Engine) refreshAllLocked(parent obs.SpanContext) ([]notification, error
 // Relevant applies Theorem 4.1: it reports whether inserting or
 // deleting tuple t in base relation rel could affect the named view in
 // ANY database state. The per-operand checkers (including their O(n³)
-// invariant-graph preparation) are cached on the view's checkerCache,
-// which is shared with the read snapshot — so Relevant runs lock-free
-// and never blocks a commit.
+// invariant-graph preparation) belong to the view's maintainer, which
+// the read snapshot shares — so Relevant runs lock-free and never
+// blocks a commit.
 func (e *Engine) Relevant(view, rel string, t tuple.Tuple) (bool, error) {
 	s := e.currentSnapshot()
 	sv, ok := s.views[view]
@@ -1470,7 +1482,7 @@ func (e *Engine) Relevant(view, rel string, t tuple.Tuple) (bool, error) {
 			continue
 		}
 		found = true
-		c, err := sv.ck.get(i)
+		c, err := sv.maint.Checker(i)
 		if err != nil {
 			return false, err
 		}

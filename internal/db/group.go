@@ -329,9 +329,11 @@ func (g *group) runOnce(batch []*groupReq, window time.Duration) {
 //  2. composition (§6): delta.ComposeTxs folds the per-tx nets into
 //     one net delta per relation; intra-group churn cancels here and
 //     never reaches maintenance.
-//  3. maintenance: ONE 3-phase pass over the composed delta — the
-//     serial pipeline's classify / compute-on-pool / validate, with
-//     recomputes materialized from the overlay post-state.
+//  3. maintenance: ONE pass over the composed delta — the serial
+//     pipeline's classify / route / compute-on-pool / validate. The
+//     §4 filter runs here once per tuple for all filtered views
+//     (route.go), so only views some tuple reaches get a task;
+//     recomputes materialize from the overlay post-state.
 //  4. log: all payloads appended with a single fsync (logBatch).
 //  5. install + publish: bases swap to the overlay clones, indexes
 //     advance by the composed delta, view states install, ONE COW
@@ -431,6 +433,14 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	for _, u := range composed {
 		composedTouched[u.Rel] = true
 	}
+	composedOf := func(rel string) delta.Update { // zero when rel is untouched
+		for _, u := range composed {
+			if u.Rel == rel {
+				return u
+			}
+		}
+		return delta.Update{}
+	}
 	unionTouched := make(map[string]bool)
 	for _, r := range live {
 		for rel := range r.touched {
@@ -444,6 +454,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	var work3 []*refreshed
 	var diff []*refreshed
 	var recs []*refreshed
+	cands := e.routeCands[:0]
 	for _, name := range e.viewOrder {
 		st := e.views[name]
 		if !e.viewTouched(st, unionTouched) {
@@ -482,12 +493,28 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 			work3 = append(work3, w)
 			recs = append(recs, w)
 		default:
-			w := &refreshed{st: st, touchCount: touchCount, insts: e.operandInstances(st.bound),
-				decision: decisionLabel(st.cfg, PolicyDifferential)}
+			if st.cfg.Maint.Filter {
+				// Routed below: the view joins work3 and diff — at this
+				// placeholder, to keep view order — only if a tuple
+				// reaches it.
+				c := routeCand{st: st, touchCount: touchCount, at: len(work3)}
+				for _, op := range st.bound.Operands {
+					c.checked += composedOf(op.Rel).Size()
+				}
+				cands = append(cands, c)
+				work3 = append(work3, nil)
+				continue
+			}
+			w := e.newDifferential(st, touchCount)
+			for i, op := range st.bound.Operands {
+				w.perOp[i] = composedOf(op.Rel)
+			}
 			work3 = append(work3, w)
 			diff = append(diff, w)
 		}
 	}
+	e.routeCands = cands
+	defer clear(cands) // drop the commit's pointers from the scratch
 
 	// Differential deltas of the composed net change, computed against
 	// the frozen pre-group state on the worker pool (same contract as
@@ -502,8 +529,39 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	// and the longest one is the slowest_task critical-path component.
 	maintSE := ct.begin(stageMaint)
 	var maxTask time.Duration
+	var routing routeStats
+	var splits map[string][]delta.ShardUpdate // per-relation shard splits; sharded engines only
+	if e.shards > 1 {
+		splits = make(map[string][]delta.ShardUpdate)
+	}
+	if len(cands) > 0 {
+		// §4 once per tuple: route the composed delta to the filtered
+		// views (route.go). The reached ones join the differential set
+		// with their filtered updates; the rest are done.
+		var err error
+		if routing, err = e.routeComposed(composed, cands); err != nil {
+			maintSE.end(obs.KV{K: "err", V: true})
+			return nil, err
+		}
+		for i := range cands {
+			c := &cands[i]
+			if c.w != nil {
+				work3[c.at] = c.w
+				diff = append(diff, c.w)
+			} else if op := e.shardableOperand(c.st, composedTouched); op >= 0 {
+				c.shardsPruned = len(e.splitComposed(c.st.bound.Operands[op].Rel, composed, splits))
+			}
+		}
+		n := 0
+		for _, w := range work3 {
+			if w != nil {
+				work3[n] = w
+				n++
+			}
+		}
+		work3 = work3[:n]
+	}
 	if len(diff) > 0 {
-		splits := make(map[string][]delta.ShardUpdate)
 		var tasks []*commitTask
 		for _, w := range diff {
 			tasks = e.planShardTasks(w, composed, composedTouched, splits, tasks)
@@ -519,7 +577,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 			}
 			start := time.Now()
 			t.wait = start.Sub(submit)
-			t.d, t.err = t.w.st.maint.ComputeDeltaWith(t.w.insts, t.upd, prov)
+			t.d, t.err = t.w.st.maint.ComputeDeltaPerOperand(t.w.insts, t.perOp, prov)
 			if t.err == nil && t.clone && t.w.st.dataShared {
 				t.w.cow = t.w.st.data.Clone()
 			}
@@ -554,6 +612,14 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 					maintSE.end(obs.KV{K: "err", V: true})
 					return nil, err
 				}
+			}
+		}
+		// The routed views' filter verdicts were reached before their
+		// tasks ran; report them with the delta like any filtered view's.
+		for i := range cands {
+			if c := &cands[i]; c.w != nil {
+				c.w.d.Stats.FilterChecked = c.checked
+				c.w.d.Stats.FilteredOut = c.checked - c.passed
 			}
 		}
 		if o := e.o.Load(); o != nil && len(tasks) > 1 {
@@ -591,7 +657,9 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 		}
 	}
 	if maintSE.span != nil {
-		maintSE.end(obs.KV{K: "differential", V: len(diff)}, obs.KV{K: "recompute", V: len(recs)})
+		maintSE.end(obs.KV{K: "differential", V: len(diff)}, obs.KV{K: "recompute", V: len(recs)},
+			obs.KV{K: "tuples", V: routing.tuples}, obs.KV{K: "candidates", V: routing.candidates},
+			obs.KV{K: "routed_views", V: routing.views})
 	} else {
 		maintSE.end()
 	}
@@ -751,6 +819,11 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 			}
 		}
 	}
+	for i := range cands {
+		if cands[i].w == nil {
+			cands[i].installAway()
+		}
+	}
 	// Per-tx subscriber notifications, transaction-major: subscribers
 	// observe the same per-transaction alert stream the serial path
 	// produces (batch mode only; a batch of one rode the w.d path).
@@ -777,6 +850,11 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 			if w.deferred {
 				r.res.ViewsDeferred++
 			} else {
+				r.res.ViewsRefreshed++
+			}
+		}
+		for i := range cands {
+			if cands[i].w == nil && e.viewTouched(cands[i].st, r.touched) {
 				r.res.ViewsRefreshed++
 			}
 		}

@@ -362,7 +362,7 @@ func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 		e.mu.Unlock()
 		return
 	}
-	w, r := int64(st.stats.Transactions), st.reads.Load()
+	w, r := int64(st.stats.Transactions)+st.away.transactions.Load(), st.reads.Load()
 	dw, dr := w-ast.lastWrites, r-ast.lastReads
 	ast.lastWrites, ast.lastReads = w, r
 	if !ast.primed {

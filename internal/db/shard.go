@@ -9,10 +9,11 @@ package db
 // of one task per view: the §5 differential operators are linear in
 // the delta when a single operand changed, so the disjoint per-shard
 // sub-deltas yield disjoint derivations and diffeval.MergeDeltas
-// ⊎-merges the partial results exactly. Before a shard task runs, the
-// §4 checker probes the shard's observed key range
-// (irrelevance.RangeRelevant); an unsatisfiable range prunes the whole
-// shard without scanning a tuple.
+// ⊎-merges the partial results exactly. A shard is pruned when the §4
+// test leaves it nothing to do: for a filtered view, when none of its
+// tuples survived the commit's routing (route.go); for an unfiltered
+// one, when the checker finds the shard's observed key range
+// unsatisfiable (irrelevance.RangeRelevant) — no tuple is scanned.
 //
 // Views whose transaction touches several operands — or the same
 // relation under several aliases (self-joins) — fall back to a single
@@ -80,9 +81,9 @@ func (e *Engine) shardableOperand(st *viewState, composedTouched map[string]bool
 // after the pool drains.
 type commitTask struct {
 	w     *refreshed
-	upd   []delta.Update
-	part  int  // index into w.parts; -1 = unsharded task, result to w.d
-	clone bool // this task also pre-clones the view's COW copy
+	perOp []delta.Update // each operand's net update for this task
+	part  int            // index into w.parts; -1 = unsharded task, result to w.d
+	clone bool           // this task also pre-clones the view's COW copy
 
 	d    *diffeval.ViewDelta
 	err  error
@@ -90,19 +91,9 @@ type commitTask struct {
 	wait time.Duration
 }
 
-// planShardTasks expands one differential view into its phase-1 tasks,
-// splitting the composed delta by shard (once per relation per batch,
-// memoized in splits) and pruning shards whose key range is
-// unsatisfiable. It appends to tasks and returns the extended slice.
-// Pruning is conservative: a checker error keeps the shard.
-func (e *Engine) planShardTasks(w *refreshed, composed []delta.Update,
-	composedTouched map[string]bool, splits map[string][]delta.ShardUpdate,
-	tasks []*commitTask) []*commitTask {
-	opIdx := e.shardableOperand(w.st, composedTouched)
-	if opIdx < 0 {
-		return append(tasks, &commitTask{w: w, upd: composed, part: -1, clone: true})
-	}
-	rel := w.st.bound.Operands[opIdx].Rel
+// splitComposed splits the composed update of rel by shard, once per
+// relation per batch (memoized in splits).
+func (e *Engine) splitComposed(rel string, composed []delta.Update, splits map[string][]delta.ShardUpdate) []delta.ShardUpdate {
 	sus, ok := splits[rel]
 	if !ok {
 		base := e.base[rel]
@@ -114,17 +105,45 @@ func (e *Engine) planShardTasks(w *refreshed, composed []delta.Update,
 		}
 		splits[rel] = sus
 	}
+	return sus
+}
+
+// planShardTasks expands one differential view into its phase-1 tasks,
+// splitting its modified operand's update by shard and pruning the
+// shards the §4 test empties. It appends to tasks and returns the
+// extended slice. Pruning is conservative: a checker error keeps the
+// shard.
+func (e *Engine) planShardTasks(w *refreshed, composed []delta.Update,
+	composedTouched map[string]bool, splits map[string][]delta.ShardUpdate,
+	tasks []*commitTask) []*commitTask {
+	opIdx := e.shardableOperand(w.st, composedTouched)
+	if opIdx < 0 {
+		return append(tasks, &commitTask{w: w, perOp: w.perOp, part: -1, clone: true})
+	}
+	sus := e.splitComposed(w.st.bound.Operands[opIdx].Rel, composed, splits)
+	if w.routed {
+		// The update is already down to its relevant tuples: the shards
+		// that lost all of theirs to routing are the pruned ones.
+		base := e.base[w.st.bound.Operands[opIdx].Rel]
+		routed := delta.SplitUpdate(w.perOp[opIdx], base.ShardKey(), base.Shards())
+		w.shardsPruned = len(sus) - len(routed)
+		sus = routed
+	}
 	for _, su := range sus {
-		if ck, err := w.st.ck.get(opIdx); err == nil {
-			if relevant, err := ck.RangeRelevant(su.KeyPos, su.KeyLo, su.KeyHi); err == nil && !relevant {
-				w.shardsPruned++
-				continue
+		if !w.routed {
+			if ck, err := w.st.maint.Checker(opIdx); err == nil {
+				if relevant, err := ck.RangeRelevant(su.KeyPos, su.KeyLo, su.KeyHi); err == nil && !relevant {
+					w.shardsPruned++
+					continue
+				}
 			}
 		}
+		perOp := make([]delta.Update, len(w.perOp))
+		perOp[opIdx] = su.Update
 		w.parts = append(w.parts, nil)
 		tasks = append(tasks, &commitTask{
 			w:     w,
-			upd:   []delta.Update{su.Update},
+			perOp: perOp,
 			part:  len(w.parts) - 1,
 			clone: len(w.parts) == 1,
 		})

@@ -19,12 +19,11 @@ package db
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"mview/internal/diffeval"
 	"mview/internal/expr"
-	"mview/internal/irrelevance"
 	"mview/internal/relation"
 	"mview/internal/schema"
 )
@@ -62,7 +61,11 @@ type snapView struct {
 	cfg   ViewConfig
 	data  *relation.Counted
 	stats ViewStats
-	ck    *checkerCache
+	// maint is the view's maintainer, shared with the live viewState:
+	// it owns the view's §4 checkers behind its own lock, so Relevant
+	// needs no engine lock. away is shared too — see routedAway.
+	maint *diffeval.Maintainer
+	away  *routedAway
 	// pendingSince and lastMaint are publish-time copies of the view's
 	// staleness clock and most recent maintenance record, read lock-free
 	// by Staleness and ExplainAnalyze (trace.go).
@@ -72,39 +75,6 @@ type snapView struct {
 	// lock-free read path bumps it so the adaptive when-policy can see
 	// the view's read rate.
 	reads *atomic.Int64
-}
-
-// checkerCache lazily builds and caches one §4 irrelevance checker
-// per view operand (the Prepare step is O(n³) per conjunct and must
-// not run per Relevant call). A view's bound definition and filter
-// options never change, so the cache is shared by the live viewState
-// and every snapshot of the view: checkers built once serve all later
-// snapshots, and Relevant needs no engine lock.
-type checkerCache struct {
-	mu       sync.Mutex
-	bound    *expr.Bound
-	cfg      ViewConfig
-	checkers []*irrelevance.Checker
-}
-
-func newCheckerCache(bound *expr.Bound, cfg ViewConfig) *checkerCache {
-	return &checkerCache{bound: bound, cfg: cfg}
-}
-
-func (c *checkerCache) get(opIdx int) (*irrelevance.Checker, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.checkers == nil {
-		c.checkers = make([]*irrelevance.Checker, len(c.bound.Operands))
-	}
-	if c.checkers[opIdx] == nil {
-		ck, err := irrelevance.NewChecker(c.bound, opIdx, c.cfg.Maint.FilterOptions)
-		if err != nil {
-			return nil, err
-		}
-		c.checkers[opIdx] = ck
-	}
-	return c.checkers[opIdx], nil
 }
 
 // publishLocked builds a new snapshot from the engine's current state
@@ -150,7 +120,8 @@ func (e *Engine) publishLocked() {
 				cfg:          st.cfg,
 				data:         st.data,
 				stats:        st.stats,
-				ck:           st.ck,
+				maint:        st.maint,
+				away:         st.away,
 				pendingSince: st.pendingSince,
 				lastMaint:    st.lastMaint,
 				reads:        st.reads,

@@ -308,7 +308,7 @@ func (e *Engine) ExplainAnalyze(name string) (string, error) {
 	var sb strings.Builder
 	sb.WriteString(base)
 	sb.WriteString("  analyze:\n")
-	st := sv.stats
+	st := sv.away.addTo(sv.stats)
 	fmt.Fprintf(&sb, "    counters: transactions=%d refreshes=%d recomputes=%d pending_tx=%d\n",
 		st.Transactions, st.Refreshes, st.Recomputes, st.PendingTx)
 	if sv.pendingSince.IsZero() {

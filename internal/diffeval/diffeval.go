@@ -128,10 +128,15 @@ type ViewDelta struct {
 // lock holder freezes the database state, fans per-view computations
 // out to workers, and mutates nothing until all of them return.
 type Maintainer struct {
-	bound    *expr.Bound
-	opts     Options
-	plans    []*eval.Plan // fixed-order plan per conjunct
-	conjs    []conjInfo   // resolved atom info per conjunct (indexed path)
+	bound *expr.Bound
+	opts  Options
+	plans []*eval.Plan // fixed-order plan per conjunct
+	conjs []conjInfo   // resolved atom info per conjunct (indexed path)
+
+	// checkers holds the view's one §4 checker per operand (see
+	// Checker): all built by NewMaintainer when Options.Filter is set,
+	// otherwise on first request. ckMu guards the slice.
+	ckMu     sync.Mutex
 	checkers []*irrelevance.Checker
 
 	// Tracer, when non-nil, receives a span per ComputeDelta call plus
@@ -271,17 +276,36 @@ func NewMaintainer(b *expr.Bound, opts Options) (*Maintainer, error) {
 		}
 		m.conjs = append(m.conjs, ci)
 	}
+	m.checkers = make([]*irrelevance.Checker, len(b.Operands))
 	if opts.Filter {
-		m.checkers = make([]*irrelevance.Checker, len(b.Operands))
 		for i := range b.Operands {
-			c, err := irrelevance.NewChecker(b, i, opts.FilterOptions)
-			if err != nil {
+			if _, err := m.Checker(i); err != nil {
 				return nil, err
 			}
-			m.checkers[i] = c
 		}
 	}
 	return m, nil
+}
+
+// Checker returns the §4 irrelevance checker for operand opIdx,
+// prepared with Options.FilterOptions. It is the only checker the view
+// has for that operand: the maintainer's own pre-filter, the engine's
+// relevance index, its Relevant API and its shard pruning all borrow
+// this one, so the O(n³) invariant closure is built once.
+func (m *Maintainer) Checker(opIdx int) (*irrelevance.Checker, error) {
+	if opIdx < 0 || opIdx >= len(m.checkers) {
+		return nil, fmt.Errorf("diffeval: operand index %d out of range", opIdx)
+	}
+	m.ckMu.Lock()
+	defer m.ckMu.Unlock()
+	if m.checkers[opIdx] == nil {
+		c, err := irrelevance.NewChecker(m.bound, opIdx, m.opts.FilterOptions)
+		if err != nil {
+			return nil, err
+		}
+		m.checkers[opIdx] = c
+	}
+	return m.checkers[opIdx], nil
 }
 
 // Bound returns the maintained view definition.
@@ -365,6 +389,54 @@ func (m *Maintainer) ComputeDelta(insts []*relation.Relation, updates []delta.Up
 // when non-nil, supplies persistent indexes over the PRE-transaction
 // base relations for the indexed strategy.
 func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delta.Update, provider IndexProvider) (*ViewDelta, error) {
+	byRel := make(map[string]delta.Update, len(updates))
+	for _, u := range updates {
+		if _, dup := byRel[u.Rel]; dup {
+			return nil, fmt.Errorf("diffeval: multiple updates for relation %q", u.Rel)
+		}
+		byRel[u.Rel] = u
+	}
+	var stats Stats
+	perOp := make([]delta.Update, len(m.bound.Operands))
+	for i := range perOp {
+		u, touched := byRel[m.bound.Operands[i].Rel]
+		if !touched {
+			continue
+		}
+		if m.opts.Filter {
+			ck, err := m.Checker(i)
+			if err != nil {
+				return nil, err
+			}
+			before := u.Size()
+			if u, err = ck.FilterUpdate(u); err != nil {
+				return nil, err
+			}
+			stats.FilterChecked += before
+			stats.FilteredOut += before - u.Size()
+		}
+		perOp[i] = u
+	}
+	return m.computeDelta(insts, perOp, provider, stats)
+}
+
+// ComputeDeltaPerOperand is ComputeDeltaWith for a caller that has
+// already resolved the transaction per operand: perOp[i] is operand
+// i's net update (Rel empty when the operand is untouched) and is
+// taken as given — the §4 pre-filter neither runs nor counts here, so
+// a caller that routed the update through a relevance index reports
+// the filter verdicts itself.
+func (m *Maintainer) ComputeDeltaPerOperand(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider) (*ViewDelta, error) {
+	if len(perOp) != len(m.bound.Operands) {
+		return nil, fmt.Errorf("diffeval: %d operand updates for %d operands", len(perOp), len(m.bound.Operands))
+	}
+	return m.computeDelta(insts, perOp, provider, Stats{})
+}
+
+// computeDelta is the core both entries share: perOp holds each
+// operand's net update after any filtering, stats what the filtering
+// counted.
+func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider, stats Stats) (*ViewDelta, error) {
 	b := m.bound
 	if len(insts) != len(b.Operands) {
 		return nil, fmt.Errorf("diffeval: %d instances for %d operands", len(insts), len(b.Operands))
@@ -381,15 +453,6 @@ func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delt
 		return nil, fmt.Errorf("diffeval: StrategyIndexedDelta requires an index provider")
 	}
 
-	byRel := make(map[string]delta.Update, len(updates))
-	for _, u := range updates {
-		if _, dup := byRel[u.Rel]; dup {
-			return nil, fmt.Errorf("diffeval: multiple updates for relation %q", u.Rel)
-		}
-		byRel[u.Rel] = u
-	}
-
-	var stats Stats
 	if m.Tracer != nil {
 		span := m.Tracer.Start("diffeval.compute", obs.KV{K: "view", V: b.Name})
 		defer func() {
@@ -408,17 +471,7 @@ func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delt
 				i, inst.Scheme(), op.Alias, op.Scheme)
 		}
 		s := &slot{op: op, inst: inst}
-		if u, touched := byRel[op.Rel]; touched {
-			if m.opts.Filter {
-				before := u.Size()
-				fu, err := m.checkers[i].FilterUpdate(u)
-				if err != nil {
-					return nil, err
-				}
-				u = fu
-				stats.FilterChecked += before
-				stats.FilteredOut += before - u.Size()
-			}
+		if u := perOp[i]; u.Rel != "" {
 			s.ins, s.del = u.Inserts, u.Deletes
 			s.modified = s.deltaSize() > 0
 			if s.modified {

@@ -21,10 +21,9 @@ import (
 // used when every shard of a transaction's delta is pruned by the §4
 // range test.
 func (m *Maintainer) EmptyDelta() *ViewDelta {
-	out := mustOut(m.bound)
 	return &ViewDelta{
-		Inserts: relation.NewCounted(out),
-		Deletes: relation.NewCounted(out),
+		Inserts: relation.NewCounted(m.deltaPS),
+		Deletes: relation.NewCounted(m.deltaPS),
 	}
 }
 

@@ -95,11 +95,15 @@ type Checker struct {
 	// maintenance workers)
 	tested, irrelevant atomic.Int64
 
-	// rangePreps caches, per shard-key variable, the full-conjunct
-	// closures used by RangeRelevant (shard pruning). Lazily built; the
-	// mutex keeps concurrent pruning calls safe.
-	rangeMu    sync.Mutex
-	rangePreps map[pred.Var]*rangePrep
+	// where is the view condition with ≠ atoms expanded (unset when
+	// conservative): the DNF conjs was prepared from.
+	where pred.DNF
+
+	// full caches the full-conjunct closures behind RangeRelevant
+	// (shard pruning) and the relevance index's hulls; built on first
+	// use.
+	fullOnce sync.Once
+	full     *fullPrep
 }
 
 // NewChecker prepares an irrelevance checker for updates to operand
@@ -122,6 +126,7 @@ func NewChecker(b *expr.Bound, opIdx int, opts Options) (*Checker, error) {
 		}
 		where = expanded
 	}
+	c.where = where
 
 	q := b.Operands[opIdx].QScheme
 	inY1 := func(v pred.Var) bool { return q.Has(schema.Attribute(v)) }
@@ -261,15 +266,7 @@ func (c *Checker) RelevantNaive(t tuple.Tuple) (bool, error) {
 func (c *Checker) invariantAtoms(i int) []pred.Atom {
 	q := c.bound.Operands[c.opIdx].QScheme
 	inY1 := func(v pred.Var) bool { return q.Has(schema.Attribute(v)) }
-	where := c.bound.Where
-	if where.HasNE() {
-		expanded, err := pred.ExpandNEDNF(where, c.opts.NELimit)
-		if err != nil {
-			return nil
-		}
-		where = expanded
-	}
-	inv, _, _ := where.Conjuncts[i].Split(inY1)
+	inv, _, _ := c.where.Conjuncts[i].Split(inY1)
 	return inv
 }
 

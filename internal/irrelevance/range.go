@@ -18,14 +18,33 @@ import (
 // Unlike the per-tuple path, the interval test cannot split the
 // conjunct into invariant and ground parts: the key is bounded, not
 // fixed. Each conjunct is therefore normalized in full into its own
-// prepared closure (built once per key attribute and cached), with the
-// key variable registered so the two interval bounds probe it as
-// variant constraints.
+// prepared closure (built once per checker, on first use), with every
+// attribute of the checked operand registered so interval bounds on any
+// of them probe it as variant constraints. The relevance index
+// (index.go) reads its per-attribute hulls off the same closures.
 
-// rangePrep holds, per conjunct, the closure of all the conjunct's
-// atoms with the key variable registered.
-type rangePrep struct {
+// The saturation-free zone. satgraph saturates path weights at ±Inf
+// and substitution saturates folded constants at the int64 bounds, so
+// near those bounds Relevant and a closure bound may each err on the
+// safe side in different places. They cannot disagree where nothing
+// saturates: a conjunct of fewer than exactNodes variables whose
+// normalized constants stay within ±exactLimit has every closure
+// distance within ±2^56, and a probe adds at most two tuple values
+// within ±valueLimit to one such distance — below satgraph.Inf (2^61).
+// The relevance index prunes only inside the zone.
+const (
+	exactLimit = satgraph.Inf >> 13 // 2^48
+	exactNodes = 1 << 8
+	valueLimit = satgraph.Inf >> 2 // 2^59
+)
+
+// fullPrep holds, per conjunct, the closure of all the conjunct's
+// atoms over its own variables plus the operand's attributes.
+type fullPrep struct {
 	preps []*satgraph.Prepared
+	// exact[i] reports that conjunct i stays inside the saturation-free
+	// zone (see exactLimit); only then may its bounds prune.
+	exact []bool
 	// conservative marks a condition that could not be normalized; the
 	// range test then reports every interval relevant.
 	conservative bool
@@ -44,16 +63,16 @@ func (c *Checker) RangeRelevant(pos int, lo, hi tuple.Value) (bool, error) {
 	if pos < 0 || pos >= q.Arity() {
 		return true, nil
 	}
-	key := pred.Var(q.Attr(pos))
-	rp := c.rangePrepared(key)
-	if rp.conservative {
+	fp := c.fullPrepared()
+	if fp.conservative {
 		return true, nil
 	}
+	key := pred.Var(q.Attr(pos))
 	variant := []pred.Constraint{
 		{X: key, Y: pred.ZeroVar, C: hi},  // key ≤ hi
 		{X: pred.ZeroVar, Y: key, C: -lo}, // key ≥ lo
 	}
-	for _, prep := range rp.preps {
+	for _, prep := range fp.preps {
 		sat, err := prep.SatisfiableWith(variant)
 		if err != nil {
 			return true, err
@@ -65,53 +84,37 @@ func (c *Checker) RangeRelevant(pos int, lo, hi tuple.Value) (bool, error) {
 	return false, nil
 }
 
-// rangePrepared returns the per-conjunct full closures for the given
-// key variable, building and caching them on first use.
-func (c *Checker) rangePrepared(key pred.Var) *rangePrep {
-	c.rangeMu.Lock()
-	defer c.rangeMu.Unlock()
-	if c.rangePreps == nil {
-		c.rangePreps = make(map[pred.Var]*rangePrep)
-	}
-	if rp, ok := c.rangePreps[key]; ok {
-		return rp
-	}
-	rp := c.buildRangePrep(key)
-	c.rangePreps[key] = rp
-	return rp
+// fullPrepared returns the per-conjunct full closures, building them
+// on first use.
+func (c *Checker) fullPrepared() *fullPrep {
+	c.fullOnce.Do(func() { c.full = c.buildFullPrep() })
+	return c.full
 }
 
-func (c *Checker) buildRangePrep(key pred.Var) *rangePrep {
-	where := c.bound.Where
-	if where.HasNE() {
-		expanded, err := pred.ExpandNEDNF(where, c.opts.NELimit)
+func (c *Checker) buildFullPrep() *fullPrep {
+	q := c.bound.Operands[c.opIdx].QScheme
+	fp := &fullPrep{}
+	for _, conj := range c.where.Conjuncts {
+		cons, err := pred.NormalizeConjunction(conj)
 		if err != nil {
-			return &rangePrep{conservative: true}
+			return &fullPrep{conservative: true}
 		}
-		where = expanded
-	}
-	rp := &rangePrep{}
-	for _, conj := range where.Conjuncts {
-		cons, err := pred.NormalizeConjunction(pred.And(conj.Atoms...))
-		if err != nil {
-			return &rangePrep{conservative: true}
-		}
-		vars := conj.Vars()
-		seen := false
-		for _, v := range vars {
-			if v == key {
-				seen = true
-				break
-			}
-		}
-		if !seen {
-			vars = append(append([]pred.Var(nil), vars...), key)
+		vars := append([]pred.Var(nil), conj.Vars()...)
+		for i := 0; i < q.Arity(); i++ {
+			vars = append(vars, pred.Var(q.Attr(i)))
 		}
 		prep, err := satgraph.Prepare(cons, vars)
 		if err != nil {
-			return &rangePrep{conservative: true}
+			return &fullPrep{conservative: true}
 		}
-		rp.preps = append(rp.preps, prep)
+		exact := len(vars) < exactNodes
+		for _, cc := range cons {
+			if cc.C > exactLimit || cc.C < -exactLimit {
+				exact = false
+			}
+		}
+		fp.preps = append(fp.preps, prep)
+		fp.exact = append(fp.exact, exact)
 	}
-	return rp
+	return fp
 }

@@ -306,6 +306,24 @@ func Prepare(invariant []pred.Constraint, vars []pred.Var) (*Prepared, error) {
 // already unsatisfiable (so every update is irrelevant to the view).
 func (p *Prepared) InvariantUnsatisfiable() bool { return p.unsat }
 
+// Bounds returns the tightest constant interval lo ≤ v ≤ hi the
+// prepared constraints imply for v, read off the closure's paths
+// through the '0' node. hasLo/hasHi are false for a side the
+// constraints leave open (both for a variable Prepare never saw).
+func (p *Prepared) Bounds(v pred.Var) (lo, hi int64, hasLo, hasHi bool) {
+	i, ok := p.index[v]
+	if !ok {
+		return 0, 0, false, false
+	}
+	if d := p.dist[i][p.zero]; d < Inf { // 0 ≤ v + d
+		lo, hasLo = -d, true
+	}
+	if d := p.dist[p.zero][i]; d < Inf { // v ≤ 0 + d
+		hi, hasHi = d, true
+	}
+	return lo, hi, hasLo, hasHi
+}
+
 // SatisfiableWith decides whether the invariant constraints together
 // with the per-tuple variant constraints are satisfiable.
 //
