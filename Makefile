@@ -12,10 +12,12 @@ test:
 
 # Full suite under the race detector; the obs registry, the engine's
 # notification fan-out, and the group-commit scheduler (including the
-# group-vs-serial oracle) are exercised concurrently.
+# group-vs-serial oracle) are exercised concurrently, as are the
+# per-version read memos under view GETs racing group-committed writers.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'Group' ./internal/db .
+	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
 	$(GO) test -race -count=2 -run 'Shard|SplitUpdate|MergeDeltas' ./internal/db ./internal/relation ./internal/delta ./internal/diffeval .
 
 # The quantitative-shape benchmarks behind bench_results.txt. Narrow
@@ -37,21 +39,25 @@ bench-json:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# One short filter-fanout run of the real benchmark, traced and
-# untraced, which must end correct with no failed operation. The traced
-# pass compares the engine's filter counters with the generator's own
-# count of (tuple, filtered view) verdicts, so it catches a commit path
-# that stops counting the verdicts the relevance index reaches without
-# running a view's test; both passes catch a broken internal API the
-# root build cannot see (benchmark/ is its own module).
+# Short filter-fanout and read-replica runs of the real benchmark,
+# traced and untraced, which must end correct with no failed operation.
+# The traced filter-fanout pass compares the engine's filter counters
+# with the generator's own count of (tuple, filtered view) verdicts, so
+# it catches a commit path that stops counting the verdicts the
+# relevance index reaches without running a view's test. read-replica
+# is the only workload whose measured phase GETs a view (on the
+# follower), and its output check decodes those bodies, so it catches a
+# view GET that stops rendering what the check expects. Every pass
+# catches a broken internal API the root build cannot see (benchmark/
+# is its own module).
 bench-smoke:
-	@for trace in 1 0; do \
-		out=$$(bash benchmark/run.sh --workload filter-fanout --seed 1 --seconds 4 --trace $$trace | tail -n 1); \
+	@for wl in filter-fanout read-replica; do for trace in 1 0; do \
+		out=$$(bash benchmark/run.sh --workload $$wl --seed 1 --seconds 4 --trace $$trace | tail -n 1); \
 		case "$$out" in \
-		*'"correct":true,"failed":0'*) echo "bench-smoke: ok   filter-fanout --trace $$trace" ;; \
-		*) echo "bench-smoke: FAIL filter-fanout --trace $$trace: $$out"; exit 1 ;; \
+		*'"correct":true,"failed":0'*) echo "bench-smoke: ok   $$wl --trace $$trace" ;; \
+		*) echo "bench-smoke: FAIL $$wl --trace $$trace: $$out"; exit 1 ;; \
 		esac; \
-	done
+	done; done
 
 # Allocation regression gate: the C-FLAT eval benchmarks must stay
 # within the allocs/op budgets checked in at scripts/allocguard.budget.

@@ -1013,6 +1013,55 @@ func BenchmarkSnapshotReads(b *testing.B) {
 	}
 }
 
+// BenchmarkViewGet measures what GET /v1/views/{name} pays for the
+// rows and schema of a 500-row view (DB.ViewJSON, which the handler
+// writes verbatim between its envelope). "memo" re-reads one published
+// version: every read after the first is served from the version's
+// memo. "render" reads a new version each time — a commit touching the
+// view, untimed, precedes every read — so each read sorts and renders.
+func BenchmarkViewGet(b *testing.B) {
+	for _, mode := range []string{"memo", "render"} {
+		b.Run(mode, func(b *testing.B) {
+			d := Open()
+			if err := d.CreateRelation("r", "A", "B", "C"); err != nil {
+				b.Fatal(err)
+			}
+			var seed []Op
+			for i := int64(0); i < 500; i++ {
+				seed = append(seed, Insert("r", (i*7919)%500, i%17, -i))
+			}
+			if _, err := d.Exec(seed...); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 100000"}); err != nil {
+				b.Fatal(err)
+			}
+			// The toggled row keeps the view between 500 and 501 rows.
+			toggle := [2]Op{Insert("r", 1000, 0, 0), Delete("r", 1000, 0, 0)}
+			if mode == "memo" {
+				if _, _, _, err := d.ViewJSON("v"); err != nil { // the one render
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if mode == "render" {
+					b.StopTimer()
+					if _, err := d.Exec(toggle[i%2]); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				obj, count, _, err := d.ViewJSON("v")
+				if err != nil || count < 500 || len(obj) == 0 {
+					b.Fatalf("ViewJSON: %d rows, %d bytes, %v", count, len(obj), err)
+				}
+			}
+		})
+	}
+}
+
 // ---------- C-GROUP: group commit throughput ----------
 
 // snapshotCounter reads one counter series from a registry snapshot.

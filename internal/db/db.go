@@ -373,6 +373,10 @@ type engineObs struct {
 	snapReads   *obs.Counter
 	snapAge     *obs.Gauge
 	snapPublish *obs.Histogram
+	// View reads served from an already-built memo vs reads that built
+	// (sorted or rendered) part of their version's memo (memo.go).
+	viewReadsMemo   *obs.Counter
+	viewReadsRender *obs.Counter
 	// Group commit: transactions per group, and how long the scheduler
 	// held a batch open waiting for stragglers.
 	groupSize *obs.Histogram
@@ -505,6 +509,10 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 			"Age of the published read snapshot at the last read (0 right after a publish).", nil),
 		snapPublish: reg.Histogram("mview_snapshot_publish_seconds",
 			"Time to build and publish a read snapshot at the end of a commit, refresh, or DDL statement.", nil, nil),
+		viewReadsMemo: reg.Counter("mview_view_reads_total", viewReadsHelp,
+			obs.Labels{"result": "memo"}),
+		viewReadsRender: reg.Counter("mview_view_reads_total", viewReadsHelp,
+			obs.Labels{"result": "render"}),
 		groupSize: reg.Histogram("mview_group_commit_size",
 			"Transactions coalesced into one group commit (one fsync, one maintenance pass, one snapshot publish).",
 			groupSizeBuckets, nil),
@@ -868,16 +876,6 @@ func (e *Engine) ViewStats(name string) (ViewStats, error) {
 		return ViewStats{}, fmt.Errorf("db: unknown view %q", name)
 	}
 	return sv.away.addTo(sv.stats), nil
-}
-
-// ViewDef returns the bound definition of a view.
-func (e *Engine) ViewDef(name string) (*expr.Bound, error) {
-	s := e.currentSnapshot()
-	sv, ok := s.views[name]
-	if !ok {
-		return nil, fmt.Errorf("db: unknown view %q", name)
-	}
-	return sv.bound, nil
 }
 
 // operandInstances gathers the live base instances for a bound view.
@@ -1728,50 +1726,6 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 	e.sched.poke()
 	fire(ns)
 	return nil
-}
-
-// ViewPolicy reports a view's refresh policy and its current
-// commit-time mode. The two differ only under RefreshAdaptive, where
-// the scheduler flips the mode with the measured write/read balance.
-func (e *Engine) ViewPolicy(name string) (RefreshSpec, RefreshMode, error) {
-	s := e.currentSnapshot()
-	sv, ok := s.views[name]
-	if !ok {
-		return RefreshSpec{}, Immediate, fmt.Errorf("db: unknown view %q", name)
-	}
-	return sv.cfg.When, sv.cfg.Mode, nil
-}
-
-// ViewStaleness returns the age of the view's oldest unapplied change
-// as of the published snapshot (0 = no unapplied changes).
-func (e *Engine) ViewStaleness(name string) (time.Duration, error) {
-	s := e.currentSnapshot()
-	sv, ok := s.views[name]
-	if !ok {
-		return 0, fmt.Errorf("db: unknown view %q", name)
-	}
-	if sv.pendingSince.IsZero() {
-		return 0, nil
-	}
-	return e.now().Sub(sv.pendingSince), nil
-}
-
-// ViewFresh returns a view's contents no staler than bound: when the
-// snapshot's oldest unapplied change is older, the view is refreshed
-// synchronously first (bound 0 therefore always serves fresh
-// contents). A view exactly as old as the bound is within contract
-// and served as is.
-func (e *Engine) ViewFresh(name string, bound time.Duration) (*relation.Counted, error) {
-	age, err := e.ViewStaleness(name)
-	if err != nil {
-		return nil, err
-	}
-	if age > bound {
-		if err := e.RefreshView(name); err != nil {
-			return nil, err
-		}
-	}
-	return e.View(name)
 }
 
 // DisablePolicyRefresh turns off policy-driven scheduling on this

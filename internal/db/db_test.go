@@ -489,8 +489,8 @@ func TestUnknownViewAccessors(t *testing.T) {
 	if _, err := e.ViewStats("x"); err == nil {
 		t.Error("ViewStats(x) must fail")
 	}
-	if _, err := e.ViewDef("x"); err == nil {
-		t.Error("ViewDef(x) must fail")
+	if _, err := e.ReadView("x"); err == nil {
+		t.Error("ReadView(x) must fail")
 	}
 	if err := e.RefreshView("x"); err == nil {
 		t.Error("RefreshView(x) must fail")

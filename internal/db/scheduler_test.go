@@ -201,10 +201,11 @@ func TestSchedulerAdaptiveFlips(t *testing.T) {
 		t.Fatal(err)
 	}
 	mode := func() RefreshMode {
-		_, m, err := e.ViewPolicy("v")
+		v, err := e.ReadView("v")
 		if err != nil {
 			t.Fatal(err)
 		}
+		_, m := v.Policy()
 		return m
 	}
 	if mode() != Immediate {
@@ -282,7 +283,7 @@ func TestViewFreshBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Len() != 0 {
-		t.Fatalf("exact-age read refreshed the view: %v", v)
+		t.Fatalf("exact-age read refreshed the view: %v", v.Rows())
 	}
 	if st, _ := e.ViewStats("v"); st.Refreshes != 0 {
 		t.Fatalf("exact-age read triggered a refresh: %+v", st)
@@ -294,7 +295,7 @@ func TestViewFreshBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Len() != 1 {
-		t.Fatalf("beyond-bound read served stale contents: %v", v)
+		t.Fatalf("beyond-bound read served stale contents: %v", v.Rows())
 	}
 	if st := e.Staleness(); st["v"] != 0 {
 		t.Errorf("staleness after bounded read = %v, want 0", st["v"])
@@ -308,7 +309,7 @@ func TestViewFreshBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	if v.Len() != 2 {
-		t.Fatalf("bound-0 read served stale contents: %v", v)
+		t.Fatalf("bound-0 read served stale contents: %v", v.Rows())
 	}
 
 	if _, err := e.ViewFresh("zzz", 0); err == nil {
@@ -334,11 +335,11 @@ func TestSetViewPolicyDrains(t *testing.T) {
 	if err := e.SetViewPolicy("v", RefreshSpec{Kind: RefreshOnCommit}); err != nil {
 		t.Fatal(err)
 	}
-	spec, m, err := e.ViewPolicy("v")
+	pv, err := e.ReadView("v")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec.Kind != RefreshOnCommit || m != Immediate {
+	if spec, m := pv.Policy(); spec.Kind != RefreshOnCommit || m != Immediate {
 		t.Fatalf("policy after change = %v mode %v", spec, m)
 	}
 	v, _ := e.View("v")
@@ -405,7 +406,11 @@ func TestDisablePolicyRefresh(t *testing.T) {
 	if v, _ := e.View("pol"); v.Len() != 0 {
 		t.Fatal("policy-driven refresh fired on a policy-disabled engine")
 	}
-	if spec, _, err := e.ViewPolicy("pol"); err != nil || spec.Kind != RefreshEvery {
-		t.Fatalf("policy DDL lost on disabled engine: %v %v", spec, err)
+	v, err := e.ReadView("pol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if spec, _ := v.Policy(); spec.Kind != RefreshEvery {
+		t.Fatalf("policy DDL lost on disabled engine: %v", spec)
 	}
 }

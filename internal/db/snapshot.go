@@ -75,6 +75,9 @@ type snapView struct {
 	// lock-free read path bumps it so the adaptive when-policy can see
 	// the view's read rate.
 	reads *atomic.Int64
+	// memo renders data for readers (memo.go); it is shared with every
+	// other snapView over the same data pointer and with no other.
+	memo *viewMemo
 }
 
 // publishLocked builds a new snapshot from the engine's current state
@@ -84,7 +87,8 @@ type snapView struct {
 // base relation shared and every view's data shared makes the next
 // in-place mutation clone first, which is what freezes this snapshot.
 // A view whose data, stats, and backlog did not change since the last
-// publish (snapDirty unset) reuses its previous snapView wholesale.
+// publish (snapDirty unset) reuses its previous snapView wholesale; one
+// whose data pointer did not change keeps its previous read memo.
 func (e *Engine) publishLocked() {
 	o := e.o.Load()
 	var t0 time.Time
@@ -109,11 +113,20 @@ func (e *Engine) publishLocked() {
 	}
 	for _, name := range e.viewOrder {
 		st := e.views[name]
-		var sv *snapView
-		if prev != nil && !st.snapDirty {
-			sv = prev.views[name]
+		var sv, old *snapView
+		if prev != nil {
+			old = prev.views[name]
+		}
+		if !st.snapDirty {
+			sv = old
 		}
 		if sv == nil {
+			var memo *viewMemo
+			if old != nil && old.data == st.data {
+				memo = old.memo
+			} else {
+				memo = &viewMemo{data: st.data, bound: st.bound}
+			}
 			sv = &snapView{
 				name:         name,
 				bound:        st.bound,
@@ -125,6 +138,7 @@ func (e *Engine) publishLocked() {
 				pendingSince: st.pendingSince,
 				lastMaint:    st.lastMaint,
 				reads:        st.reads,
+				memo:         memo,
 			}
 		}
 		st.dataShared = true

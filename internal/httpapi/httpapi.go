@@ -92,12 +92,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 	"strings"
 	"time"
 
 	"mview"
+	"mview/internal/jsonenc"
 	"mview/internal/obs"
 	"mview/internal/repl"
 )
@@ -530,24 +532,33 @@ func (h *Handler) createView(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, map[string]string{"created": req.Name})
 }
 
+// getView serves one view version, every field from the same snapshot:
+// {"count":N,"policy":…,"rows":[…],"schema":[…],"staleness_seconds":…}
+// — the keys in the order encoding/json gives a map — where the middle
+// two come verbatim from the version's memoised rendering (DB.ViewJSON)
+// and only the envelope around them is encoded per request.
 func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	rows, err := h.db.View(name)
+	obj, count, p, err := h.db.ViewJSON(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	attrs, err := h.db.ViewSchema(name)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	body := map[string]any{"schema": attrs, "rows": rows, "count": len(rows)}
-	if p, err := h.db.Policy(name); err == nil {
-		body["policy"] = p.Spec
-		body["staleness_seconds"] = p.Staleness.Seconds()
-	}
-	writeJSON(w, http.StatusOK, body)
+	inner := obj[1 : len(obj)-1] // "rows":[…],"schema":[…]
+	env := append(make([]byte, 0, 112), `{"count":`...)
+	env = strconv.AppendInt(env, int64(count), 10)
+	env = append(env, `,"policy":`...)
+	env = jsonenc.AppendString(env, p.Spec)
+	env = append(env, ',')
+	split := len(env) // inner goes here
+	env = append(env, `,"staleness_seconds":`...)
+	env = jsonenc.AppendFloat(env, p.Staleness.Seconds())
+	env = append(env, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(env)+len(inner)))
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(env[:split])
+	_, _ = w.Write(inner)
+	_, _ = w.Write(env[split:])
 }
 
 // policyBody renders one view's policy the way both policy routes
@@ -647,27 +658,24 @@ func (h *Handler) watch(w http.ResponseWriter, r *http.Request) {
 
 	// Initial state: subscribed first, then read, so no change can fall
 	// between the snapshot and the stream. Keys are lowercase to stay
-	// distinguishable from the Change events that follow.
-	rows, err := h.db.View(name)
+	// distinguishable from the Change events that follow; the payload is
+	// {"rows":[…],"schema":[…],"view":…}, the version's memoised
+	// rendering with the name appended.
+	obj, _, _, err := h.db.ViewJSON(name)
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	attrs, err := h.db.ViewSchema(name)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	ready, err := json.Marshal(map[string]any{"view": name, "schema": attrs, "rows": rows})
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
+	tail := append(make([]byte, 0, 16+len(name)), `,"view":`...)
+	tail = jsonenc.AppendString(tail, name)
+	tail = append(tail, "}\n\n"...)
 
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprintf(w, "event: ready\ndata: %s\n\n", ready)
+	_, _ = io.WriteString(w, "event: ready\ndata: ")
+	_, _ = w.Write(obj[:len(obj)-1])
+	_, _ = w.Write(tail)
 	flusher.Flush()
 
 	for {

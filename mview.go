@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"mview/internal/diffeval"
 	"mview/internal/eval"
 	"mview/internal/expr"
+	"mview/internal/jsonenc"
 	"mview/internal/obs"
 	"mview/internal/pred"
 	"mview/internal/relation"
@@ -582,19 +584,29 @@ func txInfoFrom(res db.TxResult) TxInfo {
 }
 
 // Row is one view tuple with its §5.2 multiplicity counter (the number
-// of derivations supporting it).
+// of derivations supporting it). Values of a row returned by View point
+// into immutable snapshot storage shared with every other reader and
+// must not be written.
 type Row struct {
 	Values []int64
 	Count  int64
 }
 
-func rowsOf(c *relation.Counted) []Row {
-	cts := c.Tuples()
+func rowsOf(cts []relation.CountedTuple) []Row {
 	out := make([]Row, len(cts))
 	for i, ct := range cts {
 		out[i] = Row{Values: ct.Tuple, Count: ct.Count}
 	}
 	return out
+}
+
+// readView resolves one version of a view under the read's freshness
+// contract (see View).
+func (d *DB) readView(name string, opts []QueryOption) (db.ViewVersion, error) {
+	if bound, ok := queryBound(opts); ok {
+		return d.engine().ViewFresh(name, bound)
+	}
+	return d.engine().ReadView(name)
 }
 
 // View returns the current contents of a materialized view, sorted.
@@ -604,36 +616,79 @@ func rowsOf(c *relation.Counted) []Row {
 // synchronously first only when its oldest unapplied change is older
 // than d, and Consistent() demands exact freshness — so callers no
 // longer pair Refresh with View by hand.
+//
+// Each version of a view is sorted once, by its first reader; every
+// call returns a fresh slice, which the caller may reorder or truncate,
+// but the Values inside point into immutable snapshot storage and must
+// not be written.
 func (d *DB) View(name string, opts ...QueryOption) ([]Row, error) {
-	var c *relation.Counted
-	var err error
-	if bound, ok := queryBound(opts); ok {
-		c, err = d.engine().ViewFresh(name, bound)
-	} else {
-		c, err = d.engine().View(name)
-	}
+	v, err := d.readView(name, opts)
 	if err != nil {
 		return nil, err
 	}
-	return rowsOf(c), nil
+	return rowsOf(v.Rows()), nil
 }
 
 // ViewSchema returns the attribute names of a view's result.
 func (d *DB) ViewSchema(name string) ([]string, error) {
-	b, err := d.engine().ViewDef(name)
+	v, err := d.engine().ReadView(name)
 	if err != nil {
 		return nil, err
 	}
-	out, err := b.OutScheme()
+	names, err := v.Schema()
 	if err != nil {
 		return nil, err
 	}
-	attrs := out.Attributes()
-	names := make([]string, len(attrs))
-	for i, a := range attrs {
-		names[i] = string(a)
+	return append([]string(nil), names...), nil
+}
+
+// ViewJSON returns the current version of a view as the JSON object
+// {"rows":[…],"schema":[…]} — rows as View returns them, schema as
+// ViewSchema does — together with its row count and its policy, all
+// from one read snapshot. The bytes are rendered once per version and
+// shared by every reader, so they must not be modified. They equal
+// encoding/json's rendering of map[string]any{"rows": rows, "schema":
+// schema}.
+func (d *DB) ViewJSON(name string) (obj []byte, count int, p PolicyInfo, err error) {
+	v, err := d.engine().ReadView(name)
+	if err != nil {
+		return nil, 0, PolicyInfo{}, err
 	}
-	return names, nil
+	if obj, err = v.JSON(renderViewJSON); err != nil {
+		return nil, 0, PolicyInfo{}, err
+	}
+	return obj, v.Len(), policyInfo(v), nil
+}
+
+// renderViewJSON renders what encoding/json makes of
+// map[string]any{"rows": rowsOf(rows), "schema": schema}: map keys in
+// sorted order, Row fields in declaration order.
+func renderViewJSON(rows []relation.CountedTuple, schema []string) []byte {
+	b := make([]byte, 0, 64+len(rows)*(24+8*len(schema)))
+	b = append(b, `{"rows":[`...)
+	for i, ct := range rows {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"Values":[`...)
+		for j, x := range ct.Tuple {
+			if j > 0 {
+				b = append(b, ',')
+			}
+			b = strconv.AppendInt(b, x, 10)
+		}
+		b = append(b, `],"Count":`...)
+		b = strconv.AppendInt(b, ct.Count, 10)
+		b = append(b, '}')
+	}
+	b = append(b, `],"schema":[`...)
+	for i, s := range schema {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = jsonenc.AppendString(b, s)
+	}
+	return append(b, "]}"...)
 }
 
 // Rows returns the sorted contents of a base relation.
@@ -719,7 +774,7 @@ func (d *DB) QueryContext(ctx context.Context, spec ViewSpec) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	return rowsOf(c), nil
+	return rowsOf(c.Tuples()), nil
 }
 
 // Change is one view-change notification delivered to a subscriber.
@@ -738,7 +793,7 @@ type Change struct {
 // function removes the subscription.
 func (d *DB) Subscribe(view string, fn func(Change)) (cancel func(), err error) {
 	id, err := d.engine().Subscribe(view, func(name string, ins, del *relation.Counted) {
-		fn(Change{View: name, Inserts: rowsOf(ins), Deletes: rowsOf(del)})
+		fn(Change{View: name, Inserts: rowsOf(ins.Tuples()), Deletes: rowsOf(del.Tuples())})
 	})
 	if err != nil {
 		return nil, err

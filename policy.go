@@ -198,21 +198,22 @@ type PolicyInfo struct {
 
 // Policy reports a view's refresh policy and current staleness.
 func (d *DB) Policy(view string) (PolicyInfo, error) {
-	spec, mode, err := d.engine().ViewPolicy(view)
+	v, err := d.engine().ReadView(view)
 	if err != nil {
 		return PolicyInfo{}, err
 	}
-	age, err := d.engine().ViewStaleness(view)
-	if err != nil {
-		return PolicyInfo{}, err
-	}
+	return policyInfo(v), nil
+}
+
+func policyInfo(v db.ViewVersion) PolicyInfo {
+	spec, mode := v.Policy()
 	return PolicyInfo{
 		Spec:      spec.String(),
 		Interval:  spec.Interval,
 		Bound:     spec.Bound,
 		Immediate: mode == db.Immediate,
-		Staleness: age,
-	}, nil
+		Staleness: v.Staleness(),
+	}
 }
 
 // QueryOption states a read's freshness contract (see View).
