@@ -70,24 +70,28 @@ allocguard:
 
 # Fault injection: kill the checkpoint at every step (segment write,
 # manifest tmp, rename, dirsync, segment delete), a group commit at
-# every torn-batch byte offset, a single append at both IO stages, a
-# legacy-layout migration mid-checkpoint, and a randomized workload at
-# random hook steps — and prove recovery loses no committed transaction
-# (durable_crash_test.go, durable_ckpt_test.go). The WAL-level torn-tail
-# and rollback sweeps ride along from internal/wal.
+# every torn-batch byte offset, a single append at both IO stages, and
+# a randomized workload at random hook steps — and prove recovery loses
+# no committed transaction (durable_crash_test.go, durable_ckpt_test.go).
+# The WAL-level torn-tail and rollback sweeps ride along from
+# internal/wal.
 crash:
-	$(GO) test -race -count=1 -run 'CheckpointCrash|CheckpointFault|GroupCrash|GroupCommitCrash|SingleAppendFailure|LegacyMigrationCrash|RandomizedCrashCheckpoints' -v .
+	$(GO) test -race -count=1 -run 'CheckpointCrash|CheckpointFault|GroupCrash|GroupCommitCrash|SingleAppendFailure|RandomizedCrashCheckpoints' -v .
 	$(GO) test -race -count=1 -run 'TornTail|AppendRollback|AppendBatchTorn|CorruptChecksum' ./internal/wal
 
 # A few seconds of fuzzing for each hand-written decoder of outside
 # input: the POST /v1/exec body parser against the encoding/json
-# decoder it replaced (same accepts, ops and statuses), and the WAL /
-# replication statement codec (round trip; arbitrary bytes fail
-# cleanly, with allocation bounded by their size).
+# decoder it replaced (same accepts, ops and statuses), the WAL /
+# replication statement codec and the replication records frame (round
+# trip; arbitrary bytes fail cleanly, with allocation bounded by their
+# size), and the checkpoint manifest (round trip; arbitrary bytes fail
+# cleanly).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzExecBody$$' -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run=NONE -fuzz='^FuzzStmtCodec$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/repl
+	$(GO) test -run=NONE -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) .
 
 # End-to-end flight-recorder check: boot mviewd with -trace-ring,
 # drive a commit over HTTP, and assert /v1/debug/traces captured a

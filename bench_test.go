@@ -737,19 +737,20 @@ func BenchmarkObsOverhead(b *testing.B) {
 		{"registry+recorder", true, func() obs.Tracer { return obs.NewFlightRecorder(16, 0) }},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			d := Open()
-			if err := d.CreateRelation("r", "A", "B"); err != nil {
-				b.Fatal(err)
-			}
-			if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 1000000"}, WithFilter()); err != nil {
-				b.Fatal(err)
-			}
+			var opts []Option
 			if m.reg {
 				var tr obs.Tracer
 				if m.tr != nil {
 					tr = m.tr()
 				}
-				d.Instrument(obs.NewRegistry(), tr)
+				opts = append(opts, WithObs(obs.NewRegistry(), tr))
+			}
+			d := Open(opts...)
+			if err := d.CreateRelation("r", "A", "B"); err != nil {
+				b.Fatal(err)
+			}
+			if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 1000000"}, WithFilter()); err != nil {
+				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -1085,22 +1086,22 @@ func BenchmarkGroupCommit(b *testing.B) {
 	for _, writers := range []int{1, 4, 16} {
 		for _, mode := range []string{"serial", "group"} {
 			b.Run(fmt.Sprintf("writers=%d/%s", writers, mode), func(b *testing.B) {
-				d, err := OpenDurable(b.TempDir())
+				reg := obs.NewRegistry()
+				opts := []Option{WithObs(reg, nil)}
+				if mode == "group" {
+					opts = append(opts, WithGroupCommit(0, 2*time.Millisecond))
+				}
+				d, err := OpenDurable(b.TempDir(), opts...)
 				if err != nil {
 					b.Fatal(err)
 				}
 				defer d.Close()
 				d.SetLogSync(true)
-				reg := obs.NewRegistry()
-				d.Instrument(reg, nil)
 				if err := d.CreateRelation("r", "A", "B"); err != nil {
 					b.Fatal(err)
 				}
 				if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 1000000000"}, WithFilter()); err != nil {
 					b.Fatal(err)
-				}
-				if mode == "group" {
-					d.EnableGroupCommit(0, 2*time.Millisecond)
 				}
 				fsync0 := snapshotCounter(reg, "mview_wal_fsyncs_total")
 				var next atomic.Int64
@@ -1411,7 +1412,7 @@ func benchReplWait(b *testing.B, f *DB, lsn uint64) {
 // replication server.
 func benchReplLeader(b *testing.B) (*DB, *repl.Server) {
 	b.Helper()
-	d, err := OpenDurable(b.TempDir())
+	d, err := OpenDurable(b.TempDir(), WithGroupCommit(0, 2*time.Millisecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -1422,7 +1423,6 @@ func benchReplLeader(b *testing.B) (*DB, *repl.Server) {
 	if err := d.CreateView("v", ViewSpec{From: []string{"r"}, Where: "A < 500"}); err != nil {
 		b.Fatal(err)
 	}
-	d.EnableGroupCommit(0, 2*time.Millisecond)
 	srv, err := d.ReplicationServer()
 	if err != nil {
 		b.Fatal(err)

@@ -10,11 +10,11 @@
 // See package mview/internal/httpapi for the endpoint reference. A
 // minimal session:
 //
-//	curl -XPOST localhost:8080/relations -d '{"name":"r","attrs":["A","B"]}'
-//	curl -XPOST localhost:8080/views -d '{"name":"v","from":["r"],"where":"A < 10"}'
-//	curl -XPOST localhost:8080/exec -d '{"ops":[{"op":"insert","rel":"r","values":[1,2]}]}'
-//	curl localhost:8080/views/v
-//	curl -N localhost:8080/views/v/watch   # SSE change stream
+//	curl -XPOST localhost:8080/v1/relations -d '{"name":"r","attrs":["A","B"]}'
+//	curl -XPOST localhost:8080/v1/views -d '{"name":"v","from":["r"],"where":"A < 10"}'
+//	curl -XPOST localhost:8080/v1/exec -d '{"ops":[{"op":"insert","rel":"r","values":[1,2]}]}'
+//	curl localhost:8080/v1/views/v
+//	curl -N localhost:8080/v1/views/v/watch   # SSE change stream
 //	curl localhost:8080/metrics            # Prometheus exposition
 //	curl localhost:8080/debug/stats        # JSON snapshot
 //	curl localhost:8080/v1/debug/traces    # flight-recorder catalog

@@ -35,6 +35,6 @@ func TestExecContextCancellation(t *testing.T) {
 		if err != nil || len(rows) != 1 {
 			t.Errorf("opts=%d: QueryContext = %v, %v; want one row", len(opts), rows, err)
 		}
-		d.DisableGroupCommit()
+		d.Close()
 	}
 }

@@ -11,7 +11,7 @@ package mview
 // re-materialize from the restored base relations, so a reopened
 // database is always internally consistent.
 //
-// On-disk layout (new format):
+// On-disk layout:
 //
 //	MANIFEST            the checkpoint root: segment list + WAL position
 //	ckpt-<gen>-<i>.seg  immutable checkpoint segments (catalog + shards)
@@ -24,20 +24,13 @@ package mview
 // manifest swap (tmp write, rename, dirsync) and the WAL bookkeeping
 // (segment seal at capture, covered-prefix drop) run under the commit
 // fence, so the fence hold is O(manifest), not O(data).
-//
-// The legacy layout (monolithic snapshot.db + single commit.log) is
-// migrated transparently on first open: the log file is adopted as the
-// oldest WAL segment and the first checkpoint rewrites the snapshot
-// into segments, after which snapshot.db is removed.
 
 import (
 	"bufio"
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,18 +45,11 @@ import (
 )
 
 const (
-	snapshotFile = "snapshot.db" // legacy layout only
 	logFile      = "commit.log"
 	manifestFile = "MANIFEST"
-	// walKindGob tags the gob-encoded statements earlier builds logged;
-	// they are read, never written (stmtcodec.go).
-	walKindGob uint8 = 1
 	// walKindStmt tags statements in the binary statement codec
-	// (stmtcodec.go), the only kind written.
+	// (stmtcodec.go), the only kind read or written.
 	walKindStmt uint8 = 2
-	// snapshotMagic prefixes legacy durable snapshots (before the u64
-	// LSN and the engine snapshot stream).
-	snapshotMagic = "MVSNAP1\n"
 	// manifestMagic heads the checkpoint manifest.
 	manifestMagic = "MVMANIFEST1"
 	// defaultSegmentBytes is the WAL segment rotation threshold when
@@ -224,7 +210,7 @@ func cutLastField(s string) (head, last string, ok bool) {
 }
 
 // readManifest loads and validates dir's MANIFEST; (nil, nil) when the
-// directory has none (fresh or legacy layout).
+// directory has none (a fresh database).
 func readManifest(dir string) (*manifest, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestFile))
 	if err != nil {
@@ -239,28 +225,29 @@ func readManifest(dir string) (*manifest, error) {
 // OpenDurable opens (creating if necessary) a durable database rooted
 // at dir, configured by the given options. State is recovered from the
 // latest checkpoint (manifest + segments) plus the commit log.
-// Engine-level options (WithShards) shape the recovered state itself;
-// the runtime options (WithGroupCommit, WithObs, WithMaintWorkers) are
-// applied after the log is attached, so instrumentation covers the log
-// and group commit batches its appends from the first transaction.
+// Engine-level options (WithShards, WithMaintWorkers) shape the
+// recovered state itself; the runtime options (WithGroupCommit,
+// WithObs) are applied after the log is attached, so instrumentation
+// covers the log and group commit batches its appends from the first
+// transaction.
 //
-// A directory in the legacy layout (monolithic snapshot.db +
-// commit.log) opens transparently and is migrated in place: recovery
-// reads the old files, an immediate checkpoint writes the segmented
-// layout, and the legacy snapshot is removed.
+// A directory in the layout of builds that predate checkpoint
+// manifests and WAL segments is refused with an error before anything
+// in it changes (see refuseLegacyLayout).
 func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	cfg := buildOpenConfig(opts)
+	if err := refuseLegacyLayout(dir); err != nil {
+		return nil, err
+	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	// A crash mid-checkpoint can leave half-written tmp files and
-	// orphaned segments behind. None of them are referenced by a
-	// durable manifest, so they hold nothing; remove them rather than
-	// leak one batch per crash.
-	for _, stale := range []string{snapshotFile + ".tmp", manifestFile + ".tmp"} {
-		if err := os.Remove(filepath.Join(dir, stale)); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
+	// A crash mid-checkpoint can leave a half-written manifest tmp and
+	// orphaned segments behind. None of them are referenced by a durable
+	// manifest, so they hold nothing; remove them rather than leak one
+	// batch per crash.
+	if err := os.Remove(filepath.Join(dir, manifestFile+".tmp")); err != nil && !os.IsNotExist(err) {
+		return nil, err
 	}
 	man, err := readManifest(dir)
 	if err != nil {
@@ -270,50 +257,23 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 		return nil, err
 	}
 	logPath := filepath.Join(dir, logFile)
-	snapPath := filepath.Join(dir, snapshotFile)
 
-	var d *DB
+	d := &DB{man: man}
 	var snapLSN uint64
-	migrate := false
-	switch {
-	case man != nil:
+	if man == nil {
+		d.eng.Store(db.New(cfg.engineOptions()...))
+	} else {
 		eng, err := loadFromManifest(dir, man, cfg)
 		if err != nil {
 			return nil, err
 		}
-		d = &DB{man: man}
 		d.eng.Store(eng)
 		snapLSN = man.lsn
-		// A crash between a migration's manifest swap and its legacy
-		// snapshot removal leaves snapshot.db behind; the manifest is
-		// the truth now.
-		if err := os.Remove(snapPath); err != nil && !os.IsNotExist(err) {
-			return nil, err
-		}
-	default:
-		d = &DB{}
-		d.eng.Store(db.New(cfg.engineOptions()...))
-		if f, err := os.Open(snapPath); err == nil {
-			migrate = true
-			var eng *db.Engine
-			snapLSN, eng, err = loadLegacySnapshot(f, cfg)
-			f.Close()
-			if err != nil {
-				return nil, err
-			}
-			d.eng.Store(eng)
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-
-	// The state the checkpoint (or fresh engine) restored is exactly
-	// what the segments hold, so shards start the first interval clean —
-	// unless the engine resharded relative to the manifest (or we loaded
-	// the shard-oblivious legacy snapshot), in which case the next
-	// checkpoint must rewrite everything. WAL replay below re-dirties
-	// the shards it touches through the normal commit path.
-	if man != nil {
+		// The state the checkpoint restored is exactly what the segments
+		// hold, so shards start the first interval clean — unless the
+		// engine resharded relative to the manifest, in which case the
+		// next checkpoint must rewrite everything. WAL replay below
+		// re-dirties the shards it touches through the normal commit path.
 		cur := d.engine().CurrentSnapshot()
 		for rel, n := range man.relShards {
 			if cur.RelationShards(rel) == n {
@@ -323,7 +283,7 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	}
 
 	// Replay committed statements past the checkpoint, timing the pass
-	// so Instrument can expose recovery cost (mview_wal_replay_*).
+	// so WithObs can expose recovery cost (mview_wal_replay_*).
 	replayStart := time.Now()
 	err = wal.Replay(logPath, snapLSN, func(r wal.Record) error {
 		st, err := decodeStmt(r.Kind, r.Payload)
@@ -353,41 +313,26 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	}
 	d.wal = log
 	d.dir = dir
-
-	if migrate {
-		// One-time layout migration: checkpoint now (every shard is
-		// dirty after a legacy load, so this writes the full segmented
-		// state), then retire the legacy snapshot. A crash anywhere in
-		// between reopens correctly: before the manifest swap the legacy
-		// files still recover, after it the manifest wins.
-		if err := d.Checkpoint(); err != nil {
-			d.wal.Close()
-			return nil, fmt.Errorf("mview: migrating legacy layout: %w", err)
-		}
-	}
 	d.applyRuntime(cfg)
 	return d, nil
 }
 
-// loadLegacySnapshot reads the pre-segmentation snapshot.db format.
-func loadLegacySnapshot(f *os.File, cfg config) (uint64, *db.Engine, error) {
-	magic := make([]byte, len(snapshotMagic))
-	var lsnBuf [8]byte
-	// io.ReadFull tolerates readers that return (0, nil) and reports
-	// short reads as io.ErrUnexpectedEOF, so a truncated header is a
-	// clean error instead of a spin.
-	if _, err := io.ReadFull(f, magic); err != nil || string(magic) != snapshotMagic {
-		return 0, nil, fmt.Errorf("mview: %s is not a durable snapshot", f.Name())
+// refuseLegacyLayout rejects a directory in the layout of builds that
+// predate checkpoint manifests and WAL segments — a monolithic
+// snapshot.db with no MANIFEST, or a bare (unnumbered) commit.log —
+// before anything in it is created, renamed or removed. This build
+// does not read that layout, and opening it as a fresh database would
+// silently drop its data.
+func refuseLegacyLayout(dir string) error {
+	if _, err := wal.SegmentFiles(filepath.Join(dir, logFile)); err != nil {
+		return err
 	}
-	if _, err := io.ReadFull(f, lsnBuf[:]); err != nil {
-		return 0, nil, fmt.Errorf("mview: corrupt snapshot header: %w", err)
+	if _, err := os.Stat(filepath.Join(dir, "snapshot.db")); err == nil {
+		if _, err := os.Stat(filepath.Join(dir, manifestFile)); os.IsNotExist(err) {
+			return fmt.Errorf("mview: %s holds a snapshot.db and no MANIFEST, a layout this build does not read", dir)
+		}
 	}
-	snapLSN := binary.BigEndian.Uint64(lsnBuf[:])
-	eng, err := db.Load(f, cfg.engineOptions()...)
-	if err != nil {
-		return 0, nil, fmt.Errorf("mview: loading snapshot: %w", err)
-	}
-	return snapLSN, eng, nil
+	return nil
 }
 
 // loadFromManifest restores an engine from a checkpoint's catalog and
@@ -783,10 +728,9 @@ func (d *DB) Checkpoint() error {
 		return err
 	}
 
-	// Prune: checkpoint segments only the old manifest referenced, the
-	// legacy snapshot if this was the migration, and WAL segments the
-	// new manifest covers. All of it is redundant now; failures leave
-	// only debris that the next open sweeps.
+	// Prune: checkpoint segments only the old manifest referenced and
+	// WAL segments the new manifest covers. All of it is redundant now;
+	// failures leave only debris that the next open sweeps.
 	if prev != nil {
 		cur := man.files()
 		for f := range prev.files() {
@@ -794,9 +738,6 @@ func (d *DB) Checkpoint() error {
 				os.Remove(filepath.Join(d.dir, f))
 			}
 		}
-	}
-	if err := os.Remove(filepath.Join(d.dir, snapshotFile)); err != nil && !os.IsNotExist(err) {
-		return err
 	}
 	walDropped, err := d.wal.DropThrough(lsn)
 	if err != nil {

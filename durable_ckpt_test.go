@@ -1,17 +1,18 @@
 package mview
 
 // Tests for the segmented checkpoint layout: incremental dirty-shard
-// reuse, WAL segment rotation, legacy-layout migration, and
-// checkpoints running concurrently with commits.
+// reuse, WAL segment rotation, refusal of the pre-segment layout and
+// record formats, and checkpoints running concurrently with commits.
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -153,166 +154,186 @@ func TestSegmentSizeRotation(t *testing.T) {
 	_ = d2.Close()
 }
 
-// gobPayload encodes a statement as builds before the binary statement
-// codec logged it: a walKindGob record payload.
-func gobPayload(t *testing.T, st gobStmt) []byte {
+// dirState maps every file in dir to its contents.
+func dirState(t *testing.T, dir string) map[string]string {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return buf.Bytes()
+	st := make(map[string]string, len(ents))
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st[e.Name()] = string(b)
+	}
+	return st
 }
 
-// writeLegacyLayout builds a pre-segmentation durable directory by
-// hand: a monolithic snapshot.db at the given LSN plus a bare
-// commit.log holding the given statements at LSNs 1..n, gob-encoded as
-// the builds that wrote that layout logged them.
-func writeLegacyLayout(t *testing.T, dir string, seed *DB, snapLSN uint64, stmts []gobStmt) {
+// checkRefusedUntouched asserts that open failed with an error naming
+// want and that dir is exactly as it was before the attempt.
+func checkRefusedUntouched(t *testing.T, dir string, before map[string]string, err error, want string) {
 	t.Helper()
-	f, err := os.Create(filepath.Join(dir, snapshotFile))
+	if err == nil {
+		t.Fatal("legacy input was accepted")
+	}
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name %q", err, want)
+	}
+	if after := dirState(t, dir); !reflect.DeepEqual(after, before) {
+		t.Errorf("refused open changed the directory:\nbefore %q\nafter  %q", keys(before), keys(after))
+	}
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// writeBareLog writes a valid single-file commit log of n records at
+// path: the layout builds before WAL segments wrote.
+func writeBareLog(t *testing.T, path string, n int) {
+	t.Helper()
+	scratch := filepath.Join(t.TempDir(), "x")
+	lg, err := wal.Open(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var lsnBuf [8]byte
-	binary.BigEndian.PutUint64(lsnBuf[:], snapLSN)
-	if _, err := f.Write([]byte(snapshotMagic)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(lsnBuf[:]); err != nil {
-		t.Fatal(err)
-	}
-	if err := seed.engine().Save(f); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if len(stmts) == 0 {
-		return
-	}
-	scratch := t.TempDir()
-	lg, err := wal.Open(filepath.Join(scratch, "x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range stmts {
-		if _, err := lg.Append(walKindGob, gobPayload(t, st)); err != nil {
+	lg.Sync = false
+	for i := 0; i < n; i++ {
+		if _, err := lg.Append(walKindStmt, encodeTxStmt([]Op{Insert("r", int64(i), 10)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := lg.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Rename(filepath.Join(scratch, "x.1"), filepath.Join(dir, logFile)); err != nil {
+	if err := os.Rename(scratch+".1", path); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestLegacyLayoutMigration: a directory in the old snapshot.db +
-// bare commit.log layout opens transparently, replays only the records
-// past the snapshot's LSN, and is rewritten into the segmented layout.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	seed := Open()
-	seedDurable(t, seed)
-	// Records 1..2 are covered by the snapshot (their effects are in
-	// it); 3..4 are the post-checkpoint tail that must replay.
-	writeLegacyLayout(t, dir, seed, 2, []gobStmt{
-		{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{9, 10}}}},
-		{Kind: "tx", Ops: []gobOp{{Rel: "s", Vals: []int64{10, 20}}}},
-		{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{5, 10}}}},
-		{Kind: "tx", Ops: []gobOp{{Rel: "s", Vals: []int64{10, 30}}}},
-	})
-
-	d, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkMigrated := func(d *DB) {
+// TestLegacyLayoutRefused: a directory in the layout of builds before
+// checkpoint manifests and WAL segments — a monolithic snapshot.db with
+// no MANIFEST, or a bare commit.log — is refused before anything in it
+// is created, renamed or removed, even the crash debris an accepted
+// open would sweep.
+func TestLegacyLayoutRefused(t *testing.T) {
+	debris := func(t *testing.T, dir string) {
 		t.Helper()
-		rows, err := d.Rows("r")
+		for _, f := range []string{manifestFile + ".tmp", "ckpt-9-0.seg"} {
+			if err := os.WriteFile(filepath.Join(dir, f), []byte("debris"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	t.Run("snapshot.db without MANIFEST", func(t *testing.T) {
+		dir := t.TempDir()
+		var snap bytes.Buffer
+		seed := Open()
+		seedDurable(t, seed)
+		if err := seed.Save(&snap); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "snapshot.db"), append([]byte("MVSNAP1\n\x00\x00\x00\x00\x00\x00\x00\x02"), snap.Bytes()...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		debris(t, dir)
+		before := dirState(t, dir)
+		_, err := OpenDurable(dir)
+		checkRefusedUntouched(t, dir, before, err, "snapshot.db")
+	})
+	t.Run("bare commit.log", func(t *testing.T) {
+		dir := t.TempDir()
+		writeBareLog(t, filepath.Join(dir, logFile), 3)
+		debris(t, dir)
+		before := dirState(t, dir)
+		_, err := OpenDurable(dir)
+		checkRefusedUntouched(t, dir, before, err, logFile)
+	})
+	t.Run("bare commit.log beside a checkpoint", func(t *testing.T) {
+		dir := t.TempDir()
+		d, err := OpenDurable(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != 2 {
-			t.Fatalf("r after migration = %v, want 2 rows", rows)
-		}
-		vrows, err := d.View("v")
-		if err != nil {
+		seedDurable(t, d)
+		if err := d.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if len(vrows) != 4 {
-			t.Fatalf("view after migration = %+v, want 4 rows", vrows)
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	checkMigrated(d)
-	// The migration happened eagerly: manifest present, legacy files gone.
-	if _, err := os.Stat(filepath.Join(dir, manifestFile)); err != nil {
-		t.Fatalf("no manifest after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Errorf("legacy snapshot.db survived migration (stat err = %v)", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, logFile)); !os.IsNotExist(err) {
-		t.Errorf("bare commit.log survived migration (stat err = %v)", err)
-	}
-	// The migrated database keeps working durably.
-	if _, err := d.Exec(Insert("r", 8, 10)); err != nil {
-		t.Fatal(err)
-	}
-	_ = d.Close()
-	d2, err := OpenDurable(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	rows, _ := d2.Rows("r")
-	if len(rows) != 3 {
-		t.Errorf("r after post-migration commit = %v", rows)
-	}
+		writeBareLog(t, filepath.Join(dir, logFile), 1)
+		before := dirState(t, dir)
+		_, err = OpenDurable(dir)
+		checkRefusedUntouched(t, dir, before, err, logFile)
+	})
 }
 
-// TestLegacyMigrationCrashRetries: killing the migration checkpoint
-// leaves the legacy files authoritative; the next open retries and
-// succeeds.
-func TestLegacyMigrationCrashRetries(t *testing.T) {
+// TestGobRecordRefused: a kind-1 (gob) record — what builds before the
+// binary statement codec logged — fails recovery replay and follower
+// apply with an error naming its kind, and the refused open leaves the
+// directory as it was.
+func TestGobRecordRefused(t *testing.T) {
 	dir := t.TempDir()
-	seed := Open()
-	seedDurable(t, seed)
-	writeLegacyLayout(t, dir, seed, 2, []gobStmt{
-		{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{9, 10}}}},
-		{Kind: "tx", Ops: []gobOp{{Rel: "s", Vals: []int64{10, 20}}}},
-		{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{5, 10}}}},
-	})
-	for _, step := range []string{"segment-write", "manifest-tmp"} {
-		checkpointHook = func(s string) error {
-			if s == step {
-				return errSimulatedCrash
-			}
-			return nil
-		}
-		_, err := OpenDurable(dir)
-		checkpointHook = nil
-		if !errors.Is(err, errSimulatedCrash) {
-			t.Fatalf("open with migration killed at %q: err = %v", step, err)
-		}
-	}
 	d, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer d.Close()
-	rows, err := d.Rows("r")
+	if err := d.CreateRelation("r", "A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.wal.Append(1, []byte("\x0d\xff\x81\x03\x01\x01")); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	_, err = OpenDurable(dir)
+	checkRefusedUntouched(t, dir, before, err, "kind 1")
+
+	f := Open()
+	defer f.Close()
+	err = followerApplier{d: f}.Apply([]wal.Record{{LSN: 1, Kind: 1, Payload: []byte{0x0d}}})
+	if err == nil || !strings.Contains(err.Error(), "kind 1") {
+		t.Errorf("follower apply of a kind-1 record: err = %v, want one naming kind 1", err)
+	}
+}
+
+// TestLoadRefusesVersion1Stream: a Save stream in the version-1 format
+// (MVIEWDB1, which no current build writes) is refused by Load with an
+// error naming its magic, and the file it came from is left as it was.
+func TestLoadRefusesVersion1Stream(t *testing.T) {
+	seed := Open()
+	seedDurable(t, seed)
+	var buf bytes.Buffer
+	if err := seed.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	// Version 1 differs from version 2 only in the magic and in each
+	// view definition's missing when-policy tail.
+	v1 := bytes.Replace(buf.Bytes(), []byte("MVIEWDB2"), []byte("MVIEWDB1"), 1)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "snap.mview")
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := dirState(t, dir)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 {
-		t.Fatalf("r after retried migration = %v, want 2 rows", rows)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapshotFile)); !os.IsNotExist(err) {
-		t.Errorf("legacy snapshot.db survived retried migration (stat err = %v)", err)
-	}
+	_, err = Load(f)
+	f.Close()
+	checkRefusedUntouched(t, dir, before, err, "MVIEWDB1")
 }
 
 // TestConcurrentCheckpointsAndCommits hammers Checkpoint from a

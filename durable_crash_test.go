@@ -86,14 +86,11 @@ func TestCheckpointCrashConsistency(t *testing.T) {
 }
 
 // assertNoCheckpointDebris fails if the directory holds a manifest tmp
-// file, a legacy snapshot tmp, or a checkpoint segment the current
-// manifest does not reference.
+// file or a checkpoint segment the current manifest does not reference.
 func assertNoCheckpointDebris(t *testing.T, dir string) {
 	t.Helper()
-	for _, tmp := range []string{manifestFile + ".tmp", snapshotFile + ".tmp"} {
-		if _, err := os.Stat(filepath.Join(dir, tmp)); !os.IsNotExist(err) {
-			t.Errorf("stale %s survived (stat err = %v)", tmp, err)
-		}
+	if _, err := os.Stat(filepath.Join(dir, manifestFile+".tmp")); !os.IsNotExist(err) {
+		t.Errorf("stale %s survived (stat err = %v)", manifestFile+".tmp", err)
 	}
 	man, err := readManifest(dir)
 	if err != nil {
@@ -320,7 +317,13 @@ func TestGroupCommitCrashNeverAcksLostTx(t *testing.T) {
 	dir := t.TempDir()
 	d := openDur(t, dir)
 	seedDurable(t, d)
-	d.EnableGroupCommit(8, 5*time.Millisecond)
+	if err := d.Close(); err != nil {
+		t.Fatal(err)
+	}
+	d, err := OpenDurable(dir, WithGroupCommit(8, 5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	walPath := filepath.Join(dir, logFile+".1") // the active segment
 	// The hook fires on every append attempt (the process is "dead"

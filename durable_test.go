@@ -216,13 +216,13 @@ func TestDurableMiscErrors(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Errorf("Close on in-memory DB should be a no-op: %v", err)
 	}
-	// A garbage snapshot file fails loudly.
+	// A garbage manifest fails loudly.
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), []byte("junk"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, manifestFile), []byte("junk"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := OpenDurable(dir); err == nil {
-		t.Error("garbage snapshot must fail")
+		t.Error("garbage manifest must fail")
 	}
 	// Failed statements are not logged and do not poison recovery.
 	dir2 := t.TempDir()

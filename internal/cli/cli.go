@@ -18,6 +18,9 @@ import (
 // Session interprets commands against one database.
 type Session struct {
 	db *mview.DB
+	// opts are the construction options the database was opened with,
+	// WithObs(reg, fr) included; "load" opens the restored one alike.
+	opts []mview.Option
 	// reg collects engine metrics for the bare "stats" command.
 	reg *obs.Registry
 	// fr records every commit's span tree for the "trace" command.
@@ -31,21 +34,9 @@ type Session struct {
 // Construction options (mview.WithShards, mview.WithMaintWorkers, ...)
 // are forwarded to mview.Open.
 func NewSession(opts ...mview.Option) *Session {
-	return newSession(mview.Open(opts...))
-}
-
-// SetMaintWorkers forwards to mview.DB.SetMaintWorkers (the
-// -maint-workers flag of cmd/mviewcli; interactively, the "workers"
-// command).
-func (s *Session) SetMaintWorkers(n int) { s.db.SetMaintWorkers(n) }
-
-// EnableGroupCommit coalesces concurrent transactions into commit
-// groups (one log fsync, one maintenance pass, one snapshot publish
-// per group). The shell itself is single-writer, so this mostly
-// matters when a script is replayed while other clients share the
-// database; it is exposed for parity with mviewd.
-func (s *Session) EnableGroupCommit(maxBatch int, window time.Duration) {
-	s.db.EnableGroupCommit(maxBatch, window)
+	s := newSession(opts)
+	s.db = mview.Open(s.opts...)
+	return s
 }
 
 // NewDurableSession returns a session over a durable database rooted
@@ -53,18 +44,22 @@ func (s *Session) EnableGroupCommit(maxBatch int, window time.Duration) {
 // Construction options are forwarded to mview.OpenDurable, so e.g.
 // mview.WithShards reshards the recovered state.
 func NewDurableSession(dir string, opts ...mview.Option) (*Session, error) {
-	db, err := mview.OpenDurable(dir, opts...)
+	s := newSession(opts)
+	db, err := mview.OpenDurable(dir, s.opts...)
 	if err != nil {
 		return nil, err
 	}
-	return newSession(db), nil
+	s.db = db
+	return s, nil
 }
 
-func newSession(db *mview.DB) *Session {
+// newSession builds a session without its database, appending the
+// WithObs option that feeds "stats" and "trace" to opts.
+func newSession(opts []mview.Option) *Session {
 	// Threshold 0: the shell is single-user, so nothing needs pinning —
 	// the ring alone holds the last 64 commits.
-	s := &Session{db: db, reg: obs.NewRegistry(), fr: obs.NewFlightRecorder(64, 0)}
-	db.Instrument(s.reg, s.fr)
+	s := &Session{reg: obs.NewRegistry(), fr: obs.NewFlightRecorder(64, 0)}
+	s.opts = append(append([]mview.Option(nil), opts...), mview.WithObs(s.reg, s.fr))
 	return s
 }
 
@@ -101,7 +96,7 @@ const Help = `commands:
   save <file> | load <file>                snapshot the database / restore one
   checkpoint                               durable mode: snapshot + truncate the commit log
   relations | views                        list catalog entries
-  workers [<n>]                            show or set the maintenance worker pool (0 = GOMAXPROCS)
+  workers                                  show the maintenance worker pool size
   help                                     this text
   quit | exit                              leave`
 
@@ -646,18 +641,12 @@ func (s *Session) policy(rest string) (string, error) {
 		fields[0], p.Spec, mode, p.Staleness.Round(time.Millisecond)), nil
 }
 
-// workers shows ("workers") or sets ("workers <n>") the maintenance
-// worker-pool size; 0 restores the GOMAXPROCS default.
+// workers shows the maintenance worker-pool size, which is fixed at
+// open (mviewcli -maint-workers).
 func (s *Session) workers(rest string) (string, error) {
-	rest = strings.TrimSpace(rest)
-	if rest == "" {
-		return fmt.Sprintf("maintenance workers: %d", s.db.MaintWorkers()), nil
+	if strings.TrimSpace(rest) != "" {
+		return "", fmt.Errorf("workers takes no argument (the pool size is set at open: mviewcli -maint-workers)")
 	}
-	n, err := strconv.Atoi(rest)
-	if err != nil || n < 0 {
-		return "", fmt.Errorf("workers wants a non-negative integer, got %q", rest)
-	}
-	s.db.SetMaintWorkers(n)
 	return fmt.Sprintf("maintenance workers: %d", s.db.MaintWorkers()), nil
 }
 
@@ -715,7 +704,7 @@ func (s *Session) load(rest string) (string, error) {
 		return "", err
 	}
 	defer f.Close()
-	db, err := mview.Load(f)
+	db, err := mview.Load(f, s.opts...)
 	if err != nil {
 		return "", err
 	}
@@ -723,7 +712,6 @@ func (s *Session) load(rest string) (string, error) {
 		return "", fmt.Errorf("cannot load inside a transaction")
 	}
 	s.db = db
-	db.Instrument(s.reg, s.fr)
 	return "loaded " + path, nil
 }
 

@@ -3,6 +3,8 @@ package cli
 import (
 	"strings"
 	"testing"
+
+	"mview"
 )
 
 // run executes commands in sequence, failing the test on any "error:"
@@ -104,7 +106,7 @@ func TestJoinViewAndDeferred(t *testing.T) {
 	run(t, s,
 		"create relation r(A, B)",
 		"create relation s(B, C)",
-		"create join view j from r, s options deferred",
+		"create join view j from r, s options ondemand",
 		"insert r (1, 2)",
 		"insert s (2, 3)",
 	)
@@ -311,22 +313,18 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	}
 }
 
+// TestWorkersCommand: "workers" shows the pool size the session was
+// opened with; the size is set only at open, so an argument is refused.
 func TestWorkersCommand(t *testing.T) {
-	s := NewSession()
+	s := NewSession(mview.WithMaintWorkers(3))
 	defer s.Close()
-	if out := run(t, s, "workers 3"); out != "maintenance workers: 3" {
-		t.Errorf("workers 3 = %q", out)
-	}
 	if out := run(t, s, "workers"); out != "maintenance workers: 3" {
 		t.Errorf("workers = %q", out)
 	}
-	// 0 restores the GOMAXPROCS default; just confirm it is accepted
-	// and reports a positive pool.
-	if out := run(t, s, "workers 0"); !strings.HasPrefix(out, "maintenance workers: ") {
-		t.Errorf("workers 0 = %q", out)
+	expectErr(t, s, "workers 4")
+	if out := run(t, s, "workers"); out != "maintenance workers: 3" {
+		t.Errorf("workers after a refused set = %q", out)
 	}
-	expectErr(t, s, "workers -1")
-	expectErr(t, s, "workers many")
 }
 
 func TestSelectCommand(t *testing.T) {

@@ -32,13 +32,11 @@ import (
 	"mview/internal/tuple"
 )
 
-// Segment format magics; the trailing digit is the version. Catalog
-// version 2 appended the refresh when-policy to each view definition
-// (see writeViewDef); version-1 catalogs still load.
+// Segment format magics; the trailing digit is the version, and each
+// is the only version read or written.
 const (
-	catalogMagic   = "MVIEWCAT2"
-	catalogMagicV1 = "MVIEWCAT1"
-	segmentMagic   = "MVIEWSEG1"
+	catalogMagic = "MVIEWCAT2"
+	segmentMagic = "MVIEWSEG1"
 )
 
 // initCheckpointDirtyLocked sizes a fresh all-dirty bitmap for a newly
@@ -129,7 +127,7 @@ func (e *Engine) SetCheckpointClean(rel string) {
 }
 
 // MarkAllCheckpointDirty forces the next checkpoint to rewrite every
-// shard of every relation (after a legacy-layout load or a reshard).
+// shard of every relation (benchmarks use it to price full checkpoints).
 func (e *Engine) MarkAllCheckpointDirty() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -242,12 +240,8 @@ func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, e
 	switch magic := r.str(); {
 	case r.err != nil:
 		return nil, nil, fmt.Errorf("db: reading catalog header: %w", r.err)
-	case magic == catalogMagic:
-		r.ver = 2
-	case magic == catalogMagicV1:
-		r.ver = 1
-	default:
-		return nil, nil, fmt.Errorf("db: not an mview catalog segment (magic %q)", magic)
+	case magic != catalogMagic:
+		return nil, nil, fmt.Errorf("db: not an mview catalog segment this build reads (magic %q, want %q)", magic, catalogMagic)
 	}
 	e := New(opts...)
 	nRel := r.u32()

@@ -19,7 +19,7 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 

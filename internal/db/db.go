@@ -33,19 +33,6 @@ import (
 	"mview/internal/tuple"
 )
 
-// RefreshMode says when a view is brought up to date.
-type RefreshMode uint8
-
-const (
-	// Immediate refreshes the view as part of every transaction commit
-	// ("the differential update mechanism is invoked as the last
-	// operation within the transaction", §5).
-	Immediate RefreshMode = iota
-	// Deferred accumulates net changes and refreshes only when
-	// RefreshView is called — the snapshot regime of §6.
-	Deferred
-)
-
 // Policy says how a view is brought up to date.
 type Policy uint8
 
@@ -57,7 +44,7 @@ const (
 	PolicyRecompute
 	// PolicyAdaptive chooses per refresh: differential while the
 	// accumulated delta is a small fraction of the base relations,
-	// full re-evaluation once it grows past AdaptiveThreshold. This
+	// full re-evaluation once it grows past DefaultAdaptiveThreshold. This
 	// realizes the paper's closing research question — "determine
 	// under what circumstances differential re-evaluation is more
 	// efficient than complete re-evaluation" — as a simple
@@ -70,11 +57,9 @@ const (
 const DefaultAdaptiveThreshold = 0.25
 
 // RefreshKind names a when-policy: the schedule on which a view's
-// maintenance runs. It is the third axis next to RefreshMode (the
-// commit-time mechanism the pipeline consults) and Policy (how a
-// refresh computes) — every kind resolves to a Mode via RefreshSpec
-// and, for the scheduled kinds, registers the view with the engine's
-// refresh scheduler (scheduler.go).
+// maintenance runs, orthogonal to Policy (how a refresh computes). The
+// scheduled kinds register the view with the engine's refresh
+// scheduler (scheduler.go).
 type RefreshKind uint8
 
 const (
@@ -105,17 +90,12 @@ type RefreshSpec struct {
 	Bound    time.Duration // RefreshMaxStaleness: the SLO bound
 }
 
-// mode derives the commit-time refresh mode the pipeline consults.
-// RefreshAdaptive starts Immediate (fresh until the workload proves
-// write-heavy); the scheduler flips Mode at runtime without touching
-// Kind.
-func (s RefreshSpec) mode() RefreshMode {
-	switch s.Kind {
-	case RefreshOnCommit, RefreshAdaptive:
-		return Immediate
-	default:
-		return Deferred
-	}
+// defers reports whether a view under the spec starts out deferring
+// its maintenance out of the commit. RefreshAdaptive starts on-commit
+// (fresh until the workload proves write-heavy); the scheduler then
+// flips viewState.deferred at runtime without touching the spec.
+func (s RefreshSpec) defers() bool {
+	return s.Kind != RefreshOnCommit && s.Kind != RefreshAdaptive
 }
 
 // scheduled reports whether the kind needs the engine scheduler.
@@ -145,31 +125,13 @@ func (s RefreshSpec) String() string {
 	}
 }
 
-// ViewConfig configures one materialized view.
+// ViewConfig configures one materialized view: When says when it
+// refreshes, Policy how.
 type ViewConfig struct {
-	Mode    RefreshMode
+	When    RefreshSpec
 	Policy  Policy
 	Maint   diffeval.Options // differential maintenance options
 	EvalOpt eval.Options     // options for full (re-)evaluation
-	// AdaptiveThreshold tunes PolicyAdaptive (0 means
-	// DefaultAdaptiveThreshold).
-	AdaptiveThreshold float64
-	// When is the view's refresh policy — when maintenance runs, as
-	// opposed to Policy's how. CreateView keeps Mode consistent with
-	// it (normalizeWhen), so legacy callers that set Mode directly
-	// keep working.
-	When RefreshSpec
-}
-
-// normalizeWhen reconciles the legacy Mode field with the when-policy:
-// a directly-set Deferred mode under the default on-commit spec means
-// the caller used the old API, so it maps to on-demand; otherwise the
-// spec is authoritative and Mode is derived from it.
-func (c *ViewConfig) normalizeWhen() {
-	if c.Mode == Deferred && c.When.Kind == RefreshOnCommit {
-		c.When.Kind = RefreshOnDemand
-	}
-	c.Mode = c.When.mode()
 }
 
 // ViewStats accumulates maintenance counters for one view.
@@ -199,7 +161,11 @@ type viewState struct {
 	data    *relation.Counted
 	pending map[string]delta.Update // composed net updates since last refresh
 	stats   ViewStats
-	vo      *viewObs // per-view metric handles; nil when obs is off
+	// deferred says commits stage the view's changes in pending instead
+	// of maintaining it. It follows cfg.When (RefreshSpec.defers) except
+	// under RefreshAdaptive, where the scheduler flips it at runtime.
+	deferred bool
+	vo       *viewObs // per-view metric handles; nil when obs is off
 	// away counts the commits the relevance index kept wholly away from
 	// the view; shared with every published snapshot (see routedAway).
 	// routeSlot is 1 + the view's position among the current commit's
@@ -224,7 +190,7 @@ type viewState struct {
 	// reads counts snapshot reads of this view since creation. The
 	// pointer is shared with every published snapView so the lock-free
 	// read path can bump it; the scheduler's adaptive when-policy
-	// compares its growth against write traffic to flip Mode.
+	// compares its growth against write traffic to flip deferred.
 	reads *atomic.Int64
 	// subscribers receive the view's deltas after each refresh — the
 	// alerter mechanism of Buneman & Clemons that §1–2 cite as a
@@ -339,9 +305,8 @@ type Engine struct {
 	// read by CriticalPath.
 	crit critAccum
 	// sched drives the scheduled when-policies — Every intervals,
-	// MaxStaleness SLO deadlines, adaptive mode flips, and every
-	// RefreshPeriodically registration — off one timer wheel
-	// (scheduler.go). Created at New, its goroutine starts lazily.
+	// MaxStaleness SLO deadlines and adaptive flips — off one timer
+	// wheel (scheduler.go). Created at New, its goroutine starts lazily.
 	sched *scheduler
 	// routes holds the per-relation relevance indexes over the filtered
 	// views (route.go): nil after view DDL, rebuilt by the next commit.
@@ -540,8 +505,15 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 // Option configures an Engine at construction.
 type Option func(*Engine)
 
-// WithMaintWorkers bounds the maintenance worker pool at construction;
-// see SetMaintWorkers for the semantics.
+// WithMaintWorkers bounds the worker pool that parallelizes per-view
+// maintenance: phase-1 delta computation and recompute staging inside
+// Execute, and deferred refreshes in RefreshAll. Each view's delta
+// depends only on the frozen pre-state and the transaction's net
+// updates, so independent views compute concurrently while the commit
+// lock holder waits on the pool. n <= 0 keeps the default, GOMAXPROCS.
+// Values above GOMAXPROCS are honored as given: they cannot speed up
+// CPU-bound maintenance but let blocking per-view work (tracing sinks)
+// overlap.
 func WithMaintWorkers(n int) Option {
 	return func(e *Engine) {
 		if n > 0 {
@@ -571,27 +543,6 @@ func New(opts ...Option) *Engine {
 	}
 	e.publishLocked() // the engine is born with an empty snapshot
 	return e
-}
-
-// SetMaintWorkers bounds the worker pool that parallelizes per-view
-// maintenance: phase-1 delta computation and recompute staging inside
-// Execute, and deferred refreshes in RefreshAll. Each view's delta
-// depends only on the frozen pre-state and the transaction's net
-// updates, so independent views compute concurrently while the commit
-// lock holder waits on the pool. n <= 0 restores the default,
-// GOMAXPROCS. Values above GOMAXPROCS are honored as given: they
-// cannot speed up CPU-bound maintenance but let blocking per-view work
-// (tracing sinks, future IO) overlap.
-func (e *Engine) SetMaintWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.maintWorkers = n
-	if o := e.o.Load(); o != nil {
-		o.workers.Set(float64(e.poolSize()))
-	}
 }
 
 // MaintWorkers reports the effective maintenance worker-pool size.
@@ -792,7 +743,6 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	if err != nil {
 		return err
 	}
-	cfg.normalizeWhen()
 	maint, err := diffeval.NewMaintainer(bound, cfg.Maint)
 	if err != nil {
 		return err
@@ -805,14 +755,15 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 		return err
 	}
 	st := &viewState{
-		name:    v.Name,
-		bound:   bound,
-		cfg:     cfg,
-		maint:   maint,
-		data:    data,
-		pending: make(map[string]delta.Update),
-		away:    new(routedAway),
-		reads:   new(atomic.Int64),
+		name:     v.Name,
+		bound:    bound,
+		cfg:      cfg,
+		maint:    maint,
+		data:     data,
+		pending:  make(map[string]delta.Update),
+		deferred: cfg.When.defers(),
+		away:     new(routedAway),
+		reads:    new(atomic.Int64),
 	}
 	if o := e.o.Load(); o != nil {
 		st.vo = newViewObs(o.reg, v.Name)
@@ -1070,17 +1021,13 @@ func (st *viewState) noteDelta(d *diffeval.ViewDelta) {
 // re-evaluation is more efficient than complete re-evaluation")
 // answered with a size-ratio cost model. Callers hold the engine lock.
 func (e *Engine) chooseAdaptive(st *viewState, updates []delta.Update) Policy {
-	threshold := st.cfg.AdaptiveThreshold
-	if threshold <= 0 {
-		threshold = DefaultAdaptiveThreshold
-	}
 	deltaSize, baseSize := 0, 0
 	counted := make(map[string]bool, len(st.bound.Operands))
 	for _, op := range st.bound.Operands {
 		// A self-join references the same relation through several
 		// operands; the cost model counts each touched relation once —
 		// per-occurrence summing would inflate the ratio and flip to
-		// recompute below the configured threshold.
+		// recompute below the threshold.
 		if counted[op.Rel] {
 			continue
 		}
@@ -1092,7 +1039,7 @@ func (e *Engine) chooseAdaptive(st *viewState, updates []delta.Update) Policy {
 			}
 		}
 	}
-	if baseSize == 0 || float64(deltaSize) > threshold*float64(baseSize) {
+	if baseSize == 0 || float64(deltaSize) > DefaultAdaptiveThreshold*float64(baseSize) {
 		return PolicyRecompute
 	}
 	return PolicyDifferential
@@ -1523,7 +1470,7 @@ func (e *Engine) Explain(name string) (string, error) {
 	}
 	fmt.Fprintf(&sb, "  select:  %s\n", strings.Join(proj, ", "))
 	mode := "immediate (refreshed at commit)"
-	if st.cfg.Mode == Deferred {
+	if st.deferred {
 		mode = "deferred (snapshot refresh, §6)"
 	}
 	fmt.Fprintf(&sb, "  refresh: %s\n", mode)
@@ -1546,11 +1493,7 @@ func (e *Engine) Explain(name string) (string, error) {
 	case PolicyRecompute:
 		policy = "complete re-evaluation"
 	case PolicyAdaptive:
-		threshold := st.cfg.AdaptiveThreshold
-		if threshold <= 0 {
-			threshold = DefaultAdaptiveThreshold
-		}
-		policy = fmt.Sprintf("adaptive (differential while |δ| ≤ %.0f%% of base)", 100*threshold)
+		policy = fmt.Sprintf("adaptive (differential while |δ| ≤ %.0f%% of base)", 100*DefaultAdaptiveThreshold)
 	}
 	fmt.Fprintf(&sb, "  policy:  %s\n", policy)
 	strategy := "auto (indexed delta joins when indexes exist, else prefix-sharing rows)"
@@ -1655,32 +1598,6 @@ func (e *Engine) Unsubscribe(view string, id int) error {
 	return nil
 }
 
-// RefreshPeriodically refreshes a deferred view on a fixed interval
-// until the returned stop function is called — §6's "materialized
-// views are updated periodically" regime. Refresh errors are reported
-// through the optional onErr callback and do NOT terminate the loop:
-// a transient failure (the view dropped and re-created, a delta that
-// does not fold) must not silently end periodic refresh forever. Only
-// stop() ends the schedule.
-//
-// Deprecated: prefer the RefreshEvery when-policy (SetViewPolicy or a
-// RefreshSpec at CreateView), which expresses the schedule as durable
-// catalog state instead of a caller-held goroutine handle. This method
-// remains supported; registrations now ride the engine's single
-// scheduler wheel instead of one ticker goroutine per caller.
-func (e *Engine) RefreshPeriodically(name string, interval time.Duration, onErr func(error)) (stop func(), err error) {
-	e.mu.RLock()
-	_, ok := e.views[name]
-	e.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("db: unknown view %q", name)
-	}
-	if interval <= 0 {
-		return nil, fmt.Errorf("db: non-positive refresh interval %v", interval)
-	}
-	return e.sched.addPeriodic(name, interval, onErr), nil
-}
-
 // SetViewPolicy changes a view's refresh policy at runtime. Moving to
 // an on-commit (or adaptive) policy drains any accumulated backlog
 // under the same lock hold, so a commit can never observe an immediate
@@ -1694,7 +1611,7 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 		return fmt.Errorf("db: unknown view %q", name)
 	}
 	var ns []notification
-	if spec.mode() == Immediate && len(st.pending) > 0 {
+	if !spec.defers() && len(st.pending) > 0 {
 		j, err := e.buildRefreshJob(st)
 		if err != nil {
 			e.mu.Unlock()
@@ -1712,7 +1629,7 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 		}
 	}
 	st.cfg.When = spec
-	st.cfg.Mode = spec.mode()
+	st.deferred = spec.defers()
 	if st.vo != nil {
 		st.vo.sloBound.Set(spec.Bound.Seconds())
 	}
@@ -1731,8 +1648,7 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 // DisablePolicyRefresh turns off policy-driven scheduling on this
 // engine. Followers use it: they replay the leader's policy DDL so the
 // catalog matches, but never self-refresh — maintenance arrives
-// composed from the replication stream. RefreshPeriodically
-// registrations still fire (a local, caller-owned contract).
+// composed from the replication stream.
 func (e *Engine) DisablePolicyRefresh() { e.sched.disablePolicies() }
 
 // StopScheduler terminates the refresh scheduler and waits for it; an

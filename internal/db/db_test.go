@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
@@ -120,7 +119,7 @@ func TestViewUntouchedByForeignTx(t *testing.T) {
 
 func TestDeferredSnapshotRefresh(t *testing.T) {
 	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	// Three transactions accumulate; the view stays stale.
@@ -179,7 +178,7 @@ func TestDeferredRefreshMatchesRecompute(t *testing.T) {
 		Where:    cond,
 		Project:  []schema.Attribute{"R.A", "S.C"},
 	}
-	if err := e.CreateView(vdef, ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(vdef, ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(17))
@@ -240,7 +239,7 @@ func TestPolicyRecomputeImmediate(t *testing.T) {
 
 func TestPolicyRecomputeDeferred(t *testing.T) {
 	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{Mode: Deferred, Policy: PolicyRecompute}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}, Policy: PolicyRecompute}); err != nil {
 		t.Fatal(err)
 	}
 	var tx delta.Tx
@@ -307,7 +306,7 @@ func TestPolicyAdaptiveSwitches(t *testing.T) {
 // model at refresh time.
 func TestPolicyAdaptiveDeferred(t *testing.T) {
 	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{Mode: Deferred, Policy: PolicyAdaptive}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}, Policy: PolicyAdaptive}); err != nil {
 		t.Fatal(err)
 	}
 	// Base is empty, so any pending delta exceeds the ratio →
@@ -325,44 +324,6 @@ func TestPolicyAdaptiveDeferred(t *testing.T) {
 	v, _ := e.View("v")
 	if v.Len() != 1 {
 		t.Errorf("view = %v", v)
-	}
-}
-
-func TestRefreshPeriodically(t *testing.T) {
-	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
-		t.Fatal(err)
-	}
-	stop, err := e.RefreshPeriodically("snap", 5*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-	var tx delta.Tx
-	tx.Insert("R", tuple.New(1, 2)).Insert("S", tuple.New(2, 3))
-	exec(t, e, &tx)
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		v, err := e.View("snap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Len() == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("periodic refresh never caught up")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	stop()
-	stop() // idempotent
-
-	if _, err := e.RefreshPeriodically("zzz", time.Second, nil); err == nil {
-		t.Error("unknown view must fail")
-	}
-	if _, err := e.RefreshPeriodically("snap", 0, nil); err == nil {
-		t.Error("non-positive interval must fail")
 	}
 }
 
@@ -404,7 +365,7 @@ func TestRelevantCachedCheckers(t *testing.T) {
 func TestExplain(t *testing.T) {
 	e := newEngine(t)
 	if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{
-		Mode: Deferred, Policy: PolicyAdaptive,
+		When: RefreshSpec{Kind: RefreshOnDemand}, Policy: PolicyAdaptive,
 		Maint: diffeval.Options{Filter: true},
 	}); err != nil {
 		t.Fatal(err)
@@ -518,10 +479,10 @@ func TestExecuteEmptyAndUnknown(t *testing.T) {
 
 func TestRefreshAllAndQueryIsolation(t *testing.T) {
 	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "v1"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "v1"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateView(joinViewDef(t, e, "v2"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "v2"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	var tx delta.Tx

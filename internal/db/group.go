@@ -466,7 +466,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 				touchCount++
 			}
 		}
-		if st.cfg.Mode == Deferred {
+		if st.deferred {
 			pend := e.stagePending(st, composed)
 			work3 = append(work3, &refreshed{st: st, deferred: true, pend: pend, touchCount: touchCount})
 			continue
@@ -885,7 +885,7 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 // ARCHITECTURE.md). Adaptive views commit to differential here so the
 // alert stream stays per-transaction.
 func perTxView(st *viewState) bool {
-	return len(st.subscribers) > 0 && st.cfg.Mode == Immediate && st.cfg.Policy != PolicyRecompute
+	return len(st.subscribers) > 0 && !st.deferred && st.cfg.Policy != PolicyRecompute
 }
 
 // perTxViewDeltas computes r's differential deltas for every

@@ -42,7 +42,7 @@ func buildGroupFleet(t *testing.T, writers int, opts ...Option) (*Engine, []expr
 		cfg := ViewConfig{}
 		switch i % 3 {
 		case 1:
-			cfg.Mode = Deferred
+			cfg.When.Kind = RefreshOnDemand
 		case 2:
 			cfg.Policy = PolicyAdaptive
 		}

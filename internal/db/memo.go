@@ -99,10 +99,11 @@ func (e *Engine) ViewFresh(name string, bound time.Duration) (ViewVersion, error
 // Len returns the number of distinct tuples in the version.
 func (v ViewVersion) Len() int { return v.sv.data.Len() }
 
-// Policy reports the view's refresh policy and its commit-time mode.
-// The two differ only under RefreshAdaptive, where the scheduler flips
-// the mode with the measured write/read balance.
-func (v ViewVersion) Policy() (RefreshSpec, RefreshMode) { return v.sv.cfg.When, v.sv.cfg.Mode }
+// Policy reports the view's refresh policy and whether commits currently
+// defer its maintenance. The two disagree only under RefreshAdaptive,
+// where the scheduler flips the direction with the measured write/read
+// balance.
+func (v ViewVersion) Policy() (spec RefreshSpec, deferred bool) { return v.sv.cfg.When, v.sv.deferred }
 
 // Staleness returns the age of the version's oldest unapplied change
 // (0 = no unapplied changes).

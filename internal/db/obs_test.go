@@ -58,18 +58,19 @@ func TestMetricsAdvanceAcrossPolicies(t *testing.T) {
 	if err := e.CreateView(sel, ViewConfig{Maint: diffeval.Options{Filter: true}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CreateView(joinViewDef(t, e, "adap"),
-		ViewConfig{Policy: PolicyAdaptive, AdaptiveThreshold: 0.75}); err != nil {
+		ViewConfig{Policy: PolicyAdaptive}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Tx 1: both base relations empty, so the adaptive view must pick
 	// full recomputation; R.A=1 passes the imm filter.
 	var tx1 delta.Tx
-	tx1.Insert("R", tuple.New(1, 2)).Insert("S", tuple.New(2, 5))
+	tx1.Insert("R", tuple.New(1, 2)).Insert("S", tuple.New(2, 5)).
+		Insert("S", tuple.New(3, 6)).Insert("S", tuple.New(4, 7))
 	exec(t, e, &tx1)
 	// Tx 2: provably irrelevant to imm (A=50 ≥ 10); small against a
 	// non-empty base, so the adaptive view now goes differential.

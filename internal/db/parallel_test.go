@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"mview/internal/delta"
 	"mview/internal/eval"
@@ -26,7 +25,7 @@ func TestCommitAtomicOnInjectedFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := e.CreateView(joinViewDef(t, e, "dfr"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "dfr"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	var seed delta.Tx
@@ -140,67 +139,6 @@ func TestChooseAdaptiveCountsSelfJoinOnce(t *testing.T) {
 	}
 }
 
-// TestRefreshPeriodicallySurvivesErrors pins the §6 periodic-refresh
-// contract: refresh errors are reported through onErr and do NOT stop
-// the ticker — after the fault clears, refreshes resume on their own.
-func TestRefreshPeriodicallySurvivesErrors(t *testing.T) {
-	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
-		t.Fatal(err)
-	}
-	errc := make(chan error, 64)
-	stop, err := e.RefreshPeriodically("snap", 2*time.Millisecond, func(err error) {
-		select {
-		case errc <- err:
-		default:
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	// Induce a persistent failure: the named view disappears.
-	if err := e.DropView("snap"); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.After(5 * time.Second)
-	for got := 0; got < 2; {
-		select {
-		case err := <-errc:
-			if !strings.Contains(err.Error(), "unknown view") {
-				t.Fatalf("onErr got %v, want unknown-view error", err)
-			}
-			got++
-		case <-deadline:
-			t.Fatal("ticker stopped reporting errors; loop died after first failure")
-		}
-	}
-
-	// Clear the fault: recreate the view and give it a backlog. The
-	// same ticker must pick it up without being restarted.
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
-		t.Fatal(err)
-	}
-	var tx delta.Tx
-	tx.Insert("R", tuple.New(1, 2)).Insert("S", tuple.New(2, 10))
-	exec(t, e, &tx)
-	for {
-		v, err := e.View("snap")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v.Has(tuple.New(1, 2, 10)) {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatalf("ticker never refreshed the recreated view; snap = %v", v)
-		case <-time.After(2 * time.Millisecond):
-		}
-	}
-}
-
 // TestParallelCommitMatchesSerialAcrossWorkers drives identical random
 // transaction streams through a serial engine (1 worker) and a
 // parallel one (4 workers) over 8 views with mixed modes and policies,
@@ -229,7 +167,7 @@ func TestParallelCommitMatchesSerialAcrossWorkers(t *testing.T) {
 			cfg := ViewConfig{}
 			switch i % 3 {
 			case 1:
-				cfg.Mode = Deferred
+				cfg.When.Kind = RefreshOnDemand
 			case 2:
 				cfg.Policy = PolicyAdaptive
 			}
@@ -328,7 +266,7 @@ func TestRefreshAllParallelAndErrorKeepsBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"d1", "d2", "d3"} {
-		if err := e.CreateView(joinViewDef(t, e, name), ViewConfig{Mode: Deferred}); err != nil {
+		if err := e.CreateView(joinViewDef(t, e, name), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -384,8 +322,8 @@ func TestRefreshAllParallelAndErrorKeepsBacklog(t *testing.T) {
 }
 
 // TestMaintWorkersKnob covers the pool-size configuration surface: the
-// GOMAXPROCS default, the option, the setter (including the n <= 0
-// reset), and the mview_maint_workers gauge.
+// GOMAXPROCS default, the option (n <= 0 keeps the default), and the
+// mview_maint_workers gauge.
 func TestMaintWorkersKnob(t *testing.T) {
 	def := runtime.GOMAXPROCS(0)
 	if got := New().MaintWorkers(); got != def {
@@ -395,17 +333,10 @@ func TestMaintWorkersKnob(t *testing.T) {
 	if got := e.MaintWorkers(); got != 3 {
 		t.Errorf("WithMaintWorkers(3): MaintWorkers() = %d", got)
 	}
-	e.SetMaintWorkers(0)
-	if got := e.MaintWorkers(); got != def {
-		t.Errorf("SetMaintWorkers(0): MaintWorkers() = %d, want default %d", got, def)
-	}
-	e.SetMaintWorkers(-7)
-	if got := e.MaintWorkers(); got != def {
-		t.Errorf("SetMaintWorkers(-7): MaintWorkers() = %d, want default %d", got, def)
-	}
-	e.SetMaintWorkers(2)
-	if got := e.MaintWorkers(); got != 2 {
-		t.Errorf("SetMaintWorkers(2): MaintWorkers() = %d", got)
+	for _, n := range []int{0, -7} {
+		if got := New(WithMaintWorkers(n)).MaintWorkers(); got != def {
+			t.Errorf("WithMaintWorkers(%d): MaintWorkers() = %d, want default %d", n, got, def)
+		}
 	}
 
 	reg := obs.NewRegistry()
@@ -419,11 +350,7 @@ func TestMaintWorkersKnob(t *testing.T) {
 		t.Fatal("mview_maint_workers not in registry snapshot")
 		return 0
 	}
-	if got := gauge(); got != 2 {
-		t.Errorf("gauge after SetObs = %v, want 2", got)
-	}
-	e.SetMaintWorkers(5)
-	if got := gauge(); got != 5 {
-		t.Errorf("gauge after SetMaintWorkers(5) = %v", got)
+	if got := gauge(); got != 3 {
+		t.Errorf("gauge after SetObs = %v, want 3", got)
 	}
 }

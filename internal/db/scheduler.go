@@ -9,14 +9,12 @@ package db
 //     age of their oldest unapplied change (viewState.pendingSince,
 //     the same clock Staleness reads) reaches the SLO bound.
 //   - RefreshAdaptive views have their write/read balance re-evaluated
-//     periodically and their commit-time Mode flipped between
-//     Immediate and Deferred — extending chooseAdaptive's cost model
+//     periodically and are flipped between on-commit and deferred
+//     (viewState.deferred) — extending chooseAdaptive's cost model
 //     from "how to refresh" to "when to refresh".
-//   - RefreshPeriodically registrations ride the same wheel, so a
-//     hundred callers cost one goroutine, not a hundred tickers.
 //
-// The wheel goroutine starts lazily on the first scheduled view or
-// periodic registration and sleeps until the earliest deadline; commit
+// The wheel goroutine starts lazily on the first scheduled view and
+// sleeps until the earliest deadline; commit
 // installs that dirty a deferred view poke it so a fresh MaxStaleness
 // deadline is planned immediately. Policy state is read from the
 // published snapshot (lock-free); only the engine's own refresh entry
@@ -24,8 +22,7 @@ package db
 //
 // Followers never run policy-driven work: they replay the leader's
 // policy DDL so the catalog matches, but maintenance arrives composed
-// from the stream (DisablePolicyRefresh). Explicit RefreshPeriodically
-// registrations still fire — they are a local, caller-owned contract.
+// from the stream (DisablePolicyRefresh).
 
 import (
 	"sync"
@@ -68,16 +65,6 @@ const adaptiveEvalEvery = time.Second
 // mistake.
 const adaptiveWriteFactor = 2
 
-// periodicEntry is one RefreshPeriodically registration. view,
-// interval, and onErr are immutable after creation; next is owned by
-// the wheel goroutine under the scheduler lock.
-type periodicEntry struct {
-	view     string
-	interval time.Duration
-	onErr    func(error)
-	next     time.Time
-}
-
 // everyState is the wheel position of one RefreshEvery view. The
 // interval is recorded so a SetViewPolicy that changes the period
 // restarts the cycle.
@@ -103,16 +90,14 @@ type scheduler struct {
 	// fresh engine state after each wake.
 	wake chan struct{}
 
-	// mu guards lifecycle and the periodic registry. The policy maps
-	// (every, adapt) are owned by the wheel goroutine and need no lock.
+	// mu guards lifecycle. The policy maps (every, adapt) are owned by
+	// the wheel goroutine and need no lock.
 	mu       sync.Mutex
 	running  bool
 	stopped  bool
 	disabled bool
 	done     chan struct{}
 	exited   chan struct{}
-	periodic map[int]*periodicEntry
-	nextID   int
 
 	every map[string]everyState
 	adapt map[string]*adaptState
@@ -120,12 +105,11 @@ type scheduler struct {
 
 func newScheduler(e *Engine) *scheduler {
 	return &scheduler{
-		e:        e,
-		clock:    realClock{e},
-		wake:     make(chan struct{}, 1),
-		periodic: make(map[int]*periodicEntry),
-		every:    make(map[string]everyState),
-		adapt:    make(map[string]*adaptState),
+		e:     e,
+		clock: realClock{e},
+		wake:  make(chan struct{}, 1),
+		every: make(map[string]everyState),
+		adapt: make(map[string]*adaptState),
 	}
 }
 
@@ -134,10 +118,6 @@ func newScheduler(e *Engine) *scheduler {
 func (s *scheduler) ensure() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.ensureLocked()
-}
-
-func (s *scheduler) ensureLocked() {
 	if s.running || s.stopped {
 		return
 	}
@@ -177,38 +157,12 @@ func (s *scheduler) stop() {
 
 // disablePolicies turns off policy-driven refreshes (followers: the
 // catalog replays the leader's policy DDL, but maintenance arrives
-// composed from the stream). Periodic registrations still fire.
+// composed from the stream).
 func (s *scheduler) disablePolicies() {
 	s.mu.Lock()
 	s.disabled = true
 	s.mu.Unlock()
 	s.poke()
-}
-
-// addPeriodic registers one RefreshPeriodically caller on the wheel
-// and returns its idempotent stop function.
-func (s *scheduler) addPeriodic(view string, interval time.Duration, onErr func(error)) (stop func()) {
-	s.mu.Lock()
-	id := s.nextID
-	s.nextID++
-	s.periodic[id] = &periodicEntry{
-		view:     view,
-		interval: interval,
-		onErr:    onErr,
-		next:     s.clock.Now().Add(interval),
-	}
-	s.ensureLocked()
-	s.mu.Unlock()
-	s.poke()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			s.mu.Lock()
-			delete(s.periodic, id)
-			s.mu.Unlock()
-			s.poke()
-		})
-	}
 }
 
 func (s *scheduler) run(done, exited chan struct{}) {
@@ -237,8 +191,7 @@ func (s *scheduler) run(done, exited chan struct{}) {
 // subscriber callbacks, which must be free to call back in).
 type schedAction struct {
 	view   string
-	reason string // metric label: interval | slo | periodic
-	onErr  func(error)
+	reason string // metric label: interval | slo
 }
 
 // fireDue executes everything due now and returns the earliest future
@@ -257,13 +210,6 @@ func (s *scheduler) fireDue() (time.Time, bool) {
 
 	s.mu.Lock()
 	disabled := s.disabled
-	for _, p := range s.periodic {
-		if !p.next.After(now) {
-			due = append(due, schedAction{view: p.view, reason: "periodic", onErr: p.onErr})
-			p.next = now.Add(p.interval)
-		}
-		earlier(p.next)
-	}
 	s.mu.Unlock()
 
 	if !disabled {
@@ -333,14 +279,12 @@ func (s *scheduler) fireDue() (time.Time, bool) {
 	}
 
 	for _, a := range due {
-		err := s.e.RefreshView(a.view)
+		// A failed refresh keeps its backlog; the next deadline retries.
+		_ = s.e.RefreshView(a.view)
 		if o := s.e.o.Load(); o != nil {
 			o.reg.Counter("mview_policy_refreshes_total",
 				"Scheduler-driven view refreshes by reason.",
 				obs.Labels{"reason": a.reason}).Add(1)
-		}
-		if err != nil && a.onErr != nil {
-			a.onErr(err)
 		}
 	}
 	for _, name := range flips {
@@ -351,9 +295,9 @@ func (s *scheduler) fireDue() (time.Time, bool) {
 
 // evalAdaptive compares one adaptive view's write and read traffic
 // over the window since the last evaluation and flips its commit-time
-// Mode when the balance crossed. Flipping back to Immediate drains the
-// accumulated backlog under the same lock hold, so a commit can never
-// observe an immediate view with stale data.
+// direction when the balance crossed. Flipping back to on-commit drains
+// the accumulated backlog under the same lock hold, so a commit can
+// never observe an immediate view with stale data.
 func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 	e := s.e
 	e.mu.Lock()
@@ -373,11 +317,11 @@ func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 	}
 	var ns []notification
 	switch {
-	case st.cfg.Mode == Immediate && dw > adaptiveWriteFactor*dr:
-		st.cfg.Mode = Deferred
+	case !st.deferred && dw > adaptiveWriteFactor*dr:
+		st.deferred = true
 		st.snapDirty = true
 		e.publishLocked()
-	case st.cfg.Mode == Deferred && dr >= dw && dr > 0:
+	case st.deferred && dr >= dw && dr > 0:
 		j, err := e.buildRefreshJob(st)
 		if err == nil && j != nil {
 			j.run()
@@ -387,7 +331,7 @@ func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 			e.mu.Unlock() // stay deferred; retried next window
 			return
 		}
-		st.cfg.Mode = Immediate
+		st.deferred = false
 		st.snapDirty = true
 		e.publishLocked()
 	default:
@@ -396,7 +340,7 @@ func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 	}
 	if o := e.o.Load(); o != nil {
 		mode := "immediate"
-		if st.cfg.Mode == Deferred {
+		if st.deferred {
 			mode = "deferred"
 		}
 		o.reg.Counter("mview_policy_adaptive_flips_total",

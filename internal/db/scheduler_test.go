@@ -200,15 +200,15 @@ func TestSchedulerAdaptiveFlips(t *testing.T) {
 	if err := e.CreateView(joinViewDef(t, e, "v"), cfg); err != nil {
 		t.Fatal(err)
 	}
-	mode := func() RefreshMode {
+	deferred := func() bool {
 		v, err := e.ReadView("v")
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, m := v.Policy()
-		return m
+		_, d := v.Policy()
+		return d
 	}
-	if mode() != Immediate {
+	if deferred() {
 		t.Fatal("adaptive views must start on-commit")
 	}
 
@@ -217,14 +217,14 @@ func TestSchedulerAdaptiveFlips(t *testing.T) {
 	// off the commit path.
 	next := int64(0)
 	schedWait(t, "flip to deferred under writes", func() bool {
-		if mode() == Deferred {
+		if deferred() {
 			return true
 		}
 		stageBacklog(t, e, 100+next, 200+next)
 		next++
 		fc.advance(adaptiveEvalEvery)
 		time.Sleep(time.Millisecond)
-		return mode() == Deferred
+		return deferred()
 	})
 
 	// Deferred now: a commit stages backlog instead of refreshing.
@@ -237,7 +237,7 @@ func TestSchedulerAdaptiveFlips(t *testing.T) {
 	// Read-heavy windows: dr >= dw flips the view back to on-commit,
 	// draining the accumulated backlog under the same lock hold.
 	schedWait(t, "flip back to immediate under reads", func() bool {
-		if mode() == Immediate {
+		if !deferred() {
 			return true
 		}
 		for i := 0; i < 3; i++ {
@@ -247,7 +247,7 @@ func TestSchedulerAdaptiveFlips(t *testing.T) {
 		}
 		fc.advance(adaptiveEvalEvery)
 		time.Sleep(time.Millisecond)
-		return mode() == Immediate
+		return !deferred()
 	})
 	st, _ := e.ViewStats("v")
 	if st.PendingTx != 0 {
@@ -339,8 +339,8 @@ func TestSetViewPolicyDrains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec, m := pv.Policy(); spec.Kind != RefreshOnCommit || m != Immediate {
-		t.Fatalf("policy after change = %v mode %v", spec, m)
+	if spec, d := pv.Policy(); spec.Kind != RefreshOnCommit || d {
+		t.Fatalf("policy after change = %v deferred %v", spec, d)
 	}
 	v, _ := e.View("v")
 	if v.Len() != 1 {
@@ -378,9 +378,8 @@ func TestSchedulerStopIdempotent(t *testing.T) {
 }
 
 // TestDisablePolicyRefresh pins the follower contract: policy DDL
-// stays in the catalog but drives no refreshes, while explicit
-// RefreshPeriodically registrations (a local, caller-owned contract)
-// still fire.
+// stays in the catalog but drives no refreshes, while an explicit
+// refresh still works.
 func TestDisablePolicyRefresh(t *testing.T) {
 	e, fc := newFakeClockEngine(t)
 	cfg := ViewConfig{When: RefreshSpec{Kind: RefreshEvery, Interval: 10 * time.Millisecond}}
@@ -391,18 +390,16 @@ func TestDisablePolicyRefresh(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.DisablePolicyRefresh()
-	stop, err := e.RefreshPeriodically("per", 10*time.Millisecond, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
 
 	stageBacklog(t, e, 1, 2)
 	fc.advance(time.Second)
-	schedWait(t, "periodic refresh on disabled engine", func() bool {
-		v, err := e.View("per")
-		return err == nil && v.Len() == 1
-	})
+	time.Sleep(20 * time.Millisecond) // room for a wrongly enabled wheel to fire
+	if err := e.RefreshView("per"); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := e.View("per"); v.Len() != 1 {
+		t.Fatal("explicit refresh on a policy-disabled engine did not apply the backlog")
+	}
 	if v, _ := e.View("pol"); v.Len() != 0 {
 		t.Fatal("policy-driven refresh fired on a policy-disabled engine")
 	}

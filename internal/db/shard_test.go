@@ -51,7 +51,7 @@ func buildShardFleet(t *testing.T, opts ...Option) (*Engine, []expr.View) {
 		{},
 		{},
 		{},
-		{Mode: Deferred},
+		{When: RefreshSpec{Kind: RefreshOnDemand}},
 		{Policy: PolicyAdaptive, Maint: diffeval.Options{Filter: true}},
 	}
 	for i, v := range defs {

@@ -61,6 +61,9 @@ type snapView struct {
 	cfg   ViewConfig
 	data  *relation.Counted
 	stats ViewStats
+	// deferred is the view's commit-time direction at publish (see
+	// viewState.deferred).
+	deferred bool
 	// maint is the view's maintainer, shared with the live viewState:
 	// it owns the view's §4 checkers behind its own lock, so Relevant
 	// needs no engine lock. away is shared too — see routedAway.
@@ -131,6 +134,7 @@ func (e *Engine) publishLocked() {
 				name:         name,
 				bound:        st.bound,
 				cfg:          st.cfg,
+				deferred:     st.deferred,
 				data:         st.data,
 				stats:        st.stats,
 				maint:        st.maint,

@@ -118,7 +118,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 		Where:    pred.MustParse("A < 1000"),
 		Project:  []schema.Attribute{"A"},
 	}
-	if err := e.CreateView(def, ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(def, ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 

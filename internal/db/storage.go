@@ -28,13 +28,8 @@ func diffevalStrategy(v uint8) diffeval.Strategy { return diffeval.Strategy(v) }
 func satMethod(v uint8) satgraph.Method { return satgraph.Method(v) }
 
 // storageMagic identifies the format; the trailing digit is the
-// version. Version 2 appended the refresh when-policy (RefreshSpec)
-// to each view definition; version-1 snapshots still load, with the
-// policy derived from the legacy mode byte.
-const (
-	storageMagic   = "MVIEWDB2"
-	storageMagicV1 = "MVIEWDB1"
-)
+// version. Version 2 is the only one read or written.
+const storageMagic = "MVIEWDB2"
 
 type writer struct {
 	w   *bufio.Writer
@@ -83,10 +78,6 @@ func (w *writer) bool(v bool) {
 type reader struct {
 	r   *bufio.Reader
 	err error
-	// ver is the format version of the stream being read, set from the
-	// magic by Load/BeginSegmentedLoad; readViewDef uses it to skip
-	// fields the writer's format predates.
-	ver int
 }
 
 func (r *reader) fail(err error) {
@@ -209,17 +200,14 @@ func writeViewDef(w *writer, name string, b *expr.Bound, cfg ViewConfig) {
 	for _, a := range b.Project {
 		w.str(string(a))
 	}
-	w.u8(uint8(cfg.Mode))
+	w.u8(0) // retired mode byte: written as 0, skipped on read
 	w.u8(uint8(cfg.Policy))
-	w.f64(cfg.AdaptiveThreshold)
+	w.f64(0) // retired adaptive threshold: written as 0, skipped on read
 	w.u8(uint8(cfg.Maint.Strategy))
 	w.bool(cfg.Maint.Filter)
 	w.u8(uint8(cfg.Maint.FilterOptions.Method))
 	w.i64(int64(cfg.Maint.FilterOptions.NELimit))
 	w.bool(cfg.EvalOpt.Greedy)
-	// Version 2: the refresh when-policy. Without it a checkpoint or
-	// reopen would silently demote every scheduled view to the legacy
-	// mode byte.
 	w.u8(uint8(cfg.When.Kind))
 	w.i64(int64(cfg.When.Interval))
 	w.i64(int64(cfg.When.Bound))
@@ -247,21 +235,17 @@ func readViewDef(r *reader) (expr.View, ViewConfig, error) {
 		v.Project = append(v.Project, schema.Attribute(r.str()))
 	}
 	var cfg ViewConfig
-	cfg.Mode = RefreshMode(r.u8())
+	r.u8() // retired mode byte
 	cfg.Policy = Policy(r.u8())
-	cfg.AdaptiveThreshold = r.f64()
+	r.f64() // retired adaptive threshold
 	cfg.Maint.Strategy = diffevalStrategy(r.u8())
 	cfg.Maint.Filter = r.bool()
 	cfg.Maint.FilterOptions.Method = satMethod(r.u8())
 	cfg.Maint.FilterOptions.NELimit = int(r.i64())
 	cfg.EvalOpt.Greedy = r.bool()
-	if r.ver >= 2 {
-		cfg.When.Kind = RefreshKind(r.u8())
-		cfg.When.Interval = time.Duration(r.i64())
-		cfg.When.Bound = time.Duration(r.i64())
-	}
-	// Version 1 streams carry no when-policy; CreateView's
-	// normalizeWhen maps a deferred mode byte to RefreshOnDemand.
+	cfg.When.Kind = RefreshKind(r.u8())
+	cfg.When.Interval = time.Duration(r.i64())
+	cfg.When.Bound = time.Duration(r.i64())
 	if r.err != nil {
 		return expr.View{}, ViewConfig{}, fmt.Errorf("db: corrupt snapshot: view %q config: %w", name, r.err)
 	}
@@ -328,12 +312,8 @@ func Load(in io.Reader, opts ...Option) (*Engine, error) {
 	switch magic := r.str(); {
 	case r.err != nil:
 		return nil, fmt.Errorf("db: reading snapshot header: %w", r.err)
-	case magic == storageMagic:
-		r.ver = 2
-	case magic == storageMagicV1:
-		r.ver = 1
-	default:
-		return nil, fmt.Errorf("db: not an mview snapshot (magic %q)", magic)
+	case magic != storageMagic:
+		return nil, fmt.Errorf("db: not an mview snapshot this build reads (magic %q, want %q)", magic, storageMagic)
 	}
 
 	e := New(opts...)

@@ -25,7 +25,7 @@ func populatedEngine(t *testing.T) *Engine {
 		t.Fatal(err)
 	}
 	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{
-		Mode: Deferred, Policy: PolicyAdaptive, AdaptiveThreshold: 0.5,
+		When: RefreshSpec{Kind: RefreshOnDemand}, Policy: PolicyAdaptive,
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -77,7 +77,7 @@ func TestSubscribeImmediateView(t *testing.T) {
 
 func TestSubscribeDeferredAndRecompute(t *testing.T) {
 	e := newEngine(t)
-	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "snap"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.CreateView(joinViewDef(t, e, "rec"), ViewConfig{Policy: PolicyRecompute}); err != nil {

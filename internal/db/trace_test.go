@@ -202,7 +202,7 @@ func TestStalenessTracksDeferredBacklog(t *testing.T) {
 	if err := e.CreateView(joinViewDef(t, e, "imm"), ViewConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -257,7 +257,7 @@ func TestExplainAnalyze(t *testing.T) {
 	if err := e.CreateView(joinViewDef(t, e, "imm"), ViewConfig{}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{Mode: Deferred}); err != nil {
+	if err := e.CreateView(joinViewDef(t, e, "def"), ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}); err != nil {
 		t.Fatal(err)
 	}
 

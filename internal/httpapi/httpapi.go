@@ -5,7 +5,7 @@
 //
 //	POST /v1/relations              {"name":"r","attrs":["A","B"]}
 //	GET  /v1/relations/{name}       base relation contents
-//	POST /v1/views                  {"name":"v","from":["r","s"],"where":"...","select":["A"],"options":["deferred"]}
+//	POST /v1/views                  {"name":"v","from":["r","s"],"where":"...","select":["A"],"options":["ondemand"]}
 //	GET  /v1/views/{name}           view contents (with counters, policy, staleness)
 //	GET  /v1/views/{name}/stats     maintenance statistics
 //	GET  /v1/views/{name}/explain   definition and maintenance plan
@@ -28,29 +28,26 @@
 //	GET  /debug/stats               JSON snapshot: uptime, every metric series, per-view stats,
 //	                                critical-path attribution, per-view staleness and policies
 //
-// Every seed-era API route is also served at its historical
-// unversioned path (POST /exec, GET /views/{name}, …) with
-// byte-identical responses plus an RFC 9745 `Deprecation: true`
-// header and a `Link: </v1/...>; rel="successor-version"` pointing at
-// the canonical route. Routes added after versioning (the analyze and
-// debug/traces family) exist only under /v1 — no alias to deprecate.
-// /metrics and /debug/stats are operational endpoints, not API: they
-// stay unversioned by Prometheus convention and carry no deprecation.
+// Every API route lives only under /v1. /metrics and /debug/stats are
+// operational endpoints, not API: they stay unversioned by Prometheus
+// convention.
 //
-// POST /exec honors request cancellation: a client that disconnects
+// POST /v1/exec honors request cancellation: a client that disconnects
 // while its transaction waits in a commit group abandons the wait and
 // releases the slot (mview.ExecContext semantics).
 //
 // Every JSON request body is read up to 1 MiB; a longer one is
-// answered 413. POST /exec bodies are parsed once by a hand-written
+// answered 413. POST /v1/exec bodies are parsed once by a hand-written
 // scanner (execbody.go) that accepts what encoding/json would.
 //
 // # Observability
 //
-// Unless disabled (WithoutObs), the handler owns a metrics registry —
-// its own by default, or a shared one via WithObs — instruments the
-// database with it (DB.Instrument), and wraps every endpoint in
-// middleware recording per-endpoint counters and latencies:
+// Unless disabled (WithoutObs), the handler records into a metrics
+// registry — one passed via WithObs, else the database's own when it
+// was opened with mview.WithObs (as mviewd does, and New does), else a
+// registry of its own with the HTTP series only — and wraps every
+// endpoint in middleware recording per-endpoint counters and
+// latencies:
 //
 //	mview_http_requests_total{endpoint,code}   requests by route and status
 //	mview_http_request_seconds{endpoint}       latency histogram by route
@@ -68,7 +65,7 @@
 // # Group commit
 //
 // When the database runs with group commit (mviewd -group-commit),
-// concurrent POST /exec requests coalesce into commit groups — one
+// concurrent POST /v1/exec requests coalesce into commit groups — one
 // commit-log fsync, one composed maintenance pass, one snapshot
 // publish — while each request is answered with its own TxInfo and
 // error. SSE watch streams keep per-transaction granularity: every
@@ -123,7 +120,6 @@ type Handler struct {
 	fr       *obs.FlightRecorder
 	inflight *obs.Gauge
 	noObs    bool
-	ownObs   bool // registry defaulted here → this handler instruments the DB
 
 	// Leader-side replication server (WithReplication); nil otherwise.
 	repl *repl.Server
@@ -133,8 +129,9 @@ type Handler struct {
 type Option func(*Handler)
 
 // WithObs makes the handler record into reg and emit request spans to
-// tr (either may be nil). The handler instruments the database with
-// the same pair unless the caller already did.
+// tr (either may be nil). The database's own instrumentation is set
+// when it is opened (mview.WithObs); pass the same pair to both to
+// serve one registry.
 func WithObs(reg *obs.Registry, tr obs.Tracer) Option {
 	return func(h *Handler) { h.reg, h.tr = reg, tr }
 }
@@ -156,14 +153,30 @@ func WithReplication(srv *repl.Server) Option {
 
 // WithFlightRecorder lets /v1/debug/traces serve fr's contents. The
 // recorder must also be wired into the database's tracer (typically as
-// one member of the obs.MultiTracer passed to WithObs or Instrument) —
+// one member of the obs.MultiTracer passed to mview.WithObs) —
 // this option only tells the handler where to read traces from.
 func WithFlightRecorder(fr *obs.FlightRecorder) Option {
 	return func(h *Handler) { h.fr = fr }
 }
 
-// New returns a handler over a fresh database.
-func New(opts ...Option) *Handler { return NewWith(mview.Open(), opts...) }
+// New returns a handler over a fresh database, opened with the
+// handler's registry and tracer (a new registry when WithObs gives
+// none) unless WithoutObs.
+func New(opts ...Option) *Handler {
+	var h Handler
+	for _, o := range opts {
+		o(&h)
+	}
+	var dbOpts []mview.Option
+	if !h.noObs {
+		reg := h.reg
+		if reg == nil {
+			reg = obs.NewRegistry()
+		}
+		dbOpts = append(dbOpts, mview.WithObs(reg, h.tr))
+	}
+	return NewWith(mview.Open(dbOpts...), opts...)
+}
 
 // NewWith returns a handler over an existing database.
 func NewWith(db *mview.DB, opts ...Option) *Handler {
@@ -177,39 +190,22 @@ func NewWith(db *mview.DB, opts ...Option) *Handler {
 		if h.reg = db.Metrics(); h.reg == nil {
 			h.reg = obs.NewRegistry()
 		}
-		h.ownObs = true
 	}
 	if h.reg != nil {
 		h.inflight = h.reg.Gauge("mview_http_in_flight", "HTTP requests currently being served.", nil)
-		if db.Metrics() == nil {
-			db.Instrument(h.reg, h.tr)
-		}
 	}
-	// Each API route is registered twice: canonically under /v1, and at
-	// its historical unversioned path as a deprecated alias. /metrics
-	// and /debug/stats are operational endpoints and stay unversioned.
-	routes := []struct {
-		method, path string
-		fn           http.HandlerFunc
-	}{
-		{"POST", "/relations", h.createRelation},
-		{"GET", "/relations/{name}", h.getRelation},
-		{"POST", "/views", h.createView},
-		{"GET", "/views/{name}", h.getView},
-		{"GET", "/views/{name}/stats", h.getStats},
-		{"GET", "/views/{name}/explain", h.explain},
-		{"GET", "/views/{name}/watch", h.watch},
-		{"POST", "/views/{name}/refresh", h.refresh},
-		{"GET", "/views/{name}/relevant", h.relevant},
-		{"POST", "/exec", h.exec},
-		{"GET", "/catalog", h.catalog},
-		{"POST", "/checkpoint", h.checkpoint},
-	}
-	for _, rt := range routes {
-		h.handle(rt.method+" /v1"+rt.path, rt.fn)
-		h.handle(rt.method+" "+rt.path, deprecatedAlias(rt.fn))
-	}
-	// Post-versioning routes: canonical /v1 only, no legacy alias.
+	h.handle("POST /v1/relations", h.createRelation)
+	h.handle("GET /v1/relations/{name}", h.getRelation)
+	h.handle("POST /v1/views", h.createView)
+	h.handle("GET /v1/views/{name}", h.getView)
+	h.handle("GET /v1/views/{name}/stats", h.getStats)
+	h.handle("GET /v1/views/{name}/explain", h.explain)
+	h.handle("GET /v1/views/{name}/watch", h.watch)
+	h.handle("POST /v1/views/{name}/refresh", h.refresh)
+	h.handle("GET /v1/views/{name}/relevant", h.relevant)
+	h.handle("POST /v1/exec", h.exec)
+	h.handle("GET /v1/catalog", h.catalog)
+	h.handle("POST /v1/checkpoint", h.checkpoint)
 	h.handle("GET /v1/views/{name}/analyze", h.explainAnalyze)
 	h.handle("GET /v1/views/{name}/policy", h.getPolicy)
 	h.handle("PUT /v1/views/{name}/policy", h.putPolicy)
@@ -229,17 +225,6 @@ func NewWith(db *mview.DB, opts ...Option) *Handler {
 		h.handle("GET /debug/stats", h.debugStats)
 	}
 	return h
-}
-
-// deprecatedAlias serves a legacy unversioned route: identical
-// behavior and body, plus the RFC 9745 deprecation header and a Link
-// to the canonical /v1 path.
-func deprecatedAlias(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", r.URL.Path))
-		fn(w, r)
-	}
 }
 
 // ServeHTTP implements http.Handler.

@@ -36,14 +36,14 @@ func do(t *testing.T, h http.Handler, method, path, body string) (int, map[strin
 func setup(t *testing.T) *Handler {
 	t.Helper()
 	h := New()
-	if code, _ := do(t, h, "POST", "/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
+	if code, _ := do(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
 		t.Fatalf("create r: %d", code)
 	}
-	if code, _ := do(t, h, "POST", "/relations", `{"name":"s","attrs":["C","D"]}`); code != http.StatusCreated {
+	if code, _ := do(t, h, "POST", "/v1/relations", `{"name":"s","attrs":["C","D"]}`); code != http.StatusCreated {
 		t.Fatalf("create s: %d", code)
 	}
 	body := `{"name":"v","from":["r","s"],"where":"A < 10 && C > 5 && B = C","select":["A","D"],"options":["filtered"]}`
-	if code, resp := do(t, h, "POST", "/views", body); code != http.StatusCreated {
+	if code, resp := do(t, h, "POST", "/v1/views", body); code != http.StatusCreated {
 		t.Fatalf("create v: %d %v", code, resp)
 	}
 	return h
@@ -51,7 +51,7 @@ func setup(t *testing.T) *Handler {
 
 func TestFullFlow(t *testing.T) {
 	h := setup(t)
-	code, resp := do(t, h, "POST", "/exec",
+	code, resp := do(t, h, "POST", "/v1/exec",
 		`{"ops":[{"op":"insert","rel":"r","values":[9,10]},{"op":"insert","rel":"s","values":[10,20]}]}`)
 	if code != http.StatusOK {
 		t.Fatalf("exec: %d %v", code, resp)
@@ -60,7 +60,7 @@ func TestFullFlow(t *testing.T) {
 		t.Errorf("exec resp = %v", resp)
 	}
 
-	code, resp = do(t, h, "GET", "/views/v", "")
+	code, resp = do(t, h, "GET", "/v1/views/v", "")
 	if code != http.StatusOK {
 		t.Fatalf("get view: %d", code)
 	}
@@ -72,34 +72,34 @@ func TestFullFlow(t *testing.T) {
 		t.Errorf("schema = %v", schema)
 	}
 
-	code, resp = do(t, h, "GET", "/views/v/relevant?rel=r&values=11,10", "")
+	code, resp = do(t, h, "GET", "/v1/views/v/relevant?rel=r&values=11,10", "")
 	if code != http.StatusOK || resp["relevant"] != false {
 		t.Errorf("relevant(11,10) = %d %v", code, resp)
 	}
-	code, resp = do(t, h, "GET", "/views/v/relevant?rel=r&values=9,10", "")
+	code, resp = do(t, h, "GET", "/v1/views/v/relevant?rel=r&values=9,10", "")
 	if code != http.StatusOK || resp["relevant"] != true {
 		t.Errorf("relevant(9,10) = %d %v", code, resp)
 	}
 
-	code, resp = do(t, h, "GET", "/views/v/stats", "")
+	code, resp = do(t, h, "GET", "/v1/views/v/stats", "")
 	if code != http.StatusOK || resp["Refreshes"].(float64) < 1 {
 		t.Errorf("stats = %d %v", code, resp)
 	}
 
-	code, resp = do(t, h, "GET", "/views/v/explain", "")
+	code, resp = do(t, h, "GET", "/v1/views/v/explain", "")
 	if code != http.StatusOK || !strings.Contains(resp["explain"].(string), "view v") {
 		t.Errorf("explain = %d %v", code, resp)
 	}
-	if code, _ := do(t, h, "GET", "/views/zzz/explain", ""); code != http.StatusNotFound {
+	if code, _ := do(t, h, "GET", "/v1/views/zzz/explain", ""); code != http.StatusNotFound {
 		t.Errorf("explain unknown = %d", code)
 	}
 
-	code, resp = do(t, h, "GET", "/relations/r", "")
+	code, resp = do(t, h, "GET", "/v1/relations/r", "")
 	if code != http.StatusOK || resp["count"].(float64) != 1 {
 		t.Errorf("relation r = %d %v", code, resp)
 	}
 
-	code, resp = do(t, h, "GET", "/catalog", "")
+	code, resp = do(t, h, "GET", "/v1/catalog", "")
 	if code != http.StatusOK {
 		t.Fatalf("catalog: %d", code)
 	}
@@ -110,18 +110,18 @@ func TestFullFlow(t *testing.T) {
 
 func TestDeferredRefresh(t *testing.T) {
 	h := New()
-	do(t, h, "POST", "/relations", `{"name":"r","attrs":["A"]}`)
-	do(t, h, "POST", "/views", `{"name":"v","from":["r"],"where":"A > 0","options":["deferred"]}`)
-	do(t, h, "POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[5]}]}`)
-	_, resp := do(t, h, "GET", "/views/v", "")
+	do(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A"]}`)
+	do(t, h, "POST", "/v1/views", `{"name":"v","from":["r"],"where":"A > 0","options":["ondemand"]}`)
+	do(t, h, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[5]}]}`)
+	_, resp := do(t, h, "GET", "/v1/views/v", "")
 	if resp["count"].(float64) != 0 {
 		t.Errorf("deferred view should be stale: %v", resp)
 	}
-	code, _ := do(t, h, "POST", "/views/v/refresh", "")
+	code, _ := do(t, h, "POST", "/v1/views/v/refresh", "")
 	if code != http.StatusOK {
 		t.Fatalf("refresh: %d", code)
 	}
-	_, resp = do(t, h, "GET", "/views/v", "")
+	_, resp = do(t, h, "GET", "/v1/views/v", "")
 	if resp["count"].(float64) != 1 {
 		t.Errorf("after refresh: %v", resp)
 	}
@@ -130,7 +130,7 @@ func TestDeferredRefresh(t *testing.T) {
 func TestCheckpointEndpoint(t *testing.T) {
 	// In-memory handler: 409.
 	h := New()
-	if code, _ := do(t, h, "POST", "/checkpoint", ""); code != http.StatusConflict {
+	if code, _ := do(t, h, "POST", "/v1/checkpoint", ""); code != http.StatusConflict {
 		t.Errorf("in-memory checkpoint = %d", code)
 	}
 	// Durable handler: 200.
@@ -140,9 +140,9 @@ func TestCheckpointEndpoint(t *testing.T) {
 	}
 	defer db.Close()
 	hd := NewWith(db)
-	do(t, hd, "POST", "/relations", `{"name":"r","attrs":["A"]}`)
-	do(t, hd, "POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[1]}]}`)
-	if code, resp := do(t, hd, "POST", "/checkpoint", ""); code != http.StatusOK {
+	do(t, hd, "POST", "/v1/relations", `{"name":"r","attrs":["A"]}`)
+	do(t, hd, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[1]}]}`)
+	if code, resp := do(t, hd, "POST", "/v1/checkpoint", ""); code != http.StatusOK {
 		t.Errorf("durable checkpoint = %d %v", code, resp)
 	}
 }
@@ -153,20 +153,20 @@ func TestErrors(t *testing.T) {
 		method, path, body string
 		want               int
 	}{
-		{"POST", "/relations", `{"name":"r","attrs":["A"]}`, http.StatusBadRequest}, // duplicate
-		{"POST", "/relations", `not json`, http.StatusBadRequest},
-		{"POST", "/relations", `{"name":"x","attrs":["A"],"bogus":1}`, http.StatusBadRequest},
-		{"POST", "/views", `{"name":"v2","from":["zzz"]}`, http.StatusBadRequest},
-		{"POST", "/views", `{"name":"v2","from":["r"],"options":["bogus"]}`, http.StatusBadRequest},
-		{"GET", "/views/zzz", "", http.StatusNotFound},
-		{"GET", "/views/zzz/stats", "", http.StatusNotFound},
-		{"POST", "/views/zzz/refresh", "", http.StatusNotFound},
-		{"GET", "/relations/zzz", "", http.StatusNotFound},
-		{"GET", "/views/v/relevant", "", http.StatusBadRequest},
-		{"GET", "/views/v/relevant?rel=r&values=x", "", http.StatusBadRequest},
-		{"GET", "/views/v/relevant?rel=zzz&values=1,2", "", http.StatusBadRequest},
-		{"POST", "/exec", `{"ops":[{"op":"upsert","rel":"r","values":[1]}]}`, http.StatusBadRequest},
-		{"POST", "/exec", `{"ops":[{"op":"insert","rel":"zzz","values":[1]}]}`, http.StatusBadRequest},
+		{"POST", "/v1/relations", `{"name":"r","attrs":["A"]}`, http.StatusBadRequest}, // duplicate
+		{"POST", "/v1/relations", `not json`, http.StatusBadRequest},
+		{"POST", "/v1/relations", `{"name":"x","attrs":["A"],"bogus":1}`, http.StatusBadRequest},
+		{"POST", "/v1/views", `{"name":"v2","from":["zzz"]}`, http.StatusBadRequest},
+		{"POST", "/v1/views", `{"name":"v2","from":["r"],"options":["bogus"]}`, http.StatusBadRequest},
+		{"GET", "/v1/views/zzz", "", http.StatusNotFound},
+		{"GET", "/v1/views/zzz/stats", "", http.StatusNotFound},
+		{"POST", "/v1/views/zzz/refresh", "", http.StatusNotFound},
+		{"GET", "/v1/relations/zzz", "", http.StatusNotFound},
+		{"GET", "/v1/views/v/relevant", "", http.StatusBadRequest},
+		{"GET", "/v1/views/v/relevant?rel=r&values=x", "", http.StatusBadRequest},
+		{"GET", "/v1/views/v/relevant?rel=zzz&values=1,2", "", http.StatusBadRequest},
+		{"POST", "/v1/exec", `{"ops":[{"op":"upsert","rel":"r","values":[1]}]}`, http.StatusBadRequest},
+		{"POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"zzz","values":[1]}]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		code, resp := do(t, h, c.method, c.path, c.body)
@@ -179,19 +179,18 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestExecRidesGroupCommit runs concurrent POST /exec requests against
+// TestExecRidesGroupCommit runs concurrent POST /v1/exec requests against
 // a database with the group-commit scheduler enabled: every request
 // must be answered individually (its own TxInfo), the view must end up
 // with every row, and /debug/stats must report the scheduler active.
 func TestExecRidesGroupCommit(t *testing.T) {
-	db := mview.Open()
-	db.EnableGroupCommit(8, 2*time.Millisecond)
-	defer db.DisableGroupCommit()
+	db := mview.Open(mview.WithGroupCommit(8, 2*time.Millisecond))
+	defer db.Close()
 	h := NewWith(db)
-	if code, _ := do(t, h, "POST", "/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
+	if code, _ := do(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
 		t.Fatal("create r")
 	}
-	if code, _ := do(t, h, "POST", "/views", `{"name":"v","from":["r"],"where":"B = 10"}`); code != http.StatusCreated {
+	if code, _ := do(t, h, "POST", "/v1/views", `{"name":"v","from":["r"],"where":"B = 10"}`); code != http.StatusCreated {
 		t.Fatal("create v")
 	}
 
@@ -202,7 +201,7 @@ func TestExecRidesGroupCommit(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			body := fmt.Sprintf(`{"ops":[{"op":"insert","rel":"r","values":[%d,10]}]}`, i)
-			code, resp := do(t, h, "POST", "/exec", body)
+			code, resp := do(t, h, "POST", "/v1/exec", body)
 			if code != http.StatusOK {
 				t.Errorf("writer %d: code %d %v", i, code, resp)
 				return
@@ -214,7 +213,7 @@ func TestExecRidesGroupCommit(t *testing.T) {
 	}
 	wg.Wait()
 
-	code, resp := do(t, h, "GET", "/views/v", "")
+	code, resp := do(t, h, "GET", "/v1/views/v", "")
 	if code != http.StatusOK || resp["count"].(float64) != writers {
 		t.Fatalf("view after group commits: %d %v", code, resp)
 	}

@@ -33,12 +33,12 @@ func doJSON(t *testing.T, h http.Handler, method, path, body string, wantStatus 
 // with the §4 filter, deferred), and runs a few transactions.
 func seedTraffic(t *testing.T, h http.Handler) {
 	t.Helper()
-	doJSON(t, h, "POST", "/relations", `{"name":"r","attrs":["A","B"]}`, http.StatusCreated)
-	doJSON(t, h, "POST", "/views", `{"name":"small","from":["r"],"where":"A < 10","options":["filtered"]}`, http.StatusCreated)
-	doJSON(t, h, "POST", "/views", `{"name":"lazy","from":["r"],"where":"B > 0","options":["deferred"]}`, http.StatusCreated)
-	doJSON(t, h, "POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[1,2]}]}`, http.StatusOK)
-	doJSON(t, h, "POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[50,3]}]}`, http.StatusOK)
-	doJSON(t, h, "POST", "/views/lazy/refresh", "", http.StatusOK)
+	doJSON(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A","B"]}`, http.StatusCreated)
+	doJSON(t, h, "POST", "/v1/views", `{"name":"small","from":["r"],"where":"A < 10","options":["filtered"]}`, http.StatusCreated)
+	doJSON(t, h, "POST", "/v1/views", `{"name":"lazy","from":["r"],"where":"B > 0","options":["ondemand"]}`, http.StatusCreated)
+	doJSON(t, h, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[1,2]}]}`, http.StatusOK)
+	doJSON(t, h, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[50,3]}]}`, http.StatusOK)
+	doJSON(t, h, "POST", "/v1/views/lazy/refresh", "", http.StatusOK)
 }
 
 func TestMetricsEndpointExposition(t *testing.T) {
@@ -67,8 +67,8 @@ func TestMetricsEndpointExposition(t *testing.T) {
 		`mview_view_pending_tx{view="lazy"} 0`,
 		// HTTP middleware.
 		"# TYPE mview_http_requests_total counter",
-		`mview_http_requests_total{code="200",endpoint="POST /exec"} 2`,
-		`mview_http_request_seconds_count{endpoint="POST /exec"} 2`,
+		`mview_http_requests_total{code="200",endpoint="POST /v1/exec"} 2`,
+		`mview_http_request_seconds_count{endpoint="POST /v1/exec"} 2`,
 		"# TYPE mview_http_in_flight gauge",
 	} {
 		if !strings.Contains(body, want) {
@@ -127,8 +127,7 @@ func TestDebugStatsShape(t *testing.T) {
 func TestSharedRegistryAndTracer(t *testing.T) {
 	reg := obs.NewRegistry()
 	tr := &obs.CollectingTracer{}
-	db := mview.Open()
-	db.Instrument(reg, tr)
+	db := mview.Open(mview.WithObs(reg, tr))
 	h := NewWith(db, WithObs(reg, tr))
 	seedTraffic(t, h)
 
@@ -137,7 +136,7 @@ func TestSharedRegistryAndTracer(t *testing.T) {
 	if err := reg.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"mview_commits_total 2", `endpoint="POST /exec"`} {
+	for _, want := range []string{"mview_commits_total 2", `endpoint="POST /v1/exec"`} {
 		if !strings.Contains(sb.String(), want) {
 			t.Errorf("shared registry missing %q", want)
 		}
@@ -156,7 +155,7 @@ func TestSharedRegistryAndTracer(t *testing.T) {
 
 func TestWithoutObsDisablesSurface(t *testing.T) {
 	h := New(WithoutObs())
-	doJSON(t, h, "POST", "/relations", `{"name":"r","attrs":["A"]}`, http.StatusCreated)
+	doJSON(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A"]}`, http.StatusCreated)
 	doJSON(t, h, "GET", "/metrics", "", http.StatusNotFound)
 	doJSON(t, h, "GET", "/debug/stats", "", http.StatusNotFound)
 }

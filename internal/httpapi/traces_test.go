@@ -16,8 +16,9 @@ import (
 // immediate join view v already created.
 func tracedHandler(t *testing.T, fr *obs.FlightRecorder) *Handler {
 	t.Helper()
-	db := mview.Open()
-	h := NewWith(db, WithObs(obs.NewRegistry(), fr), WithFlightRecorder(fr))
+	reg := obs.NewRegistry()
+	db := mview.Open(mview.WithObs(reg, fr))
+	h := NewWith(db, WithObs(reg, fr), WithFlightRecorder(fr))
 	for _, req := range []string{
 		`{"name":"r","attrs":["A","B"]}`,
 		`{"name":"s","attrs":["C","D"]}`,
@@ -169,7 +170,7 @@ func TestTracesWithoutRecorder(t *testing.T) {
 // snapshot age — and the staleness gauge reaching /metrics.
 func TestDebugStatsCriticalPathAndStaleness(t *testing.T) {
 	h := setup(t)
-	body := `{"name":"d","from":["r"],"options":["deferred"]}`
+	body := `{"name":"d","from":["r"],"options":["ondemand"]}`
 	if code, _ := do(t, h, "POST", "/v1/views", body); code != http.StatusCreated {
 		t.Fatalf("create deferred view failed")
 	}

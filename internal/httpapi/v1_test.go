@@ -17,69 +17,57 @@ func raw(t *testing.T, h http.Handler, method, path, body string) *httptest.Resp
 	return rec
 }
 
-// TestV1AndLegacyRoutesIdentical drives every read route through both
-// its canonical /v1 path and its legacy alias: the JSON bodies must be
-// byte-identical, the legacy response must carry the deprecation
-// headers, and the canonical one must not.
-func TestV1AndLegacyRoutesIdentical(t *testing.T) {
-	h := setup(t) // r(A,B), s(C,D), view v — created via legacy routes
-	if code, _ := do(t, h, "POST", "/v1/exec",
-		`{"ops":[{"op":"insert","rel":"r","values":[9,10]},{"op":"insert","rel":"s","values":[10,20]}]}`); code != http.StatusOK {
-		t.Fatalf("v1 exec: %d", code)
-	}
-
-	gets := []struct {
-		path string
-		code int
+// TestUnversionedRoutesGone: every route that used to be served at an
+// unversioned path as well answers 404 there, and its /v1 twin still
+// answers as before.
+func TestUnversionedRoutesGone(t *testing.T) {
+	h := setup(t) // r(A,B), s(C,D), view v
+	routes := []struct {
+		method, path, body string
+		code               int // the /v1 twin's status
 	}{
-		{"/relations/r", http.StatusOK},
-		{"/views/v", http.StatusOK},
-		{"/views/v/stats", http.StatusOK},
-		{"/views/v/explain", http.StatusOK},
-		{"/views/v/relevant?rel=r&values=9,10", http.StatusOK},
-		{"/catalog", http.StatusOK},
-		{"/relations/nope", http.StatusNotFound},
+		{"POST", "/relations", `{"name":"t","attrs":["A"]}`, http.StatusCreated},
+		{"GET", "/relations/r", "", http.StatusOK},
+		{"POST", "/views", `{"name":"w","from":["r"]}`, http.StatusCreated},
+		{"GET", "/views/v", "", http.StatusOK},
+		{"GET", "/views/v/stats", "", http.StatusOK},
+		{"GET", "/views/v/explain", "", http.StatusOK},
+		{"POST", "/views/v/refresh", "", http.StatusOK},
+		{"GET", "/views/v/relevant?rel=r&values=9,10", "", http.StatusOK},
+		{"POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[9,10]}]}`, http.StatusOK},
+		{"GET", "/catalog", "", http.StatusOK},
+		{"POST", "/checkpoint", "", http.StatusConflict}, // in-memory database
 	}
-	for _, g := range gets {
-		legacy := raw(t, h, "GET", g.path, "")
-		v1 := raw(t, h, "GET", "/v1"+g.path, "")
-		if legacy.Code != g.code || v1.Code != g.code {
-			t.Errorf("%s: codes legacy=%d v1=%d, want %d", g.path, legacy.Code, v1.Code, g.code)
+	for _, rt := range routes {
+		if rec := raw(t, h, rt.method, rt.path, rt.body); rec.Code != http.StatusNotFound {
+			t.Errorf("%s %s = %d, want 404", rt.method, rt.path, rec.Code)
 		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Errorf("%s: bodies diverge:\n legacy: %s\n v1:     %s", g.path, legacy.Body, v1.Body)
+		if rec := raw(t, h, rt.method, "/v1"+rt.path, rt.body); rec.Code != rt.code {
+			t.Errorf("%s /v1%s = %d, want %d: %s", rt.method, rt.path, rec.Code, rt.code, rec.Body)
 		}
-		if legacy.Header().Get("Deprecation") != "true" {
-			t.Errorf("%s: legacy route lacks Deprecation header", g.path)
-		}
-		wantLink := `</v1` + strings.SplitN(g.path, "?", 2)[0] + `>; rel="successor-version"`
-		if got := legacy.Header().Get("Link"); got != wantLink {
-			t.Errorf("%s: Link = %q, want %q", g.path, got, wantLink)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Errorf("%s: canonical /v1 route carries Deprecation header", g.path)
-		}
+	}
+	// The /v1 watch route streams until the client leaves, so only its
+	// unversioned twin is driven here (watch_test.go covers /v1).
+	if rec := raw(t, h, "GET", "/views/v/watch", ""); rec.Code != http.StatusNotFound {
+		t.Errorf("GET /views/v/watch = %d, want 404", rec.Code)
 	}
 }
 
 // TestV1WriteRoutes pins the canonical write paths end to end: DDL,
-// exec, refresh all work under /v1, and the legacy POST /exec alias
-// still commits (with the deprecation header).
+// exec and refresh all work under /v1.
 func TestV1WriteRoutes(t *testing.T) {
 	h := New()
 	if code, _ := do(t, h, "POST", "/v1/relations", `{"name":"r","attrs":["A","B"]}`); code != http.StatusCreated {
 		t.Fatalf("v1 create relation: %d", code)
 	}
-	body := `{"name":"v","from":["r"],"where":"A < 10","options":["deferred"]}`
+	body := `{"name":"v","from":["r"],"where":"A < 10","options":["ondemand"]}`
 	if code, _ := do(t, h, "POST", "/v1/views", body); code != http.StatusCreated {
 		t.Fatalf("v1 create view: %d", code)
 	}
-	if code, _ := do(t, h, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[1,2]}]}`); code != http.StatusOK {
-		t.Fatalf("v1 exec: %d", code)
-	}
-	rec := raw(t, h, "POST", "/exec", `{"ops":[{"op":"insert","rel":"r","values":[3,4]}]}`)
-	if rec.Code != http.StatusOK || rec.Header().Get("Deprecation") != "true" {
-		t.Fatalf("legacy exec: code %d, Deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
+	for _, vals := range []string{"1,2", "3,4"} {
+		if code, _ := do(t, h, "POST", "/v1/exec", `{"ops":[{"op":"insert","rel":"r","values":[`+vals+`]}]}`); code != http.StatusOK {
+			t.Fatalf("v1 exec %s: %d", vals, code)
+		}
 	}
 	if code, _ := do(t, h, "POST", "/v1/views/v/refresh", ""); code != http.StatusOK {
 		t.Fatal("v1 refresh failed")
@@ -91,7 +79,7 @@ func TestV1WriteRoutes(t *testing.T) {
 }
 
 // TestDebugStatsReportsShards pins the operational endpoint additions:
-// shards in /debug/stats, and no /v1 alias or deprecation for it.
+// shards in /debug/stats, and no /v1 alias for it.
 func TestDebugStatsReportsShards(t *testing.T) {
 	h := NewWith(mviewOpenSharded())
 	code, resp := do(t, h, "GET", "/debug/stats", "")
@@ -100,9 +88,6 @@ func TestDebugStatsReportsShards(t *testing.T) {
 	}
 	if resp["shards"].(float64) != 4 {
 		t.Errorf("shards = %v, want 4", resp["shards"])
-	}
-	if rec := raw(t, h, "GET", "/debug/stats", ""); rec.Header().Get("Deprecation") != "" {
-		t.Error("/debug/stats must not be deprecated")
 	}
 	if rec := raw(t, h, "GET", "/v1/debug/stats", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("/v1/debug/stats = %d, want 404 (operational endpoints stay unversioned)", rec.Code)

@@ -49,8 +49,8 @@ type viewBody struct {
 
 // TestViewGetByteIdentity: over random views — empty, arity 1 to 6,
 // int64 extremes, §5.2 counts above one, every policy spec, deferred
-// views with a non-zero staleness — the memoised GET body (canonical
-// and legacy route) and the SSE ready event are byte for byte what the
+// views with a non-zero staleness — the memoised GET body and the SSE
+// ready event are byte for byte what the
 // reflection-based handler produced.
 func TestViewGetByteIdentity(t *testing.T) {
 	db := mview.Open()
@@ -139,7 +139,7 @@ func TestViewGetByteIdentity(t *testing.T) {
 		for _, r := range rows {
 			sawCount2 = sawCount2 || r.Count > 1
 		}
-		for _, path := range []string{"/v1/views/" + v.name, "/views/" + v.name} {
+		for _, path := range []string{"/v1/views/" + v.name} {
 			rec := raw(t, h, "GET", path, "")
 			if rec.Code != http.StatusOK {
 				t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
@@ -245,11 +245,15 @@ func TestViewGetOneSnapshot(t *testing.T) {
 	const readers, gets = 4, 2000
 	var torn, served atomic.Int64
 	var rg sync.WaitGroup
+	// Readers keep going past gets until one of them has found the view,
+	// so a loaded host that keeps hitting the drop/re-create gap cannot
+	// end the test with nothing checked.
+	deadline := time.Now().Add(10 * time.Second)
 	for g := 0; g < readers; g++ {
 		rg.Add(1)
 		go func() {
 			defer rg.Done()
-			for i := 0; i < gets && torn.Load() == 0; i++ {
+			for i := 0; (i < gets || served.Load() == 0) && torn.Load() == 0 && time.Now().Before(deadline); i++ {
 				rec := raw(t, h, "GET", "/v1/views/v", "")
 				if rec.Code == http.StatusNotFound {
 					continue // between the drop and the re-create

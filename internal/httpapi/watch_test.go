@@ -30,7 +30,7 @@ func TestWatchStreamsChanges(t *testing.T) {
 	srv := httptest.NewServer(NewWith(db))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/views/low/watch")
+	resp, err := http.Get(srv.URL + "/v1/views/low/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestWatchSlowConsumerDropsEvents(t *testing.T) {
 	srv := httptest.NewServer(NewWith(db))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/views/v/watch")
+	resp, err := http.Get(srv.URL + "/v1/views/v/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestWatchSlowConsumerDropsEvents(t *testing.T) {
 func TestWatchUnknownView(t *testing.T) {
 	srv := httptest.NewServer(New())
 	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/views/zzz/watch")
+	resp, err := http.Get(srv.URL + "/v1/views/zzz/watch")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestWatchDisconnectUnsubscribes(t *testing.T) {
 	srv := httptest.NewServer(NewWith(db))
 	defer srv.Close()
 
-	resp, err := http.Get(srv.URL + "/views/v/watch")
+	resp, err := http.Get(srv.URL + "/v1/views/v/watch")
 	if err != nil {
 		t.Fatal(err)
 	}

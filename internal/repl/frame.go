@@ -89,7 +89,7 @@ func readFrame(r io.Reader) (uint8, []byte, error) {
 func encodeRecords(recs []wal.Record) []byte {
 	size := 4
 	for _, r := range recs {
-		size += 8 + 1 + 4 + len(r.Payload)
+		size += recordHeaderLen + len(r.Payload)
 	}
 	buf := make([]byte, 0, size)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(recs)))
@@ -102,22 +102,30 @@ func encodeRecords(recs []wal.Record) []byte {
 	return buf
 }
 
-// decodeRecords unpacks a records payload.
+// recordHeaderLen is the fixed part of one record in a records payload.
+const recordHeaderLen = 8 + 1 + 4
+
+// decodeRecords unpacks a records payload. The count is checked against
+// the bytes that follow it before anything is allocated, so a frame
+// cannot ask for more records than it could hold.
 func decodeRecords(p []byte) ([]wal.Record, error) {
 	if len(p) < 4 {
 		return nil, fmt.Errorf("repl: short records payload")
 	}
 	n := binary.BigEndian.Uint32(p)
 	p = p[4:]
+	if uint64(n) > uint64(len(p)/recordHeaderLen) {
+		return nil, fmt.Errorf("repl: record count %d exceeds what %d payload bytes can hold", n, len(p))
+	}
 	recs := make([]wal.Record, 0, n)
 	for i := uint32(0); i < n; i++ {
-		if len(p) < 8+1+4 {
+		if len(p) < recordHeaderLen {
 			return nil, fmt.Errorf("repl: truncated record %d", i)
 		}
 		lsn := binary.BigEndian.Uint64(p)
 		kind := p[8]
 		plen := binary.BigEndian.Uint32(p[9:13])
-		p = p[13:]
+		p = p[recordHeaderLen:]
 		if uint32(len(p)) < plen {
 			return nil, fmt.Errorf("repl: truncated record %d payload", i)
 		}

@@ -229,60 +229,57 @@ func TestTornTailInFinalSegmentOnly(t *testing.T) {
 	}
 }
 
-// TestLegacyBareFileAdoption: a pre-segmentation single-file log is
-// adopted as the oldest segment on Open — readable in place by Replay,
-// renamed once by Open, with appends continuing its LSN numbering.
-func TestLegacyBareFileAdoption(t *testing.T) {
+// TestBareFileRefused: a pre-segmentation single-file log is refused
+// by every entry point — read, open, list, tail — and left exactly as
+// it was: adopting or ignoring it would lose its records.
+func TestBareFileRefused(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "commit.log")
 
-	// Build a legacy bare file: write through a scratch segmented log,
-	// then move its single segment to the bare path.
+	// Build a bare file: write through a scratch segmented log, then
+	// move its single segment to the bare path.
 	scratch := filepath.Join(t.TempDir(), "scratch.log")
 	sl, err := Open(scratch)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sl.Sync = false
-	_, _ = sl.Append(1, []byte("legacy-1"))
-	_, _ = sl.Append(2, []byte("legacy-2"))
+	_, _ = sl.Append(1, []byte("bare-1"))
+	_, _ = sl.Append(2, []byte("bare-2"))
 	if err := sl.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Rename(scratch+".1", path); err != nil {
 		t.Fatal(err)
 	}
-
-	// Replay reads the bare file without touching it.
-	if recs := collect(t, path, 0); len(recs) != 2 {
-		t.Fatalf("legacy replay = %+v", recs)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("Replay moved the legacy file: %v", err)
-	}
-
-	// Open adopts it (renamed to .0) and continues numbering.
-	l, err := Open(path)
+	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Sync = false
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Error("bare legacy file still present after adoption")
+
+	if err := Replay(path, 0, func(Record) error { return nil }); err == nil {
+		t.Error("Replay read a bare file")
 	}
-	if _, err := os.Stat(path + ".0"); err != nil {
-		t.Errorf("adopted segment missing: %v", err)
+	if l, err := Open(path); err == nil {
+		l.Close()
+		t.Error("Open accepted a bare file")
 	}
-	if lsn, _ := l.Append(3, []byte("post")); lsn != 3 {
-		t.Errorf("post-adoption lsn = %d, want 3", lsn)
+	if _, err := SegmentFiles(path); err == nil {
+		t.Error("SegmentFiles listed a bare file")
 	}
-	if err := l.Rotate(); err != nil {
+	if tl, err := OpenTail(path, 1); err == nil {
+		tl.Close()
+		t.Error("OpenTail accepted a bare file")
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, _ = l.Append(4, []byte("segmented"))
-	_ = l.Close()
-	if recs := collect(t, path, 0); len(recs) != 4 {
-		t.Fatalf("post-adoption replay = %+v", recs)
+	if len(ents) != 1 || ents[0].Name() != "commit.log" {
+		t.Errorf("directory changed by refused opens: %v", ents)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("bare file changed by refused opens (err %v)", err)
 	}
 }
 

@@ -10,8 +10,11 @@
 //
 // On disk the log rooted at path p is the ordered file chain
 //
-//	p          (legacy single-file layout, adopted as the oldest segment)
 //	p.0, p.1, p.2, ...
+//
+// A bare file at p itself is the single-file layout of builds that
+// predate segments; every entry point refuses it rather than read it
+// or write beside it.
 //
 // Appends go to the highest-numbered (active) segment. Rotate seals the
 // active segment and starts a new one; sealing is triggered explicitly
@@ -65,7 +68,7 @@ type sealedSeg struct {
 // Log is an open write-ahead log positioned for appending.
 type Log struct {
 	f      *os.File // active segment
-	path   string   // base path; segments are path.<n> (plus an adopted legacy path)
+	path   string   // base path; segments are path.<n>
 	seg    int      // active segment number
 	size   int64    // valid bytes in the active segment
 	sealed []sealedSeg
@@ -129,10 +132,10 @@ func (l *Log) SetObs(reg *obs.Registry) {
 	l.o.segments.Set(float64(len(l.sealed) + 1))
 }
 
-// segmentFiles returns the on-disk segment chain for the log rooted at
-// path, oldest first: the bare legacy file (if present) then numbered
-// segments ascending. Missing files yield an empty slice.
-func segmentFiles(path string) (bare string, numbered []int, err error) {
+// segmentFiles returns the numbered segments of the log rooted at
+// path, ascending. A missing directory yields an empty slice; a bare
+// file at path (the pre-segment layout) is an error.
+func segmentFiles(path string) ([]int, error) {
 	dir, base := filepath.Split(path)
 	if dir == "" {
 		dir = "."
@@ -140,15 +143,15 @@ func segmentFiles(path string) (bare string, numbered []int, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
 		if os.IsNotExist(err) {
-			return "", nil, nil
+			return nil, nil
 		}
-		return "", nil, err
+		return nil, err
 	}
+	var numbered []int
 	for _, ent := range ents {
 		name := ent.Name()
 		if name == base {
-			bare = path
-			continue
+			return nil, fmt.Errorf("wal: %s is a single-file log, a layout this build does not read", path)
 		}
 		if !strings.HasPrefix(name, base+".") {
 			continue
@@ -160,48 +163,30 @@ func segmentFiles(path string) (bare string, numbered []int, err error) {
 		numbered = append(numbered, n)
 	}
 	sort.Ints(numbered)
-	return bare, numbered, nil
+	return numbered, nil
 }
 
-// SegmentFiles lists the log's on-disk segment chain, oldest first —
-// the adopted legacy file (if any) followed by numbered segments. It
+// SegmentFiles lists the log's on-disk segment chain, oldest first. It
 // reads the directory only; safe on a closed log.
 func SegmentFiles(path string) ([]string, error) {
-	bare, nums, err := segmentFiles(path)
+	nums, err := segmentFiles(path)
 	if err != nil {
 		return nil, err
 	}
-	var out []string
-	if bare != "" {
-		out = append(out, bare)
-	}
-	for _, n := range nums {
-		out = append(out, fmt.Sprintf("%s.%d", path, n))
+	out := make([]string, len(nums))
+	for i, n := range nums {
+		out[i] = fmt.Sprintf("%s.%d", path, n)
 	}
 	return out, nil
 }
 
 // Open opens (or creates) the log rooted at path, scans its segment
 // chain to find the end of the valid prefix, truncates any torn tail,
-// and positions for appending. A bare legacy single-file log at path is
-// adopted as the oldest segment (renamed to path.0) transparently.
+// and positions for appending.
 func Open(path string) (*Log, error) {
-	bare, nums, err := segmentFiles(path)
+	nums, err := segmentFiles(path)
 	if err != nil {
 		return nil, err
-	}
-	if bare != "" {
-		// One-time migration of the legacy single-file layout: the bare
-		// file becomes the oldest numbered segment. Nothing is rewritten,
-		// so a crash before or after the rename recovers identically.
-		adopted := path + ".0"
-		if len(nums) > 0 && nums[0] <= 0 {
-			return nil, fmt.Errorf("wal: both legacy %s and segment %s exist; refusing to guess their order", path, adopted)
-		}
-		if err := os.Rename(path, adopted); err != nil {
-			return nil, err
-		}
-		nums = append([]int{0}, nums...)
 	}
 	if len(nums) == 0 {
 		nums = []int{1}
@@ -671,8 +656,7 @@ func (l *Log) Close() error {
 }
 
 // Replay invokes fn for every valid record with LSN > fromLSN, in
-// order across the whole segment chain (including a bare legacy file,
-// which is read in place without being adopted). Torn or corrupt tails
+// order across the whole segment chain. Torn or corrupt tails
 // end the replay silently (they were never acknowledged); fn errors
 // abort it.
 func Replay(path string, fromLSN uint64, fn func(Record) error) error {

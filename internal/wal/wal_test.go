@@ -154,7 +154,7 @@ func TestTornTailAtEveryOffset(t *testing.T) {
 	}
 	for cut := validEnd + 1; cut < len(full); cut++ {
 		torn := filepath.Join(t.TempDir(), "torn.log")
-		if err := os.WriteFile(torn, full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(torn+".1", full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		recs := collect(t, torn, 0)
@@ -373,7 +373,7 @@ func TestAppendBatchTornAtEveryOffset(t *testing.T) {
 
 	for cut := preLen; cut <= int64(len(full)); cut++ {
 		p2 := filepath.Join(t.TempDir(), "torn.log")
-		if err := os.WriteFile(p2, full[:cut], 0o644); err != nil {
+		if err := os.WriteFile(p2+".1", full[:cut], 0o644); err != nil {
 			t.Fatal(err)
 		}
 		recs := collect(t, p2, 0)

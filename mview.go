@@ -41,16 +41,15 @@ type DB struct {
 	mu  sync.Mutex // serializes logged statements so log order = apply order
 	// gmu fences group commit against structural change: every grouped
 	// Exec holds it shared for the duration of its submit, while DDL,
-	// Checkpoint, Close, and the Enable/DisableGroupCommit toggles hold
-	// it exclusively. That keeps log order equal to apply order across
-	// the two logging disciplines (groups log-before-visible inside the
-	// engine; statements here apply-then-log) and guarantees the
-	// scheduler never stops with a durable transaction in flight.
+	// Checkpoint and Close hold it exclusively. That keeps log order
+	// equal to apply order across the two logging disciplines (groups
+	// log-before-visible inside the engine; statements here
+	// apply-then-log) and guarantees the scheduler never stops with a
+	// durable transaction in flight.
 	gmu sync.RWMutex
-	// ckptMu serializes whole checkpoints (the background ticker, an
-	// operator-triggered Checkpoint, and the open-time migration may
-	// otherwise interleave); the commit fence is only held for the
-	// capture and manifest-swap phases inside.
+	// ckptMu serializes whole checkpoints (the background ticker and an
+	// operator-triggered Checkpoint may otherwise interleave); the commit
+	// fence is only held for the capture and manifest-swap phases inside.
 	ckptMu sync.Mutex
 	// man is the checkpoint manifest currently on disk (nil before the
 	// first checkpoint); ckptStats describes the last completed one.
@@ -69,43 +68,15 @@ type DB struct {
 	// CreateView option lists that choose none; nil means OnCommit (the
 	// zero ViewConfig) without materializing an option.
 	defaultPolicy *ViewOption
-	// Observability (Instrument); nil until attached.
+	// Observability (WithObs); nil when not attached.
 	reg    *obs.Registry
 	tracer obs.Tracer
-	// Recovery cost measured by OpenDurable, exposed by Instrument.
+	// Recovery cost measured by OpenDurable, exposed under WithObs.
 	replayDur     time.Duration
 	replayRecords int
 }
 
-// Instrument attaches a metrics registry and an optional tracer to
-// the database and every layer beneath it: the engine (commit and
-// refresh latency, §4 filter counts, pending-delta gauges), the
-// differential evaluator (spans and per-operand delta events), and —
-// for durable databases — the commit log (append/fsync latency, bytes
-// written) plus the recovery cost of the last open. Either argument
-// may be nil; calling with both nil detaches instrumentation.
-//
-// Call it once, before serving traffic. Handles are cached, so
-// re-instrumenting with the same registry is idempotent.
-//
-// Deprecated: pass WithObs to Open or OpenDurable instead.
-func (d *DB) Instrument(reg *obs.Registry, tr obs.Tracer) {
-	defer d.lockIfDurable()()
-	d.reg = reg
-	d.tracer = tr
-	d.engine().SetObs(reg, tr)
-	if d.wal != nil {
-		d.wal.SetObs(reg)
-	}
-	if reg != nil && d.dir != "" {
-		reg.Gauge("mview_wal_replay_seconds",
-			"Commit-log replay duration at the last open.", nil).Set(d.replayDur.Seconds())
-		reg.Gauge("mview_wal_replay_records",
-			"Commit-log records replayed at the last open.", nil).Set(float64(d.replayRecords))
-	}
-}
-
-// Metrics returns the registry attached by Instrument (nil when the
+// Metrics returns the registry attached by WithObs (nil when the
 // database is uninstrumented).
 func (d *DB) Metrics() *obs.Registry { return d.reg }
 
@@ -123,15 +94,6 @@ func Open(opts ...Option) *DB {
 	d.applyRuntime(cfg)
 	return d
 }
-
-// SetMaintWorkers bounds the worker pool that parallelizes per-view
-// maintenance inside each commit and RefreshAll. n <= 0 restores the
-// default, GOMAXPROCS. Independent views compute their deltas
-// concurrently while the commit holds the engine lock, so multi-view
-// catalogs stop paying single-core commit latency.
-//
-// Deprecated: pass WithMaintWorkers to Open or OpenDurable instead.
-func (d *DB) SetMaintWorkers(n int) { d.engine().SetMaintWorkers(n) }
 
 // MaintWorkers reports the effective maintenance worker-pool size.
 func (d *DB) MaintWorkers() int { return d.engine().MaintWorkers() }
@@ -246,31 +208,12 @@ type ViewOption struct {
 	err error
 }
 
-// Deferred makes the view a snapshot (§6): transactions accumulate
-// and the view is refreshed only by Refresh or RefreshAll.
-//
-// Deprecated: use the policy constructor OnDemand, which is identical;
-// or Every / MaxStaleness for a deferred view the engine keeps fresh
-// on a schedule.
-func Deferred() ViewOption {
-	o := OnDemand()
-	o.name = "deferred" // historical log spelling, still round-trips
-	return o
-}
-
 // WithRecompute pins the view to full re-evaluation on every refresh —
 // the paper's baseline, useful for comparison. This is the HOW of a
 // refresh; combine freely with any WHEN policy.
 func WithRecompute() ViewOption {
 	return ViewOption{name: "recompute", apply: func(c *db.ViewConfig) { c.Policy = db.PolicyRecompute }}
 }
-
-// Recompute pins the view to full re-evaluation on every refresh.
-//
-// Deprecated: renamed WithRecompute to make room for the refresh
-// policy constructors (OnCommit, Every, OnDemand, MaxStaleness,
-// AdaptivePolicy); behavior is unchanged.
-func Recompute() ViewOption { return WithRecompute() }
 
 // WithAdaptiveMaint lets the engine choose per refresh between
 // differential maintenance and full re-evaluation, based on the
@@ -281,13 +224,6 @@ func Recompute() ViewOption { return WithRecompute() }
 func WithAdaptiveMaint() ViewOption {
 	return ViewOption{name: "adaptive", apply: func(c *db.ViewConfig) { c.Policy = db.PolicyAdaptive }}
 }
-
-// Adaptive lets the engine choose per refresh between differential
-// maintenance and full re-evaluation.
-//
-// Deprecated: renamed WithAdaptiveMaint; behavior is unchanged. (For
-// the adaptive refresh *policy*, see AdaptivePolicy.)
-func Adaptive() ViewOption { return WithAdaptiveMaint() }
 
 // WithFilter enables the §4 irrelevant-update pre-filter for the
 // view's differential maintenance.
@@ -491,39 +427,6 @@ func (d *DB) execGrouped(ctx context.Context, ops []Op) (TxInfo, error) {
 		return TxInfo{}, err
 	}
 	return txInfoFrom(res), nil
-}
-
-// EnableGroupCommit coalesces concurrent Exec calls into commit
-// groups: one batched log append (a single fsync covers every member),
-// one composed maintenance pass over the group's net delta, and one
-// snapshot publish. maxBatch caps the group size (<= 0 selects the
-// default); window is how long the leader waits for followers once
-// there is evidence of concurrency (0 disables the wait — groups form
-// only from what has already queued). Transactions keep their
-// individual atomicity: a member that fails validation is excluded and
-// retried alone without poisoning the rest of its group.
-//
-// Deprecated: pass WithGroupCommit to Open or OpenDurable instead.
-func (d *DB) EnableGroupCommit(maxBatch int, window time.Duration) {
-	if d.readonly {
-		return // followers apply wire batches; no local scheduler
-	}
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	var logBatch func([][]byte) error
-	if d.wal != nil {
-		logBatch = d.logPayloadBatch
-	}
-	d.engine().EnableGroupCommit(maxBatch, window, logBatch)
-}
-
-// DisableGroupCommit drains any queued transactions and restores the
-// serial commit path. It blocks until in-flight grouped Exec calls
-// have completed.
-func (d *DB) DisableGroupCommit() {
-	d.gmu.Lock()
-	defer d.gmu.Unlock()
-	d.engine().DisableGroupCommit()
 }
 
 // GroupCommitEnabled reports whether Exec currently rides the

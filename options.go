@@ -1,13 +1,9 @@
 package mview
 
-// Construction options (the v1 opening surface).
-//
-// Open, OpenDurable, and Load accept functional options so every
-// engine-level knob is set before the database serves its first
-// statement. The former mutator methods (SetMaintWorkers,
-// EnableGroupCommit, Instrument) remain as thin wrappers for
-// compatibility but are deprecated: options compose, replay correctly
-// on durable reopen, and cannot race with traffic.
+// Construction options: Open, OpenDurable, Load and OpenFollower
+// accept functional options, the only way to set an engine-level knob,
+// so every one is in place before the database serves its first
+// statement and none can race with traffic.
 
 import (
 	"fmt"
@@ -59,8 +55,11 @@ func WithShards(n int) Option {
 // fsync, one composed maintenance pass, one snapshot publish.
 // maxBatch caps the group size (<= 0 selects the default); window is
 // how long the leader waits for followers once there is evidence of
-// concurrency. Equivalent to calling EnableGroupCommit after opening,
-// but applied before the database serves traffic.
+// concurrency (0 disables the wait — groups form only from what has
+// already queued). Transactions keep their individual atomicity: a
+// member that fails validation is excluded and retried alone without
+// poisoning the rest of its group. Followers ignore the option: they
+// apply the leader's batches as shipped.
 func WithGroupCommit(maxBatch int, window time.Duration) Option {
 	return func(c *config) {
 		c.groupCommit = true
@@ -70,10 +69,12 @@ func WithGroupCommit(maxBatch int, window time.Duration) Option {
 }
 
 // WithObs attaches a metrics registry and an optional tracer to the
-// database and every layer beneath it at open time — for durable
-// databases that includes the recovery cost of the open itself.
-// Either argument may be nil. Equivalent to calling Instrument after
-// opening.
+// database and every layer beneath it at open time: the engine (commit
+// and refresh latency, §4 filter counts, pending-delta gauges), the
+// differential evaluator (spans and per-operand delta events), and —
+// for durable databases — the commit log (append/fsync latency, bytes
+// written) plus the recovery cost of the open itself. Either argument
+// may be nil.
 func WithObs(reg *obs.Registry, tr obs.Tracer) Option {
 	return func(c *config) {
 		c.obsSet = true
@@ -119,6 +120,9 @@ func (c config) engineOptions() []db.Option {
 	if c.shards > 1 {
 		eo = append(eo, db.WithShards(c.shards))
 	}
+	if c.maintWorkers > 0 {
+		eo = append(eo, db.WithMaintWorkers(c.maintWorkers))
+	}
 	return eo
 }
 
@@ -134,14 +138,27 @@ func (d *DB) applyRuntime(c config) {
 		}
 		d.defaultPolicy = &p
 	}
-	if c.maintWorkers > 0 {
-		d.engine().SetMaintWorkers(c.maintWorkers)
-	}
 	if c.obsSet {
-		d.Instrument(c.reg, c.tracer)
+		d.reg, d.tracer = c.reg, c.tracer
+		d.engine().SetObs(c.reg, c.tracer)
+		if d.wal != nil {
+			d.wal.SetObs(c.reg)
+		}
+		if c.reg != nil && d.dir != "" {
+			c.reg.Gauge("mview_wal_replay_seconds",
+				"Commit-log replay duration at the last open.", nil).Set(d.replayDur.Seconds())
+			c.reg.Gauge("mview_wal_replay_records",
+				"Commit-log records replayed at the last open.", nil).Set(float64(d.replayRecords))
+		}
 	}
-	if c.groupCommit {
-		d.EnableGroupCommit(c.groupMax, c.groupWindow)
+	// Followers never run the group-commit scheduler: batch boundaries
+	// arrive from the wire and apply through ExecuteReplicated.
+	if c.groupCommit && !d.readonly {
+		var logBatch func([][]byte) error
+		if d.wal != nil {
+			logBatch = d.logPayloadBatch
+		}
+		d.engine().EnableGroupCommit(c.groupMax, c.groupWindow, logBatch)
 	}
 }
 

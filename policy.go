@@ -94,7 +94,7 @@ func policyOption(spec db.RefreshSpec) ViewOption {
 // form CreateView logs, the catalog persists, and the HTTP/CLI
 // surfaces accept: oncommit, ondemand, every=<duration>,
 // maxstale=<duration>, autopolicy, recompute, adaptive, filtered,
-// rowbyrow (plus the legacy deferred, equivalent to ondemand).
+// rowbyrow.
 func ParseViewOption(name string) (ViewOption, error) {
 	if arg, ok := strings.CutPrefix(name, "every="); ok {
 		d, err := time.ParseDuration(arg)
@@ -121,16 +121,12 @@ func ParseViewOption(name string) (ViewOption, error) {
 	switch name {
 	case "oncommit":
 		return OnCommit(), nil
-	case "ondemand":
+	case "ondemand", "deferred":
+		// deferred is parse-only: logs written before the policy options
+		// existed can still name it.
 		return OnDemand(), nil
 	case "autopolicy":
 		return AdaptivePolicy(), nil
-	case "deferred":
-		// Legacy spelling from pre-policy logs: same semantics as
-		// ondemand, name preserved so old WALs replay byte-identically.
-		o := OnDemand()
-		o.name = "deferred"
-		return o, nil
 	case "recompute":
 		return WithRecompute(), nil
 	case "adaptive":
@@ -140,7 +136,7 @@ func ParseViewOption(name string) (ViewOption, error) {
 	case "rowbyrow":
 		return WithoutPrefixSharing(), nil
 	default:
-		return ViewOption{}, fmt.Errorf("mview: unknown view option %q (known: oncommit, ondemand, every=<dur>, maxstale=<dur>, autopolicy, recompute, adaptive, filtered, rowbyrow, deferred)", name)
+		return ViewOption{}, fmt.Errorf("mview: unknown view option %q (known: oncommit, ondemand, every=<dur>, maxstale=<dur>, autopolicy, recompute, adaptive, filtered, rowbyrow)", name)
 	}
 }
 
@@ -206,12 +202,12 @@ func (d *DB) Policy(view string) (PolicyInfo, error) {
 }
 
 func policyInfo(v db.ViewVersion) PolicyInfo {
-	spec, mode := v.Policy()
+	spec, deferred := v.Policy()
 	return PolicyInfo{
 		Spec:      spec.String(),
 		Interval:  spec.Interval,
 		Bound:     spec.Bound,
-		Immediate: mode == db.Immediate,
+		Immediate: !deferred,
 		Staleness: v.Staleness(),
 	}
 }

@@ -335,7 +335,7 @@ func TestPolicyOptionValidation(t *testing.T) {
 	// this is what makes WAL replay and the HTTP/CLI surfaces agree.
 	names := []string{
 		"oncommit", "ondemand", "every=1s", "maxstale=500ms", "autopolicy",
-		"recompute", "adaptive", "filtered", "rowbyrow", "deferred",
+		"recompute", "adaptive", "filtered", "rowbyrow",
 	}
 	for _, n := range names {
 		o, err := ParseViewOption(n)
@@ -346,6 +346,14 @@ func TestPolicyOptionValidation(t *testing.T) {
 		if o.name != n {
 			t.Errorf("ParseViewOption(%q).name = %q", n, o.name)
 		}
+	}
+	// deferred, which logs written before the policy options can hold,
+	// still parses — as ondemand — but is no longer taught.
+	if o, err := ParseViewOption("deferred"); err != nil || o.name != "ondemand" {
+		t.Errorf(`ParseViewOption("deferred") = %q, %v; want ondemand`, o.name, err)
+	}
+	if strings.Contains(err.Error(), "deferred") {
+		t.Errorf("unknown-option error still teaches deferred: %v", err)
 	}
 }
 

@@ -225,9 +225,6 @@ func openFollowerTransport(t repl.Transport, id string, opts ...Option) (*DB, er
 		return nil, fmt.Errorf("mview: follower id must be non-empty")
 	}
 	cfg := buildOpenConfig(opts)
-	// Followers never run the group-commit scheduler: batch boundaries
-	// arrive from the wire and apply through ExecuteReplicated.
-	cfg.groupCommit = false
 	d := &DB{readonly: true}
 	d.eng.Store(db.New(cfg.engineOptions()...))
 	// Policy DDL replays on followers so their catalogs mirror the
@@ -274,11 +271,7 @@ func (a followerApplier) Bootstrap(r io.Reader) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if d.follower.cfg.maintWorkers > 0 {
-		eng.SetMaintWorkers(d.follower.cfg.maintWorkers)
-	}
-	// Carry instrumentation over to the fresh engine (set by Open
-	// options or a later Instrument call — e.g. the HTTP handler).
+	// Carry the WithObs instrumentation over to the fresh engine.
 	eng.SetObs(d.reg, d.tracer)
 	// Followers never drive policy refreshes (see openFollowerTransport);
 	// the replaced engine's scheduler must stop or its wheel goroutine

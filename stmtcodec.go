@@ -5,10 +5,8 @@ package mview
 // stream alike (the stream ships WAL records verbatim).
 //
 // A record's WAL kind names its payload format. walKindStmt is the
-// binary layout below; its kind number is its version, so a future
-// layout takes a new kind and decodeStmt keeps reading this one.
-// walKindGob records hold a gob-encoded statement written by earlier
-// builds; they are only ever read.
+// binary layout below and the only kind this build reads or writes;
+// its kind number is its version, so a future layout takes a new kind.
 //
 // Integers are LEB128 varints: uvarint unsigned, varint zig-zag signed.
 // str is a uvarint byte length and the bytes; strs is a uvarint count
@@ -23,9 +21,7 @@ package mview
 // record carries every field whatever its kind; unused ones are empty.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"mview/internal/delta"
@@ -113,19 +109,15 @@ func appendStrs(b []byte, ss []string) []byte {
 // WAL kind. Recovery replay and follower apply both read records
 // through it.
 func decodeStmt(kind uint8, payload []byte) (walStmt, error) {
-	switch kind {
-	case walKindStmt:
-		r := stmtReader{b: payload}
-		st := r.stmt()
-		if r.err == nil && len(r.b) > 0 {
-			r.fail("%d trailing bytes", len(r.b))
-		}
-		return st, r.err
-	case walKindGob:
-		return decodeGobStmt(payload)
-	default:
-		return walStmt{}, fmt.Errorf("mview: unknown log record kind %d", kind)
+	if kind != walKindStmt {
+		return walStmt{}, fmt.Errorf("mview: log record kind %d is not one this build reads (want %d)", kind, walKindStmt)
 	}
+	r := stmtReader{b: payload}
+	st := r.stmt()
+	if r.err == nil && len(r.b) > 0 {
+		r.fail("%d trailing bytes", len(r.b))
+	}
+	return st, r.err
 }
 
 // stmtReader decodes one walKindStmt payload. Every count and length it
@@ -276,55 +268,4 @@ func (r *stmtReader) tx() *delta.Tx {
 		}
 	}
 	return tx
-}
-
-// gobStmt and gobOp are the walKindGob record layout, the gob encoding
-// of a statement that builds before the binary codec wrote. Only the
-// field names matter to gob, so these are the names those builds used.
-type gobStmt struct {
-	Kind    string
-	Name    string
-	Attrs   []string
-	Spec    ViewSpec
-	Options []string
-	Rels    []string
-	Ops     []gobOp
-}
-
-type gobOp struct {
-	Del  bool
-	Rel  string
-	Vals []int64
-}
-
-var gobStmtKinds = map[string]stmtKind{
-	"tx":       stmtTx,
-	"relation": stmtRelation,
-	"view":     stmtView,
-	"joinview": stmtJoinView,
-	"dropview": stmtDropView,
-	"policy":   stmtPolicy,
-}
-
-// decodeGobStmt reads a walKindGob record, which logs written by
-// earlier builds and streams from an older leader still hold.
-func decodeGobStmt(payload []byte) (walStmt, error) {
-	var g gobStmt
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&g); err != nil {
-		return walStmt{}, err
-	}
-	kind, ok := gobStmtKinds[g.Kind]
-	if !ok {
-		return walStmt{}, fmt.Errorf("mview: unknown logged statement kind %q", g.Kind)
-	}
-	st := walStmt{Kind: kind, Name: g.Name, Attrs: g.Attrs, Spec: g.Spec, Options: g.Options, Rels: g.Rels}
-	if kind == stmtTx {
-		ops := make([]Op, len(g.Ops))
-		for i, o := range g.Ops {
-			ops[i] = Op{del: o.Del, rel: o.Rel, vals: o.Vals}
-		}
-		tx := buildTx(ops)
-		st.Tx = &tx
-	}
-	return st, nil
 }

@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"mview/internal/repl"
 	"mview/internal/wal"
@@ -166,20 +167,60 @@ func mixedCodecStmts(t *testing.T, d *DB) {
 	}
 }
 
-// legacyCodecStmts are the statements the compatibility tests log as
-// walKindGob records, as builds before the binary codec wrote them.
-var legacyCodecStmts = []gobStmt{
+// loggedStmt is one statement the compatibility tests append to a log
+// by hand, encoded straight to a walKindStmt payload rather than logged
+// through the public API.
+type loggedStmt struct {
+	Kind    string
+	Name    string
+	Attrs   []string
+	Spec    ViewSpec
+	Options []string
+	Rels    []string
+	Ops     []loggedOp
+}
+
+type loggedOp struct {
+	Del  bool
+	Rel  string
+	Vals []int64
+}
+
+// payload returns the statement's walKindStmt record payload.
+func (g loggedStmt) payload(t *testing.T) []byte {
+	t.Helper()
+	if g.Kind == "tx" {
+		ops := make([]Op, len(g.Ops))
+		for i, o := range g.Ops {
+			ops[i] = Op{del: o.Del, rel: o.Rel, vals: o.Vals}
+		}
+		return encodeTxStmt(ops)
+	}
+	kinds := map[string]stmtKind{"relation": stmtRelation, "view": stmtView, "joinview": stmtJoinView, "policy": stmtPolicy}
+	k, ok := kinds[g.Kind]
+	if !ok {
+		t.Fatalf("no statement kind %q", g.Kind)
+	}
+	return encodeDDLStmt(walStmt{Kind: k, Name: g.Name, Attrs: g.Attrs, Spec: g.Spec, Options: g.Options, Rels: g.Rels})
+}
+
+// legacyCodecStmts are the statements the compatibility tests log by
+// hand. The deferred option is the parse-only alias of ondemand that
+// logs written before the policy options can hold.
+var legacyCodecStmts = []loggedStmt{
 	{Kind: "relation", Name: "r", Attrs: []string{"A", "B"}},
 	{Kind: "relation", Name: "s", Attrs: []string{"B", "C"}},
 	{Kind: "joinview", Name: "vj", Rels: []string{"r", "s"}},
 	{Kind: "view", Name: "vsel", Spec: ViewSpec{From: []string{"r"}, Where: "A < 3"}, Options: []string{"filtered"}},
-	{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{1, 10}}, {Rel: "r", Vals: []int64{2, 10}}, {Rel: "s", Vals: []int64{10, 20}}}},
+	{Kind: "view", Name: "vdef", Spec: ViewSpec{From: []string{"s"}}, Options: []string{"deferred"}},
+	{Kind: "tx", Ops: []loggedOp{{Rel: "r", Vals: []int64{1, 10}}, {Rel: "r", Vals: []int64{2, 10}}, {Rel: "s", Vals: []int64{10, 20}}}},
 	{Kind: "policy", Name: "vsel", Options: []string{"maxstale=1h"}},
-	{Kind: "tx", Ops: []gobOp{{Rel: "r", Vals: []int64{3, 10}}, {Del: true, Rel: "s", Vals: []int64{10, 20}}, {Rel: "s", Vals: []int64{10, 21}}}},
+	{Kind: "tx", Ops: []loggedOp{{Rel: "r", Vals: []int64{3, 10}}, {Del: true, Rel: "s", Vals: []int64{10, 20}}, {Rel: "s", Vals: []int64{10, 21}}}},
 }
 
-// codecTwin is an in-memory database that executed the legacy and
-// the new statements through the public API, with no codec involved.
+// codecTwin is an in-memory database that executed the hand-logged and
+// the API-logged statements through the public API, with no codec
+// involved.
 func codecTwin(t *testing.T) *DB {
 	t.Helper()
 	d := Open()
@@ -248,10 +289,10 @@ func mustSamePolicies(t *testing.T, label string, a, b *DB) {
 	}
 }
 
-// TestMixedCodecLogRecovery: a log whose older records are gob
-// (walKindGob, written by earlier builds) and whose newer ones are the
-// binary codec recovers to the state that executing the same
-// statements directly reaches.
+// TestMixedCodecLogRecovery: a log whose older records were encoded
+// by hand, as a previous build wrote them, and whose newer ones were
+// logged through the public API recovers to the state that executing
+// the same statements directly reaches.
 func TestMixedCodecLogRecovery(t *testing.T) {
 	dir := t.TempDir()
 	lg, err := wal.Open(filepath.Join(dir, logFile))
@@ -259,7 +300,7 @@ func TestMixedCodecLogRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, g := range legacyCodecStmts {
-		if _, err := lg.Append(walKindGob, gobPayload(t, g)); err != nil {
+		if _, err := lg.Append(walKindStmt, g.payload(t)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -271,9 +312,8 @@ func TestMixedCodecLogRecovery(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	kinds := recordKinds(t, dir)
-	if kinds[walKindGob] != len(legacyCodecStmts) || kinds[walKindStmt] == 0 {
-		t.Fatalf("log record kinds = %v, want %d gob records followed by binary ones", kinds, len(legacyCodecStmts))
+	if kinds := recordKinds(t, dir); len(kinds) != 1 || kinds[walKindStmt] <= len(legacyCodecStmts) {
+		t.Fatalf("log record kinds = %v, want only walKindStmt, more than the %d hand-logged", kinds, len(legacyCodecStmts))
 	}
 
 	d = openDur(t, dir)
@@ -284,8 +324,8 @@ func TestMixedCodecLogRecovery(t *testing.T) {
 }
 
 // TestFollowerAppliesMixedCodecStream: a follower on the in-process
-// transport applies a stream that holds both gob records (as a leader
-// running an earlier build ships them) and binary ones.
+// transport applies a stream that holds both hand-encoded records (as a
+// leader running the previous build ships them) and API-logged ones.
 func TestFollowerAppliesMixedCodecStream(t *testing.T) {
 	leader := openDur(t, t.TempDir())
 	defer leader.Close()
@@ -298,20 +338,30 @@ func TestFollowerAppliesMixedCodecStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer follower.Close()
-	waitReplicated(t, follower, srv.LeaderLSN())
+	// Wait out the bootstrap: one that read a later leader snapshot
+	// would re-materialize the deferred view fresh, which the twin's
+	// never is.
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
+		if st, _ := follower.FollowerStatus(); st.State == "streaming" {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never finished its bootstrap")
+		}
+	}
 
-	// Log each legacy statement as the earlier build did: applied,
-	// then appended as a gob record, under the statement lock.
+	// Log each hand-encoded statement as a leader does: applied, then
+	// appended, under the statement lock.
 	for _, g := range legacyCodecStmts {
-		p := gobPayload(t, g)
-		st, err := decodeStmt(walKindGob, p)
+		p := g.payload(t)
+		st, err := decodeStmt(walKindStmt, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		unlock := leader.lockIfDurable()
 		err = leader.applyStmt(st)
 		if err == nil {
-			_, err = leader.wal.Append(walKindGob, p)
+			_, err = leader.wal.Append(walKindStmt, p)
 		}
 		unlock()
 		if err != nil {

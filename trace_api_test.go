@@ -10,7 +10,7 @@ import (
 
 // TestTraceAPISurface exercises the observability additions on DB:
 // ExplainAnalyze, Staleness, SnapshotAge, CriticalPath, and the
-// TxInfo-to-flight-recorder linkage through Instrument.
+// TxInfo-to-flight-recorder linkage through WithObs.
 func TestTraceAPISurface(t *testing.T) {
 	fr := obs.NewFlightRecorder(8, 0)
 	db := Open(WithObs(obs.NewRegistry(), fr))
