@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-json bench-selftest bench-smoke allocguard crash fuzz trace-smoke repl-smoke lint apicheck apilock clean
+.PHONY: all build test race bench bench-json bench-selftest bench-smoke allocguard crash fuzz trace-smoke repl-smoke lint apicheck apilock loc clean
 
 all: lint apicheck build test allocguard
 
@@ -13,10 +13,13 @@ test:
 # Full suite under the race detector; the obs registry, the engine's
 # notification fan-out, and the group-commit scheduler (including the
 # group-vs-serial oracle) are exercised concurrently, as are the
-# per-version read memos under view GETs racing group-committed writers.
+# per-version read memos under view GETs racing group-committed writers
+# and the routing oracles, whose fleets hold every consumer of the
+# relevance index (commits, deferred refreshes, subscribers).
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'Group' ./internal/db .
+	$(GO) test -race -count=2 -run 'TestRouteEngineMatchesMaterialize|TestRouteCountContract' ./internal/db
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
 	$(GO) test -race -count=2 -run 'Shard|SplitUpdate|MergeDeltas' ./internal/db ./internal/relation ./internal/delta ./internal/diffeval .
 
@@ -120,6 +123,11 @@ apicheck:
 
 apilock:
 	$(GO) doc -all . > docs/api.lock
+
+# Non-test Go line counts per package directory outside benchmark/,
+# and their total: the yardstick a subtraction is judged by.
+loc:
+	scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

@@ -313,6 +313,10 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	}
 	d.wal = log
 	d.dir = dir
+	d.engine().SetCommitLog(func(payload []byte) error {
+		_, err := log.Append(walKindStmt, payload)
+		return err
+	})
 	d.applyRuntime(cfg)
 	return d, nil
 }

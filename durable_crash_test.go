@@ -150,10 +150,11 @@ func TestCheckpointFaultCleansTmp(t *testing.T) {
 }
 
 // TestSingleAppendFailureRecovery injects an IO failure into a single
-// (non-batched) log append: the Exec must report the error, the log
-// must roll back to its pre-write state, and — the regression this
-// pins — a later successful append must be fully recovered on reopen
-// rather than shadowed by leftover bytes of the failed write.
+// (non-batched) log append: the Exec must report the error, its row
+// must never become visible (nor reach a later checkpoint), the log
+// must roll back to its pre-write state, and a later successful append
+// must be fully recovered on reopen rather than shadowed by leftover
+// bytes of the failed write.
 func TestSingleAppendFailureRecovery(t *testing.T) {
 	for _, stage := range []string{"written", "synced"} {
 		t.Run(stage, func(t *testing.T) {
@@ -172,9 +173,19 @@ func TestSingleAppendFailureRecovery(t *testing.T) {
 			if !errors.Is(err, fail) {
 				t.Fatalf("Exec err = %v, want injected failure", err)
 			}
+			// A commit logs before it becomes visible: the failed row
+			// never reached memory, so no reader saw it and no
+			// checkpoint can persist it.
+			if rows, err := d.Rows("r"); err != nil || len(rows) != 1 || rows[0][0] != 9 {
+				t.Fatalf("r after the failed append = %v (%v), want only the seed row", rows, err)
+			}
+			verifySeeded(t, d)
 			// The next append lands where the failed one was rolled back
 			// from and must be recovered intact.
 			if _, err := d.Exec(Insert("r", 7, 10)); err != nil {
+				t.Fatal(err)
+			}
+			if err := d.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
 			_ = d.Close()
@@ -185,7 +196,7 @@ func TestSingleAppendFailureRecovery(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Seed row plus the acknowledged insert; the failed one was
-			// never logged (serial commits apply-then-log).
+			// neither logged nor checkpointed.
 			want := map[int64]bool{9: true, 7: true}
 			if len(rows) != 2 || !want[rows[0][0]] || !want[rows[1][0]] {
 				t.Fatalf("recovered r = %v, want rows keyed 9 and 7", rows)

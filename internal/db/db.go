@@ -313,6 +313,9 @@ type Engine struct {
 	// routeCands is that path's per-commit scratch. Guarded by mu.
 	routes     map[string]*relRoute
 	routeCands []routeCand
+	// logOne appends a solo commit's record to the write-ahead log
+	// (SetCommitLog); nil when the engine is not durable. Guarded by mu.
+	logOne func([][]byte) error
 	// now is the engine's wall clock (staleness stamps and the
 	// scheduler's deadlines); tests substitute a fake. Immutable after
 	// construction except by same-package tests before first use.
@@ -750,7 +753,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	if err := e.ensureIndexes(bound); err != nil {
 		return err
 	}
-	data, err := eval.Materialize(bound, e.operandInstances(bound), cfg.EvalOpt)
+	data, err := eval.Materialize(bound, operandInstances(bound, nil, e.base), cfg.EvalOpt)
 	if err != nil {
 		return err
 	}
@@ -829,16 +832,6 @@ func (e *Engine) ViewStats(name string) (ViewStats, error) {
 	return sv.away.addTo(sv.stats), nil
 }
 
-// operandInstances gathers the live base instances for a bound view.
-// Callers hold the engine lock.
-func (e *Engine) operandInstances(b *expr.Bound) []*relation.Relation {
-	insts := make([]*relation.Relation, len(b.Operands))
-	for i, op := range b.Operands {
-		insts[i] = e.base[op.Rel]
-	}
-	return insts
-}
-
 // TxResult summarizes one committed transaction.
 type TxResult struct {
 	Updates        []delta.Update // net effects applied to base relations
@@ -855,7 +848,7 @@ type TxResult struct {
 // as the last step of the commit, and deferred views accumulate the
 // composed net change for a later refresh.
 func (e *Engine) Execute(tx *delta.Tx) (TxResult, error) {
-	return e.ExecuteLogged(tx, nil)
+	return e.ExecuteLoggedCtx(context.Background(), tx, nil)
 }
 
 // ExecuteCtx is Execute with cancellation: the context is checked
@@ -867,19 +860,12 @@ func (e *Engine) ExecuteCtx(ctx context.Context, tx *delta.Tx) (TxResult, error)
 	return e.ExecuteLoggedCtx(ctx, tx, nil)
 }
 
-// ExecuteLogged is Execute with a pre-encoded commit-log record that
-// must become durable before the transaction is visible. With group
-// commit enabled the transaction rides a group — its record is
-// appended with the whole batch under one fsync; otherwise (or while
-// the scheduler is shutting down) it commits solo and the payload is
-// ignored: the serial durable path logs after applying, under the
-// caller's statement lock, exactly as before.
-func (e *Engine) ExecuteLogged(tx *delta.Tx, payload []byte) (TxResult, error) {
-	return e.ExecuteLoggedCtx(context.Background(), tx, payload)
-}
-
-// ExecuteLoggedCtx is ExecuteLogged with cancellation (see
-// ExecuteCtx). The commit itself is not interruptible once started.
+// ExecuteLoggedCtx is ExecuteCtx with a pre-encoded commit-log record
+// that is made durable before the transaction is visible: appended with
+// its whole group under one fsync when group commit is on, and on its
+// own through the engine's log (SetCommitLog) otherwise. A failed
+// append aborts the transaction with the engine untouched. The commit
+// itself is not interruptible once started.
 func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []byte) (TxResult, error) {
 	if err := ctx.Err(); err != nil {
 		return TxResult{}, err
@@ -902,14 +888,7 @@ func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []b
 		res, err, grouped = g.submitCtx(ctx, tx, payload) // notifications fired by the scheduler
 	}
 	if !grouped {
-		if payload != nil {
-			// Unreachable when the caller serializes ExecuteLogged
-			// against DisableGroupCommit (the durable layer's gmu):
-			// refuse rather than commit without durably logging.
-			err = fmt.Errorf("db: group commit stopped mid-transaction")
-		} else {
-			res, ns, err = e.executeLocked(tx, root)
-		}
+		res, ns, err = e.executeLocked(tx, payload, root)
 	}
 	if o != nil {
 		if err == nil {
@@ -937,14 +916,27 @@ func (e *Engine) ExecuteLoggedCtx(ctx context.Context, tx *delta.Tx, payload []b
 	return res, nil
 }
 
+// SetCommitLog attaches the write-ahead log a solo commit appends its
+// record to before it becomes visible, as a group appends its batch
+// through EnableGroupCommit's logBatch. Call it at open, before the
+// first logged commit; nil detaches.
+func (e *Engine) SetCommitLog(appendOne func(payload []byte) error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.logOne = nil
+	if appendOne != nil {
+		e.logOne = func(payloads [][]byte) error { return appendOne(payloads[0]) }
+	}
+}
+
 // executeLocked commits one transaction through the batch pipeline
-// (group.go): the serial path is a group of one, so both paths share
+// (pipeline.go): the serial path is a group of one, so both paths share
 // every phase — net effects, §6 composition (a no-op for one tx),
-// classification, pooled maintenance, validation, install, publish.
-// parent is the caller's db.commit span context; the pipeline's stage
-// spans become its children.
-func (e *Engine) executeLocked(tx *delta.Tx, parent obs.SpanContext) (TxResult, []notification, error) {
-	req := &groupReq{tx: tx}
+// classification, pooled maintenance, validation, log, install,
+// publish. parent is the caller's db.commit span context; the
+// pipeline's stage spans become its children.
+func (e *Engine) executeLocked(tx *delta.Tx, payload []byte, parent obs.SpanContext) (TxResult, []notification, error) {
+	req := &groupReq{tx: tx, payload: payload}
 	ct := e.newCommitTrace(parent)
 	ns, err := e.executeBatchLocked([]*groupReq{req}, nil, ct)
 	ct.close(err)
@@ -955,48 +947,6 @@ func (e *Engine) executeLocked(tx *delta.Tx, parent obs.SpanContext) (TxResult, 
 		return TxResult{}, nil, req.err
 	}
 	return req.res, ns, nil
-}
-
-// refreshed carries one touched view through the commit pipeline:
-// phase 1 fills d (differential) on the worker pool, phase 3a fills vc
-// (recompute shadow) and validates, phase 3b installs — including the
-// staged deferred backlogs, so a failed commit queues nothing.
-type refreshed struct {
-	st         *viewState
-	deferred   bool                 // backlog staging only; no computation
-	pend       []delta.Update       // staged updates, composed into the backlog at install
-	insts      []*relation.Relation // operand instances for the computation
-	perOp      []delta.Update       // differential input: each operand's net update
-	routed     bool                 // perOp came filtered out of the relevance index (route.go)
-	d          *diffeval.ViewDelta  // differential result
-	vc         *relation.Counted    // recompute shadow (PolicyRecompute)
-	cow        *relation.Counted    // phase-1 clone for the copy-on-write install
-	err        error                // compute/validate failure
-	decision   string               // metrics label
-	computeDur time.Duration        // delta or recompute computation time
-	wait       time.Duration        // queue wait before compute started
-	// Group-commit fields (group.go). touchCount is how many of the
-	// group's transactions touch this view — the serial-equivalent
-	// increment for Transactions/PendingTx. noop marks a view whose
-	// composed delta cancelled to nothing; perTx marks a subscribed
-	// view whose state installs from folded per-transaction deltas.
-	touchCount int
-	noop       bool
-	perTx      bool
-	// Shard fan-out fields (shard.go): per-shard partial deltas merged
-	// into d after the pool drains, plus the fan-out counters.
-	parts        []*diffeval.ViewDelta
-	shardTasks   int
-	shardsPruned int
-}
-
-// invertUpdate returns the net update that undoes u: the tuples u
-// inserted are deleted and vice versa. Because net effects are
-// disjoint from the pre-state (delta.Tx.Net), applying the inverse
-// right after a successful forward apply restores the relation
-// exactly.
-func invertUpdate(u delta.Update) delta.Update {
-	return delta.Update{Rel: u.Rel, Inserts: u.Deletes, Deletes: u.Inserts}
 }
 
 func (st *viewState) noteDelta(d *diffeval.ViewDelta) {
@@ -1062,8 +1012,8 @@ func (e *Engine) viewTouched(st *viewState, touched map[string]bool) bool {
 // Callers hold the engine lock.
 func (e *Engine) stagePending(st *viewState, updates []delta.Update) []delta.Update {
 	var out []delta.Update
-	for _, u := range updates {
-		if e.relUsedBy(st, u.Rel) {
+	for i, u := range updates {
+		if reads(st, updates[i:i+1]) {
 			out = append(out, u)
 		}
 	}
@@ -1091,15 +1041,6 @@ func (e *Engine) installPending(st *viewState, updates []delta.Update) {
 	}
 }
 
-func (e *Engine) relUsedBy(st *viewState, rel string) bool {
-	for _, op := range st.bound.Operands {
-		if op.Rel == rel {
-			return true
-		}
-	}
-	return false
-}
-
 func cloneUpdate(u delta.Update) delta.Update {
 	out := delta.Update{Rel: u.Rel}
 	if u.Inserts != nil {
@@ -1112,19 +1053,18 @@ func cloneUpdate(u delta.Update) delta.Update {
 }
 
 // RefreshView brings a deferred view up to date with a single
-// differential pass over the composed pending updates (or a full
-// recompute under PolicyRecompute), clearing the backlog. Refreshing
-// an immediate or already-fresh view is a no-op.
+// differential pass over its composed backlog (or a full recompute
+// under PolicyRecompute), clearing the backlog. Refreshing an immediate
+// or already-fresh view is a no-op.
 func (e *Engine) RefreshView(name string) error {
-	var span obs.Span
-	var root obs.SpanContext
-	if o := e.o.Load(); o != nil && o.tr != nil {
-		span, root = obs.StartRoot(o.tr, "db.refresh", obs.KV{K: "view", V: name})
+	e.mu.Lock()
+	st, ok := e.views[name]
+	if !ok {
+		e.mu.Unlock()
+		return fmt.Errorf("db: unknown view %q", name)
 	}
-	ns, err := e.refreshLocked(name, root)
-	if span != nil {
-		span.End(obs.KV{K: "err", V: err != nil})
-	}
+	ns, err := e.refreshLocked("db.refresh", []*viewState{st}, nil)
+	e.mu.Unlock()
 	if err != nil {
 		return err
 	}
@@ -1132,281 +1072,23 @@ func (e *Engine) RefreshView(name string) error {
 	return nil
 }
 
-func (e *Engine) refreshLocked(name string, parent obs.SpanContext) ([]notification, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st, ok := e.views[name]
-	if !ok {
-		return nil, fmt.Errorf("db: unknown view %q", name)
-	}
-	j, err := e.buildRefreshJob(st)
-	if err != nil || j == nil {
-		return nil, err
-	}
-	if o := e.o.Load(); o != nil && o.tr != nil {
-		j.tr, j.parent = o.tr, parent
-	}
-	j.run()
-	var sp obs.Span
-	if j.tr != nil {
-		sp, _ = obs.StartChild(j.tr, parent, "refresh.install", obs.KV{K: "view", V: name})
-	}
-	ns, err := e.installRefreshJob(j)
-	if err != nil {
-		if sp != nil {
-			sp.End(obs.KV{K: "err", V: true})
-		}
-		return nil, err
-	}
-	e.publishLocked()
-	if sp != nil {
-		sp.End()
-	}
-	return ns, nil
-}
-
-// refreshJob carries one deferred view's refresh through the
-// build/compute/install steps shared by RefreshView and RefreshAll.
-type refreshJob struct {
-	st      *viewState
-	policy  Policy               // resolved policy (adaptive already decided)
-	insts   []*relation.Relation // operand instances; reconstructed pre-state for differential
-	updates []delta.Update       // composed pending net updates (differential)
-	t0      time.Time            // refresh start, for latency metrics and lastMaint
-	d       *diffeval.ViewDelta
-	vc      *relation.Counted
-	cow     *relation.Counted // private clone for the copy-on-write install
-	err     error
-	// tr/parent attach the job to a db.refresh (or db.refresh_all)
-	// trace: run emits a refresh.compute child span. computeDur is the
-	// pure compute time, for lastMaint.
-	tr         obs.Tracer
-	parent     obs.SpanContext
-	computeDur time.Duration
-}
-
-// buildRefreshJob resolves the refresh policy and reconstructs the
-// pre-refresh operand state (B0 = B_now − I ∪ D) for one deferred
-// view. It returns (nil, nil) when the view has no pending updates.
-// Callers hold the engine lock.
-func (e *Engine) buildRefreshJob(st *viewState) (*refreshJob, error) {
-	if len(st.pending) == 0 {
-		return nil, nil
-	}
-	j := &refreshJob{st: st, t0: time.Now()}
-	policy := st.cfg.Policy
-	if policy == PolicyAdaptive {
-		pend := make([]delta.Update, 0, len(st.pending))
-		for _, u := range st.pending {
-			pend = append(pend, u)
-		}
-		policy = e.chooseAdaptive(st, pend)
-	}
-	j.policy = policy
-	if policy == PolicyRecompute {
-		j.insts = e.operandInstances(st.bound)
-		return j, nil
-	}
-	// Reconstruct the pre-refresh state of each touched operand.
-	insts := make([]*relation.Relation, len(st.bound.Operands))
-	var updates []delta.Update
-	seen := make(map[string]bool)
-	for i, op := range st.bound.Operands {
-		u, touched := st.pending[op.Rel]
-		if !touched {
-			insts[i] = e.base[op.Rel]
-			continue
-		}
-		pre := e.base[op.Rel].Clone()
-		if u.Inserts != nil {
-			u.Inserts.Each(func(t tuple.Tuple) { pre.Delete(t) })
-		}
-		if u.Deletes != nil {
-			var insErr error
-			u.Deletes.Each(func(t tuple.Tuple) {
-				if err := pre.Insert(t); err != nil && insErr == nil {
-					insErr = err
-				}
-			})
-			if insErr != nil {
-				return nil, insErr
-			}
-		}
-		insts[i] = pre
-		if !seen[op.Rel] {
-			seen[op.Rel] = true
-			updates = append(updates, u)
-		}
-	}
-	j.insts, j.updates = insts, updates
-	return j, nil
-}
-
-// run computes the refresh result. It only reads engine state (the
-// reconstructed instances are private clones), so jobs for distinct
-// views may run concurrently on the worker pool while the lock holder
-// waits — the engine must not be mutated during the call.
-func (j *refreshJob) run() {
-	var sp obs.Span
-	if j.tr != nil {
-		sp, _ = obs.StartChild(j.tr, j.parent, "refresh.compute",
-			obs.KV{K: "view", V: j.st.name})
-	}
-	start := time.Now()
-	defer func() {
-		j.computeDur = time.Since(start)
-		if sp != nil {
-			sp.End(obs.KV{K: "err", V: j.err != nil})
-		}
-	}()
-	if j.policy == PolicyRecompute {
-		j.vc, j.err = eval.Materialize(j.st.bound, j.insts, j.st.cfg.EvalOpt)
-		return
-	}
-	// No index provider here: the persistent indexes reflect the
-	// CURRENT base state, while this delta is computed against the
-	// reconstructed pre-refresh state.
-	j.d, j.err = j.st.maint.ComputeDelta(j.insts, j.updates)
-	if j.err == nil && j.st.dataShared {
-		// Pre-clone for the copy-on-write install while still on the
-		// worker pool (reads frozen view state, writes only this job).
-		j.cow = j.st.data.Clone()
-	}
-}
-
-// installRefreshJob folds a computed refresh into the view and clears
-// its backlog; on error the view and its backlog are untouched
-// (diffeval.Apply validates before mutating). Callers hold the engine
-// lock.
-func (e *Engine) installRefreshJob(j *refreshJob) ([]notification, error) {
-	st := j.st
-	if j.err != nil {
-		return nil, j.err
-	}
-	install := time.Now()
-	if j.policy == PolicyRecompute {
-		var ns []notification
-		if len(st.subscribers) > 0 {
-			ins, del := countedDiff(st.data, j.vc)
-			ns = st.notifications(st.name, ins, del)
-		}
-		st.data = j.vc // fresh shadow state, not yet in any snapshot
-		st.dataShared = false
-		st.snapDirty = true
-		st.stats.Recomputes++
-		st.pending = make(map[string]delta.Update)
-		st.stats.PendingTx = 0
-		st.pendingSince = time.Time{}
-		st.lastMaint = maintRecord{
-			At:       time.Now(),
-			Decision: decisionLabel(st.cfg, PolicyRecompute),
-			Compute:  j.computeDur,
-			Install:  time.Since(install),
-			Trace:    j.parent.Trace,
-		}
-		if st.vo != nil {
-			st.vo.pending.Set(0)
-			st.vo.staleness.Set(0)
-			st.vo.refreshHist(decisionLabel(st.cfg, PolicyRecompute)).ObserveDuration(time.Since(j.t0))
-		}
-		return ns, nil
-	}
-	if st.dataShared {
-		// Copy-on-write: fold the delta into a private clone (usually
-		// pre-built by run on the worker pool) so the published
-		// snapshot's view state stays frozen. Apply validates before
-		// mutating, so a failure leaves the clone equal to the original
-		// and the backlog intact.
-		if j.cow == nil {
-			j.cow = st.data.Clone()
-		}
-		st.data = j.cow
-		st.dataShared = false
-	}
-	if err := diffeval.Apply(st.data, j.d); err != nil {
-		return nil, err
-	}
-	st.snapDirty = true
-	st.noteDelta(j.d)
-	st.pending = make(map[string]delta.Update)
-	st.stats.PendingTx = 0
-	st.pendingSince = time.Time{}
-	st.lastMaint = maintRecord{
-		At:       time.Now(),
-		Decision: decisionLabel(st.cfg, PolicyDifferential),
-		Compute:  j.computeDur,
-		Install:  time.Since(install),
-		Inserts:  j.d.Stats.DeltaInserts,
-		Deletes:  j.d.Stats.DeltaDeletes,
-		Trace:    j.parent.Trace,
-	}
-	if st.vo != nil {
-		st.vo.pending.Set(0)
-		st.vo.staleness.Set(0)
-		st.vo.refreshHist(decisionLabel(st.cfg, PolicyDifferential)).ObserveDuration(time.Since(j.t0))
-	}
-	return st.notifications(st.name, j.d.Inserts, j.d.Deletes), nil
-}
-
-// RefreshAll refreshes every deferred view with pending changes under
-// a single lock acquisition, fanning the per-view computations out to
-// the maintenance worker pool: each job reconstructs its own
-// pre-refresh operand state and only reads the engine, so independent
-// views refresh concurrently. Results install in name order; the
-// first error is returned after the remaining successful views have
-// installed (a failed view keeps its backlog and can be retried).
+// RefreshAll refreshes every deferred view with pending changes in one
+// run of the refresh pipeline, under a single lock acquisition: the
+// per-view computations fan out to the maintenance worker pool, and
+// results install in name order. The first error is returned after the
+// remaining successful views have installed (a failed view keeps its
+// backlog and can be retried).
 func (e *Engine) RefreshAll() error {
-	var span obs.Span
-	var root obs.SpanContext
-	if o := e.o.Load(); o != nil && o.tr != nil {
-		span, root = obs.StartRoot(o.tr, "db.refresh_all")
+	e.mu.Lock()
+	sts := make([]*viewState, 0, len(e.views))
+	for _, st := range e.views {
+		sts = append(sts, st)
 	}
-	ns, err := e.refreshAllLocked(root)
-	if span != nil {
-		span.End(obs.KV{K: "err", V: err != nil})
-	}
+	sort.Slice(sts, func(i, j int) bool { return sts[i].name < sts[j].name })
+	ns, err := e.refreshLocked("db.refresh_all", sts, nil)
+	e.mu.Unlock()
 	fire(ns)
 	return err
-}
-
-func (e *Engine) refreshAllLocked(parent obs.SpanContext) ([]notification, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	names := make([]string, len(e.viewOrder))
-	copy(names, e.viewOrder)
-	sort.Strings(names)
-	var jobs []*refreshJob
-	for _, name := range names {
-		j, err := e.buildRefreshJob(e.views[name])
-		if err != nil {
-			return nil, err
-		}
-		if j != nil {
-			jobs = append(jobs, j)
-		}
-	}
-	if o := e.o.Load(); o != nil && o.tr != nil {
-		for _, j := range jobs {
-			j.tr, j.parent = o.tr, parent
-		}
-	}
-	e.forEachParallel(len(jobs), func(i int) { jobs[i].run() })
-	var ns []notification
-	var firstErr error
-	for _, j := range jobs {
-		n, err := e.installRefreshJob(j)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		ns = append(ns, n...)
-	}
-	if len(jobs) > 0 {
-		e.publishLocked()
-	}
-	return ns, firstErr
 }
 
 // Relevant applies Theorem 4.1: it reports whether inserting or
@@ -1610,31 +1292,24 @@ func (e *Engine) SetViewPolicy(name string, spec RefreshSpec) error {
 		e.mu.Unlock()
 		return fmt.Errorf("db: unknown view %q", name)
 	}
-	var ns []notification
-	if !spec.defers() && len(st.pending) > 0 {
-		j, err := e.buildRefreshJob(st)
-		if err != nil {
-			e.mu.Unlock()
-			return err
-		}
-		if j != nil {
-			if o := e.o.Load(); o != nil && o.tr != nil {
-				j.tr = o.tr
-			}
-			j.run()
-			if ns, err = e.installRefreshJob(j); err != nil {
-				e.mu.Unlock()
-				return err
-			}
-		}
+	// Leaving a deferring policy drains the backlog first; the policy
+	// changes only if the drain installs, and publishes with it.
+	var drain []*viewState
+	if !spec.defers() {
+		drain = []*viewState{st}
 	}
-	st.cfg.When = spec
-	st.deferred = spec.defers()
-	if st.vo != nil {
-		st.vo.sloBound.Set(spec.Bound.Seconds())
+	ns, err := e.refreshLocked("db.refresh", drain, func() {
+		st.cfg.When = spec
+		st.deferred = spec.defers()
+		if st.vo != nil {
+			st.vo.sloBound.Set(spec.Bound.Seconds())
+		}
+		st.snapDirty = true
+	})
+	if err != nil {
+		e.mu.Unlock()
+		return err
 	}
-	st.snapDirty = true
-	e.publishLocked()
 	scheduled := spec.scheduled()
 	e.mu.Unlock()
 	if scheduled {
@@ -1666,5 +1341,5 @@ func (e *Engine) Query(v expr.View, opts eval.Options) (*relation.Counted, error
 	if err != nil {
 		return nil, err
 	}
-	return eval.Materialize(bound, s.operandInstances(bound), opts)
+	return eval.Materialize(bound, operandInstances(bound, nil, s.base), opts)
 }

@@ -1,0 +1,893 @@
+package db
+
+// The maintenance pipeline. A commit and a deferred view's refresh are
+// one mechanism: each carries the views it brings up to date, as
+// []*refreshed, through the same stages, named after their spans:
+//
+//	maint     route the filtered views' updates through the relevance
+//	          index (§4, once per tuple; route.go), then compute every
+//	          differential delta (§5) and recompute shadow on the worker
+//	          pool
+//	validate  check every delta against its view; nothing is visible yet
+//	install   swap the views' next states in; nothing here can fail
+//	publish   one copy-on-write snapshot
+//
+// A commit (executeBatchLocked) derives its views from its group's
+// composed net effect, after stages net and compose, and logs the group
+// (fsync) between validate and install. A refresh (refreshLocked)
+// derives them from each view's backlog — the §6 composed net change
+// since its last refresh — and computes against the pre-refresh state
+// rebuilt from that backlog.
+
+import (
+	"fmt"
+	"time"
+
+	"mview/internal/delta"
+	"mview/internal/diffeval"
+	"mview/internal/eval"
+	"mview/internal/expr"
+	"mview/internal/obs"
+	"mview/internal/relation"
+	"mview/internal/tuple"
+)
+
+// refreshed carries one view through the pipeline: the maint stage fills
+// d (differential) or vc (recompute shadow), validate checks it, and
+// install folds it in — including a commit's staged deferred backlogs,
+// so a failed commit queues nothing.
+type refreshed struct {
+	st         *viewState
+	deferred   bool                 // backlog staging only; no computation
+	pend       []delta.Update       // staged updates, composed into the backlog at install
+	insts      []*relation.Relation // operand instances for the computation
+	perOp      []delta.Update       // differential input: each operand's net update
+	routed     bool                 // perOp came filtered out of the relevance index (route.go)
+	d          *diffeval.ViewDelta  // differential result
+	vc         *relation.Counted    // recompute shadow (PolicyRecompute)
+	cow        *relation.Counted    // maint-stage clone for the copy-on-write install
+	err        error                // compute/validate failure
+	decision   string               // metrics label
+	computeDur time.Duration        // delta or recompute computation time
+	wait       time.Duration        // queue wait before compute started
+	// refresh marks a deferred view's refresh: computed against the state
+	// rebuilt from its backlog, unindexed and unsharded; install clears
+	// the backlog.
+	refresh bool
+	// Group-commit fields (group.go). touchCount is how many of the
+	// group's transactions touch this view — the serial-equivalent
+	// increment for Transactions/PendingTx. noop marks a view whose
+	// composed delta cancelled to nothing; perTx marks a subscribed
+	// view whose state installs from folded per-transaction deltas.
+	touchCount int
+	noop       bool
+	perTx      bool
+	// Shard fan-out fields (shard.go): per-shard partial deltas merged
+	// into d after the pool drains, plus the fan-out counters.
+	parts        []*diffeval.ViewDelta
+	shardTasks   int
+	shardsPruned int
+}
+
+// maintRun is one pass of the pipeline: the views a commit touched, or
+// the deferred views a refresh drains.
+type maintRun struct {
+	ct      *commitTrace
+	refresh bool
+	ws      []*refreshed // install order; a routing candidate's slot stays nil until a tuple reaches it
+	diff    []*refreshed // differential computations
+	recs    []*refreshed // recompute shadows
+	cands   []routeCand  // filtered differential views, routed by the maint stage
+	// A commit's composed delta, its per-shard splits and its members;
+	// all nil for a refresh, whose views each route their own backlog
+	// (routeCand.in) and so plan one unsharded task each.
+	composed  []delta.Update
+	splits    map[string][]delta.ShardUpdate
+	live      []*groupReq
+	wentStale bool // install started a deferred view's backlog
+}
+
+// operandInstances gathers a bound view's operand instances: each
+// relation from over (a commit's overlay; nil for none), else from base.
+func operandInstances(b *expr.Bound, over, base map[string]*relation.Relation) []*relation.Relation {
+	insts := make([]*relation.Relation, len(b.Operands))
+	for i, op := range b.Operands {
+		if r, ok := over[op.Rel]; ok {
+			insts[i] = r
+		} else {
+			insts[i] = base[op.Rel]
+		}
+	}
+	return insts
+}
+
+// updateOf returns rel's update among us (zero when rel is untouched).
+func updateOf(us []delta.Update, rel string) delta.Update {
+	for _, u := range us {
+		if u.Rel == rel {
+			return u
+		}
+	}
+	return delta.Update{}
+}
+
+// reads reports whether any of st's operands reads a relation us
+// updates.
+func reads(st *viewState, us []delta.Update) bool {
+	for _, op := range st.bound.Operands {
+		if updateOf(us, op.Rel).Rel != "" {
+			return true
+		}
+	}
+	return false
+}
+
+// executeBatchLocked is the commit pipeline, generalized from one
+// transaction to an ordered group. Per-transaction failures (unknown
+// relation, arity, a failing per-tx view delta) are recorded on the
+// request and the transaction is excluded from the group; a failure in
+// a shared phase returns an error with the engine untouched — nothing
+// is installed until every delta is validated and the whole batch is
+// durably logged.
+//
+// Phases:
+//  1. net effects: each transaction's delta.Tx.Net runs against an
+//     overlay of cloned base relations that accumulates the earlier
+//     members' effects, so later members see their predecessors.
+//  2. composition (§6): delta.ComposeTxs folds the per-tx nets into
+//     one net delta per relation; intra-group churn cancels here and
+//     never reaches maintenance.
+//  3. maintenance: classify the touched views, then the maint and
+//     validate stages; recomputes materialize from the overlay
+//     post-state.
+//  4. log: all payloads appended with a single fsync (logBatch, or the
+//     engine's own log for a solo commit).
+//  5. install + publish: bases swap to the overlay clones, indexes
+//     advance by the composed delta, view states install, ONE COW
+//     snapshot publishes. Nothing in this phase can fail.
+//
+// ct (nil when obs is detached) times every phase as a pipeline stage
+// and, with a tracer attached, emits the stage and fan-out spans that
+// the flight recorder assembles into the commit's trace (trace.go).
+func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) error, ct *commitTrace) ([]notification, error) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if logBatch == nil {
+		logBatch = e.logOne
+	}
+	batchMode := len(reqs) > 1
+
+	// Phase 1: per-tx net effects against the evolving overlay. e.base
+	// stays frozen at the pre-group state B0 — maintenance deltas and
+	// the persistent indexes are defined against it.
+	run := &maintRun{ct: ct}
+	work := make(map[string]*relation.Relation)
+	lookup := func(name string) (*relation.Relation, bool) {
+		if r, ok := work[name]; ok {
+			return r, true
+		}
+		r, ok := e.base[name]
+		return r, ok
+	}
+
+	se := ct.begin(stageNet)
+	run.live = make([]*groupReq, 0, len(reqs))
+	nets := make([][]delta.Update, 0, len(reqs))
+	for _, r := range reqs {
+		updates, err := r.tx.Net(lookup)
+		if err != nil {
+			r.err = err
+			continue
+		}
+		r.res = TxResult{Updates: updates, Trace: ct.traceID()}
+		r.touched = make(map[string]bool, len(updates))
+		for _, u := range updates {
+			r.touched[u.Rel] = true
+		}
+		// Per-tx view deltas for subscribed views (batch only): each
+		// subscriber sees one alert per transaction, not one per group.
+		if batchMode {
+			if err := e.perTxViewDeltas(r, updates, work); err != nil {
+				r.err = err
+				continue
+			}
+		}
+		for _, u := range updates {
+			if _, ok := work[u.Rel]; !ok {
+				work[u.Rel] = e.base[u.Rel].Clone()
+			}
+			if err := u.Apply(work[u.Rel]); err != nil {
+				// Unreachable: Net guarantees disjointness against the
+				// very state the update applies to. Poison the batch
+				// rather than risk a torn overlay.
+				se.end(obs.KV{K: "err", V: true})
+				return nil, fmt.Errorf("db: internal: overlay apply failed: %w", err)
+			}
+		}
+		run.live = append(run.live, r)
+		nets = append(nets, updates)
+	}
+	if se.span != nil {
+		se.end(obs.KV{K: "txs", V: len(reqs)}, obs.KV{K: "live", V: len(run.live)})
+	} else {
+		se.end()
+	}
+	if len(run.live) == 0 {
+		return nil, nil
+	}
+
+	// Phase 2: §6 composition of the group's net effects.
+	se = ct.begin(stageCompose)
+	composed, err := delta.ComposeTxs(nets)
+	if err != nil {
+		se.end(obs.KV{K: "err", V: true})
+		return nil, err
+	}
+	if se.span != nil {
+		se.end(obs.KV{K: "relations", V: len(composed)})
+	} else {
+		se.end()
+	}
+	run.composed = composed
+
+	// Phase 3: classify, maintain, validate.
+	e.classify(run, batchMode, work)
+	defer clear(run.cands) // drop the commit's pointers from the scratch
+	if err := e.maintStage(run); err != nil {
+		return nil, err
+	}
+	if err := e.validateStage(run); err != nil {
+		return nil, err
+	}
+
+	// Phase 4: durably log the whole group with one fsync, before any
+	// of it becomes visible. A log failure aborts with the engine
+	// untouched (the log truncates a failed append back out).
+	var payloads [][]byte
+	for _, r := range run.live {
+		if r.payload != nil {
+			payloads = append(payloads, r.payload)
+		}
+	}
+	if logBatch != nil && len(payloads) > 0 {
+		if ct.tracing() {
+			se = ct.begin(stageFsync, obs.KV{K: "payloads", V: len(payloads)})
+		} else {
+			se = ct.begin(stageFsync)
+		}
+		if err := logBatch(payloads); err != nil {
+			se.end(obs.KV{K: "err", V: true})
+			return nil, err
+		}
+		se.end()
+	} else {
+		ct.note(stageFsync, 0) // in-memory batch: keep stage counts aligned
+	}
+
+	// Phase 5: install and publish.
+	ns, err := e.installStage(run, work)
+	if err != nil {
+		return nil, err
+	}
+	if len(work) > 0 || len(run.ws) > 0 {
+		e.publishStage(ct)
+	}
+	if run.wentStale {
+		// A deferred view just started a backlog: wake the scheduler so
+		// a MaxStaleness SLO deadline is planned against it immediately.
+		e.sched.poke()
+	}
+	return ns, nil
+}
+
+// classify sorts the views the commit touched into the run, in view
+// order. Counters follow the per-tx touch union, so
+// ViewStats.Transactions and PendingTx match the serial path even when
+// composition cancels the data change.
+func (e *Engine) classify(run *maintRun, batchMode bool, work map[string]*relation.Relation) {
+	unionTouched := make(map[string]bool)
+	for _, r := range run.live {
+		for rel := range r.touched {
+			unionTouched[rel] = true
+		}
+	}
+	run.cands = e.routeCands[:0]
+	for _, name := range e.viewOrder {
+		st := e.views[name]
+		if !e.viewTouched(st, unionTouched) {
+			continue
+		}
+		touchCount := 0
+		for _, r := range run.live {
+			if e.viewTouched(st, r.touched) {
+				touchCount++
+			}
+		}
+		switch {
+		case st.deferred:
+			pend := e.stagePending(st, run.composed)
+			run.ws = append(run.ws, &refreshed{st: st, deferred: true, pend: pend, touchCount: touchCount})
+		case batchMode && perTxView(st):
+			run.ws = append(run.ws, &refreshed{st: st, perTx: true, touchCount: touchCount,
+				decision: decisionLabel(st.cfg, PolicyDifferential)})
+		case !reads(st, run.composed):
+			// The group's churn cancelled before reaching this view: no
+			// data change, but the touch counters still advance.
+			run.ws = append(run.ws, &refreshed{st: st, noop: true, touchCount: touchCount})
+		default:
+			e.plan(run, st, touchCount, run.composed, work)
+		}
+	}
+	e.routeCands = run.cands
+}
+
+// plan adds a view the maint stage must bring up to date over updates —
+// a commit's composed delta or a refresh's backlog: as a recompute
+// shadow of the post-state (over the commit's overlay work), as a
+// routing candidate when the view filters, or as a differential
+// computation. Callers hold the engine lock.
+func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []delta.Update, work map[string]*relation.Relation) {
+	policy := st.cfg.Policy
+	if policy == PolicyAdaptive {
+		policy = e.chooseAdaptive(st, updates)
+	}
+	switch {
+	case policy == PolicyRecompute:
+		w := &refreshed{st: st, touchCount: touchCount, refresh: run.refresh,
+			insts: operandInstances(st.bound, work, e.base), decision: decisionLabel(st.cfg, PolicyRecompute)}
+		run.ws = append(run.ws, w)
+		run.recs = append(run.recs, w)
+	case st.cfg.Maint.Filter:
+		// The view's slot in ws is held (nil) to keep view order; routing
+		// fills it only if a tuple reaches the view.
+		run.cands = append(run.cands, newRouteCand(st, touchCount, len(run.ws), updates))
+		run.ws = append(run.ws, nil)
+	default:
+		w := e.newDifferential(st, touchCount, updates)
+		w.refresh = run.refresh
+		run.ws = append(run.ws, w)
+		run.diff = append(run.diff, w)
+	}
+}
+
+// maintStage is the maint stage: route the candidates, then compute on
+// the worker pool every differential delta, against the frozen
+// pre-state, and every recompute shadow. With sharding, a commit's eligible view
+// expands into one task per surviving shard of its modified operand's
+// delta (shard.go); the composed delta is split by shard once per
+// relation for the whole run, and the per-shard partial deltas are
+// ⊎-merged after the pool drains. Each unit of pool work gets its own
+// child span, and the longest one is the slowest_task critical-path
+// component.
+//
+// A view's failure lands on its w.err; the returned error is a routing
+// failure, which fails the whole run.
+func (e *Engine) maintStage(run *maintRun) error {
+	ct := run.ct
+	maintSE := ct.begin(stageMaint)
+	var routing routeStats
+	if e.shards > 1 && !run.refresh {
+		run.splits = make(map[string][]delta.ShardUpdate)
+	}
+	if len(run.cands) > 0 {
+		if err := e.routeRun(run, &routing); err != nil {
+			maintSE.end(obs.KV{K: "err", V: true})
+			return err
+		}
+		n := 0
+		for _, w := range run.ws {
+			if w != nil {
+				run.ws[n] = w
+				n++
+			}
+		}
+		run.ws = run.ws[:n]
+	}
+
+	var maxTask time.Duration
+	var tasks []*commitTask
+	for _, w := range run.diff {
+		if w.refresh {
+			// The base and its persistent indexes are the current state;
+			// a refresh computes against the state its backlog started
+			// from.
+			if w.insts, w.err = e.preRefreshInstances(w.st); w.err != nil {
+				continue
+			}
+		}
+		tasks = e.planShardTasks(w, run.composed, run.splits, tasks)
+	}
+	for _, w := range run.recs {
+		tasks = append(tasks, &commitTask{w: w, part: -1, recompute: true})
+	}
+	if len(tasks) > 0 {
+		var prov diffeval.IndexProvider = provider{e: e}
+		submit := time.Now()
+		e.forEachParallel(len(tasks), func(i int) {
+			t := tasks[i]
+			var sp obs.Span
+			if ct.tracing() {
+				name := "maint.task"
+				if t.recompute {
+					name = "maint.recompute"
+				}
+				sp = ct.task(maintSE.ctx, name, obs.KV{K: "view", V: t.w.st.name}, obs.KV{K: "shard", V: t.part})
+			}
+			start := time.Now()
+			t.wait = start.Sub(submit)
+			p := prov
+			if t.w.refresh {
+				p = nil
+			}
+			if t.recompute {
+				t.w.vc, t.err = eval.Materialize(t.w.st.bound, t.w.insts, t.w.st.cfg.EvalOpt)
+			} else if t.d, t.err = t.w.st.maint.ComputeDeltaPerOperand(t.w.insts, t.perOp, p); t.err == nil && t.clone && t.w.st.dataShared {
+				t.w.cow = t.w.st.data.Clone()
+			}
+			t.dur = time.Since(start)
+			if sp != nil {
+				sp.End(obs.KV{K: "err", V: t.err != nil})
+			}
+		})
+		for _, t := range tasks {
+			w := t.w
+			if t.err != nil {
+				if w.err == nil {
+					w.err = t.err
+				}
+				continue
+			}
+			if t.dur > maxTask {
+				maxTask = t.dur
+			}
+			if t.part < 0 {
+				w.d, w.computeDur, w.wait = t.d, t.dur, t.wait
+				continue
+			}
+			w.parts[t.part] = t.d
+			w.computeDur += t.dur
+			if t.part == 0 || t.wait < w.wait {
+				w.wait = t.wait
+			}
+		}
+		for _, w := range run.diff {
+			if w.d == nil && w.err == nil {
+				w.d, w.err = diffeval.MergeDeltas(w.parts)
+			}
+		}
+		if o := e.o.Load(); o != nil && len(tasks) > 1 && !run.refresh {
+			if wall := time.Since(submit); wall > 0 {
+				var sum time.Duration
+				for _, t := range tasks {
+					sum += t.dur
+				}
+				o.speedup.Observe(sum.Seconds() / wall.Seconds())
+			}
+		}
+	}
+	// The routed views' filter verdicts were reached before their tasks
+	// ran; report them with the delta like any filtered view's.
+	for i := range run.cands {
+		if c := &run.cands[i]; c.w != nil && c.w.d != nil {
+			c.verdicts(c.w.d)
+		}
+	}
+
+	if maintSE.span != nil {
+		maintSE.end(obs.KV{K: "differential", V: len(run.diff)}, obs.KV{K: "recompute", V: len(run.recs)},
+			obs.KV{K: "tuples", V: routing.tuples}, obs.KV{K: "candidates", V: routing.candidates},
+			obs.KV{K: "routed_views", V: routing.views})
+	} else {
+		maintSE.end()
+	}
+	ct.note(stageSlowestTask, maxTask)
+	return nil
+}
+
+// routeRun routes the run's candidates (route.go) and sorts the
+// outcome into the run: a view some tuple reached joins the
+// differential set with its filtered updates. A commit routes its
+// composed delta once for all candidates, and a view nothing reached is
+// done (installAway). A refresh routes each view's own backlog, and a
+// view nothing reached still installs an empty delta: its backlog
+// clears and its verdicts count.
+func (e *Engine) routeRun(run *maintRun, rs *routeStats) error {
+	if run.refresh {
+		for i := range run.cands {
+			if err := e.routeComposed(run.cands[i].in, run.cands[i:i+1], rs); err != nil {
+				return err
+			}
+		}
+	} else if err := e.routeComposed(run.composed, run.cands, rs); err != nil {
+		return err
+	}
+	for i := range run.cands {
+		c := &run.cands[i]
+		switch {
+		case c.w != nil:
+			c.w.refresh = run.refresh
+			run.ws[c.at] = c.w
+			run.diff = append(run.diff, c.w)
+		case run.refresh:
+			c.w = e.newDifferential(c.st, 0, nil)
+			c.w.refresh = true
+			c.w.d = c.st.maint.EmptyDelta()
+			run.ws[c.at] = c.w
+		default:
+			if op := e.shardableOperand(c.st, run.composed); op >= 0 {
+				c.shardsPruned = len(e.splitComposed(c.st.bound.Operands[op].Rel, run.composed, run.splits))
+			}
+		}
+	}
+	return nil
+}
+
+// validateStage checks every delta against its view before anything
+// becomes visible. Per-tx delta chains fold onto a private clone, each
+// step re-validated by diffeval.Apply; the clone becomes the view's
+// next state. A failing view keeps its error on w.err; the run's first
+// failure, maint or validate, in install order, is returned.
+func (e *Engine) validateStage(run *maintRun) error {
+	se := run.ct.begin(stageValidate)
+	var first error
+	for _, w := range run.ws {
+		if w.err == nil && w.d != nil {
+			w.err = diffeval.Validate(w.st.data, w.d)
+		}
+		if w.err == nil && w.perTx {
+			w.cow = w.st.data.Clone()
+			for _, r := range run.live {
+				if d := r.viewDeltas[w.st.name]; d != nil {
+					if err := diffeval.Apply(w.cow, d); err != nil {
+						w.err = err
+						break
+					}
+				}
+			}
+		}
+		if w.err != nil && first == nil {
+			first = w.err
+		}
+	}
+	if first != nil {
+		se.end(obs.KV{K: "err", V: true})
+	} else {
+		se.end()
+	}
+	return first
+}
+
+// installStage is the install stage: a commit's bases swap to the
+// overlay and its indexes advance, then every view of the run takes its
+// next state. Nothing here can fail.
+func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation) ([]notification, error) {
+	se := run.ct.begin(stageInstall)
+	for rel, r := range work {
+		e.base[rel] = r
+		e.baseShared[rel] = false
+	}
+	for _, u := range run.composed {
+		e.applyToIndexes(u)
+		e.markCheckpointDirtyLocked(u)
+	}
+	var ns []notification
+	for _, w := range run.ws {
+		st := w.st
+		st.stats.Transactions += w.touchCount
+		st.snapDirty = true
+		if w.deferred {
+			if st.stats.PendingTx == 0 && w.touchCount > 0 {
+				// 0→nonzero backlog: the view just went stale; its
+				// staleness clock starts at this commit.
+				st.pendingSince = e.now()
+				run.wentStale = true
+			}
+			e.installPending(st, w.pend)
+			st.stats.PendingTx += w.touchCount
+			if st.vo != nil {
+				st.vo.pending.Set(float64(st.stats.PendingTx))
+			}
+			continue
+		}
+		if w.noop {
+			continue
+		}
+		t0 := time.Now()
+		switch {
+		case w.perTx:
+			st.data = w.cow
+			st.dataShared = false
+			for _, r := range run.live {
+				if d := r.viewDeltas[st.name]; d != nil {
+					st.noteDelta(d)
+				}
+			}
+		case w.d != nil:
+			if st.dataShared {
+				if w.cow == nil {
+					w.cow = st.data.Clone()
+				}
+				st.data = w.cow
+				st.dataShared = false
+			}
+			if err := diffeval.Apply(st.data, w.d); err != nil {
+				// Unreachable: validated above and Apply re-validates
+				// before mutating, so the view is intact.
+				return nil, fmt.Errorf("db: internal: staged delta failed to install on %q: %w", st.name, err)
+			}
+			st.noteDelta(w.d)
+			if w.shardTasks > 0 || w.shardsPruned > 0 {
+				st.stats.ShardTasks += w.shardTasks
+				st.stats.ShardsPruned += w.shardsPruned
+				if st.vo != nil {
+					st.vo.shardTasks.Add(int64(w.shardTasks))
+					st.vo.shardPruned.Add(int64(w.shardsPruned))
+				}
+			}
+			ns = append(ns, st.notifications(st.name, w.d.Inserts, w.d.Deletes)...)
+		default:
+			if len(st.subscribers) > 0 {
+				ins, del := countedDiff(st.data, w.vc)
+				ns = append(ns, st.notifications(st.name, ins, del)...)
+			}
+			st.data = w.vc
+			st.dataShared = false
+			st.stats.Recomputes++
+		}
+		if w.refresh {
+			st.pending = make(map[string]delta.Update)
+			st.stats.PendingTx = 0
+			st.pendingSince = time.Time{}
+			if st.vo != nil {
+				st.vo.pending.Set(0)
+				st.vo.staleness.Set(0)
+			}
+		}
+		st.lastMaint = maintRecord{
+			At:           time.Now(),
+			Decision:     w.decision,
+			Wait:         w.wait,
+			Compute:      w.computeDur,
+			Install:      time.Since(t0),
+			ShardTasks:   w.shardTasks,
+			ShardsPruned: w.shardsPruned,
+			Trace:        run.ct.traceID(),
+		}
+		if w.d != nil {
+			st.lastMaint.Inserts = w.d.Stats.DeltaInserts
+			st.lastMaint.Deletes = w.d.Stats.DeltaDeletes
+		} else if w.perTx {
+			for _, r := range run.live {
+				if d := r.viewDeltas[st.name]; d != nil {
+					st.lastMaint.Inserts += d.Stats.DeltaInserts
+					st.lastMaint.Deletes += d.Stats.DeltaDeletes
+				}
+			}
+		}
+		if st.vo != nil {
+			st.vo.refreshHist(w.decision).ObserveDuration(w.computeDur + time.Since(t0))
+			if w.d != nil {
+				st.vo.computeWait.ObserveDuration(w.wait)
+			}
+		}
+	}
+	for i := range run.cands {
+		if run.cands[i].w == nil {
+			run.cands[i].installAway()
+		}
+	}
+	// Per-tx subscriber notifications, transaction-major: subscribers
+	// observe the same per-transaction alert stream the serial path
+	// produces (batch mode only; a batch of one rode the w.d path).
+	if len(run.live) > 1 {
+		for _, r := range run.live {
+			for _, w := range run.ws {
+				if !w.perTx {
+					continue
+				}
+				if d := r.viewDeltas[w.st.name]; d != nil {
+					ns = append(ns, w.st.notifications(w.st.name, d.Inserts, d.Deletes)...)
+				}
+			}
+		}
+	}
+
+	// Per-request view counters follow each transaction's own touch
+	// set, exactly as if it had committed alone.
+	for _, r := range run.live {
+		for _, w := range run.ws {
+			if !e.viewTouched(w.st, r.touched) {
+				continue
+			}
+			if w.deferred {
+				r.res.ViewsDeferred++
+			} else {
+				r.res.ViewsRefreshed++
+			}
+		}
+		for i := range run.cands {
+			if run.cands[i].w == nil && e.viewTouched(run.cands[i].st, r.touched) {
+				r.res.ViewsRefreshed++
+			}
+		}
+	}
+	if se.span != nil {
+		se.end(obs.KV{K: "views", V: len(run.ws)})
+	} else {
+		se.end()
+	}
+	return ns, nil
+}
+
+// publishStage publishes the run's snapshot.
+func (e *Engine) publishStage(ct *commitTrace) {
+	se := ct.begin(stagePublish)
+	e.publishLocked()
+	se.end()
+}
+
+// refreshLocked is the one refresh path, behind every trigger:
+// RefreshView, RefreshAll, the scheduler's interval and SLO refreshes,
+// MaxStale reads, and the drains of SetViewPolicy and the autopolicy
+// flip. A refresh is a commit over each view's backlog: one refreshed
+// per view with a backlog, through the maint, validate and install
+// stages, then one publish. It runs under its own trace (root span
+// root), which feeds neither the commit stage histograms nor
+// CriticalPath.
+//
+// A view that fails keeps its backlog while the others install; the
+// first failure, in sts order, is returned. then, when non-nil, runs
+// after the install if nothing failed, and before the publish: a policy
+// flip publishes together with its drain. Callers hold the engine lock.
+func (e *Engine) refreshLocked(root string, sts []*viewState, then func()) ([]notification, error) {
+	run := &maintRun{refresh: true}
+	for _, st := range sts {
+		if len(st.pending) == 0 {
+			continue
+		}
+		backlog := make([]delta.Update, 0, len(st.pending))
+		for _, u := range st.pending {
+			backlog = append(backlog, u)
+		}
+		e.plan(run, st, 0, backlog, nil)
+	}
+	var ns []notification
+	var err error
+	if len(run.ws) > 0 {
+		view := ""
+		if len(sts) == 1 {
+			view = sts[0].name
+		}
+		run.ct = e.newRefreshTrace(root, view)
+		if err = e.maintStage(run); err != nil {
+			run.ws = nil // routing failed: nothing installs
+		} else {
+			err = e.validateStage(run)
+			n := 0
+			for _, w := range run.ws {
+				if w.err == nil {
+					run.ws[n] = w
+					n++
+				}
+			}
+			run.ws = run.ws[:n]
+			var ierr error
+			if ns, ierr = e.installStage(run, nil); ierr != nil {
+				err = ierr
+			}
+		}
+	}
+	flip := err == nil && then != nil
+	if flip {
+		then()
+	}
+	if len(run.ws) > 0 || flip {
+		e.publishStage(run.ct)
+	}
+	run.ct.close(err)
+	return ns, err
+}
+
+// preRefreshInstances rebuilds the operand instances a deferred view
+// was last refreshed against, B0 = B_now − I ∪ D, for every relation its
+// backlog touched: private clones, so the delta computes from a frozen
+// state. Callers hold the engine lock.
+func (e *Engine) preRefreshInstances(st *viewState) ([]*relation.Relation, error) {
+	insts := make([]*relation.Relation, len(st.bound.Operands))
+	for i, op := range st.bound.Operands {
+		u, touched := st.pending[op.Rel]
+		if !touched {
+			insts[i] = e.base[op.Rel]
+			continue
+		}
+		pre := e.base[op.Rel].Clone()
+		if u.Inserts != nil {
+			u.Inserts.Each(func(t tuple.Tuple) { pre.Delete(t) })
+		}
+		if u.Deletes != nil {
+			var insErr error
+			u.Deletes.Each(func(t tuple.Tuple) {
+				if err := pre.Insert(t); err != nil && insErr == nil {
+					insErr = err
+				}
+			})
+			if insErr != nil {
+				return nil, insErr
+			}
+		}
+		insts[i] = pre
+	}
+	return insts, nil
+}
+
+// perTxView reports whether a view gets per-transaction differential
+// deltas inside a batch: it has subscribers, refreshes immediately,
+// and is not pinned to recompute (a pinned-recompute subscribed view
+// notifies once per group via the recompute diff — documented in
+// ARCHITECTURE.md). Adaptive views commit to differential here so the
+// alert stream stays per-transaction.
+func perTxView(st *viewState) bool {
+	return len(st.subscribers) > 0 && !st.deferred && st.cfg.Policy != PolicyRecompute
+}
+
+// perTxViewDeltas computes r's differential deltas for every subscribed
+// view it touches, against the overlay state BEFORE r applies. A
+// filtered view gets r's updates through the relevance index like any
+// other consumer; one nothing reached gets an empty delta carrying the
+// verdicts. Indexes reflect the pre-group state, so the provider blanks
+// them for relations already dirtied by earlier group members.
+func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[string]*relation.Relation) error {
+	var ws []*refreshed
+	var cands []routeCand
+	for _, name := range e.viewOrder {
+		switch st := e.views[name]; {
+		case !perTxView(st) || !e.viewTouched(st, r.touched):
+		case st.cfg.Maint.Filter:
+			cands = append(cands, newRouteCand(st, 0, 0, updates))
+		default:
+			ws = append(ws, e.newDifferential(st, 0, updates))
+		}
+	}
+	if len(ws) == 0 && len(cands) == 0 {
+		return nil
+	}
+	if err := e.routeComposed(updates, cands, &routeStats{}); err != nil {
+		return err
+	}
+	r.viewDeltas = make(map[string]*diffeval.ViewDelta, len(ws)+len(cands))
+	for i := range cands {
+		if c := &cands[i]; c.w != nil {
+			ws = append(ws, c.w)
+		} else {
+			r.viewDeltas[c.st.name] = c.st.maint.EmptyDelta()
+		}
+	}
+	prov := batchProvider{provider{e}, work}
+	for _, w := range ws {
+		d, err := w.st.maint.ComputeDeltaPerOperand(operandInstances(w.st.bound, work, e.base), w.perOp, prov)
+		if err != nil {
+			return err
+		}
+		r.viewDeltas[w.st.name] = d
+	}
+	for i := range cands {
+		cands[i].verdicts(r.viewDeltas[cands[i].st.name])
+	}
+	return nil
+}
+
+// batchProvider serves persistent indexes only for relations still at
+// their pre-group state; relations already modified by earlier group
+// members (in the overlay, dirty) return nil, and diffeval falls back
+// to scans for them.
+type batchProvider struct {
+	provider
+	dirty map[string]*relation.Relation
+}
+
+func (p batchProvider) Index(rel string, pos int) *relation.Index {
+	if _, ok := p.dirty[rel]; ok {
+		return nil
+	}
+	return p.provider.Index(rel, pos)
+}

@@ -5,20 +5,21 @@ package db
 // Every filtered view's §4 pre-filter used to run inside its own
 // maintenance task, so V filtered views over one relation cost V tasks,
 // V filtered copies of the update and V empty deltas per commit to
-// conclude, almost always, "nothing to do". The commit pipeline now
-// filters before it plans tasks: per base relation one
-// irrelevance.Index covers every (filtered view, operand) checker
-// reading it, the composed update is routed through it once, and a view
-// gets a maintenance task — fed its already-filtered per-operand
-// updates — only if some tuple reached it. A view nothing reached costs
-// no task, no clone, no delta and no snapshot entry; its counters still
-// advance (routedAway), because a tuple the index keeps away from a
-// view is a discard verdict for that view like any other.
+// conclude, almost always, "nothing to do". The pipeline now filters
+// before it plans tasks: per base relation one irrelevance.Index covers
+// every (filtered view, operand) checker reading it, and every delta a
+// filtered view consumes — a commit's composed update, a refresh's
+// backlog, a subscriber's per-transaction update — is routed through
+// it, so a view gets a maintenance task, fed its already-filtered
+// per-operand updates, only if some tuple reached it. A commit's view
+// nothing reached costs no task, clone, delta or snapshot entry; its
+// counters still advance (routedAway): a tuple kept away is a discard.
 
 import (
 	"sync/atomic"
 
 	"mview/internal/delta"
+	"mview/internal/diffeval"
 	"mview/internal/irrelevance"
 )
 
@@ -37,20 +38,39 @@ type routeTarget struct {
 	op int
 }
 
-// routeCand is one filtered immediate view touched by the commit, on
-// its way through routing.
+// routeCand is one filtered view on its way through routing: a view a
+// commit maintains, a deferred view a refresh drains, or a subscribed
+// view's per-transaction delta. It is where every filter verdict the
+// engine reports is counted.
 type routeCand struct {
 	st         *viewState
 	touchCount int
-	at         int // the view's placeholder position in the commit's work list
-	// checked is the number of filter verdicts the commit owes the view:
-	// the composed tuples of every touched relation, once per operand
-	// reading it. passed is how many of them got through.
+	at         int            // the view's placeholder position in the run's work list
+	in         []delta.Update // the updates routed to the view: a composed delta or a backlog
+	// checked is the number of filter verdicts owed to the view: the
+	// tuples of every touched relation, once per operand reading it.
+	// passed is how many of them got through.
 	checked, passed int
 	shardsPruned    int
 	// w is nil until a tuple reaches the view; such a view is then
 	// maintained like any other differential view.
 	w *refreshed
+}
+
+// newRouteCand makes st a routing candidate for the updates in.
+func newRouteCand(st *viewState, touchCount, at int, in []delta.Update) routeCand {
+	c := routeCand{st: st, touchCount: touchCount, at: at, in: in}
+	for _, op := range st.bound.Operands {
+		c.checked += updateOf(in, op.Rel).Size()
+	}
+	return c
+}
+
+// verdicts reports the candidate's filter verdicts with its delta, as
+// the §4 pre-filter of a lone view would have.
+func (c *routeCand) verdicts(d *diffeval.ViewDelta) {
+	d.Stats.FilterChecked = c.checked
+	d.Stats.FilteredOut = c.checked - c.passed
 }
 
 // routedAway accumulates what a view is owed by commits the relevance
@@ -111,35 +131,42 @@ func (e *Engine) relevanceRoutes() (map[string]*relRoute, error) {
 }
 
 // newDifferential starts a view's passage through differential
-// maintenance: its operand instances and an empty per-operand update
-// list for the caller to fill. Callers hold the engine lock.
-func (e *Engine) newDifferential(st *viewState, touchCount int) *refreshed {
-	return &refreshed{
+// maintenance over updates: its operand instances and each operand's
+// update (none when updates is nil and routing fills them in). Callers
+// hold the engine lock.
+func (e *Engine) newDifferential(st *viewState, touchCount int, updates []delta.Update) *refreshed {
+	w := &refreshed{
 		st:         st,
 		touchCount: touchCount,
-		insts:      e.operandInstances(st.bound),
+		insts:      operandInstances(st.bound, nil, e.base),
 		perOp:      make([]delta.Update, len(st.bound.Operands)),
 		decision:   decisionLabel(st.cfg, PolicyDifferential),
 	}
+	for i, op := range st.bound.Operands {
+		w.perOp[i] = updateOf(updates, op.Rel)
+	}
+	return w
 }
 
-// routeStats is what one commit's routing did, for the commit.maint
-// span: tuples routed, full Theorem 4.1 tests run on index candidates,
-// and views some tuple reached.
+// routeStats is what one run's routing did, for the maint span: tuples
+// routed, full Theorem 4.1 tests run on index candidates, and views
+// some tuple reached.
 type routeStats struct {
 	tuples, candidates, views int
 }
 
-// routeComposed routes the commit's composed delta to cands, the
-// filtered views classified for differential maintenance. A view some
-// tuple reaches gets its refreshed entry (w), carrying the filtered
-// per-operand updates; the others keep w nil. Callers hold the engine
-// lock.
-func (e *Engine) routeComposed(composed []delta.Update, cands []routeCand) (routeStats, error) {
-	var rs routeStats
+// routeComposed routes composed, a net delta per relation, to cands,
+// filtered views to be maintained differentially over it, and adds
+// what it did to rs. A view some tuple reaches gets its refreshed entry
+// (w), carrying the filtered per-operand updates; the others keep w
+// nil. Callers hold the engine lock.
+func (e *Engine) routeComposed(composed []delta.Update, cands []routeCand, rs *routeStats) error {
+	if len(cands) == 0 {
+		return nil
+	}
 	routes, err := e.relevanceRoutes()
 	if err != nil {
-		return rs, err
+		return err
 	}
 	for i := range cands {
 		cands[i].st.routeSlot = i + 1
@@ -159,7 +186,7 @@ func (e *Engine) routeComposed(composed []delta.Update, cands []routeCand) (rout
 		}
 		hits, checks, err := rr.ix.Route(u, rr.skip)
 		if err != nil {
-			return rs, err
+			return err
 		}
 		rs.tuples += u.Size()
 		rs.candidates += checks
@@ -167,7 +194,7 @@ func (e *Engine) routeComposed(composed []delta.Update, cands []routeCand) (rout
 			tg := rr.targets[h.Checker]
 			c := &cands[tg.st.routeSlot-1]
 			if c.w == nil {
-				c.w = e.newDifferential(c.st, c.touchCount)
+				c.w = e.newDifferential(c.st, c.touchCount, nil)
 				c.w.routed = true
 				rs.views++
 			}
@@ -175,7 +202,7 @@ func (e *Engine) routeComposed(composed []delta.Update, cands []routeCand) (rout
 			c.passed += h.Update.Size()
 		}
 	}
-	return rs, nil
+	return nil
 }
 
 // installAway credits a view no tuple reached with what the commit

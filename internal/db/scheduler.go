@@ -1,8 +1,8 @@
 package db
 
 // The refresh scheduler: one timer wheel per engine driving every
-// scheduled when-policy (scheduler.go is the "when", db.go's refresh
-// machinery the "how").
+// scheduled when-policy (scheduler.go is the "when", the refresh
+// pipeline in pipeline.go the "how").
 //
 //   - RefreshEvery views refresh on their interval.
 //   - RefreshMaxStaleness views are refreshed proactively before the
@@ -280,11 +280,17 @@ func (s *scheduler) fireDue() (time.Time, bool) {
 
 	for _, a := range due {
 		// A failed refresh keeps its backlog; the next deadline retries.
-		_ = s.e.RefreshView(a.view)
+		err := s.e.RefreshView(a.view)
 		if o := s.e.o.Load(); o != nil {
-			o.reg.Counter("mview_policy_refreshes_total",
-				"Scheduler-driven view refreshes by reason.",
-				obs.Labels{"reason": a.reason}).Add(1)
+			if err != nil {
+				o.reg.Counter("mview_policy_refresh_failures_total",
+					"Scheduler-driven view refreshes that failed (the backlog is kept and retried), by reason.",
+					obs.Labels{"reason": a.reason}).Add(1)
+			} else {
+				o.reg.Counter("mview_policy_refreshes_total",
+					"Scheduler-driven view refreshes by reason.",
+					obs.Labels{"reason": a.reason}).Add(1)
+			}
 		}
 	}
 	for _, name := range flips {
@@ -322,18 +328,15 @@ func (s *scheduler) evalAdaptive(name string, ast *adaptState) {
 		st.snapDirty = true
 		e.publishLocked()
 	case st.deferred && dr >= dw && dr > 0:
-		j, err := e.buildRefreshJob(st)
-		if err == nil && j != nil {
-			j.run()
-			ns, err = e.installRefreshJob(j)
-		}
+		var err error
+		ns, err = e.refreshLocked("db.refresh", []*viewState{st}, func() {
+			st.deferred = false
+			st.snapDirty = true
+		})
 		if err != nil {
 			e.mu.Unlock() // stay deferred; retried next window
 			return
 		}
-		st.deferred = false
-		st.snapDirty = true
-		e.publishLocked()
 	default:
 		e.mu.Unlock()
 		return

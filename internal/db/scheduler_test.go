@@ -317,6 +317,73 @@ func TestViewFreshBounds(t *testing.T) {
 	}
 }
 
+// TestSchedulerCountsFailedRefreshes breaks a view the way
+// TestRefreshAllParallelAndErrorKeepsBacklog does and lets its interval
+// come due: each failed refresh keeps the backlog and is counted in
+// mview_policy_refresh_failures_total, never as a refresh; once the
+// view is repaired the next interval refreshes it.
+func TestSchedulerCountsFailedRefreshes(t *testing.T) {
+	e, fc := newFakeClockEngine(t)
+	defer e.StopScheduler()
+	reg := obs.NewRegistry()
+	e.SetObs(reg, nil)
+	const interval = 50 * time.Millisecond
+	cfg := ViewConfig{When: RefreshSpec{Kind: RefreshEvery, Interval: interval}}
+	if err := e.CreateView(joinViewDef(t, e, "v"), cfg); err != nil {
+		t.Fatal(err)
+	}
+	count := func(name string) float64 {
+		for _, s := range reg.Snapshot() {
+			if s.Name == name && s.Labels["reason"] == "interval" {
+				return s.Value
+			}
+		}
+		return 0
+	}
+	pending := func() int {
+		st, _ := e.ViewStats("v")
+		return st.PendingTx
+	}
+	// tick advances fake time one interval per poll until done.
+	tick := func(what string, done func() bool) {
+		t.Helper()
+		schedWait(t, what, func() bool {
+			fc.advance(interval)
+			return done()
+		})
+	}
+	corrupt := func(n int64) {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		if err := e.views["v"].data.Add(tuple.New(1, 2, 10), n); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stageBacklog(t, e, 1, 2)
+	tick("first refresh", func() bool { return pending() == 0 && count("mview_policy_refreshes_total") >= 1 })
+
+	var del delta.Tx
+	del.Delete("R", tuple.New(1, 2))
+	exec(t, e, &del)
+	corrupt(-1) // the backlog now deletes a derivation the view lacks
+	tick("a failed refresh", func() bool { return count("mview_policy_refresh_failures_total") >= 1 })
+	refreshes, failures := count("mview_policy_refreshes_total"), count("mview_policy_refresh_failures_total")
+	tick("more failed refreshes", func() bool { return count("mview_policy_refresh_failures_total") >= failures+2 })
+	if got := count("mview_policy_refreshes_total"); got != refreshes {
+		t.Errorf("failed refreshes counted as refreshes: %v -> %v", refreshes, got)
+	}
+	if pending() != 1 {
+		t.Errorf("PendingTx = %d after failed refreshes, want the backlog kept", pending())
+	}
+
+	corrupt(1)
+	tick("repaired refresh", func() bool { return pending() == 0 })
+	if v, _ := e.View("v"); v.Len() != 0 {
+		t.Errorf("view after the repaired refresh = %v, want empty", v)
+	}
+}
+
 // TestSetViewPolicyDrains pins the SetViewPolicy contract: moving a
 // backlogged view to an on-commit policy drains the backlog in the
 // same call, so no commit can observe an immediate view with stale

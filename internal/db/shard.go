@@ -1,6 +1,6 @@
 package db
 
-// Shard-parallel maintenance (the commit pipeline's phase-1 fan-out).
+// Shard-parallel maintenance (the commit pipeline's maint-stage fan-out).
 //
 // With WithShards(n), every base relation is split into n hash shards
 // keyed on its first attribute (internal/relation). At commit, a view
@@ -18,9 +18,9 @@ package db
 // Views whose transaction touches several operands — or the same
 // relation under several aliases (self-joins) — fall back to a single
 // unsharded task: cross-terms between two delta slots would otherwise
-// be computed by no shard or by several. Deferred refreshes and the
-// per-transaction subscriber deltas inside a group also stay
-// unsharded; both are off the phase-1 critical path.
+// be computed by no shard or by several. A refresh (one task per view,
+// planned with no composed delta) and the per-transaction subscriber
+// deltas inside a group stay unsharded: neither is on a commit's path.
 
 import (
 	"time"
@@ -52,15 +52,16 @@ func (e *Engine) Shards() int {
 
 // shardableOperand returns the index of the single operand eligible
 // for shard fan-out, or -1 when the view must run as one task: the
-// engine is unsharded, several operand slots are modified (including a
-// touched self-join), or the touched relation is monolithic.
-func (e *Engine) shardableOperand(st *viewState, composedTouched map[string]bool) int {
+// engine is unsharded, composed modifies several operand slots
+// (including a touched self-join) or none, or the touched relation is
+// monolithic.
+func (e *Engine) shardableOperand(st *viewState, composed []delta.Update) int {
 	if e.shards <= 1 {
 		return -1
 	}
 	idx := -1
 	for i, op := range st.bound.Operands {
-		if !composedTouched[op.Rel] {
+		if updateOf(composed, op.Rel).Rel == "" {
 			continue
 		}
 		if idx != -1 {
@@ -74,9 +75,9 @@ func (e *Engine) shardableOperand(st *viewState, composedTouched map[string]bool
 	return idx
 }
 
-// commitTask is one unit of phase-1 work on the pool: either a whole
-// view's delta computation (part < 0) or one shard's sub-delta for a
-// fanned-out view. Each task owns its result slots, so the pool
+// commitTask is one unit of maint-stage work on the pool: a whole
+// view's delta computation (part < 0), one shard's sub-delta for a
+// fanned-out view, or a view's recompute shadow. Each task owns its result slots, so the pool
 // writes race-free; the lock holder folds tasks back into their views
 // after the pool drains.
 type commitTask struct {
@@ -84,6 +85,8 @@ type commitTask struct {
 	perOp []delta.Update // each operand's net update for this task
 	part  int            // index into w.parts; -1 = unsharded task, result to w.d
 	clone bool           // this task also pre-clones the view's COW copy
+	// recompute materializes the view's recompute shadow into w.vc.
+	recompute bool
 
 	d    *diffeval.ViewDelta
 	err  error
@@ -114,9 +117,8 @@ func (e *Engine) splitComposed(rel string, composed []delta.Update, splits map[s
 // extended slice. Pruning is conservative: a checker error keeps the
 // shard.
 func (e *Engine) planShardTasks(w *refreshed, composed []delta.Update,
-	composedTouched map[string]bool, splits map[string][]delta.ShardUpdate,
-	tasks []*commitTask) []*commitTask {
-	opIdx := e.shardableOperand(w.st, composedTouched)
+	splits map[string][]delta.ShardUpdate, tasks []*commitTask) []*commitTask {
+	opIdx := e.shardableOperand(w.st, composed)
 	if opIdx < 0 {
 		return append(tasks, &commitTask{w: w, perOp: w.perOp, part: -1, clone: true})
 	}

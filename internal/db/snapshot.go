@@ -183,16 +183,6 @@ func (e *Engine) currentSnapshot() *Snapshot {
 // database regardless of concurrent commits.
 func (e *Engine) CurrentSnapshot() *Snapshot { return e.currentSnapshot() }
 
-// operandInstances gathers the snapshot's base instances for a bound
-// view expression.
-func (s *Snapshot) operandInstances(b *expr.Bound) []*relation.Relation {
-	insts := make([]*relation.Relation, len(b.Operands))
-	for i, op := range b.Operands {
-		insts[i] = s.base[op.Rel]
-	}
-	return insts
-}
-
 // ViewCloneLocked returns a deep clone of a view's materialization
 // taken under the engine's read lock — the seed's read path, retained
 // only as the baseline that BenchmarkSnapshotReads compares the

@@ -2,12 +2,12 @@ package db
 
 // Commit-pipeline stage instrumentation.
 //
-// Every run of executeBatchLocked — a group batch or a solo commit —
-// is carried by a commitTrace: per-stage wall times feed the
+// Every pipeline run (pipeline.go) — group batch, solo commit, refresh
+// — is carried by a commitTrace: per-stage wall times feed the
 // mview_commit_stage_seconds{stage} histograms and the engine's
 // cumulative critical-path accumulators, and (when a tracer is
-// attached) each stage becomes a child span of the commit's root span,
-// so a hierarchical sink like obs.FlightRecorder reconstructs the full
+// attached) each stage becomes a child span of the run's root span, so
+// a hierarchical sink like obs.FlightRecorder reconstructs the full
 // tree: root → commit.<stage> → maint.task fan-out.
 //
 // Stage taxonomy (see ARCHITECTURE.md "Tracing & flight recorder"):
@@ -26,7 +26,10 @@ package db
 //
 // Every batch observes every stage (0 when a stage had no work), so
 // per-stage histogram sums divide a workload's total commit time into
-// its critical-path attribution.
+// its critical-path attribution. A refresh traces its maint, validate,
+// install and publish stages as refresh.<stage> spans under its own
+// db.refresh (db.refresh_all) root, and feeds neither the histograms
+// nor the attribution: refresh time is not commit time.
 
 import (
 	"fmt"
@@ -116,8 +119,11 @@ type commitTrace struct {
 	o        *engineObs
 	tr       obs.Tracer
 	root     obs.SpanContext
-	rootSpan obs.Span // owned root (group path); nil when the caller owns it
+	rootSpan obs.Span // owned root (group and refresh paths); nil when the caller owns it
 	crit     [numStages]time.Duration
+	// refresh marks a refresh's trace: refresh.<stage> spans, and no
+	// stage histograms or critical-path time.
+	refresh bool
 }
 
 // newCommitTrace wraps a solo commit whose root span (db.commit) is
@@ -151,6 +157,25 @@ func (e *Engine) newGroupTrace(txs int, queueWait, window time.Duration) *commit
 	return ct
 }
 
+// newRefreshTrace opens a refresh's own root span (db.refresh or
+// db.refresh_all, with the view's name when it refreshes one). A
+// refresh traces its stages like a commit but stays out of
+// mview_commit_stage_seconds and CriticalPath, so it needs no trace at
+// all without a tracer.
+func (e *Engine) newRefreshTrace(root, view string) *commitTrace {
+	o := e.o.Load()
+	if o == nil || o.tr == nil {
+		return nil
+	}
+	ct := &commitTrace{e: e, o: o, tr: o.tr, refresh: true}
+	if view != "" {
+		ct.rootSpan, ct.root = obs.StartRoot(o.tr, root, obs.KV{K: "view", V: view})
+	} else {
+		ct.rootSpan, ct.root = obs.StartRoot(o.tr, root)
+	}
+	return ct
+}
+
 // tracing reports whether this run produces stage spans. Callsites
 // use it to skip building span-attribute KVs: a variadic []KV literal
 // escapes into the span sink, so building one unconditionally would
@@ -169,7 +194,7 @@ func (ct *commitTrace) traceID() uint64 {
 // note records a stage duration without a span (queue_wait,
 // slowest_task, skipped stages).
 func (ct *commitTrace) note(idx int, d time.Duration) {
-	if ct == nil {
+	if ct == nil || ct.refresh {
 		return
 	}
 	ct.crit[idx] += d
@@ -188,15 +213,19 @@ type stageEnd struct {
 }
 
 // begin opens a stage: starts its timer and, when a tracer is
-// attached, a commit.<stage> child span whose context fan-out tasks
-// parent to (stageEnd.ctx).
+// attached, a commit.<stage> (refresh.<stage>) child span whose context
+// fan-out tasks parent to (stageEnd.ctx).
 func (ct *commitTrace) begin(idx int, kv ...obs.KV) stageEnd {
 	if ct == nil {
 		return stageEnd{}
 	}
 	se := stageEnd{ct: ct, idx: idx, t0: time.Now()}
 	if ct.tr != nil {
-		se.span, se.ctx = obs.StartChild(ct.tr, ct.root, "commit."+stageNames[idx], kv...)
+		prefix := "commit."
+		if ct.refresh {
+			prefix = "refresh."
+		}
+		se.span, se.ctx = obs.StartChild(ct.tr, ct.root, prefix+stageNames[idx], kv...)
 	}
 	return se
 }
@@ -231,12 +260,14 @@ func (ct *commitTrace) close(err error) {
 	if ct == nil {
 		return
 	}
-	for i, d := range ct.crit {
-		if d != 0 {
-			ct.e.crit.nanos[i].Add(int64(d))
+	if !ct.refresh {
+		for i, d := range ct.crit {
+			if d != 0 {
+				ct.e.crit.nanos[i].Add(int64(d))
+			}
 		}
+		ct.e.crit.batches.Add(1)
 	}
-	ct.e.crit.batches.Add(1)
 	if ct.rootSpan != nil {
 		ct.rootSpan.End(obs.KV{K: "err", V: err != nil})
 	}

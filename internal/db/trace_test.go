@@ -192,6 +192,138 @@ func TestFlightRecorderGroupedCommitStress(t *testing.T) {
 	}
 }
 
+// TestRefreshTriggersTraceOnce drives every refresh trigger through the
+// one refresh path — RefreshView, RefreshAll, an interval refresh, a
+// MaxStale read, a SetViewPolicy drain and an autopolicy flip. Each
+// must yield exactly one well-formed trace rooted at db.refresh
+// (db.refresh_all) with the refresh stage spans and the maint.task
+// fan-out, and ExplainAnalyze must name that trace. Refresh time stays
+// out of CriticalPath.
+func TestRefreshTriggersTraceOnce(t *testing.T) {
+	ondemand := RefreshSpec{Kind: RefreshOnDemand}
+	triggers := []struct {
+		name, root string
+		when       RefreshSpec
+		fire       func(t *testing.T, e *Engine, fc *fakeClock)
+	}{
+		{"RefreshView", "db.refresh", ondemand, func(t *testing.T, e *Engine, _ *fakeClock) {
+			if err := e.RefreshView("v"); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"RefreshAll", "db.refresh_all", ondemand, func(t *testing.T, e *Engine, _ *fakeClock) {
+			if err := e.RefreshAll(); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"interval", "db.refresh", RefreshSpec{Kind: RefreshEvery, Interval: time.Second}, func(t *testing.T, e *Engine, fc *fakeClock) {
+			// Later intervals find no backlog, which is no refresh at all.
+			schedWait(t, "interval refresh", func() bool {
+				fc.advance(time.Second)
+				st, _ := e.ViewStats("v")
+				return st.PendingTx == 0
+			})
+		}},
+		{"MaxStale read", "db.refresh", ondemand, func(t *testing.T, e *Engine, fc *fakeClock) {
+			fc.advance(time.Second)
+			if _, err := e.ViewFresh("v", time.Millisecond); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"SetViewPolicy drain", "db.refresh", ondemand, func(t *testing.T, e *Engine, _ *fakeClock) {
+			if err := e.SetViewPolicy("v", RefreshSpec{Kind: RefreshOnCommit}); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"autopolicy flip", "db.refresh", RefreshSpec{Kind: RefreshAdaptive}, func(t *testing.T, e *Engine, _ *fakeClock) {
+			// A read-heavy window after a primed one flips the view back
+			// to on-commit, draining its backlog.
+			e.mu.RLock()
+			w := int64(e.views["v"].stats.Transactions)
+			e.mu.RUnlock()
+			if _, err := e.View("v"); err != nil {
+				t.Fatal(err)
+			}
+			e.sched.evalAdaptive("v", &adaptState{primed: true, lastWrites: w})
+		}},
+	}
+	for _, tc := range triggers {
+		t.Run(tc.name, func(t *testing.T) {
+			e, fc := newFakeClockEngine(t)
+			defer e.StopScheduler()
+			fr := obs.NewFlightRecorder(64, 0)
+			e.SetObs(obs.NewRegistry(), fr)
+			if err := e.CreateView(joinViewDef(t, e, "v"), ViewConfig{When: tc.when}); err != nil {
+				t.Fatal(err)
+			}
+			if tc.when.Kind == RefreshAdaptive {
+				e.mu.Lock()
+				e.views["v"].deferred = true // as a write-heavy window would have left it
+				e.mu.Unlock()
+			}
+			stageBacklog(t, e, 1, 2)
+			seen := map[uint64]bool{}
+			for _, tr := range fr.Traces() {
+				seen[tr.ID] = true
+			}
+			batches := e.CriticalPath().Batches
+
+			tc.fire(t, e, fc)
+			var fresh []*obs.Trace
+			schedWait(t, "the refresh trace", func() bool {
+				fresh = fresh[:0]
+				for _, tr := range fr.Traces() {
+					if !seen[tr.ID] {
+						fresh = append(fresh, tr)
+					}
+				}
+				return len(fresh) > 0
+			})
+			if len(fresh) != 1 || fresh[0].Name != tc.root {
+				for _, tr := range fresh {
+					t.Logf("trace %d: %s", tr.ID, tr.Name)
+				}
+				t.Fatalf("%d new traces, want exactly one rooted at %s", len(fresh), tc.root)
+			}
+			tr := fresh[0]
+			ids, roots, got := map[uint64]bool{}, 0, map[string]bool{}
+			for _, s := range tr.Spans {
+				ids[s.ID] = true
+				got[s.Name] = true
+				if s.Parent == 0 {
+					roots++
+				}
+			}
+			if roots != 1 {
+				t.Errorf("trace has %d roots, want 1", roots)
+			}
+			for _, s := range tr.Spans {
+				if s.Parent != 0 && !ids[s.Parent] {
+					t.Errorf("span %s orphaned (parent %d absent)", s.Name, s.Parent)
+				}
+			}
+			for _, name := range []string{"refresh.maint", "maint.task", "refresh.validate", "refresh.install", "refresh.publish"} {
+				if !got[name] {
+					t.Errorf("trace lacks a %s span (spans %v)", name, got)
+				}
+			}
+			out, err := e.ExplainAnalyze("v")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !strings.Contains(out, fmt.Sprintf("trace=%d", tr.ID)) {
+				t.Errorf("ExplainAnalyze does not name trace %d:\n%s", tr.ID, out)
+			}
+			if st, _ := e.ViewStats("v"); st.PendingTx != 0 || st.Refreshes != 1 {
+				t.Errorf("after the refresh: %+v, want no backlog and one refresh", st)
+			}
+			if b := e.CriticalPath().Batches; b != batches {
+				t.Errorf("the refresh counted as %d commit batches", b-batches)
+			}
+		})
+	}
+}
+
 // TestStalenessTracksDeferredBacklog checks the per-view staleness
 // clock: fresh at creation, ticking once a commit stages backlog,
 // fresh again after refresh — with the gauge mirroring each reading.

@@ -26,7 +26,10 @@
 //     stored view: v' = v ⊎ ins ⊖ del.
 //
 // An optional irrelevance pre-filter (§4, Algorithm 4.1) shrinks the
-// delta slots before any join work.
+// delta slots before any join work: ComputeDeltaWith runs it per view,
+// for callers maintaining a view on its own. The engine filters once
+// for all views (internal/db route.go) and hands each view its routed
+// updates through ComputeDeltaPerOperand, which takes them as given.
 package diffeval
 
 import (

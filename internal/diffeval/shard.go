@@ -10,7 +10,7 @@ import (
 // exactly one operand of a view, the truth-table rows are linear in
 // that operand's delta (every row joins the delta against old
 // instances), so a disjoint partition of the delta by hash shard yields
-// disjoint derivation sets. The engine fans one ComputeDeltaWith call
+// disjoint derivation sets. The engine fans one ComputeDeltaPerOperand call
 // per shard onto its worker pool and merges the partial results here
 // with the §5 counted operators (⊎). Views whose transaction touches
 // several operands — or the same relation under several aliases — fall

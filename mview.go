@@ -39,13 +39,13 @@ type DB struct {
 	wal *wal.Log
 	dir string
 	mu  sync.Mutex // serializes logged statements so log order = apply order
-	// gmu fences group commit against structural change: every grouped
-	// Exec holds it shared for the duration of its submit, while DDL,
-	// Checkpoint and Close hold it exclusively. That keeps log order
-	// equal to apply order across the two logging disciplines (groups
-	// log-before-visible inside the engine; statements here
-	// apply-then-log) and guarantees the scheduler never stops with a
-	// durable transaction in flight.
+	// gmu fences commits against structural change: every Exec holds it
+	// shared for the duration of its commit, while DDL, Checkpoint and
+	// Close hold it exclusively. That keeps log order equal to apply
+	// order across the two logging disciplines (commits log before they
+	// are visible, inside the engine; DDL here applies, then logs) and
+	// guarantees the scheduler never stops with a durable transaction in
+	// flight.
 	gmu sync.RWMutex
 	// ckptMu serializes whole checkpoints (the background ticker and an
 	// operator-triggered Checkpoint may otherwise interleave); the commit
@@ -389,34 +389,13 @@ func (d *DB) ExecContext(ctx context.Context, ops ...Op) (TxInfo, error) {
 	if d.readonly {
 		return TxInfo{}, ErrReadOnlyReplica
 	}
+	// DDL, Checkpoint and Close hold gmu exclusively, so none of them
+	// interleaves with a commit in flight. The record is logged inside
+	// the commit, before it becomes visible — with its group under one
+	// fsync, or on its own — so a failed append is never seen by a
+	// reader nor acknowledged.
 	d.gmu.RLock()
-	if d.engine().GroupCommitEnabled() {
-		defer d.gmu.RUnlock()
-		return d.execGrouped(ctx, ops)
-	}
-	d.gmu.RUnlock()
-	defer d.lockIfDurable()()
-	if err := ctx.Err(); err != nil {
-		return TxInfo{}, err
-	}
-	info, err := d.execCore(ops)
-	if err != nil {
-		return TxInfo{}, err
-	}
-	if d.wal != nil {
-		if _, err := d.wal.Append(walKindStmt, encodeTxStmt(ops)); err != nil {
-			return TxInfo{}, err
-		}
-	}
-	return info, nil
-}
-
-// execGrouped rides the group-commit path: the statement is encoded up
-// front, and the engine's leader logs it (one batched fsync for the
-// whole group) before the transaction becomes visible, so — unlike the
-// serial apply-then-log path above — a logging failure aborts the
-// transaction instead of surfacing after the fact.
-func (d *DB) execGrouped(ctx context.Context, ops []Op) (TxInfo, error) {
+	defer d.gmu.RUnlock()
 	var payload []byte
 	if d.wal != nil {
 		payload = encodeTxStmt(ops)
@@ -432,15 +411,6 @@ func (d *DB) execGrouped(ctx context.Context, ops []Op) (TxInfo, error) {
 // GroupCommitEnabled reports whether Exec currently rides the
 // group-commit scheduler.
 func (d *DB) GroupCommitEnabled() bool { return d.engine().GroupCommitEnabled() }
-
-func (d *DB) execCore(ops []Op) (TxInfo, error) {
-	tx := buildTx(ops)
-	res, err := d.engine().Execute(&tx)
-	if err != nil {
-		return TxInfo{}, err
-	}
-	return txInfoFrom(res), nil
-}
 
 func buildTx(ops []Op) delta.Tx {
 	var tx delta.Tx
