@@ -15,13 +15,14 @@ test:
 # group-vs-serial oracle) are exercised concurrently, as are the
 # per-version read memos under view GETs racing group-committed writers
 # and the routing oracles, whose fleets hold every consumer of the
-# relevance index (commits, deferred refreshes, subscribers).
+# relevance index (commits, deferred refreshes, subscribers), and the
+# worker-pool and group-commit oracles, repeated.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'Group' ./internal/db .
 	$(GO) test -race -count=2 -run 'TestRouteEngineMatchesMaterialize|TestRouteCountContract' ./internal/db
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
-	$(GO) test -race -count=2 -run 'Shard|SplitUpdate|MergeDeltas' ./internal/db ./internal/relation ./internal/delta ./internal/diffeval .
+	$(GO) test -race -count=3 -run 'TestParallelCommitMatchesSerialAcrossWorkers|TestGroupCommitMatchesSerialOracle' ./internal/db
 
 # The quantitative-shape benchmarks behind bench_results.txt. Narrow
 # with BENCH, e.g. `make bench BENCH=GroupCommit` for the C-GROUP
@@ -87,14 +88,17 @@ crash:
 # decoder it replaced (same accepts, ops and statuses), the WAL /
 # replication statement codec and the replication records frame (round
 # trip; arbitrary bytes fail cleanly, with allocation bounded by their
-# size), and the checkpoint manifest (round trip; arbitrary bytes fail
-# cleanly).
+# size), the checkpoint manifest (round trip; arbitrary bytes fail
+# cleanly), and the checkpoint catalog and data segments (round trip;
+# arbitrary bytes fail cleanly, with allocation bounded by their size).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzExecBody$$' -fuzztime=$(FUZZTIME) ./internal/httpapi
 	$(GO) test -run=NONE -fuzz='^FuzzStmtCodec$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzDecodeRecords$$' -fuzztime=$(FUZZTIME) ./internal/repl
 	$(GO) test -run=NONE -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) .
+	$(GO) test -run=NONE -fuzz='^FuzzCatalogSegment$$' -fuzztime=$(FUZZTIME) ./internal/db
+	$(GO) test -run=NONE -fuzz='^FuzzDataSegment$$' -fuzztime=$(FUZZTIME) ./internal/db
 
 # End-to-end flight-recorder check: boot mviewd with -trace-ring,
 # drive a commit over HTTP, and assert /v1/debug/traces captured a

@@ -644,13 +644,13 @@ func BenchmarkDurableExec(b *testing.B) {
 }
 
 // BenchmarkCheckpoint measures what a checkpoint costs over a large
-// sharded base when one commit dirtied one shard: "full-rewrite"
-// forces every shard dirty before each checkpoint (the cost the old
-// monolithic layout paid every time — and paid under the commit
-// fence), "incremental" lets the dirty-shard tracking rewrite only the
-// touched shard and re-reference the rest. fence-ns/op is how long the
-// commit fence was actually held (capture + manifest swap); the rest
-// of the checkpoint runs with commits flowing.
+// base relation when one commit dirtied it: "full-rewrite" forces
+// every relation dirty before each checkpoint, "incremental" lets the
+// per-relation dirty tracking decide. With one relation both rewrite
+// its segment; checkpointing at a finer grain than a relation is open
+// work. fence-ns/op is how long the commit fence was actually held
+// (capture + manifest swap); the rest of the checkpoint runs with
+// commits flowing.
 func BenchmarkCheckpoint(b *testing.B) {
 	const rows = 100_000
 	for _, m := range []struct {
@@ -661,7 +661,7 @@ func BenchmarkCheckpoint(b *testing.B) {
 		{"incremental", false},
 	} {
 		b.Run(m.name, func(b *testing.B) {
-			d, err := OpenDurable(b.TempDir(), WithShards(8))
+			d, err := OpenDurable(b.TempDir())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -1133,103 +1133,6 @@ func BenchmarkGroupCommit(b *testing.B) {
 						b.ReportMetric(float64(s.Count), "groups")
 					}
 				}
-			})
-		}
-	}
-}
-
-// ---------- C-SHARD: hash-sharded base relations ----------
-
-// BenchmarkShardedCommit measures commit latency against a fleet of
-// range-partitioned selection views as the base relation's hash shard
-// count grows. Each commit writes a 256-tuple delta through the public
-// API (Open(WithShards(n))).
-//
-// "hot" concentrates the delta in one view's key range: with shards,
-// the §4 checker prunes every (shard, view) task whose key bounds
-// cannot satisfy the view's condition, so the 7 irrelevant views cost
-// n range probes instead of 8×|δ| tuple evaluations — throughput
-// improves with any shard count and prunes/op goes positive. "spread"
-// scatters the delta across every view's range so nothing can be
-// pruned; it bounds the fan-out overhead (tasks/op grows with n, and
-// on a single-P host the extra scheduling is pure cost — multi-core
-// hosts recover it as shard-parallel speedup).
-func BenchmarkShardedCommit(b *testing.B) {
-	const (
-		nviews    = 8
-		span      = 1 << 20 // keys per view's range
-		deltaRows = 256
-	)
-	for _, variant := range []string{"hot", "spread"} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			b.Run(fmt.Sprintf("%s/shards=%d", variant, shards), func(b *testing.B) {
-				var opts []Option
-				if shards > 1 {
-					opts = append(opts, WithShards(shards))
-				}
-				d := Open(opts...)
-				if err := d.CreateRelation("r", "A", "B"); err != nil {
-					b.Fatal(err)
-				}
-				for v := 0; v < nviews; v++ {
-					spec := ViewSpec{From: []string{"r"},
-						Where: fmt.Sprintf("A >= %d && A < %d", v*span, (v+1)*span)}
-					if err := d.CreateView(fmt.Sprintf("v%d", v), spec); err != nil {
-						b.Fatal(err)
-					}
-				}
-				rng := rand.New(rand.NewSource(7))
-				var seed []Op
-				for i := 0; i < 4096; i++ {
-					seed = append(seed, Insert("r", int64(rng.Intn(nviews*span)), int64(i%97)))
-				}
-				if _, err := d.Exec(seed...); err != nil {
-					b.Fatal(err)
-				}
-				// The per-commit delta: B=1e9+j keeps it disjoint from the
-				// seed, and each insert batch is deleted by the next
-				// iteration so the relation stays at its seeded size.
-				keys := make([]int64, deltaRows)
-				for j := range keys {
-					if variant == "hot" {
-						keys[j] = int64(j * 4093 % span)
-					} else {
-						keys[j] = int64((j*4093*nviews + j) % (nviews * span))
-					}
-				}
-				batch := func(del bool) []Op {
-					ops := make([]Op, deltaRows)
-					for j, k := range keys {
-						if del {
-							ops[j] = Delete("r", k, int64(1e9)+int64(j))
-						} else {
-							ops[j] = Insert("r", k, int64(1e9)+int64(j))
-						}
-					}
-					return ops
-				}
-				shardStats := func() (tasks, pruned int) {
-					for v := 0; v < nviews; v++ {
-						s, err := d.Stats(fmt.Sprintf("v%d", v))
-						if err != nil {
-							b.Fatal(err)
-						}
-						tasks += s.ShardTasks
-						pruned += s.ShardsPruned
-					}
-					return tasks, pruned
-				}
-				tasks0, pruned0 := shardStats()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := d.Exec(batch(i%2 == 1)...); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				tasks, pruned := shardStats()
-				b.ReportMetric(float64(tasks-tasks0)/float64(b.N), "tasks/op")
-				b.ReportMetric(float64(pruned-pruned0)/float64(b.N), "pruned/op")
 			})
 		}
 	}

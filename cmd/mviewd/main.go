@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	mviewd [-addr :8080] [-data ./mydb] [-metrics=true] [-slowlog 100ms] [-maint-workers N] [-shards N]
+//	mviewd [-addr :8080] [-data ./mydb] [-metrics=true] [-slowlog 100ms] [-maint-workers N]
 //	       [-checkpoint-interval 5m] [-wal-segment-bytes N] [-group-commit] [-group-max N] [-group-window 2ms]
 //	       [-trace-ring N] [-trace-slow 250ms] [-pprof] [-replicate] [-follow URL] [-follower-id ID]
 //	       [-default-policy SPEC]
@@ -40,17 +40,9 @@
 // maintenance concurrently inside each commit (0 = GOMAXPROCS, the
 // default).
 //
-// -shards hash-partitions every base relation into N shards so one
-// transaction's maintenance fans out shard-parallel tasks onto that
-// pool, and the §4 irrelevance checker can prune whole shards whose
-// key bounds cannot satisfy a view's condition. 1 (the default) keeps
-// relations monolithic. The shard count is engine configuration, not
-// persisted state: restarting with a different -shards value reshards
-// the recovered database.
-//
 // -checkpoint-interval makes a durable server checkpoint periodically,
 // bounding recovery replay time. Checkpoints are incremental (only
-// shards dirtied since the last one are rewritten) and run concurrently
+// relations dirtied since the last one are rewritten) and run concurrently
 // with commits — the commit fence is held only to capture the cut and
 // swap the manifest — so a background interval does not stall traffic.
 // It requires -data; 0 (the default) leaves checkpointing to the
@@ -125,7 +117,6 @@ type config struct {
 	metrics     bool
 	slowlog     time.Duration
 	workers     int
-	shards      int
 	ckptEvery   time.Duration
 	segBytes    int64
 	groupCommit bool
@@ -147,7 +138,6 @@ func main() {
 	flag.BoolVar(&c.metrics, "metrics", true, "serve /metrics and /debug/stats")
 	flag.DurationVar(&c.slowlog, "slowlog", 0, "log spans (commits, refreshes, requests) slower than this; 0 disables")
 	flag.IntVar(&c.workers, "maint-workers", 0, "per-view maintenance worker pool size (0 = GOMAXPROCS)")
-	flag.IntVar(&c.shards, "shards", 1, "hash shards per base relation (1 = monolithic)")
 	flag.DurationVar(&c.ckptEvery, "checkpoint-interval", 0, "checkpoint a durable database this often (0 disables; requires -data)")
 	flag.Int64Var(&c.segBytes, "wal-segment-bytes", 0, "commit-log segment rotation threshold in bytes (0 = default 64 MiB; requires -data)")
 	flag.BoolVar(&c.groupCommit, "group-commit", false, "coalesce concurrent transactions into commit groups (one fsync, one maintenance pass, one snapshot publish per group)")
@@ -193,9 +183,6 @@ func run(c config) error {
 	var dbOpts []mview.Option
 	if c.workers > 0 {
 		dbOpts = append(dbOpts, mview.WithMaintWorkers(c.workers))
-	}
-	if c.shards > 1 {
-		dbOpts = append(dbOpts, mview.WithShards(c.shards))
 	}
 	if c.groupCommit {
 		dbOpts = append(dbOpts, mview.WithGroupCommit(c.groupMax, c.groupWindow))
@@ -316,8 +303,8 @@ func run(c config) error {
 			errc <- err
 		}
 	}()
-	log.Printf("mviewd listening on %s (data=%q metrics=%v slowlog=%v trace-ring=%d pprof=%v maint-workers=%d shards=%d group-commit=%v)",
-		c.addr, c.data, c.metrics, c.slowlog, c.traceRing, c.pprof, db.MaintWorkers(), db.Shards(), db.GroupCommitEnabled())
+	log.Printf("mviewd listening on %s (data=%q metrics=%v slowlog=%v trace-ring=%d pprof=%v maint-workers=%d group-commit=%v)",
+		c.addr, c.data, c.metrics, c.slowlog, c.traceRing, c.pprof, db.MaintWorkers(), db.GroupCommitEnabled())
 
 	select {
 	case err := <-errc:

@@ -14,13 +14,14 @@ package mview
 // On-disk layout:
 //
 //	MANIFEST            the checkpoint root: segment list + WAL position
-//	ckpt-<gen>-<i>.seg  immutable checkpoint segments (catalog + shards)
+//	ckpt-<gen>-<i>.seg  immutable checkpoint segments (catalog + relations)
 //	commit.log.<n>      WAL segments (internal/wal)
 //
 // A checkpoint writes the catalog segment (scheme + view definitions)
-// plus one data segment per dirty, non-empty shard — concurrently, on
-// the maintenance pool, with commits still flowing — and re-references
-// the previous checkpoint's segments for clean shards. Only the final
+// plus one data segment per dirty, non-empty base relation —
+// concurrently, on the maintenance pool, with commits still flowing —
+// and re-references the previous checkpoint's segments for clean
+// relations. Only the final
 // manifest swap (tmp write, rename, dirsync) and the WAL bookkeeping
 // (segment seal at capture, covered-prefix drop) run under the commit
 // fence, so the fence hold is O(manifest), not O(data).
@@ -57,7 +58,10 @@ const (
 	defaultSegmentBytes = 64 << 20
 )
 
-// manifestSeg is one data segment referenced by a manifest.
+// manifestSeg is one data segment referenced by a manifest. shard is
+// the part index of a relation split over several segments; this build
+// writes one segment per relation, always part 0, but reads manifests
+// of builds that hash-sharded relations.
 type manifestSeg struct {
 	file  string
 	rel   string
@@ -67,11 +71,11 @@ type manifestSeg struct {
 // manifest is the checkpoint root: which segment files make up the
 // checkpointed state and where in the WAL it was taken.
 type manifest struct {
-	gen       uint64 // checkpoint generation, monotonically increasing
-	lsn       uint64 // WAL position the checkpoint covers
-	shards    int    // engine shard count at write time
-	catalog   string // catalog segment file name
-	relShards map[string]int
+	gen       uint64         // checkpoint generation, monotonically increasing
+	lsn       uint64         // WAL position the checkpoint covers
+	shards    int            // written as 1; builds that hash-sharded relations wrote their shard count
+	catalog   string         // catalog segment file name
+	relShards map[string]int // segment parts per relation: 1 when written by this build
 	segs      []manifestSeg
 }
 
@@ -225,8 +229,8 @@ func readManifest(dir string) (*manifest, error) {
 // OpenDurable opens (creating if necessary) a durable database rooted
 // at dir, configured by the given options. State is recovered from the
 // latest checkpoint (manifest + segments) plus the commit log.
-// Engine-level options (WithShards, WithMaintWorkers) shape the
-// recovered state itself; the runtime options (WithGroupCommit,
+// Engine-level options (WithMaintWorkers) shape the recovered state
+// itself; the runtime options (WithGroupCommit,
 // WithObs) are applied after the log is attached, so instrumentation
 // covers the log and group commit batches its appends from the first
 // transaction.
@@ -270,13 +274,12 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 		d.eng.Store(eng)
 		snapLSN = man.lsn
 		// The state the checkpoint restored is exactly what the segments
-		// hold, so shards start the first interval clean — unless the
-		// engine resharded relative to the manifest, in which case the
-		// next checkpoint must rewrite everything. WAL replay below
-		// re-dirties the shards it touches through the normal commit path.
-		cur := d.engine().CurrentSnapshot()
+		// hold, so relations start the first interval clean — unless the
+		// manifest split a relation over several segments, which the next
+		// checkpoint rewrites as one. WAL replay below re-dirties the
+		// relations it touches through the normal commit path.
 		for rel, n := range man.relShards {
-			if cur.RelationShards(rel) == n {
+			if n == 1 {
 				d.engine().SetCheckpointClean(rel)
 			}
 		}
@@ -356,7 +359,7 @@ func loadFromManifest(dir string, man *manifest, cfg config) (*db.Engine, error)
 		if err != nil {
 			return nil, fmt.Errorf("mview: opening segment %s: %w", seg.file, err)
 		}
-		err = eng.LoadShardSegment(f)
+		err = eng.LoadSegment(f)
 		f.Close()
 		if err != nil {
 			return nil, fmt.Errorf("mview: loading segment %s: %w", seg.file, err)
@@ -477,7 +480,7 @@ func (d *DB) logPayloadBatch(payloads [][]byte) error {
 
 // checkpointHook, when non-nil, runs between checkpoint steps so tests
 // can inject faults. Steps, in order: "segment-write" (catalog + dirty
-// shard segments written, fsynced, and their directory entries synced;
+// relation segments written, fsynced, and their directory entries synced;
 // before the manifest tmp), "manifest-tmp" (MANIFEST.tmp written and
 // synced; before the rename), "rename" (manifest renamed into place;
 // before the directory fsync), "dirsync" (manifest entry durable;
@@ -522,8 +525,8 @@ type CheckpointStats struct {
 	// capture plus manifest swap; segment writing runs outside it.
 	FenceHold time.Duration
 	// SegmentsWritten counts segment files written (catalog included);
-	// SegmentsReused counts clean shards re-referenced from the
-	// previous checkpoint.
+	// SegmentsReused counts clean relations' segments re-referenced
+	// from the previous checkpoint.
 	SegmentsWritten int
 	SegmentsReused  int
 	// BytesWritten totals the new segment files' sizes.
@@ -544,17 +547,16 @@ func (d *DB) LastCheckpointStats() CheckpointStats {
 // segJob is one segment file the checkpoint must write; rel == ""
 // means the catalog.
 type segJob struct {
-	file  string
-	rel   string
-	shard int
+	file string
+	rel  string
 }
 
 // Checkpoint persists the current database state incrementally and
 // drops the covered commit-log prefix. It returns an error on
 // in-memory databases.
 //
-// Only shards dirtied since the previous checkpoint are rewritten
-// (plus the small catalog segment); clean shards re-reference the
+// Only relations dirtied since the previous checkpoint are rewritten
+// (plus the small catalog segment); clean relations re-reference the
 // previous checkpoint's immutable segment files. Segment writing runs
 // concurrently on the maintenance pool while commits continue — the
 // commit fence is held only to capture a consistent cut (snapshot, WAL
@@ -582,8 +584,8 @@ func (d *DB) Checkpoint() error {
 	// Phase A — under the commit fence: capture a consistent cut. The
 	// published snapshot equals the logged state here (no statement is
 	// in flight), the WAL seals its active segment so the covered
-	// prefix becomes droppable, and the dirty bitmaps reset to start
-	// the next interval.
+	// prefix becomes droppable, and the dirty flags reset to start the
+	// next interval.
 	d.gmu.Lock()
 	d.mu.Lock()
 	if d.wal == nil {
@@ -594,7 +596,7 @@ func (d *DB) Checkpoint() error {
 	snap := d.engine().CurrentSnapshot()
 	lsn := d.wal.LastLSN()
 	rotErr := d.wal.Rotate()
-	var dirty map[string][]bool
+	var dirty map[string]bool
 	var prev *manifest
 	if rotErr == nil {
 		dirty = d.engine().TakeCheckpointDirty()
@@ -619,47 +621,36 @@ func (d *DB) Checkpoint() error {
 	man := &manifest{
 		gen:       gen,
 		lsn:       lsn,
-		shards:    d.engine().Shards(),
+		shards:    1,
 		catalog:   fmt.Sprintf("ckpt-%d-0.seg", gen),
 		relShards: make(map[string]int),
 	}
 	prevSegs := make(map[string]manifestSeg)
 	if prev != nil {
 		for _, s := range prev.segs {
-			prevSegs[segKey(s.rel, s.shard)] = s
+			prevSegs[s.rel] = s
 		}
 	}
 	jobs := []segJob{{file: man.catalog}}
 	reused := 0
-	next := 1
 	for _, rel := range snap.Relations() {
-		n := snap.RelationShards(rel)
-		man.relShards[rel] = n
-		bits := dirty[rel]
-		// A reusable previous segment requires the same shard layout
-		// then and now; otherwise every shard is dirty anyway (reshard
-		// marks nothing clean).
-		reusable := prev != nil && prev.relShards[rel] == n
-		for shard := 0; shard < n; shard++ {
-			if shard < len(bits) && !bits[shard] {
-				if reusable {
-					if s, ok := prevSegs[segKey(rel, shard)]; ok {
-						man.segs = append(man.segs, s)
-						reused++
-					}
-					continue
-				}
-				// Clean bit but no matching layout to reuse from: fall
-				// through and rewrite (first checkpoint after reshard).
+		man.relShards[rel] = 1
+		// A clean relation re-references its previous segment, if the
+		// previous checkpoint wrote it as one (an empty relation has
+		// none). One split over several is rewritten whole.
+		if !dirty[rel] && prev != nil && prev.relShards[rel] == 1 {
+			if s, ok := prevSegs[rel]; ok {
+				man.segs = append(man.segs, s)
+				reused++
 			}
-			if snap.ShardLen(rel, shard) == 0 {
-				continue // absence of a segment means an empty shard
-			}
-			file := fmt.Sprintf("ckpt-%d-%d.seg", gen, next)
-			next++
-			jobs = append(jobs, segJob{file: file, rel: rel, shard: shard})
-			man.segs = append(man.segs, manifestSeg{file: file, rel: rel, shard: shard})
+			continue
 		}
+		if snap.RelationLen(rel) == 0 {
+			continue // absence of a segment means an empty relation
+		}
+		file := fmt.Sprintf("ckpt-%d-%d.seg", gen, len(jobs))
+		jobs = append(jobs, segJob{file: file, rel: rel})
+		man.segs = append(man.segs, manifestSeg{file: file, rel: rel})
 	}
 
 	var bytesWritten atomic.Int64
@@ -772,13 +763,11 @@ func (d *DB) Checkpoint() error {
 			"Checkpoint segment files written (catalog included).", nil).
 			Add(int64(len(jobs)))
 		d.reg.Counter("mview_checkpoint_segments_reused_total",
-			"Clean shards re-referenced from the previous checkpoint instead of rewritten.", nil).
+			"Clean relations' segments re-referenced from the previous checkpoint instead of rewritten.", nil).
 			Add(int64(reused))
 	}
 	return nil
 }
-
-func segKey(rel string, shard int) string { return fmt.Sprintf("%s\x00%d", rel, shard) }
 
 // writeSegments writes the planned segment files concurrently on a
 // pool sized like the maintenance pool, fsyncing each. The first error
@@ -843,7 +832,7 @@ func (d *DB) writeSegment(snap *db.Snapshot, j segJob, bytesWritten *atomic.Int6
 	if j.rel == "" {
 		err = snap.WriteCatalog(f)
 	} else {
-		err = snap.WriteShard(f, j.rel, j.shard)
+		err = snap.WriteSegment(f, j.rel)
 	}
 	if err != nil {
 		f.Close()

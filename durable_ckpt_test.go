@@ -1,6 +1,6 @@
 package mview
 
-// Tests for the segmented checkpoint layout: incremental dirty-shard
+// Tests for the segmented checkpoint layout: incremental per-relation
 // reuse, WAL segment rotation, refusal of the pre-segment layout and
 // record formats, and checkpoints running concurrently with commits.
 
@@ -20,93 +20,116 @@ import (
 	"mview/internal/wal"
 )
 
-// TestIncrementalCheckpointReusesCleanShards: a checkpoint rewrites
-// only the shards dirtied since the previous one and re-references the
-// rest, across restarts too.
-func TestIncrementalCheckpointReusesCleanShards(t *testing.T) {
+// TestIncrementalCheckpointReusesCleanRelations: a checkpoint rewrites
+// only the relations dirtied since the previous one and re-references
+// the segments of the rest, across restarts too. An empty relation has
+// no segment at all.
+func TestIncrementalCheckpointReusesCleanRelations(t *testing.T) {
 	dir := t.TempDir()
-	opts := []Option{WithShards(8)}
-	d, err := OpenDurable(dir, opts...)
+	d, err := OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.CreateRelation("r", "A", "B"); err != nil {
-		t.Fatal(err)
-	}
-	for i := int64(0); i < 64; i++ {
-		if _, err := d.Exec(Insert("r", i, i*2)); err != nil {
+	rels := []string{"r", "s", "t", "empty"}
+	for _, rel := range rels {
+		if err := d.CreateRelation(rel, "A", "B"); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
+	for i := int64(0); i < 64; i++ {
+		for _, rel := range rels[:3] {
+			if _, err := d.Exec(Insert(rel, i, i*2)); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	first := d.LastCheckpointStats()
-	if first.SegmentsReused != 0 {
-		t.Errorf("first checkpoint reused %d segments, want 0", first.SegmentsReused)
+	// segFiles maps each relation to the segment file the current
+	// manifest lists for it.
+	segFiles := func() map[string]string {
+		t.Helper()
+		man, err := readManifest(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make(map[string]string)
+		for _, s := range man.segs {
+			if _, dup := out[s.rel]; dup || s.shard != 0 {
+				t.Fatalf("manifest splits %q over several segments: %+v", s.rel, man.segs)
+			}
+			out[s.rel] = s.file
+		}
+		return out
 	}
-	if first.SegmentsWritten < 2 {
-		t.Fatalf("first checkpoint wrote %d segments, want catalog + shards", first.SegmentsWritten)
+	checkpoint := func(label string, written, reused int) {
+		t.Helper()
+		if err := d.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		st := d.LastCheckpointStats()
+		if st.SegmentsWritten != written || st.SegmentsReused != reused {
+			t.Errorf("%s: wrote %d / reused %d segments, want %d / %d",
+				label, st.SegmentsWritten, st.SegmentsReused, written, reused)
+		}
 	}
-	nonEmpty := first.SegmentsWritten - 1 // minus the catalog
+	// rewritten reports which relations' segments changed between two
+	// manifests.
+	rewritten := func(before, after map[string]string) []string {
+		var out []string
+		for _, rel := range rels {
+			if before[rel] != after[rel] {
+				out = append(out, rel)
+			}
+		}
+		return out
+	}
 
-	// One more insert dirties exactly one shard (key 5 landed there in
-	// the seeding loop, so that shard is non-empty and was written).
+	checkpoint("first", 4, 0) // catalog + r, s, t
+	first := segFiles()
+	if len(first) != 3 || first["empty"] != "" {
+		t.Fatalf("first checkpoint segments %v, want one each for r, s, t", first)
+	}
+
+	// One insert into r: only r's segment is rewritten.
 	if _, err := d.Exec(Insert("r", 5, 999)); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	second := d.LastCheckpointStats()
-	if second.SegmentsWritten != 2 {
-		t.Errorf("incremental checkpoint wrote %d segments, want 2 (catalog + 1 shard)", second.SegmentsWritten)
-	}
-	if second.SegmentsReused != nonEmpty-1 {
-		t.Errorf("incremental checkpoint reused %d segments, want %d", second.SegmentsReused, nonEmpty-1)
+	checkpoint("after touching r", 2, 2)
+	second := segFiles()
+	if got := rewritten(first, second); !reflect.DeepEqual(got, []string{"r"}) {
+		t.Errorf("after touching r, rewrote %v, want [r]", got)
 	}
 
-	// Restart with the same shard count: the manifest's segments match
-	// the live layout, so the first checkpoint after recovery is still
-	// incremental.
+	// Restart: the manifest's segments are what the engine restored, so
+	// the first checkpoint after recovery is still incremental.
 	_ = d.Close()
-	d, err = OpenDurable(dir, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.Exec(Insert("r", 5, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	third := d.LastCheckpointStats()
-	if third.SegmentsWritten != 2 || third.SegmentsReused != nonEmpty-1 {
-		t.Errorf("post-restart checkpoint wrote %d / reused %d, want 2 / %d",
-			third.SegmentsWritten, third.SegmentsReused, nonEmpty-1)
-	}
-	_ = d.Close()
-
-	// Restart with a different shard count: segments no longer match
-	// the layout, so everything is dirty and the next checkpoint is a
-	// full rewrite.
-	d, err = OpenDurable(dir, WithShards(4))
+	d, err = OpenDurable(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
+	if _, err := d.Exec(Insert("t", 5, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Exec(Insert("empty", 1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	checkpoint("post-restart", 3, 2)
+	third := segFiles()
+	if got := rewritten(second, third); !reflect.DeepEqual(got, []string{"t", "empty"}) {
+		t.Errorf("post-restart, rewrote %v, want [t empty]", got)
+	}
+	// s was never touched: its first segment is still the live one.
+	if f := third["s"]; f != first["s"] {
+		t.Errorf("s's segment moved from %s to %s", first["s"], f)
+	} else if _, err := os.Stat(filepath.Join(dir, f)); err != nil {
+		t.Errorf("reused segment %s is gone: %v", f, err)
+	}
 	rows, err := d.Rows("r")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 66 {
-		t.Fatalf("resharded recovery lost rows: %d, want 66", len(rows))
-	}
-	if err := d.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if got := d.LastCheckpointStats().SegmentsReused; got != 0 {
-		t.Errorf("resharded checkpoint reused %d segments, want 0", got)
+	if len(rows) != 65 {
+		t.Fatalf("recovered r has %d rows, want 65", len(rows))
 	}
 }
 
@@ -349,7 +372,7 @@ func TestConcurrentCheckpointsAndCommits(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := []Option{WithShards(4), WithSegmentSize(4 << 10)}
+			opts := []Option{WithSegmentSize(4 << 10)}
 			if grouped {
 				opts = append(opts, WithGroupCommit(8, 200*time.Microsecond))
 			}
@@ -402,7 +425,7 @@ func TestConcurrentCheckpointsAndCommits(t *testing.T) {
 			}
 			_ = d.Close()
 
-			d2, err := OpenDurable(dir, WithShards(4))
+			d2, err := OpenDurable(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -434,9 +457,6 @@ func TestRandomizedCrashCheckpoints(t *testing.T) {
 	rng := rand.New(rand.NewSource(31337))
 	for trial := 0; trial < 4; trial++ {
 		opts := []Option{WithSegmentSize(512)}
-		if trial%2 == 1 {
-			opts = append(opts, WithShards(4))
-		}
 		dir := t.TempDir()
 		dur, err := OpenDurable(dir, opts...)
 		if err != nil {

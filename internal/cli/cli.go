@@ -31,8 +31,8 @@ type Session struct {
 }
 
 // NewSession returns a session over a fresh in-memory database.
-// Construction options (mview.WithShards, mview.WithMaintWorkers, ...)
-// are forwarded to mview.Open.
+// Construction options (mview.WithMaintWorkers, mview.WithGroupCommit,
+// ...) are forwarded to mview.Open.
 func NewSession(opts ...mview.Option) *Session {
 	s := newSession(opts)
 	s.db = mview.Open(s.opts...)
@@ -41,8 +41,7 @@ func NewSession(opts ...mview.Option) *Session {
 
 // NewDurableSession returns a session over a durable database rooted
 // at dir (created or recovered via its commit log and checkpoints).
-// Construction options are forwarded to mview.OpenDurable, so e.g.
-// mview.WithShards reshards the recovered state.
+// Construction options are forwarded to mview.OpenDurable.
 func NewDurableSession(dir string, opts ...mview.Option) (*Session, error) {
 	s := newSession(opts)
 	db, err := mview.OpenDurable(dir, s.opts...)

@@ -1,34 +1,30 @@
 package db
 
-// Incremental checkpoint support: per-shard dirty tracking and the
+// Incremental checkpoint support: per-relation dirty tracking and the
 // segmented snapshot format.
 //
 // The durable layer checkpoints by writing one small catalog segment
 // (scheme + view definitions) plus one data segment per dirty,
-// non-empty shard of each base relation, then swapping a manifest that
-// lists them. Dirty tracking extends the snapshot COW discipline
-// (snapshot.go) to per-shard granularity: every commit marks exactly
-// the shards its net delta touched, so a checkpoint rewrites only
-// those and re-references the previous checkpoint's segments for the
-// rest. The bitmaps are guarded by Engine.mu like the rest of the
-// commit bookkeeping.
+// non-empty base relation, then swapping a manifest that lists them.
+// Dirty tracking extends the snapshot COW discipline (snapshot.go) to
+// the relation: every commit marks the relations its net delta
+// touched, so a checkpoint rewrites only those and re-references the
+// previous checkpoint's segments for the rest. The flags are guarded
+// by Engine.mu like the rest of the commit bookkeeping.
 //
 // Loading mirrors saving: BeginSegmentedLoad restores the catalog
 // (relations created empty, view definitions parsed but deferred),
-// LoadShardSegment streams tuples back in — shard assignment is
-// recomputed, so the configured shard count may differ from the one
-// the segments were written under — and CompleteSegmentedLoad
-// materializes the views from the restored bases.
+// LoadSegment streams tuples back in — a relation may span several
+// segments, as checkpoints of builds that hash-sharded relations wrote
+// them — and CompleteSegmentedLoad materializes the views from the
+// restored bases.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
 
-	"mview/internal/delta"
 	"mview/internal/expr"
-	"mview/internal/relation"
-	"mview/internal/schema"
 	"mview/internal/tuple"
 )
 
@@ -39,126 +35,67 @@ const (
 	segmentMagic = "MVIEWSEG1"
 )
 
-// initCheckpointDirtyLocked sizes a fresh all-dirty bitmap for a newly
-// created relation. Callers hold e.mu.
-func (e *Engine) initCheckpointDirtyLocked(name string) {
-	r := e.base[name]
-	bits := make([]bool, r.Shards())
-	for i := range bits {
-		bits[i] = true
-	}
-	e.ckptDirty[name] = bits
-}
-
-// markCheckpointDirtyLocked records which shards a committed net delta
-// touched. Callers hold e.mu; the update has already been installed,
-// so the live relation's shard layout routes the tuples.
-func (e *Engine) markCheckpointDirtyLocked(u delta.Update) {
-	bits := e.ckptDirty[u.Rel]
-	if bits == nil {
-		return // relation unknown (cannot happen after validation)
-	}
-	r := e.base[u.Rel]
-	n := r.Shards()
-	if n <= 1 {
-		if !u.IsEmpty() {
-			bits[0] = true
-		}
-		return
-	}
-	key := r.ShardKey()
-	mark := func(t tuple.Tuple) { bits[relation.ShardOf(t[key], n)] = true }
-	if u.Inserts != nil {
-		u.Inserts.Each(mark)
-	}
-	if u.Deletes != nil {
-		u.Deletes.Each(mark)
-	}
-}
-
-// TakeCheckpointDirty atomically snapshots the per-relation dirty-shard
-// bitmaps and resets them all clean, marking the start of a checkpoint
+// TakeCheckpointDirty atomically snapshots the per-relation dirty
+// flags and resets them all clean, marking the start of a checkpoint
 // interval. The caller must hold the commit fence while calling (so
-// the returned bitmaps correspond exactly to the WAL position it
+// the returned flags correspond exactly to the WAL position it
 // captures); if the checkpoint later fails, RestoreCheckpointDirty
-// merges the taken bits back so the next checkpoint rewrites them.
-func (e *Engine) TakeCheckpointDirty() map[string][]bool {
+// merges the taken flags back so the next checkpoint rewrites them.
+func (e *Engine) TakeCheckpointDirty() map[string]bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	taken := e.ckptDirty
-	e.ckptDirty = make(map[string][]bool, len(taken))
-	for name, bits := range taken {
-		e.ckptDirty[name] = make([]bool, len(bits))
+	e.ckptDirty = make(map[string]bool, len(taken))
+	for name := range taken {
+		e.ckptDirty[name] = false
 	}
 	return taken
 }
 
-// RestoreCheckpointDirty ORs previously taken dirty bits back into the
-// live bitmaps after a failed checkpoint, so nothing the failed run
-// was responsible for persisting is ever skipped by the next one.
-func (e *Engine) RestoreCheckpointDirty(taken map[string][]bool) {
+// RestoreCheckpointDirty ORs previously taken dirty flags back into the
+// live ones after a failed checkpoint, so nothing the failed run was
+// responsible for persisting is ever skipped by the next one.
+func (e *Engine) RestoreCheckpointDirty(taken map[string]bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for name, bits := range taken {
-		live := e.ckptDirty[name]
-		if live == nil || len(live) != len(bits) {
-			continue // relation re-created meanwhile; its bitmap is already all-dirty
-		}
-		for i, d := range bits {
-			if d {
-				live[i] = true
-			}
+	for name, d := range taken {
+		if d {
+			e.ckptDirty[name] = true
 		}
 	}
 }
 
-// SetCheckpointClean marks every shard of rel clean — the durable
-// layer calls it after a segmented load whose segments exactly match
-// the relation's current shard layout, so the first checkpoint after
-// recovery stays incremental.
+// SetCheckpointClean marks rel clean — the durable layer calls it after
+// a segmented load that read rel from exactly one segment, so the first
+// checkpoint after recovery stays incremental.
 func (e *Engine) SetCheckpointClean(rel string) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if bits := e.ckptDirty[rel]; bits != nil {
-		for i := range bits {
-			bits[i] = false
-		}
+	if _, ok := e.ckptDirty[rel]; ok {
+		e.ckptDirty[rel] = false
 	}
 }
 
 // MarkAllCheckpointDirty forces the next checkpoint to rewrite every
-// shard of every relation (benchmarks use it to price full checkpoints).
+// relation (benchmarks use it to price full checkpoints).
 func (e *Engine) MarkAllCheckpointDirty() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	for _, bits := range e.ckptDirty {
-		for i := range bits {
-			bits[i] = true
-		}
+	for name := range e.ckptDirty {
+		e.ckptDirty[name] = true
 	}
 }
 
 // Relations lists the snapshot's base relation names in scheme order.
 func (s *Snapshot) Relations() []string { return s.scheme.Names() }
 
-// RelationShards reports the shard count of a base relation as frozen
-// in the snapshot (0 for an unknown relation).
-func (s *Snapshot) RelationShards(rel string) int {
-	r, ok := s.base[rel]
-	if !ok {
-		return 0
+// RelationLen reports how many tuples a base relation holds (0 for an
+// unknown relation), so the checkpoint can skip empty relations.
+func (s *Snapshot) RelationLen(rel string) int {
+	if r, ok := s.base[rel]; ok {
+		return r.Len()
 	}
-	return r.Shards()
-}
-
-// ShardLen reports how many tuples one shard of a base relation holds,
-// so the checkpoint can skip writing segments for empty shards.
-func (s *Snapshot) ShardLen(rel string, shard int) int {
-	r, ok := s.base[rel]
-	if !ok {
-		return 0
-	}
-	return r.ShardLen(shard)
+	return 0
 }
 
 // WriteCatalog writes the snapshot's catalog segment: the database
@@ -190,25 +127,24 @@ func (s *Snapshot) WriteCatalog(out io.Writer) error {
 	return w.w.Flush()
 }
 
-// WriteShard writes one data segment: every tuple in one shard of one
-// base relation. Segments are self-describing (relation name, written
-// shard index and arity) so recovery can sanity-check the manifest.
-func (s *Snapshot) WriteShard(out io.Writer, rel string, shard int) error {
+// WriteSegment writes one data segment: every tuple of one base
+// relation. Segments are self-describing (relation name, a part index
+// and arity) so recovery can sanity-check the manifest; the part index
+// is always 0 (builds that hash-sharded relations numbered their
+// shards there).
+func (s *Snapshot) WriteSegment(out io.Writer, rel string) error {
 	r, ok := s.base[rel]
 	if !ok {
 		return fmt.Errorf("db: unknown relation %q", rel)
 	}
-	if shard < 0 || shard >= r.Shards() {
-		return fmt.Errorf("db: relation %q has no shard %d", rel, shard)
-	}
 	w := &writer{w: bufio.NewWriter(out)}
 	w.str(segmentMagic)
 	w.str(rel)
-	w.u32(uint32(shard))
+	w.u32(0)
 	arity := r.Scheme().Arity()
 	w.u32(uint32(arity))
-	w.u32(uint32(r.ShardLen(shard)))
-	r.EachShard(shard, func(t tuple.Tuple) {
+	w.u32(uint32(r.Len()))
+	r.Each(func(t tuple.Tuple) {
 		for _, v := range t {
 			w.i64(v)
 		}
@@ -233,7 +169,7 @@ type pendingViewDef struct {
 
 // BeginSegmentedLoad reads a catalog segment and returns a fresh
 // engine with every relation created (empty) plus the parsed view
-// definitions. Stream the data segments through LoadShardSegment, then
+// definitions. Stream the data segments through LoadSegment, then
 // call CompleteSegmentedLoad.
 func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, error) {
 	r := &reader{r: bufio.NewReader(in)}
@@ -248,28 +184,27 @@ func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, e
 	if nRel > maxStr {
 		return nil, nil, fmt.Errorf("db: corrupt catalog: %d relations", nRel)
 	}
+	// Created in one step once all are read: per relation, the scheme
+	// clone and snapshot publish of CreateRelation would make a catalog
+	// of n relations cost O(n²).
+	var defs []relDef
 	for i := uint32(0); i < nRel; i++ {
-		name := r.str()
-		nAttr := r.u32()
-		if r.err != nil || nAttr > maxStr {
-			return nil, nil, fmt.Errorf("db: corrupt catalog: relation %q", name)
-		}
-		attrs := make([]schema.Attribute, nAttr)
-		for j := range attrs {
-			attrs[j] = schema.Attribute(r.str())
-		}
-		if r.err != nil {
-			return nil, nil, r.err
-		}
-		if err := e.CreateRelation(name, attrs...); err != nil {
+		d, err := readRelation(r)
+		if err != nil {
 			return nil, nil, err
 		}
+		defs = append(defs, d)
+	}
+	if err := e.createRelations(defs); err != nil {
+		return nil, nil, err
 	}
 	nView := r.u32()
 	if r.err != nil || nView > maxStr {
 		return nil, nil, fmt.Errorf("db: corrupt catalog: %d views", nView)
 	}
-	pending := &PendingViews{defs: make([]pendingViewDef, 0, nView)}
+	// Grown by append: nView is untrusted, and presizing from it would
+	// let a four-byte count reserve megabytes before one view is read.
+	pending := &PendingViews{}
 	for i := uint32(0); i < nView; i++ {
 		v, cfg, err := readViewDef(r)
 		if err != nil {
@@ -283,10 +218,10 @@ func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, e
 	return e, pending, nil
 }
 
-// LoadShardSegment streams one data segment's tuples back into the
-// named relation. Shard routing is recomputed on insert, so segments
-// written under any shard count load correctly under any other.
-func (e *Engine) LoadShardSegment(in io.Reader) error {
+// LoadSegment streams one data segment's tuples back into the named
+// relation. Segments add up: loading several for one relation yields
+// their union.
+func (e *Engine) LoadSegment(in io.Reader) error {
 	r := &reader{r: bufio.NewReader(in)}
 	if magic := r.str(); r.err != nil || magic != segmentMagic {
 		if r.err != nil {
@@ -295,7 +230,7 @@ func (e *Engine) LoadShardSegment(in io.Reader) error {
 		return fmt.Errorf("db: not an mview data segment (magic %q)", magic)
 	}
 	rel := r.str()
-	r.u32() // written shard index: informational
+	r.u32() // part index: informational
 	arity := r.u32()
 	nTup := r.u32()
 	if r.err != nil {

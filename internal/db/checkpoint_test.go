@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"testing"
@@ -11,72 +12,100 @@ import (
 	"mview/internal/tuple"
 )
 
-// TestCheckpointDirtyTracksTouchedShards: commits mark exactly the
-// shards their net delta landed in; Take resets the interval and
-// Restore merges failed-checkpoint bits back.
-func TestCheckpointDirtyTracksTouchedShards(t *testing.T) {
-	const shards = 4
-	e := New(WithShards(shards))
-	if err := e.CreateRelation("R", "A", "B"); err != nil {
-		t.Fatal(err)
+// TestCheckpointDirtyTracksTouchedRelations: commits mark exactly the
+// relations their net delta touched; Take resets the interval and
+// Restore merges a failed checkpoint's flags back.
+func TestCheckpointDirtyTracksTouchedRelations(t *testing.T) {
+	e := New()
+	for _, rel := range []string{"R", "S", "T"} {
+		if err := e.CreateRelation(rel, "A", "B"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(label string, got map[string]bool, dirty ...string) {
+		t.Helper()
+		want := map[string]bool{"R": false, "S": false, "T": false}
+		for _, rel := range dirty {
+			want[rel] = true
+		}
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: dirty = %v, want %v", label, got, want)
+		}
 	}
 
-	// Creation leaves every shard dirty (nothing of R is checkpointed).
+	// Creation leaves every relation dirty (nothing is checkpointed).
+	check("after creation", e.TakeCheckpointDirty(), "R", "S", "T")
+
+	// One insert dirties exactly its relation.
+	exec(t, e, new(delta.Tx).Insert("R", tuple.Tuple{42, 1}))
 	taken := e.TakeCheckpointDirty()
-	if got := len(taken["R"]); got != shards {
-		t.Fatalf("dirty bitmap has %d shards, want %d", got, shards)
-	}
-	for i, d := range taken["R"] {
-		if !d {
-			t.Errorf("shard %d clean after creation", i)
-		}
-	}
+	check("after insert into R", taken, "R")
 
-	// One insert dirties exactly the shard its key hashes to.
-	key := tuple.Value(42)
-	exec(t, e, new(delta.Tx).Insert("R", tuple.Tuple{key, 1}))
-	taken = e.TakeCheckpointDirty()
-	want := relation.ShardOf(key, shards)
-	for i, d := range taken["R"] {
-		if d != (i == want) {
-			t.Errorf("shard %d dirty=%v, want dirty only on %d", i, d, want)
-		}
-	}
-
-	// A failed checkpoint restores its bits on top of newer commits.
-	key2 := tuple.Value(7)
-	exec(t, e, new(delta.Tx).Insert("R", tuple.Tuple{key2, 1}))
+	// A failed checkpoint restores its flags on top of newer commits.
+	exec(t, e, new(delta.Tx).Insert("S", tuple.Tuple{7, 1}))
 	e.RestoreCheckpointDirty(taken)
-	merged := e.TakeCheckpointDirty()
-	wantDirty := map[int]bool{want: true, relation.ShardOf(key2, shards): true}
-	for i, d := range merged["R"] {
-		if d != wantDirty[i] {
-			t.Errorf("merged shard %d dirty=%v, want %v", i, d, wantDirty[i])
-		}
-	}
+	check("after restore", e.TakeCheckpointDirty(), "R", "S")
 
-	// Deletes dirty their shard too.
-	exec(t, e, new(delta.Tx).Delete("R", tuple.Tuple{key, 1}))
-	taken = e.TakeCheckpointDirty()
-	if !taken["R"][want] {
-		t.Error("delete did not dirty its shard")
-	}
+	// Deletes dirty their relation too; a transaction whose net effect
+	// cancels dirties nothing.
+	exec(t, e, new(delta.Tx).Delete("R", tuple.Tuple{42, 1}))
+	exec(t, e, new(delta.Tx).Insert("T", tuple.Tuple{1, 1}).Delete("T", tuple.Tuple{1, 1}))
+	check("after delete from R", e.TakeCheckpointDirty(), "R")
 
 	// SetCheckpointClean and MarkAllCheckpointDirty round-trip.
 	e.MarkAllCheckpointDirty()
 	e.SetCheckpointClean("R")
-	for i, d := range e.TakeCheckpointDirty()["R"] {
-		if d {
-			t.Errorf("shard %d dirty after SetCheckpointClean", i)
-		}
-	}
+	check("after SetCheckpointClean", e.TakeCheckpointDirty(), "S", "T")
 }
 
-// TestSegmentedSaveLoadRoundTrip: catalog + per-shard segments restore
-// an engine identical to the source — including across a reshard,
-// since segments carry plain tuples and routing is recomputed.
+// encodeSegmentParts hand-encodes rel's tuples as n data segments in
+// the layout of builds that hash-sharded base relations: tuples routed
+// by the splitmix64 finalizer of their first attribute, one segment per
+// non-empty shard, the shard index in the header.
+func encodeSegmentParts(name string, rel *relation.Relation, n int) [][]byte {
+	shardOf := func(v tuple.Value) int {
+		x := uint64(v)
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return int(x % uint64(n))
+	}
+	parts := make([][]tuple.Tuple, n)
+	rel.Each(func(t tuple.Tuple) {
+		parts[shardOf(t[0])] = append(parts[shardOf(t[0])], t)
+	})
+	var out [][]byte
+	for sh, ts := range parts {
+		if len(ts) == 0 {
+			continue
+		}
+		var b bytes.Buffer
+		w := &writer{w: bufio.NewWriter(&b)}
+		w.str(segmentMagic)
+		w.str(name)
+		w.u32(uint32(sh))
+		w.u32(uint32(rel.Scheme().Arity()))
+		w.u32(uint32(len(ts)))
+		for _, t := range ts {
+			for _, v := range t {
+				w.i64(v)
+			}
+		}
+		w.w.Flush()
+		out = append(out, b.Bytes())
+	}
+	return out
+}
+
+// TestSegmentedSaveLoadRoundTrip: catalog + data segments restore an
+// engine identical to the source, whether each relation comes in the
+// one segment WriteSegment writes or split over several the way
+// hash-sharded builds wrote them. At one shard the old layout and
+// WriteSegment's are byte-identical.
 func TestSegmentedSaveLoadRoundTrip(t *testing.T) {
-	src := New(WithShards(4))
+	src := New()
 	if err := src.CreateRelation("R", "A", "B"); err != nil {
 		t.Fatal(err)
 	}
@@ -99,32 +128,29 @@ func TestSegmentedSaveLoadRoundTrip(t *testing.T) {
 	if err := snap.WriteCatalog(&catalog); err != nil {
 		t.Fatal(err)
 	}
-	var segs []bytes.Buffer
-	for _, rel := range snap.Relations() {
-		for sh := 0; sh < snap.RelationShards(rel); sh++ {
-			if snap.ShardLen(rel, sh) == 0 {
-				continue
+	for _, shards := range []int{4, 2, 1, 8} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			var segs [][]byte
+			for _, rel := range snap.Relations() {
+				r, _ := src.Relation(rel)
+				parts := encodeSegmentParts(rel, r, shards)
+				if shards == 1 {
+					var b bytes.Buffer
+					if err := snap.WriteSegment(&b, rel); err != nil {
+						t.Fatal(err)
+					}
+					if len(parts) != 1 || !bytes.Equal(parts[0], b.Bytes()) {
+						t.Fatalf("WriteSegment(%s) differs from the one-shard layout", rel)
+					}
+				}
+				segs = append(segs, parts...)
 			}
-			var b bytes.Buffer
-			if err := snap.WriteShard(&b, rel, sh); err != nil {
-				t.Fatal(err)
-			}
-			segs = append(segs, b)
-		}
-	}
-
-	for _, reshard := range []int{4, 2, 1, 8} {
-		t.Run(fmt.Sprintf("shards=%d", reshard), func(t *testing.T) {
-			var opts []Option
-			if reshard > 1 {
-				opts = append(opts, WithShards(reshard))
-			}
-			dst, pending, err := BeginSegmentedLoad(bytes.NewReader(catalog.Bytes()), opts...)
+			dst, pending, err := BeginSegmentedLoad(bytes.NewReader(catalog.Bytes()))
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range segs {
-				if err := dst.LoadShardSegment(bytes.NewReader(segs[i].Bytes())); err != nil {
+				if err := dst.LoadSegment(bytes.NewReader(segs[i])); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -159,7 +185,7 @@ func TestSegmentedLoadRejectsGarbage(t *testing.T) {
 		t.Error("garbage catalog accepted")
 	}
 	e := New()
-	if err := e.LoadShardSegment(bytes.NewReader([]byte("junkjunkjunkjunk"))); err == nil {
+	if err := e.LoadSegment(bytes.NewReader([]byte("junkjunkjunkjunk"))); err == nil {
 		t.Error("garbage segment accepted")
 	}
 	// A valid segment for an unknown relation must fail cleanly.
@@ -169,10 +195,10 @@ func TestSegmentedLoadRejectsGarbage(t *testing.T) {
 	}
 	exec(t, src, new(delta.Tx).Insert("R", tuple.Tuple{1}))
 	var b bytes.Buffer
-	if err := src.CurrentSnapshot().WriteShard(&b, "R", 0); err != nil {
+	if err := src.CurrentSnapshot().WriteSegment(&b, "R"); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.LoadShardSegment(bytes.NewReader(b.Bytes())); err == nil {
+	if err := e.LoadSegment(bytes.NewReader(b.Bytes())); err == nil {
 		t.Error("segment for unknown relation accepted")
 	}
 }

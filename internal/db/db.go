@@ -145,12 +145,6 @@ type ViewStats struct {
 	DeltaInserts  int // view tuples inserted by deltas
 	DeltaDeletes  int // view tuples deleted by deltas
 	PendingTx     int // transactions awaiting a deferred refresh
-	// Shard fan-out counters (shard.go). ShardTasks counts per-shard
-	// maintenance tasks executed on the pool (0 when a refresh ran as
-	// one unsharded task); ShardsPruned counts shard sub-deltas skipped
-	// entirely by the §4 key-range test.
-	ShardTasks   int
-	ShardsPruned int
 }
 
 type viewState struct {
@@ -292,14 +286,10 @@ type Engine struct {
 	// Execute commits solo. Atomic so the Execute hot path routes
 	// without taking the engine lock.
 	group atomic.Pointer[group]
-	// shards is the hash-shard count applied to every base relation at
-	// creation (shard.go). Engine configuration, immutable after New;
-	// <= 1 means monolithic relations.
-	shards int
-	// ckptDirty tracks, per base relation, which shards changed since
-	// the last checkpoint interval started (checkpoint.go). Guarded by
-	// mu; commits mark exactly the shards their net delta touched.
-	ckptDirty map[string][]bool
+	// ckptDirty marks the base relations that changed since the last
+	// checkpoint interval started (checkpoint.go). Guarded by mu;
+	// commits mark the relations their net delta touched.
+	ckptDirty map[string]bool
 	// crit accumulates per-stage commit time for critical-path
 	// attribution (trace.go). Lock-free: written by commitTrace.close,
 	// read by CriticalPath.
@@ -349,8 +339,6 @@ type engineObs struct {
 	// held a batch open waiting for stragglers.
 	groupSize *obs.Histogram
 	groupWait *obs.Histogram
-	// shards gauges the configured hash-shard count of base relations.
-	shards *obs.Gauge
 	// stages are the mview_commit_stage_seconds{stage} histograms,
 	// indexed by the stage constants in trace.go. Every batch observes
 	// every stage (0 when a stage had no work), so per-stage sums give
@@ -380,8 +368,6 @@ type viewObs struct {
 	joinSteps     *obs.Counter
 	notifications *obs.Counter
 	computeWait   *obs.Histogram
-	shardTasks    *obs.Counter
-	shardPruned   *obs.Counter
 	staleness     *obs.Gauge
 	sloBound      *obs.Gauge
 }
@@ -406,10 +392,6 @@ func newViewObs(reg *obs.Registry, view string) *viewObs {
 			"Subscriber callbacks fanned out after refreshes.", l),
 		computeWait: reg.Histogram("mview_view_compute_wait_seconds",
 			"Queue wait before a view's phase-1 delta computation starts on the maintenance worker pool.", nil, l),
-		shardTasks: reg.Counter("mview_shard_tasks_total",
-			"Per-shard maintenance tasks executed for this view on the worker pool.", l),
-		shardPruned: reg.Counter("mview_shard_pruned_total",
-			"Shard sub-deltas skipped entirely by the §4 key-range irrelevance test.", l),
 		staleness: reg.Gauge("mview_view_staleness_seconds", stalenessHelp, l),
 		sloBound: reg.Gauge("mview_view_staleness_slo_seconds",
 			"Configured staleness SLO bound (MaxStaleness policy; 0 = no bound).", l),
@@ -486,8 +468,6 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 			groupSizeBuckets, nil),
 		groupWait: reg.Histogram("mview_group_wait_seconds",
 			"Time the group-commit scheduler held a batch open waiting for stragglers (0 for solo commits).", nil, nil),
-		shards: reg.Gauge("mview_shards",
-			"Configured hash-shard count of base relations (1 = unsharded).", nil),
 	}
 	for i := 0; i < numStages; i++ {
 		o.stages[i] = reg.Histogram("mview_commit_stage_seconds",
@@ -495,7 +475,6 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 			nil, obs.Labels{"stage": stageNames[i]})
 	}
 	o.workers.Set(float64(e.poolSize()))
-	o.shards.Set(float64(e.Shards()))
 	e.o.Store(o)
 	for _, name := range e.viewOrder {
 		st := e.views[name]
@@ -537,7 +516,7 @@ func New(opts ...Option) *Engine {
 		views:      make(map[string]*viewState),
 		indexes:    make(map[string]map[int]*relation.Index),
 		baseShared: make(map[string]bool),
-		ckptDirty:  make(map[string][]bool),
+		ckptDirty:  make(map[string]bool),
 		now:        time.Now,
 	}
 	e.sched = newScheduler(e)
@@ -667,33 +646,42 @@ func (e *Engine) applyToIndexes(u delta.Update) {
 
 // CreateRelation adds a base relation with the given attributes.
 func (e *Engine) CreateRelation(name string, attrs ...schema.Attribute) error {
+	return e.createRelations([]relDef{{name, attrs}})
+}
+
+// relDef names a base relation to create.
+type relDef struct {
+	name  string
+	attrs []schema.Attribute
+}
+
+// createRelations adds base relations as one DDL step — one scheme
+// clone and one publish however many there are, as a catalog segment
+// restores them — or, on error, none of them.
+func (e *Engine) createRelations(defs []relDef) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if _, dup := e.views[name]; dup {
-		return fmt.Errorf("db: name %q already names a view", name)
-	}
-	s, err := schema.NewScheme(attrs...)
-	if err != nil {
-		return err
-	}
-	rs := &schema.RelScheme{Name: name, Scheme: s}
 	// Copy-on-write: published snapshots reference e.scheme, so DDL
 	// swaps in an extended clone instead of mutating it.
 	next := e.scheme.Clone()
-	if err := next.Add(rs); err != nil {
-		return err
-	}
-	e.scheme = next
-	if e.shards > 1 && s.Arity() > 0 {
-		r, err := relation.NewSharded(s, 0, e.shards)
+	for _, d := range defs {
+		if _, dup := e.views[d.name]; dup {
+			return fmt.Errorf("db: name %q already names a view", d.name)
+		}
+		s, err := schema.NewScheme(d.attrs...)
 		if err != nil {
 			return err
 		}
-		e.base[name] = r
-	} else {
-		e.base[name] = relation.New(s)
+		if err := next.Add(&schema.RelScheme{Name: d.name, Scheme: s}); err != nil {
+			return err
+		}
 	}
-	e.initCheckpointDirtyLocked(name)
+	e.scheme = next
+	for _, d := range defs {
+		rs, _ := next.Rel(d.name)
+		e.base[d.name] = relation.New(rs.Scheme)
+		e.ckptDirty[d.name] = true
+	}
 	e.publishLocked()
 	return nil
 }
@@ -1219,11 +1207,6 @@ func (e *Engine) Explain(name string) (string, error) {
 		fmt.Fprintf(&sb, "  indexes: none\n")
 	} else {
 		fmt.Fprintf(&sb, "  indexes: %s\n", strings.Join(idx, ", "))
-	}
-	if s.shards > 1 {
-		fmt.Fprintf(&sb, "  shards:  %d hash shards per base relation (key: first attribute; single-operand deltas fan out per shard with §4 range pruning)\n", s.shards)
-	} else {
-		fmt.Fprintf(&sb, "  shards:  1 (monolithic base relations)\n")
 	}
 	return sb.String(), nil
 }

@@ -51,8 +51,7 @@ type refreshed struct {
 	computeDur time.Duration        // delta or recompute computation time
 	wait       time.Duration        // queue wait before compute started
 	// refresh marks a deferred view's refresh: computed against the state
-	// rebuilt from its backlog, unindexed and unsharded; install clears
-	// the backlog.
+	// rebuilt from its backlog, unindexed; install clears the backlog.
 	refresh bool
 	// Group-commit fields (group.go). touchCount is how many of the
 	// group's transactions touch this view — the serial-equivalent
@@ -62,11 +61,6 @@ type refreshed struct {
 	touchCount int
 	noop       bool
 	perTx      bool
-	// Shard fan-out fields (shard.go): per-shard partial deltas merged
-	// into d after the pool drains, plus the fan-out counters.
-	parts        []*diffeval.ViewDelta
-	shardTasks   int
-	shardsPruned int
 }
 
 // maintRun is one pass of the pipeline: the views a commit touched, or
@@ -78,11 +72,9 @@ type maintRun struct {
 	diff    []*refreshed // differential computations
 	recs    []*refreshed // recompute shadows
 	cands   []routeCand  // filtered differential views, routed by the maint stage
-	// A commit's composed delta, its per-shard splits and its members;
-	// all nil for a refresh, whose views each route their own backlog
-	// (routeCand.in) and so plan one unsharded task each.
+	// A commit's composed delta and its members; both nil for a
+	// refresh, whose views each route their own backlog (routeCand.in).
 	composed  []delta.Update
-	splits    map[string][]delta.ShardUpdate
 	live      []*groupReq
 	wentStale bool // install started a deferred view's backlog
 }
@@ -352,13 +344,9 @@ func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []de
 
 // maintStage is the maint stage: route the candidates, then compute on
 // the worker pool every differential delta, against the frozen
-// pre-state, and every recompute shadow. With sharding, a commit's eligible view
-// expands into one task per surviving shard of its modified operand's
-// delta (shard.go); the composed delta is split by shard once per
-// relation for the whole run, and the per-shard partial deltas are
-// ⊎-merged after the pool drains. Each unit of pool work gets its own
-// child span, and the longest one is the slowest_task critical-path
-// component.
+// pre-state, and every recompute shadow, one task per view. Each task
+// gets its own child span, and the longest one is the slowest_task
+// critical-path component.
 //
 // A view's failure lands on its w.err; the returned error is a routing
 // failure, which fails the whole run.
@@ -366,9 +354,6 @@ func (e *Engine) maintStage(run *maintRun) error {
 	ct := run.ct
 	maintSE := ct.begin(stageMaint)
 	var routing routeStats
-	if e.shards > 1 && !run.refresh {
-		run.splits = make(map[string][]delta.ShardUpdate)
-	}
 	if len(run.cands) > 0 {
 		if err := e.routeRun(run, &routing); err != nil {
 			maintSE.end(obs.KV{K: "err", V: true})
@@ -385,7 +370,9 @@ func (e *Engine) maintStage(run *maintRun) error {
 	}
 
 	var maxTask time.Duration
-	var tasks []*commitTask
+	// Pool work: the differential views (tasks[:nDiff]), then the
+	// recompute shadows. Each writes only its own refreshed.
+	var tasks []*refreshed
 	for _, w := range run.diff {
 		if w.refresh {
 			// The base and its persistent indexes are the current state;
@@ -395,72 +382,48 @@ func (e *Engine) maintStage(run *maintRun) error {
 				continue
 			}
 		}
-		tasks = e.planShardTasks(w, run.composed, run.splits, tasks)
+		tasks = append(tasks, w)
 	}
-	for _, w := range run.recs {
-		tasks = append(tasks, &commitTask{w: w, part: -1, recompute: true})
-	}
+	nDiff := len(tasks)
+	tasks = append(tasks, run.recs...)
 	if len(tasks) > 0 {
 		var prov diffeval.IndexProvider = provider{e: e}
 		submit := time.Now()
 		e.forEachParallel(len(tasks), func(i int) {
-			t := tasks[i]
+			w, recompute := tasks[i], i >= nDiff
 			var sp obs.Span
 			if ct.tracing() {
 				name := "maint.task"
-				if t.recompute {
+				if recompute {
 					name = "maint.recompute"
 				}
-				sp = ct.task(maintSE.ctx, name, obs.KV{K: "view", V: t.w.st.name}, obs.KV{K: "shard", V: t.part})
+				sp = ct.task(maintSE.ctx, name, obs.KV{K: "view", V: w.st.name})
 			}
 			start := time.Now()
-			t.wait = start.Sub(submit)
+			w.wait = start.Sub(submit)
 			p := prov
-			if t.w.refresh {
+			if w.refresh {
 				p = nil
 			}
-			if t.recompute {
-				t.w.vc, t.err = eval.Materialize(t.w.st.bound, t.w.insts, t.w.st.cfg.EvalOpt)
-			} else if t.d, t.err = t.w.st.maint.ComputeDeltaPerOperand(t.w.insts, t.perOp, p); t.err == nil && t.clone && t.w.st.dataShared {
-				t.w.cow = t.w.st.data.Clone()
+			if recompute {
+				w.vc, w.err = eval.Materialize(w.st.bound, w.insts, w.st.cfg.EvalOpt)
+			} else if w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, p); w.err == nil && w.st.dataShared {
+				w.cow = w.st.data.Clone()
 			}
-			t.dur = time.Since(start)
+			w.computeDur = time.Since(start)
 			if sp != nil {
-				sp.End(obs.KV{K: "err", V: t.err != nil})
+				sp.End(obs.KV{K: "err", V: w.err != nil})
 			}
 		})
-		for _, t := range tasks {
-			w := t.w
-			if t.err != nil {
-				if w.err == nil {
-					w.err = t.err
-				}
-				continue
-			}
-			if t.dur > maxTask {
-				maxTask = t.dur
-			}
-			if t.part < 0 {
-				w.d, w.computeDur, w.wait = t.d, t.dur, t.wait
-				continue
-			}
-			w.parts[t.part] = t.d
-			w.computeDur += t.dur
-			if t.part == 0 || t.wait < w.wait {
-				w.wait = t.wait
-			}
-		}
-		for _, w := range run.diff {
-			if w.d == nil && w.err == nil {
-				w.d, w.err = diffeval.MergeDeltas(w.parts)
+		var sum time.Duration
+		for _, w := range tasks {
+			sum += w.computeDur
+			if w.err == nil && w.computeDur > maxTask {
+				maxTask = w.computeDur
 			}
 		}
 		if o := e.o.Load(); o != nil && len(tasks) > 1 && !run.refresh {
 			if wall := time.Since(submit); wall > 0 {
-				var sum time.Duration
-				for _, t := range tasks {
-					sum += t.dur
-				}
 				o.speedup.Observe(sum.Seconds() / wall.Seconds())
 			}
 		}
@@ -513,10 +476,6 @@ func (e *Engine) routeRun(run *maintRun, rs *routeStats) error {
 			c.w.refresh = true
 			c.w.d = c.st.maint.EmptyDelta()
 			run.ws[c.at] = c.w
-		default:
-			if op := e.shardableOperand(c.st, run.composed); op >= 0 {
-				c.shardsPruned = len(e.splitComposed(c.st.bound.Operands[op].Rel, run.composed, run.splits))
-			}
 		}
 	}
 	return nil
@@ -568,7 +527,9 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 	}
 	for _, u := range run.composed {
 		e.applyToIndexes(u)
-		e.markCheckpointDirtyLocked(u)
+		if !u.IsEmpty() {
+			e.ckptDirty[u.Rel] = true
+		}
 	}
 	var ns []notification
 	for _, w := range run.ws {
@@ -616,14 +577,6 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 				return nil, fmt.Errorf("db: internal: staged delta failed to install on %q: %w", st.name, err)
 			}
 			st.noteDelta(w.d)
-			if w.shardTasks > 0 || w.shardsPruned > 0 {
-				st.stats.ShardTasks += w.shardTasks
-				st.stats.ShardsPruned += w.shardsPruned
-				if st.vo != nil {
-					st.vo.shardTasks.Add(int64(w.shardTasks))
-					st.vo.shardPruned.Add(int64(w.shardsPruned))
-				}
-			}
 			ns = append(ns, st.notifications(st.name, w.d.Inserts, w.d.Deletes)...)
 		default:
 			if len(st.subscribers) > 0 {
@@ -644,14 +597,12 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 			}
 		}
 		st.lastMaint = maintRecord{
-			At:           time.Now(),
-			Decision:     w.decision,
-			Wait:         w.wait,
-			Compute:      w.computeDur,
-			Install:      time.Since(t0),
-			ShardTasks:   w.shardTasks,
-			ShardsPruned: w.shardsPruned,
-			Trace:        run.ct.traceID(),
+			At:       time.Now(),
+			Decision: w.decision,
+			Wait:     w.wait,
+			Compute:  w.computeDur,
+			Install:  time.Since(t0),
+			Trace:    run.ct.traceID(),
 		}
 		if w.d != nil {
 			st.lastMaint.Inserts = w.d.Stats.DeltaInserts

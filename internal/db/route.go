@@ -51,7 +51,6 @@ type routeCand struct {
 	// tuples of every touched relation, once per operand reading it.
 	// passed is how many of them got through.
 	checked, passed int
-	shardsPruned    int
 	// w is nil until a tuple reaches the view; such a view is then
 	// maintained like any other differential view.
 	w *refreshed
@@ -80,7 +79,7 @@ func (c *routeCand) verdicts(d *diffeval.ViewDelta) {
 // snapView and folded into ViewStats on read, so such a commit neither
 // dirties nor reallocates the view's snapshot entry.
 type routedAway struct {
-	transactions, refreshes, filteredOut, shardsPruned atomic.Int64
+	transactions, refreshes, filteredOut atomic.Int64
 }
 
 // addTo folds the counters into a copy of the view's stats.
@@ -88,7 +87,6 @@ func (a *routedAway) addTo(s ViewStats) ViewStats {
 	s.Transactions += int(a.transactions.Load())
 	s.Refreshes += int(a.refreshes.Load())
 	s.FilteredOut += int(a.filteredOut.Load())
-	s.ShardsPruned += int(a.shardsPruned.Load())
 	return s
 }
 
@@ -212,10 +210,8 @@ func (c *routeCand) installAway() {
 	st.away.transactions.Add(int64(c.touchCount))
 	st.away.refreshes.Add(1)
 	st.away.filteredOut.Add(int64(c.checked))
-	st.away.shardsPruned.Add(int64(c.shardsPruned))
 	if st.vo != nil {
 		st.vo.filterOut.Add(int64(c.checked))
-		st.vo.shardPruned.Add(int64(c.shardsPruned))
 		st.vo.refreshHist(decisionLabel(st.cfg, PolicyDifferential)).ObserveDuration(0)
 	}
 }

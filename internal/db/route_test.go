@@ -62,9 +62,9 @@ func routeView(rng *rand.Rand, name string) expr.View {
 // routeFleet creates R(A,B,C), S(D,E) and a random set of immediate
 // views over them (routeView), most of them filtered, so the commit
 // path routes their deltas through the relevance index.
-func routeFleet(t *testing.T, rng *rand.Rand, opts ...Option) (*Engine, []expr.View) {
+func routeFleet(t *testing.T, rng *rand.Rand) (*Engine, []expr.View) {
 	t.Helper()
-	e := New(opts...)
+	e := New()
 	if err := e.CreateRelation("R", "A", "B", "C"); err != nil {
 		t.Fatal(err)
 	}
@@ -127,122 +127,120 @@ func routeRound(rng *rand.Rand, live map[string]map[string]tuple.Tuple, n int) [
 // index's soundness oracle: random view sets, random transactions, and
 // after every commit (every concurrent round, under group commit)
 // every view must equal eval.Materialize from scratch — rows and §5.2
-// counts — unsharded and sharded, group commit off and on. Every
+// counts — group commit off and on. Every
 // consumer of the relevance index is in the fleet: immediate views;
 // deferred filtered views (ondemand and maxstale), refreshed at random
 // rounds and then held to the same oracle; and subscribed filtered
 // views, whose alerts — one per transaction under group commit — must
 // add up to the view.
 func TestRouteEngineMatchesMaterialize(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		for _, group := range []bool{false, true} {
-			for seed := int64(1); seed <= 6; seed++ {
-				t.Run(fmt.Sprintf("shards=%d/group=%v/seed=%d", shards, group, seed), func(t *testing.T) {
-					rng := rand.New(rand.NewSource(seed))
-					e, defs := routeFleet(t, rng, WithShards(shards))
-					defer e.StopScheduler()
-					filtered := diffeval.Options{Filter: true}
-					var deferred []expr.View
-					for i, when := range []RefreshSpec{{Kind: RefreshOnDemand}, {Kind: RefreshMaxStaleness, Bound: time.Hour}} {
-						v := routeView(rng, fmt.Sprintf("d%d", i))
-						if err := e.CreateView(v, ViewConfig{When: when, Maint: filtered}); err != nil {
-							t.Fatalf("%s (%s): %v", v.Name, v.Where, err)
-						}
-						deferred = append(deferred, v)
+	for _, group := range []bool{false, true} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run(fmt.Sprintf("group=%v/seed=%d", group, seed), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(seed))
+				e, defs := routeFleet(t, rng)
+				defer e.StopScheduler()
+				filtered := diffeval.Options{Filter: true}
+				var deferred []expr.View
+				for i, when := range []RefreshSpec{{Kind: RefreshOnDemand}, {Kind: RefreshMaxStaleness, Bound: time.Hour}} {
+					v := routeView(rng, fmt.Sprintf("d%d", i))
+					if err := e.CreateView(v, ViewConfig{When: when, Maint: filtered}); err != nil {
+						t.Fatalf("%s (%s): %v", v.Name, v.Where, err)
 					}
-					var alertMu sync.Mutex
-					alerts := map[string]*relation.Counted{}
-					for i := 0; i < 2; i++ {
-						v := routeView(rng, fmt.Sprintf("s%d", i))
-						if err := e.CreateView(v, ViewConfig{Maint: filtered}); err != nil {
-							t.Fatalf("%s (%s): %v", v.Name, v.Where, err)
-						}
-						data, err := e.View(v.Name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						alerts[v.Name] = relation.NewCounted(data.Scheme())
-						if _, err := e.Subscribe(v.Name, func(view string, ins, del *relation.Counted) {
-							alertMu.Lock()
-							defer alertMu.Unlock()
-							if err := alerts[view].Merge(ins); err != nil {
-								t.Error(err)
-							}
-							if err := alerts[view].Subtract(del); err != nil {
-								t.Error(err)
-							}
-						}); err != nil {
-							t.Fatal(err)
-						}
-						defs = append(defs, v)
+					deferred = append(deferred, v)
+				}
+				var alertMu sync.Mutex
+				alerts := map[string]*relation.Counted{}
+				for i := 0; i < 2; i++ {
+					v := routeView(rng, fmt.Sprintf("s%d", i))
+					if err := e.CreateView(v, ViewConfig{Maint: filtered}); err != nil {
+						t.Fatalf("%s (%s): %v", v.Name, v.Where, err)
 					}
-					check := func(round int, def expr.View) {
-						t.Helper()
-						got, err := e.View(def.Name)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want, err := e.Query(def, eval.Options{})
-						if err != nil {
-							t.Fatal(err)
-						}
-						if !got.Equal(want) {
-							t.Fatalf("round %d: view %s (%s) diverged from recomputation:\n got: %v\nwant: %v",
-								round, def.Name, def.Where, got, want)
-						}
+					data, err := e.View(v.Name)
+					if err != nil {
+						t.Fatal(err)
 					}
-
-					writers := 1
-					if group {
-						writers = 4
-						e.EnableGroupCommit(writers, time.Millisecond, nil)
-						defer e.DisableGroupCommit()
-					}
-					live := map[string]map[string]tuple.Tuple{"R": {}, "S": {}}
-					for round := 0; round < 40; round++ {
-						txs := routeRound(rng, live, writers)
-						var wg sync.WaitGroup
-						for _, tx := range txs {
-							if tx.Len() == 0 {
-								continue
-							}
-							wg.Add(1)
-							go func(tx *delta.Tx) {
-								defer wg.Done()
-								if _, err := e.Execute(tx); err != nil {
-									t.Errorf("round %d: %v", round, err)
-								}
-							}(tx)
-						}
-						wg.Wait()
-						for _, def := range defs {
-							check(round, def)
-						}
+					alerts[v.Name] = relation.NewCounted(data.Scheme())
+					if _, err := e.Subscribe(v.Name, func(view string, ins, del *relation.Counted) {
 						alertMu.Lock()
-						for name, sum := range alerts {
-							if got, _ := e.View(name); !sum.Equal(got) {
-								t.Fatalf("round %d: the alerts of %s add up to %v, the view holds %v", round, name, sum, got)
-							}
+						defer alertMu.Unlock()
+						if err := alerts[view].Merge(ins); err != nil {
+							t.Error(err)
 						}
-						alertMu.Unlock()
-						switch rng.Intn(4) {
-						case 0:
-							if err := e.RefreshAll(); err != nil {
-								t.Fatal(err)
+						if err := alerts[view].Subtract(del); err != nil {
+							t.Error(err)
+						}
+					}); err != nil {
+						t.Fatal(err)
+					}
+					defs = append(defs, v)
+				}
+				check := func(round int, def expr.View) {
+					t.Helper()
+					got, err := e.View(def.Name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := e.Query(def, eval.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !got.Equal(want) {
+						t.Fatalf("round %d: view %s (%s) diverged from recomputation:\n got: %v\nwant: %v",
+							round, def.Name, def.Where, got, want)
+					}
+				}
+
+				writers := 1
+				if group {
+					writers = 4
+					e.EnableGroupCommit(writers, time.Millisecond, nil)
+					defer e.DisableGroupCommit()
+				}
+				live := map[string]map[string]tuple.Tuple{"R": {}, "S": {}}
+				for round := 0; round < 40; round++ {
+					txs := routeRound(rng, live, writers)
+					var wg sync.WaitGroup
+					for _, tx := range txs {
+						if tx.Len() == 0 {
+							continue
+						}
+						wg.Add(1)
+						go func(tx *delta.Tx) {
+							defer wg.Done()
+							if _, err := e.Execute(tx); err != nil {
+								t.Errorf("round %d: %v", round, err)
 							}
-							for _, def := range deferred {
-								check(round, def)
-							}
-						case 1:
-							def := deferred[rng.Intn(len(deferred))]
-							if err := e.RefreshView(def.Name); err != nil {
-								t.Fatal(err)
-							}
-							check(round, def)
+						}(tx)
+					}
+					wg.Wait()
+					for _, def := range defs {
+						check(round, def)
+					}
+					alertMu.Lock()
+					for name, sum := range alerts {
+						if got, _ := e.View(name); !sum.Equal(got) {
+							t.Fatalf("round %d: the alerts of %s add up to %v, the view holds %v", round, name, sum, got)
 						}
 					}
-				})
-			}
+					alertMu.Unlock()
+					switch rng.Intn(4) {
+					case 0:
+						if err := e.RefreshAll(); err != nil {
+							t.Fatal(err)
+						}
+						for _, def := range deferred {
+							check(round, def)
+						}
+					case 1:
+						def := deferred[rng.Intn(len(deferred))]
+						if err := e.RefreshView(def.Name); err != nil {
+							t.Fatal(err)
+						}
+						check(round, def)
+					}
+				}
+			})
 		}
 	}
 }

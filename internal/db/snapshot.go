@@ -42,9 +42,6 @@ type Snapshot struct {
 	// indexed records which base columns carried a persistent hash
 	// index at publish time ("rel" → position set), for Explain.
 	indexed map[string]map[int]bool
-	// shards is the engine's configured hash-shard count, for Explain
-	// and the debug endpoints.
-	shards int
 }
 
 // Seq returns the snapshot's publish sequence number (0 for the empty
@@ -105,7 +102,6 @@ func (e *Engine) publishLocked() {
 		base:      make(map[string]*relation.Relation, len(e.base)),
 		views:     make(map[string]*snapView, len(e.views)),
 		viewOrder: append([]string(nil), e.viewOrder...),
-		shards:    e.Shards(),
 	}
 	if prev != nil {
 		s.seq = prev.seq + 1

@@ -134,8 +134,17 @@ func (r *reader) str() string {
 		r.fail(fmt.Errorf("db: corrupt snapshot: string length %d", n))
 		return ""
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
+	// n is untrusted: past a page, the buffer grows with the bytes that
+	// actually arrive instead of being presized from the claim.
+	var b []byte
+	var err error
+	if n <= 4096 {
+		b = make([]byte, n)
+		_, err = io.ReadFull(r.r, b)
+	} else if b, err = io.ReadAll(io.LimitReader(r.r, int64(n))); err == nil && len(b) < int(n) {
+		err = io.ErrUnexpectedEOF
+	}
+	if err != nil {
 		r.fail(err)
 		return ""
 	}
@@ -221,7 +230,7 @@ func readViewDef(r *reader) (expr.View, ViewConfig, error) {
 		return expr.View{}, ViewConfig{}, fmt.Errorf("db: corrupt snapshot: view %q", name)
 	}
 	v := expr.View{Name: name}
-	for j := uint32(0); j < nOp; j++ {
+	for j := uint32(0); j < nOp && r.err == nil; j++ {
 		rel := r.str()
 		alias := r.str()
 		v.Operands = append(v.Operands, expr.Operand{Rel: rel, Alias: alias})
@@ -231,7 +240,7 @@ func readViewDef(r *reader) (expr.View, ViewConfig, error) {
 	if r.err != nil || nProj > maxStr {
 		return expr.View{}, ViewConfig{}, fmt.Errorf("db: corrupt snapshot: view %q projection", name)
 	}
-	for j := uint32(0); j < nProj; j++ {
+	for j := uint32(0); j < nProj && r.err == nil; j++ {
 		v.Project = append(v.Project, schema.Attribute(r.str()))
 	}
 	var cfg ViewConfig
@@ -268,20 +277,36 @@ func writeDNF(w *writer, d pred.DNF) {
 	}
 }
 
+// readRelation decodes one relation's name and attributes. The
+// attribute count is untrusted, so the list grows by append.
+func readRelation(r *reader) (relDef, error) {
+	d := relDef{name: r.str()}
+	nAttr := r.u32()
+	if r.err != nil || nAttr > maxStr {
+		return d, fmt.Errorf("db: corrupt snapshot: relation %q", d.name)
+	}
+	for j := uint32(0); j < nAttr && r.err == nil; j++ {
+		d.attrs = append(d.attrs, schema.Attribute(r.str()))
+	}
+	return d, r.err
+}
+
 func readDNF(r *reader) pred.DNF {
 	nc := r.u32()
 	if r.err != nil || nc > maxStr {
 		r.fail(fmt.Errorf("db: corrupt snapshot: %d conjuncts", nc))
 		return pred.DNF{}
 	}
-	d := pred.DNF{Conjuncts: make([]pred.Conjunction, 0, nc)}
+	// Both counts are untrusted: the slices grow by append, so storage
+	// follows the bytes actually read.
+	d := pred.DNF{Conjuncts: []pred.Conjunction{}}
 	for i := uint32(0); i < nc && r.err == nil; i++ {
 		na := r.u32()
 		if na > maxStr {
 			r.fail(fmt.Errorf("db: corrupt snapshot: %d atoms", na))
 			return pred.DNF{}
 		}
-		atoms := make([]pred.Atom, 0, na)
+		atoms := []pred.Atom{}
 		for j := uint32(0); j < na && r.err == nil; j++ {
 			left := pred.Var(r.str())
 			op := pred.Op(r.u8())
@@ -304,9 +329,7 @@ func readDNF(r *reader) pred.DNF {
 
 // Load reads a snapshot produced by Save and returns a fresh engine
 // with all relations restored and all views re-materialized. The
-// snapshot format is shard-independent (Save writes plain tuple sets),
-// so the options — notably WithShards — configure the fresh engine and
-// the restored relations re-shard to the configured count.
+// options configure the fresh engine.
 func Load(in io.Reader, opts ...Option) (*Engine, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	switch magic := r.str(); {
@@ -322,25 +345,17 @@ func Load(in io.Reader, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("db: corrupt snapshot: %d relations", nRel)
 	}
 	for i := uint32(0); i < nRel; i++ {
-		name := r.str()
-		nAttr := r.u32()
-		if r.err != nil || nAttr > maxStr {
-			return nil, fmt.Errorf("db: corrupt snapshot: relation %q", name)
+		d, err := readRelation(r)
+		if err != nil {
+			return nil, err
 		}
-		attrs := make([]schema.Attribute, nAttr)
-		for j := range attrs {
-			attrs[j] = schema.Attribute(r.str())
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		if err := e.CreateRelation(name, attrs...); err != nil {
+		if err := e.CreateRelation(d.name, d.attrs...); err != nil {
 			return nil, err
 		}
 		nTup := r.u32()
-		inst := e.base[name]
+		inst := e.base[d.name]
 		for j := uint32(0); j < nTup && r.err == nil; j++ {
-			t := make(tuple.Tuple, nAttr)
+			t := make(tuple.Tuple, inst.Scheme().Arity())
 			for k := range t {
 				t[k] = r.i64()
 			}

@@ -18,7 +18,7 @@ package db
 //	compose       phase 2: §6 composition of the group's net effects
 //	maint         phase 3 fan-out wall time (parallel; NOT on the
 //	              critical path — slowest_task is its critical component)
-//	slowest_task  the longest single (shard × view) maintenance task
+//	slowest_task  the longest single view's maintenance task
 //	validate      delta validation before anything becomes visible
 //	fsync         phase 4: the batch's single durable log append
 //	install       phase 5: base swap, index upkeep, view installs
@@ -278,16 +278,14 @@ func (ct *commitTrace) close(err error) {
 // Recorded unconditionally (no registry or tracer required) on every
 // immediate install and deferred refresh.
 type maintRecord struct {
-	At           time.Time
-	Decision     string // metrics decision label, or "deferred_refresh" variants
-	Wait         time.Duration
-	Compute      time.Duration
-	Install      time.Duration
-	ShardTasks   int
-	ShardsPruned int
-	Inserts      int
-	Deletes      int
-	Trace        uint64 // trace id of the carrying commit/refresh, 0 when untraced
+	At       time.Time
+	Decision string // metrics decision label, or "deferred_refresh" variants
+	Wait     time.Duration
+	Compute  time.Duration
+	Install  time.Duration
+	Inserts  int
+	Deletes  int
+	Trace    uint64 // trace id of the carrying commit/refresh, 0 when untraced
 }
 
 const stalenessHelp = "Age in seconds of the view's oldest unapplied change (0 = fresh; deferred views go stale between refreshes). Refreshed when Staleness() is called — the HTTP /metrics and /debug/stats handlers do so on every scrape."
@@ -325,7 +323,7 @@ func (e *Engine) SnapshotAge() time.Duration {
 // ExplainAnalyze is Explain plus an "analyze" section with actual
 // numbers: lifetime maintenance counters, current staleness, and the
 // stage timings of the view's most recent maintenance (queue wait,
-// compute, install, shard fan-out, delta size, and the trace id to
+// compute, install, delta size, and the trace id to
 // look the commit up in the flight recorder).
 func (e *Engine) ExplainAnalyze(name string) (string, error) {
 	base, err := e.Explain(name)
@@ -355,13 +353,9 @@ func (e *Engine) ExplainAnalyze(name string) (string, error) {
 	}
 	fmt.Fprintf(&sb, "    last maintenance: %s ago, decision=%s\n",
 		time.Since(lm.At).Round(time.Millisecond), lm.Decision)
-	fmt.Fprintf(&sb, "      queue_wait=%s compute=%s install=%s",
+	fmt.Fprintf(&sb, "      queue_wait=%s compute=%s install=%s\n",
 		lm.Wait.Round(time.Microsecond), lm.Compute.Round(time.Microsecond),
 		lm.Install.Round(time.Microsecond))
-	if lm.ShardTasks > 0 || lm.ShardsPruned > 0 {
-		fmt.Fprintf(&sb, " shard_tasks=%d shards_pruned=%d", lm.ShardTasks, lm.ShardsPruned)
-	}
-	sb.WriteByte('\n')
 	fmt.Fprintf(&sb, "      delta: +%d/-%d tuples", lm.Inserts, lm.Deletes)
 	if lm.Trace != 0 {
 		fmt.Fprintf(&sb, " trace=%d", lm.Trace)

@@ -163,8 +163,9 @@ type Maintainer struct {
 	// of intermediate schemes, residual-predicate programs, and reorder
 	// plans on every commit; since the inputs are identified by stable
 	// pointers (operand QSchemes and the schemes cached here), one
-	// lookup replaces the rebuild. sync.Map because shard workers may
-	// drive one maintainer concurrently.
+	// lookup replaces the rebuild. sync.Map because the worker pool may
+	// drive one maintainer concurrently (a commit and per-transaction
+	// subscriber deltas).
 	concats  sync.Map // concatKey → *schema.Scheme
 	resids   sync.Map // residKey → func(tuple.Tuple) bool
 	reorders sync.Map // *schema.Scheme → *reorderPlan
@@ -293,8 +294,7 @@ func NewMaintainer(b *expr.Bound, opts Options) (*Maintainer, error) {
 // Checker returns the §4 irrelevance checker for operand opIdx,
 // prepared with Options.FilterOptions. It is the only checker the view
 // has for that operand: the maintainer's own pre-filter, the engine's
-// relevance index, its Relevant API and its shard pruning all borrow
-// this one, so the O(n³) invariant closure is built once.
+// relevance index and its Relevant API all borrow this one, so the O(n³) invariant closure is built once.
 func (m *Maintainer) Checker(opIdx int) (*irrelevance.Checker, error) {
 	if opIdx < 0 || opIdx >= len(m.checkers) {
 		return nil, fmt.Errorf("diffeval: operand index %d out of range", opIdx)
@@ -313,6 +313,15 @@ func (m *Maintainer) Checker(opIdx int) (*irrelevance.Checker, error) {
 
 // Bound returns the maintained view definition.
 func (m *Maintainer) Bound() *expr.Bound { return m.bound }
+
+// EmptyDelta returns a zero-change ViewDelta for the maintained view,
+// for a refresh whose backlog the §4 routing emptied.
+func (m *Maintainer) EmptyDelta() *ViewDelta {
+	return &ViewDelta{
+		Inserts: relation.NewCounted(m.deltaPS),
+		Deletes: relation.NewCounted(m.deltaPS),
+	}
+}
 
 // slot holds one operand's partition for the current transaction.
 // Tagged forms are built lazily: the indexed strategy often never

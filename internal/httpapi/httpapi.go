@@ -320,7 +320,6 @@ func (h *Handler) debugStats(w http.ResponseWriter, r *http.Request) {
 		"policies":             policies,
 		"uptime_seconds":       time.Since(h.start).Seconds(),
 		"group_commit":         h.db.GroupCommitEnabled(),
-		"shards":               h.db.Shards(),
 		"snapshot_age_seconds": h.db.SnapshotAge().Seconds(),
 		"critical_path":        h.db.CriticalPath(),
 		"staleness":            staleness,

@@ -1,8 +1,10 @@
 package httpapi
 
 import (
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -78,20 +80,24 @@ func TestV1WriteRoutes(t *testing.T) {
 	}
 }
 
-// TestDebugStatsReportsShards pins the operational endpoint additions:
-// shards in /debug/stats, and no /v1 alias for it.
-func TestDebugStatsReportsShards(t *testing.T) {
-	h := NewWith(mviewOpenSharded())
+// TestDebugStatsKeys pins the operational endpoint's top-level keys,
+// and that it has no /v1 alias.
+func TestDebugStatsKeys(t *testing.T) {
+	h := NewWith(mview.Open())
 	code, resp := do(t, h, "GET", "/debug/stats", "")
 	if code != http.StatusOK {
 		t.Fatalf("debug/stats: %d", code)
 	}
-	if resp["shards"].(float64) != 4 {
-		t.Errorf("shards = %v, want 4", resp["shards"])
+	var keys []string
+	for k := range resp {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	want := "[critical_path group_commit metrics policies snapshot_age_seconds staleness uptime_seconds views]"
+	if got := fmt.Sprint(keys); got != want {
+		t.Errorf("debug/stats keys = %s, want %s", got, want)
 	}
 	if rec := raw(t, h, "GET", "/v1/debug/stats", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("/v1/debug/stats = %d, want 404 (operational endpoints stay unversioned)", rec.Code)
 	}
 }
-
-func mviewOpenSharded() *mview.DB { return mview.Open(mview.WithShards(4)) }

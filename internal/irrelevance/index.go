@@ -9,6 +9,7 @@ import (
 	"mview/internal/delta"
 	"mview/internal/pred"
 	"mview/internal/relation"
+	"mview/internal/satgraph"
 	"mview/internal/tuple"
 )
 
@@ -22,8 +23,8 @@ import (
 //
 // What is indexed: for every conjunct of every checker, the tightest
 // constant interval the conjunct implies on each attribute position
-// t[p] of the operand, read off the conjunct's full closure (the one
-// RangeRelevant probes). A tuple can only satisfy C(t, Y2) for a
+// t[p] of the operand, read off the conjunct's full closure (fullPrep
+// below). A tuple can only satisfy C(t, Y2) for a
 // conjunct if every t[p] lies in that conjunct's interval — the
 // interval is a consequence of the conjunct, so it is a necessary
 // condition and pruning by it is sound by construction. Per bounded
@@ -342,4 +343,66 @@ func (ix *Index) Route(u delta.Update, skip []bool) (out []Routed, checks int, e
 		return nil, checks, err
 	}
 	return out, checks, nil
+}
+
+// The saturation-free zone. satgraph saturates path weights at ±Inf
+// and substitution saturates folded constants at the int64 bounds, so
+// near those bounds Relevant and a closure bound may each err on the
+// safe side in different places. They cannot disagree where nothing
+// saturates: a conjunct of fewer than exactNodes variables whose
+// normalized constants stay within ±exactLimit has every closure
+// distance within ±2^56, and a probe adds at most two tuple values
+// within ±valueLimit to one such distance — below satgraph.Inf (2^61).
+// The relevance index prunes only inside the zone.
+const (
+	exactLimit = satgraph.Inf >> 13 // 2^48
+	exactNodes = 1 << 8
+	valueLimit = satgraph.Inf >> 2 // 2^59
+)
+
+// fullPrep holds, per conjunct, the closure of all the conjunct's
+// atoms over its own variables plus the operand's attributes.
+type fullPrep struct {
+	preps []*satgraph.Prepared
+	// exact[i] reports that conjunct i stays inside the saturation-free
+	// zone (see exactLimit); only then may its bounds prune.
+	exact []bool
+	// conservative marks a condition that could not be normalized; the
+	// index then makes the checker a candidate for every tuple.
+	conservative bool
+}
+
+// fullPrepared returns the per-conjunct full closures, building them
+// on first use.
+func (c *Checker) fullPrepared() *fullPrep {
+	c.fullOnce.Do(func() { c.full = c.buildFullPrep() })
+	return c.full
+}
+
+func (c *Checker) buildFullPrep() *fullPrep {
+	q := c.bound.Operands[c.opIdx].QScheme
+	fp := &fullPrep{}
+	for _, conj := range c.where.Conjuncts {
+		cons, err := pred.NormalizeConjunction(conj)
+		if err != nil {
+			return &fullPrep{conservative: true}
+		}
+		vars := append([]pred.Var(nil), conj.Vars()...)
+		for i := 0; i < q.Arity(); i++ {
+			vars = append(vars, pred.Var(q.Attr(i)))
+		}
+		prep, err := satgraph.Prepare(cons, vars)
+		if err != nil {
+			return &fullPrep{conservative: true}
+		}
+		exact := len(vars) < exactNodes
+		for _, cc := range cons {
+			if cc.C > exactLimit || cc.C < -exactLimit {
+				exact = false
+			}
+		}
+		fp.preps = append(fp.preps, prep)
+		fp.exact = append(fp.exact, exact)
+	}
+	return fp
 }

@@ -99,9 +99,8 @@ type Checker struct {
 	// conservative): the DNF conjs was prepared from.
 	where pred.DNF
 
-	// full caches the full-conjunct closures behind RangeRelevant
-	// (shard pruning) and the relevance index's hulls; built on first
-	// use.
+	// full caches the full-conjunct closures behind the relevance
+	// index's hulls; built on first use.
 	fullOnce sync.Once
 	full     *fullPrep
 }

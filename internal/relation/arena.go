@@ -165,10 +165,9 @@ func (a *rowArena) cloneShared() *rowArena {
 	return &c
 }
 
-// handleIndex buckets row references by a projection key for hash
-// joins. Refs are opaque int64s (plain handles, or shard<<32|handle
-// for sharded relations). Buckets are singly-linked lists threaded
-// through one pooled node slice, so building the index costs two
+// handleIndex buckets row handles by a projection key for hash joins.
+// Buckets are singly-linked lists threaded through one pooled node
+// slice, so building the index costs two
 // amortized slice appends per row plus one key-string allocation per
 // distinct join key — never a per-bucket slice. The map is assigned
 // only for first-seen keys (map assignment, unlike lookup, cannot
@@ -181,8 +180,8 @@ type handleIndex struct {
 }
 
 type refNode struct {
-	ref  int64
-	next int32 // pool index of the next ref with this key, -1 ends
+	h    int32
+	next int32 // pool index of the next handle with this key, -1 ends
 }
 
 func newHandleIndex(sizeHint int) *handleIndex {
@@ -196,7 +195,7 @@ func newHandleIndex(sizeHint int) *handleIndex {
 	}
 }
 
-func (ix *handleIndex) add(k []byte, ref int64) {
+func (ix *handleIndex) add(k []byte, h int32) {
 	s, ok := ix.slots[string(k)]
 	if !ok {
 		if ix.slots == nil {
@@ -206,18 +205,18 @@ func (ix *handleIndex) add(k []byte, ref int64) {
 		ix.heads = append(ix.heads, -1)
 		ix.slots[string(k)] = s
 	}
-	ix.pool = append(ix.pool, refNode{ref: ref, next: ix.heads[s]})
+	ix.pool = append(ix.pool, refNode{h: h, next: ix.heads[s]})
 	ix.heads[s] = int32(len(ix.pool) - 1)
 }
 
-// eachRef calls f for every ref stored under k (in reverse insertion
-// order, which joins don't care about).
-func (ix *handleIndex) eachRef(k []byte, f func(int64)) {
+// eachRef calls f for every handle stored under k (in reverse
+// insertion order, which joins don't care about).
+func (ix *handleIndex) eachRef(k []byte, f func(int32)) {
 	s, ok := ix.slots[string(k)]
 	if !ok {
 		return
 	}
 	for n := ix.heads[s]; n >= 0; n = ix.pool[n].next {
-		f(ix.pool[n].ref)
+		f(ix.pool[n].h)
 	}
 }

@@ -55,19 +55,10 @@ func (o mapOracle) checkAgainst(t *testing.T, label string, r *Relation) {
 
 // saveLoad round-trips r through the keyed entry codec — the same
 // surface the durable checkpoint writer and loader use — into a fresh
-// relation with the same shard layout.
+// relation.
 func saveLoad(t *testing.T, r *Relation) *Relation {
 	t.Helper()
-	var loaded *Relation
-	if r.Shards() > 1 {
-		var err error
-		loaded, err = NewSharded(r.Scheme(), r.ShardKey(), r.Shards())
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		loaded = New(r.Scheme())
-	}
+	loaded := New(r.Scheme())
 	r.Each(func(tu tuple.Tuple) {
 		if err := loaded.Insert(tu); err != nil {
 			t.Fatalf("Insert(%v): %v", tu, err)
@@ -76,28 +67,19 @@ func saveLoad(t *testing.T, r *Relation) *Relation {
 	return loaded
 }
 
-// TestArenaMatchesOracleAcrossShards drives the flat-arena storage
-// through a randomized Insert/Delete/Clone/COW-mutation/Save/Load
-// workload at 1, 2, 4, and 8 shards, checking it against the
-// map-backed oracle after every phase. Inserts repeat keys (overwrite)
+// TestArenaMatchesOracle drives the flat-arena storage through a
+// randomized Insert/Delete/Clone/COW-mutation/Save/Load workload under
+// four seeds, checking it against the map-backed oracle after every
+// phase. Inserts repeat keys (overwrite)
 // and deletes target both present and absent tuples, so the arena's
 // dead-handle and liveness paths are exercised, not just the happy
 // path.
-func TestArenaMatchesOracleAcrossShards(t *testing.T) {
+func TestArenaMatchesOracle(t *testing.T) {
 	s := schema.MustScheme("A", "B", "C")
-	for _, shards := range []int{1, 2, 4, 8} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(shards) * 7919))
-			var r *Relation
-			if shards == 1 {
-				r = New(s)
-			} else {
-				var err error
-				r, err = NewSharded(s, 0, shards)
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
+	for _, seed := range []int64{7919, 2 * 7919, 4 * 7919, 8 * 7919} {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			r := New(s)
 			oracle := make(mapOracle)
 
 			// Clones taken mid-run, each paired with a frozen copy of
@@ -355,14 +337,9 @@ func degenerateHash(h uint32) uint32 {
 // held generation drifting from its model — or as a data race under
 // -race. The second pass repeats everything under degenerateHash.
 func TestSnapshotIsolationAcrossGenerations(t *testing.T) {
-	sharded, err := NewSharded(cowScheme, 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	subjects := map[string]func() cowSubject{
-		"Relation":        func() cowSubject { return cowRelation{New(cowScheme)} },
-		"ShardedRelation": func() cowSubject { return cowRelation{sharded.Clone()} },
-		"Counted":         func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
+		"Relation": func() cowSubject { return cowRelation{New(cowScheme)} },
+		"Counted":  func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
 	}
 	for _, hash := range []string{"real", "degenerate"} {
 		for name, fresh := range subjects {

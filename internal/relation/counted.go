@@ -301,7 +301,7 @@ func NaturalJoinCounted(a, b *Counted) (*Counted, error) {
 			pbuf[i] = t[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], pbuf)
-		ix.add(kb, int64(h))
+		ix.add(kb, h)
 	})
 	lbuf := make(tuple.Tuple, len(p.leftPos))
 	obuf := make(tuple.Tuple, 0, p.out.Arity())
@@ -310,8 +310,7 @@ func NaturalJoinCounted(a, b *Counted) (*Counted, error) {
 			lbuf[i] = ta[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(ref int64) {
-			h := int32(ref)
+		ix.eachRef(kb, func(h int32) {
 			obuf = p.appendCombine(obuf[:0], ta, b.a.row(h))
 			out.bump(obuf, na*b.counts.get(h))
 		})

@@ -57,7 +57,7 @@ func newAged(kind string, n, replacements int) agedContainer {
 				churn(c.Delete, c.put)
 				r = c
 			},
-			arena: func() *rowArena { return r.parts[0] },
+			arena: func() *rowArena { return r.a },
 		}
 	case "Counted":
 		v := NewCountedCap(s, n)

@@ -1,8 +1,7 @@
 // Package relation implements the three relation representations used
 // by the mview engine and the relational operators over them:
 //
-//   - Relation: a set of tuples (the paper's model for base relations),
-//     internally split into hash shards (see shard.go).
+//   - Relation: a set of tuples (the paper's model for base relations).
 //   - Counted: a relation whose tuples carry the multiplicity counter
 //     introduced in §5.2 to make projection distribute over difference.
 //     Materialized views are Counted relations.
@@ -28,35 +27,24 @@ import (
 	"mview/internal/tuple"
 )
 
-// Relation is a set of tuples over a fixed scheme, stored as one or
-// more hash-sharded row arenas keyed on one attribute. Clone shares
-// the shard arenas copy-on-write; concurrent readers of a published
-// relation are safe as long as all mutation happens on clones under
-// the engine's write lock (the snapshot discipline in internal/db).
+// Relation is a set of tuples over a fixed scheme, stored in one row
+// arena. Clone shares the arena copy-on-write; concurrent readers of a
+// published relation are safe as long as all mutation happens on
+// clones under the engine's write lock (the snapshot discipline in
+// internal/db).
 type Relation struct {
 	scheme *schema.Scheme
-	key    int // shard-key attribute position
-	parts  []*rowArena
-	shared []bool // parts[i] is also referenced by a clone or snapshot
-	n      int
+	a      *rowArena
 }
 
-// New returns an empty unsharded relation over the given scheme.
+// New returns an empty relation over the given scheme.
 func New(s *schema.Scheme) *Relation {
-	return &Relation{
-		scheme: s,
-		parts:  []*rowArena{newRowArena(s.Arity())},
-		shared: make([]bool, 1),
-	}
+	return &Relation{scheme: s, a: newRowArena(s.Arity())}
 }
 
-// NewCap returns an empty unsharded relation presized for n tuples.
+// NewCap returns an empty relation presized for n tuples.
 func NewCap(s *schema.Scheme, n int) *Relation {
-	return &Relation{
-		scheme: s,
-		parts:  []*rowArena{newRowArenaCap(s.Arity(), n)},
-		shared: make([]bool, 1),
-	}
+	return &Relation{scheme: s, a: newRowArenaCap(s.Arity(), n)}
 }
 
 // FromTuples builds a relation from the given tuples, ignoring
@@ -86,7 +74,7 @@ func MustFromTuples(s *schema.Scheme, ts ...tuple.Tuple) *Relation {
 func (r *Relation) Scheme() *schema.Scheme { return r.scheme }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return r.n }
+func (r *Relation) Len() int { return r.a.len() }
 
 // Has reports whether t is in the relation. Safe for concurrent
 // readers of a published relation.
@@ -94,7 +82,7 @@ func (r *Relation) Has(t tuple.Tuple) bool {
 	if len(t) != r.scheme.Arity() {
 		return false
 	}
-	_, _, ok := r.parts[r.part(t)].find(t, nil)
+	_, _, ok := r.a.find(t, nil)
 	return ok
 }
 
@@ -116,21 +104,27 @@ func (r *Relation) Insert(t tuple.Tuple) error {
 	return nil
 }
 
+// put inserts t without arity checking; the arena copies t's values,
+// so callers may pass scratch tuples. Present tuples are left
+// untouched (set semantics).
+func (r *Relation) put(t tuple.Tuple) {
+	if _, hash, ok := r.a.find(t, nil); !ok {
+		r.a.add(hash, t, nil)
+	}
+}
+
 // Delete removes t; removing an absent tuple is a no-op.
 func (r *Relation) Delete(t tuple.Tuple) {
 	if len(t) != r.scheme.Arity() {
 		return
 	}
-	p := r.part(t)
-	h, hash, ok := r.parts[p].find(t, nil)
+	h, hash, ok := r.a.find(t, nil)
 	if !ok {
 		return
 	}
-	a := r.writable(p)
-	a.remove(hash, h)
-	r.n--
-	if a.tooManyDead() {
-		r.parts[p] = a.clone(nil)
+	r.a.remove(hash, h)
+	if r.a.tooManyDead() {
+		r.a = r.a.clone(nil)
 	}
 }
 
@@ -138,49 +132,30 @@ func (r *Relation) Delete(t tuple.Tuple) {
 // not mutate the tuple; retaining it is safe (arena rows are immutable
 // once stored).
 func (r *Relation) Each(f func(tuple.Tuple)) {
-	for i := range r.parts {
-		r.EachShard(i, f)
-	}
-}
-
-// EachShard calls f for every tuple of shard i, in unspecified order.
-func (r *Relation) EachShard(i int, f func(tuple.Tuple)) {
-	r.parts[i].each(func(_ int32, t tuple.Tuple) { f(t) })
+	r.a.each(func(_ int32, t tuple.Tuple) { f(t) })
 }
 
 // Tuples returns all tuples sorted lexicographically, for deterministic
 // iteration and display.
 func (r *Relation) Tuples() []tuple.Tuple {
-	out := make([]tuple.Tuple, 0, r.n)
+	out := make([]tuple.Tuple, 0, r.Len())
 	r.Each(func(t tuple.Tuple) { out = append(out, t) })
 	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
-// Clone returns a copy sharing all shard arenas copy-on-write: the
-// copy costs O(#shards), and a subsequent mutation of either side
-// copies, per shard it touches, an arena header plus the trie paths it
-// writes. Callers must serialize Clone with other mutations of r (it
-// marks r's parts shared).
+// Clone returns a copy in O(1), sharing the arena copy-on-write: a
+// subsequent mutation of either side copies only the trie paths and
+// the page it writes. Callers must serialize Clone with other
+// mutations of r (it restamps r's arena generation).
 func (r *Relation) Clone() *Relation {
-	out := &Relation{
-		scheme: r.scheme,
-		key:    r.key,
-		parts:  append([]*rowArena(nil), r.parts...),
-		shared: make([]bool, len(r.parts)),
-		n:      r.n,
-	}
-	for i := range r.parts {
-		r.shared[i] = true
-		out.shared[i] = true
-	}
-	return out
+	return &Relation{scheme: r.scheme, a: r.a.cloneShared()}
 }
 
 // Equal reports whether two relations have equal schemes and tuple
-// sets; shard layout does not participate.
+// sets.
 func (r *Relation) Equal(o *Relation) bool {
-	if !r.scheme.Equal(o.scheme) || r.n != o.n {
+	if !r.scheme.Equal(o.scheme) || r.Len() != o.Len() {
 		return false
 	}
 	eq := true
@@ -351,20 +326,17 @@ func NaturalJoin(l, r *Relation) (*Relation, error) {
 		return nil, err
 	}
 	out := New(p.out)
-	// Hash join: build a handle index on r (refs pack shard and
-	// handle), probe with l's rows.
-	ix := newHandleIndex(r.n)
+	// Hash join: build a handle index on r, probe with l's rows.
+	ix := newHandleIndex(r.Len())
 	var kb []byte
 	pbuf := make(tuple.Tuple, len(p.rightPos))
-	for pi, a := range r.parts {
-		a.each(func(h int32, b tuple.Tuple) {
-			for i, pos := range p.rightPos {
-				pbuf[i] = b[pos]
-			}
-			kb = tuple.AppendKey(kb[:0], pbuf)
-			ix.add(kb, int64(pi)<<32|int64(h))
-		})
-	}
+	r.a.each(func(h int32, b tuple.Tuple) {
+		for i, pos := range p.rightPos {
+			pbuf[i] = b[pos]
+		}
+		kb = tuple.AppendKey(kb[:0], pbuf)
+		ix.add(kb, h)
+	})
 	lbuf := make(tuple.Tuple, len(p.leftPos))
 	obuf := make(tuple.Tuple, 0, p.out.Arity())
 	l.Each(func(a tuple.Tuple) {
@@ -372,8 +344,8 @@ func NaturalJoin(l, r *Relation) (*Relation, error) {
 			lbuf[i] = a[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(ref int64) {
-			b := r.parts[ref>>32].row(int32(ref))
+		ix.eachRef(kb, func(h int32) {
+			b := r.a.row(h)
 			obuf = p.appendCombine(obuf[:0], a, b)
 			out.put(obuf)
 		})

@@ -261,7 +261,7 @@ func NaturalJoinTagged(a, b *Tagged) (*Tagged, error) {
 			pbuf[i] = t[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], pbuf)
-		ix.add(kb, int64(h))
+		ix.add(kb, h)
 	})
 	lbuf := make(tuple.Tuple, len(p.leftPos))
 	obuf := make(tuple.Tuple, 0, p.out.Arity())
@@ -270,8 +270,7 @@ func NaturalJoinTagged(a, b *Tagged) (*Tagged, error) {
 			lbuf[i] = ta[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(ref int64) {
-			h := int32(ref)
+		ix.eachRef(kb, func(h int32) {
 			tag := tuple.JoinTags(ga, b.tags[h])
 			if tag == tuple.TagIgnore {
 				return
@@ -312,7 +311,7 @@ func JoinOnScheme(a, b *Tagged, lpos, rpos []int, cs *schema.Scheme) (*Tagged, e
 			pbuf[i] = t[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], pbuf)
-		ix.add(kb, int64(h))
+		ix.add(kb, h)
 	})
 	lbuf := make(tuple.Tuple, len(lpos))
 	a.Each(func(ta tuple.Tuple, ga tuple.Tag) {
@@ -320,8 +319,7 @@ func JoinOnScheme(a, b *Tagged, lpos, rpos []int, cs *schema.Scheme) (*Tagged, e
 			lbuf[i] = ta[pos]
 		}
 		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(ref int64) {
-			h := int32(ref)
+		ix.eachRef(kb, func(h int32) {
 			tag := tuple.JoinTags(ga, b.tags[h])
 			if tag == tuple.TagIgnore {
 				return

@@ -590,8 +590,6 @@ type Stats struct {
 	DeltaInserts  int // view tuples inserted by deltas
 	DeltaDeletes  int // view tuples deleted by deltas
 	PendingTx     int // transactions awaiting a deferred refresh
-	ShardTasks    int // per-shard maintenance tasks run on the pool (WithShards)
-	ShardsPruned  int // shard sub-deltas skipped by the §4 key-range test
 }
 
 // Stats returns a view's maintenance counters.
@@ -610,8 +608,6 @@ func (d *DB) Stats(name string) (Stats, error) {
 		DeltaInserts:  s.DeltaInserts,
 		DeltaDeletes:  s.DeltaDeletes,
 		PendingTx:     s.PendingTx,
-		ShardTasks:    s.ShardTasks,
-		ShardsPruned:  s.ShardsPruned,
 	}, nil
 }
 
@@ -669,9 +665,7 @@ func (d *DB) Subscribe(view string, fn func(Change)) (cancel func(), err error) 
 func (d *DB) Save(w io.Writer) error { return d.engine().Save(w) }
 
 // Load reads a snapshot produced by Save, returning a database with
-// all relations restored and all views re-materialized. The snapshot
-// format is shard-independent, so a snapshot written by any database
-// loads under any WithShards setting.
+// all relations restored and all views re-materialized.
 func Load(r io.Reader, opts ...Option) (*DB, error) {
 	cfg := buildOpenConfig(opts)
 	eng, err := db.Load(r, cfg.engineOptions()...)
@@ -704,7 +698,7 @@ func (d *DB) Explain(view string) (string, error) {
 // ExplainAnalyze is Explain plus an "analyze" section with actual
 // numbers: lifetime maintenance counters, current staleness, and the
 // measured stage timings of the view's most recent maintenance pass —
-// queue wait, compute, install, shard fan-out, delta size, and the
+// queue wait, compute, install, delta size, and the
 // trace id to look the carrying commit up in the flight recorder.
 func (d *DB) ExplainAnalyze(view string) (string, error) {
 	return d.engine().ExplainAnalyze(view)

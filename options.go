@@ -15,12 +15,11 @@ import (
 
 // Option configures a database at open time. Options apply in order;
 // the zero set matches the historical defaults (GOMAXPROCS maintenance
-// workers, serial commits, monolithic relations, no instrumentation).
+// workers, serial commits, no instrumentation).
 type Option func(*config)
 
 type config struct {
 	maintWorkers int
-	shards       int
 	groupCommit  bool
 	groupMax     int
 	groupWindow  time.Duration
@@ -32,22 +31,10 @@ type config struct {
 }
 
 // WithMaintWorkers bounds the worker pool that parallelizes per-view
-// (and, with WithShards, per-shard) maintenance inside each commit and
-// RefreshAll. n <= 0 selects the default, GOMAXPROCS.
+// maintenance inside each commit and RefreshAll. n <= 0 selects the
+// default, GOMAXPROCS.
 func WithMaintWorkers(n int) Option {
 	return func(c *config) { c.maintWorkers = n }
-}
-
-// WithShards partitions every base relation into n hash shards on its
-// first attribute. A transaction that modifies a single operand of a
-// view then fans out one maintenance task per touched shard — pruned
-// early when the §4 test refutes the shard's key range — instead of
-// one task per view. n <= 1 keeps relations monolithic. The shard
-// count is runtime configuration, not persisted state: snapshots and
-// the commit log are shard-independent, and a durable database may
-// reopen with any count.
-func WithShards(n int) Option {
-	return func(c *config) { c.shards = n }
 }
 
 // WithGroupCommit opens the database with group commit enabled:
@@ -117,9 +104,6 @@ func buildOpenConfig(opts []Option) config {
 // constructor (or db.Load) itself.
 func (c config) engineOptions() []db.Option {
 	var eo []db.Option
-	if c.shards > 1 {
-		eo = append(eo, db.WithShards(c.shards))
-	}
 	if c.maintWorkers > 0 {
 		eo = append(eo, db.WithMaintWorkers(c.maintWorkers))
 	}
@@ -161,7 +145,3 @@ func (d *DB) applyRuntime(c config) {
 		d.engine().EnableGroupCommit(c.groupMax, c.groupWindow, logBatch)
 	}
 }
-
-// Shards reports the configured hash-shard count of base relations
-// (1 when unsharded).
-func (d *DB) Shards() int { return d.engine().Shards() }

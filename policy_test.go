@@ -29,7 +29,7 @@ func rowsByKey(rows []Row) map[string]int64 {
 
 // TestPolicyMatrixOracle drives the same concurrent workload through
 // one view per policy under every commit configuration (group commit
-// on/off × sharded/unsharded) and checks that, once quiesced with
+// on and off) and checks that, once quiesced with
 // RefreshAll, every policy's view matches the always-fresh on-commit
 // oracle. Policies change WHEN maintenance runs, never WHAT the view
 // converges to.
@@ -40,8 +40,6 @@ func TestPolicyMatrixOracle(t *testing.T) {
 	}{
 		{"solo", nil},
 		{"group", []Option{WithGroupCommit(16, time.Millisecond)}},
-		{"sharded", []Option{WithShards(4)}},
-		{"group+sharded", []Option{WithGroupCommit(16, time.Millisecond), WithShards(4)}},
 	}
 	policies := []struct {
 		view string

@@ -81,24 +81,23 @@ func (s replSource) WriteSnapshot(w io.Writer) (uint64, error) {
 // The bootstrap stream is the checkpoint codec's segments wrapped for
 // sequential transport: a header binding the image to its WAL
 // position, then length-prefixed sections (catalog first, then one
-// per non-empty shard). The length prefixes exist because the segment
-// readers buffer internally and over-read — sections must be framed,
-// not concatenated.
+// per non-empty relation). The length prefixes exist because the
+// segment readers buffer internally and over-read — sections must be
+// framed, not concatenated. A reader accepts several sections per
+// relation, as builds that hash-sharded relations sent one per shard.
 const replSnapMagic = "MVIEWRPL1"
 
 func writeReplSnapshot(w io.Writer, snap *db.Snapshot, lsn uint64) error {
-	sections := 1
+	var rels []string
 	for _, rel := range snap.Relations() {
-		for shard := 0; shard < snap.RelationShards(rel); shard++ {
-			if snap.ShardLen(rel, shard) > 0 {
-				sections++
-			}
+		if snap.RelationLen(rel) > 0 {
+			rels = append(rels, rel)
 		}
 	}
 	hdr := make([]byte, 0, len(replSnapMagic)+8+4)
 	hdr = append(hdr, replSnapMagic...)
 	hdr = binary.BigEndian.AppendUint64(hdr, lsn)
-	hdr = binary.BigEndian.AppendUint32(hdr, uint32(sections))
+	hdr = binary.BigEndian.AppendUint32(hdr, uint32(1+len(rels)))
 	if _, err := w.Write(hdr); err != nil {
 		return err
 	}
@@ -119,24 +118,18 @@ func writeReplSnapshot(w io.Writer, snap *db.Snapshot, lsn uint64) error {
 	if err := writeSection(snap.WriteCatalog); err != nil {
 		return err
 	}
-	for _, rel := range snap.Relations() {
-		for shard := 0; shard < snap.RelationShards(rel); shard++ {
-			if snap.ShardLen(rel, shard) == 0 {
-				continue
-			}
-			rel, shard := rel, shard
-			if err := writeSection(func(out io.Writer) error {
-				return snap.WriteShard(out, rel, shard)
-			}); err != nil {
-				return err
-			}
+	for _, rel := range rels {
+		if err := writeSection(func(out io.Writer) error {
+			return snap.WriteSegment(out, rel)
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // maxReplSection bounds one bootstrap section (1 GiB) against corrupt
-// length fields; real sections are one shard each.
+// length fields; real sections are one relation each.
 const maxReplSection = 1 << 30
 
 func loadReplSnapshot(r io.Reader, cfg config) (*db.Engine, uint64, error) {
@@ -180,7 +173,7 @@ func loadReplSnapshot(r io.Reader, cfg config) (*db.Engine, uint64, error) {
 		if err != nil {
 			return nil, 0, fmt.Errorf("mview: reading snapshot section %d: %w", i, err)
 		}
-		if err := eng.LoadShardSegment(bytes.NewReader(sec)); err != nil {
+		if err := eng.LoadSegment(bytes.NewReader(sec)); err != nil {
 			return nil, 0, err
 		}
 	}
