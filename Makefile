@@ -16,13 +16,14 @@ test:
 # per-version read memos under view GETs racing group-committed writers
 # and the routing oracles, whose fleets hold every consumer of the
 # relevance index (commits, deferred refreshes, subscribers), and the
-# worker-pool and group-commit oracles, repeated.
+# group-commit and differential-maintenance oracles, repeated.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=2 -run 'Group' ./internal/db .
 	$(GO) test -race -count=2 -run 'TestRouteEngineMatchesMaterialize|TestRouteCountContract' ./internal/db
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
-	$(GO) test -race -count=3 -run 'TestParallelCommitMatchesSerialAcrossWorkers|TestGroupCommitMatchesSerialOracle' ./internal/db
+	$(GO) test -race -count=3 -run 'TestGroupCommitMatchesSerialOracle' ./internal/db
+	$(GO) test -race -count=3 -run TestDifferentialMatchesFullReevaluation ./internal/diffeval
 
 # The quantitative-shape benchmarks behind bench_results.txt. Narrow
 # with BENCH, e.g. `make bench BENCH=GroupCommit` for the C-GROUP
@@ -89,8 +90,10 @@ crash:
 # replication statement codec and the replication records frame (round
 # trip; arbitrary bytes fail cleanly, with allocation bounded by their
 # size), the checkpoint manifest (round trip; arbitrary bytes fail
-# cleanly), and the checkpoint catalog and data segments (round trip;
-# arbitrary bytes fail cleanly, with allocation bounded by their size).
+# cleanly), the checkpoint catalog and data segments (round trip;
+# arbitrary bytes fail cleanly, with allocation bounded by their size),
+# and a WAL segment (arbitrary bytes recover a valid prefix that replay,
+# open and a replication tail agree on; appended records round-trip).
 FUZZTIME ?= 5s
 fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzExecBody$$' -fuzztime=$(FUZZTIME) ./internal/httpapi
@@ -99,6 +102,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz='^FuzzManifest$$' -fuzztime=$(FUZZTIME) .
 	$(GO) test -run=NONE -fuzz='^FuzzCatalogSegment$$' -fuzztime=$(FUZZTIME) ./internal/db
 	$(GO) test -run=NONE -fuzz='^FuzzDataSegment$$' -fuzztime=$(FUZZTIME) ./internal/db
+	$(GO) test -run=NONE -fuzz='^FuzzWALSegment$$' -fuzztime=$(FUZZTIME) ./internal/wal
 
 # End-to-end flight-recorder check: boot mviewd with -trace-ring,
 # drive a commit over HTTP, and assert /v1/debug/traces captured a

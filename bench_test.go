@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"runtime"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -828,108 +827,6 @@ func BenchmarkSnapshotRefresh(b *testing.B) {
 			}
 		}
 	})
-}
-
-// ---------- C-PAR: parallel view maintenance inside one commit ----------
-
-// sleepTracer adds a fixed blocking latency to every per-view delta
-// computation (the diffeval.compute span), standing in for per-view
-// work that waits rather than burns CPU — a remote trace sink, an
-// audit write, future IO. It lets the worker-pool benchmark show
-// overlap even on a single-core host, where CPU-bound maintenance
-// cannot speed up.
-type sleepTracer struct{ d time.Duration }
-
-func (s sleepTracer) Start(name string, kv ...obs.KV) obs.Span {
-	if name == "diffeval.compute" {
-		time.Sleep(s.d)
-	}
-	return obs.NopTracer{}.Start(name)
-}
-
-func (s sleepTracer) Event(string, ...obs.KV) {}
-
-// BenchmarkParallelCommit commits one transaction touching 8
-// independent join views (vi = Ri ⋈ S) with the phase-1 fan-out on 1,
-// 4, and GOMAXPROCS workers. The cpu variant is pure computation; the
-// overlap variant adds 200µs of blocking latency per view delta via
-// the tracer, the regime the pool is for.
-//
-// On a GOMAXPROCS=1 host the cpu rows are skipped rather than
-// reported: with a single P the runtime cannot execute workers
-// concurrently (and the pool deliberately inlines at one worker — see
-// forEachParallel), so a "no speedup" row there would measure the
-// scheduler, not the fan-out.
-func BenchmarkParallelCommit(b *testing.B) {
-	const nviews = 8
-	workerRows := []int{1, 4}
-	if p := runtime.GOMAXPROCS(0); p != 1 && p != 4 {
-		workerRows = append(workerRows, p)
-	}
-	for _, variant := range []struct {
-		name string
-		lat  time.Duration
-	}{
-		{"cpu", 0},
-		{"overlap200us", 200 * time.Microsecond},
-	} {
-		for _, workers := range workerRows {
-			b.Run(fmt.Sprintf("%s/workers=%d", variant.name, workers), func(b *testing.B) {
-				if variant.lat == 0 && workers > 1 && runtime.GOMAXPROCS(0) == 1 {
-					b.Skipf("cpu variant needs >1 P for %d workers; GOMAXPROCS=1 runs them sequentially", workers)
-				}
-				e := db.New(db.WithMaintWorkers(workers))
-				for i := 0; i < nviews; i++ {
-					if err := e.CreateRelation(fmt.Sprintf("R%d", i), "A", "B"); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if err := e.CreateRelation("S", "B", "C"); err != nil {
-					b.Fatal(err)
-				}
-				var seed delta.Tx
-				for i := 0; i < nviews; i++ {
-					for j := 0; j < 1000; j++ {
-						seed.Insert(fmt.Sprintf("R%d", i), tuple.New(int64(j), int64(j%50)))
-					}
-				}
-				for j := 0; j < 50; j++ {
-					seed.Insert("S", tuple.New(int64(j), int64(100+j)))
-				}
-				if _, err := e.Execute(&seed); err != nil {
-					b.Fatal(err)
-				}
-				for i := 0; i < nviews; i++ {
-					v, err := expr.NaturalJoin(fmt.Sprintf("v%d", i), e.Scheme(),
-						fmt.Sprintf("R%d", i), "S")
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := e.CreateView(v, db.ViewConfig{}); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if variant.lat > 0 {
-					e.SetObs(nil, sleepTracer{d: variant.lat})
-				}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					var tx delta.Tx
-					for r := 0; r < nviews; r++ {
-						rel := fmt.Sprintf("R%d", r)
-						if i%2 == 0 {
-							tx.Insert(rel, tuple.New(9999, 1))
-						} else {
-							tx.Delete(rel, tuple.New(9999, 1))
-						}
-					}
-					if _, err := e.Execute(&tx); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // ---------- C-SNAP: lock-free snapshot reads ----------

@@ -7,7 +7,6 @@
 //
 //	mviewcli                 # interactive prompt, in-memory database
 //	mviewcli -data ./mydb    # durable database (commit log + checkpoints)
-//	mviewcli -maint-workers 4  # bound the parallel maintenance pool
 //	mviewcli -group-commit [-group-max N] [-group-window 2ms]  # commit-group scheduler
 //	mviewcli < script        # batch mode
 //
@@ -27,7 +26,6 @@ import (
 
 func main() {
 	data := flag.String("data", "", "durable database directory (empty = in-memory)")
-	workers := flag.Int("maint-workers", 0, "per-view maintenance worker pool size (0 = GOMAXPROCS)")
 	groupCommit := flag.Bool("group-commit", false, "coalesce concurrent transactions into commit groups")
 	groupMax := flag.Int("group-max", 0, "maximum transactions per commit group (0 = default)")
 	groupWindow := flag.Duration("group-window", 2*time.Millisecond, "group leader's wait for followers under concurrency (0 = no wait)")
@@ -35,9 +33,6 @@ func main() {
 	flag.Parse()
 
 	var opts []mview.Option
-	if *workers > 0 {
-		opts = append(opts, mview.WithMaintWorkers(*workers))
-	}
 	if *groupCommit {
 		opts = append(opts, mview.WithGroupCommit(*groupMax, *groupWindow))
 	}

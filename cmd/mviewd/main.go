@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	mviewd [-addr :8080] [-data ./mydb] [-metrics=true] [-slowlog 100ms] [-maint-workers N]
+//	mviewd [-addr :8080] [-data ./mydb] [-metrics=true] [-slowlog 100ms]
 //	       [-checkpoint-interval 5m] [-wal-segment-bytes N] [-group-commit] [-group-max N] [-group-window 2ms]
 //	       [-trace-ring N] [-trace-slow 250ms] [-pprof] [-replicate] [-follow URL] [-follower-id ID]
 //	       [-default-policy SPEC]
@@ -35,10 +35,6 @@
 // /debug/pprof/ on the same listener — CPU and heap profiles, goroutine
 // dumps, and execution traces for drilling into whatever the flight
 // recorder attributes (see README "Profiling").
-//
-// -maint-workers bounds the worker pool that computes per-view
-// maintenance concurrently inside each commit (0 = GOMAXPROCS, the
-// default).
 //
 // -checkpoint-interval makes a durable server checkpoint periodically,
 // bounding recovery replay time. Checkpoints are incremental (only
@@ -116,7 +112,6 @@ type config struct {
 	data        string
 	metrics     bool
 	slowlog     time.Duration
-	workers     int
 	ckptEvery   time.Duration
 	segBytes    int64
 	groupCommit bool
@@ -137,7 +132,6 @@ func main() {
 	flag.StringVar(&c.data, "data", "", "durable database directory (empty = in-memory)")
 	flag.BoolVar(&c.metrics, "metrics", true, "serve /metrics and /debug/stats")
 	flag.DurationVar(&c.slowlog, "slowlog", 0, "log spans (commits, refreshes, requests) slower than this; 0 disables")
-	flag.IntVar(&c.workers, "maint-workers", 0, "per-view maintenance worker pool size (0 = GOMAXPROCS)")
 	flag.DurationVar(&c.ckptEvery, "checkpoint-interval", 0, "checkpoint a durable database this often (0 disables; requires -data)")
 	flag.Int64Var(&c.segBytes, "wal-segment-bytes", 0, "commit-log segment rotation threshold in bytes (0 = default 64 MiB; requires -data)")
 	flag.BoolVar(&c.groupCommit, "group-commit", false, "coalesce concurrent transactions into commit groups (one fsync, one maintenance pass, one snapshot publish per group)")
@@ -181,9 +175,6 @@ func run(c config) error {
 	}
 
 	var dbOpts []mview.Option
-	if c.workers > 0 {
-		dbOpts = append(dbOpts, mview.WithMaintWorkers(c.workers))
-	}
 	if c.groupCommit {
 		dbOpts = append(dbOpts, mview.WithGroupCommit(c.groupMax, c.groupWindow))
 	}
@@ -303,8 +294,8 @@ func run(c config) error {
 			errc <- err
 		}
 	}()
-	log.Printf("mviewd listening on %s (data=%q metrics=%v slowlog=%v trace-ring=%d pprof=%v maint-workers=%d group-commit=%v)",
-		c.addr, c.data, c.metrics, c.slowlog, c.traceRing, c.pprof, db.MaintWorkers(), db.GroupCommitEnabled())
+	log.Printf("mviewd listening on %s (data=%q metrics=%v slowlog=%v trace-ring=%d pprof=%v group-commit=%v)",
+		c.addr, c.data, c.metrics, c.slowlog, c.traceRing, c.pprof, db.GroupCommitEnabled())
 
 	select {
 	case err := <-errc:

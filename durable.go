@@ -228,12 +228,10 @@ func readManifest(dir string) (*manifest, error) {
 
 // OpenDurable opens (creating if necessary) a durable database rooted
 // at dir, configured by the given options. State is recovered from the
-// latest checkpoint (manifest + segments) plus the commit log.
-// Engine-level options (WithMaintWorkers) shape the recovered state
-// itself; the runtime options (WithGroupCommit,
-// WithObs) are applied after the log is attached, so instrumentation
-// covers the log and group commit batches its appends from the first
-// transaction.
+// latest checkpoint (manifest + segments) plus the commit log. The
+// options (WithGroupCommit, WithObs) are applied after the log is
+// attached, so instrumentation covers the log and group commit batches
+// its appends from the first transaction.
 //
 // A directory in the layout of builds that predate checkpoint
 // manifests and WAL segments is refused with an error before anything
@@ -265,7 +263,7 @@ func OpenDurable(dir string, opts ...Option) (*DB, error) {
 	d := &DB{man: man}
 	var snapLSN uint64
 	if man == nil {
-		d.eng.Store(db.New(cfg.engineOptions()...))
+		d.eng.Store(db.New())
 	} else {
 		eng, err := loadFromManifest(dir, man, cfg)
 		if err != nil {
@@ -349,7 +347,7 @@ func loadFromManifest(dir string, man *manifest, cfg config) (*db.Engine, error)
 	if err != nil {
 		return nil, fmt.Errorf("mview: opening catalog segment: %w", err)
 	}
-	eng, pending, err := db.BeginSegmentedLoad(cat, cfg.engineOptions()...)
+	eng, pending, err := db.BeginSegmentedLoad(cat)
 	cat.Close()
 	if err != nil {
 		return nil, fmt.Errorf("mview: loading catalog segment %s: %w", man.catalog, err)
@@ -769,14 +767,11 @@ func (d *DB) Checkpoint() error {
 	return nil
 }
 
-// writeSegments writes the planned segment files concurrently on a
-// pool sized like the maintenance pool, fsyncing each. The first error
-// wins; remaining jobs are skipped.
+// writeSegments writes the planned segment files concurrently, one
+// goroutine per CPU (GOMAXPROCS), fsyncing each. The first error wins;
+// remaining jobs are skipped.
 func (d *DB) writeSegments(snap *db.Snapshot, jobs []segJob, bytesWritten *atomic.Int64) error {
-	workers := d.engine().MaintWorkers()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := runtime.GOMAXPROCS(0)
 	if workers > len(jobs) {
 		workers = len(jobs)
 	}

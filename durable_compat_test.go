@@ -329,11 +329,8 @@ func compareDBs(t *testing.T, got, want *DB, rels, views []string) {
 // TestOpenOptionEquivalence pins that the functional options configure
 // the machinery they name.
 func TestOpenOptionEquivalence(t *testing.T) {
-	optDB := Open(WithMaintWorkers(3), WithGroupCommit(8, 0))
+	optDB := Open(WithGroupCommit(8, 0))
 	defer optDB.Close()
-	if got := optDB.MaintWorkers(); got != 3 {
-		t.Errorf("MaintWorkers() = %d, want 3", got)
-	}
 	if !optDB.GroupCommitEnabled() {
 		t.Error("GroupCommitEnabled() = false, want true")
 	}

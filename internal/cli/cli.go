@@ -31,8 +31,8 @@ type Session struct {
 }
 
 // NewSession returns a session over a fresh in-memory database.
-// Construction options (mview.WithMaintWorkers, mview.WithGroupCommit,
-// ...) are forwarded to mview.Open.
+// Construction options (mview.WithGroupCommit, mview.WithObs, ...) are
+// forwarded to mview.Open.
 func NewSession(opts ...mview.Option) *Session {
 	s := newSession(opts)
 	s.db = mview.Open(s.opts...)
@@ -95,7 +95,6 @@ const Help = `commands:
   save <file> | load <file>                snapshot the database / restore one
   checkpoint                               durable mode: snapshot + truncate the commit log
   relations | views                        list catalog entries
-  workers                                  show the maintenance worker pool size
   help                                     this text
   quit | exit                              leave`
 
@@ -160,8 +159,6 @@ func (s *Session) Exec(line string) (string, bool) {
 		out = strings.Join(s.db.Relations(), "\n")
 	case "views":
 		out = strings.Join(s.db.Views(), "\n")
-	case "workers":
-		out, err = s.workers(rest)
 	default:
 		err = fmt.Errorf("unknown command %q (try help)", cmd)
 	}
@@ -638,15 +635,6 @@ func (s *Session) policy(rest string) (string, error) {
 	}
 	return fmt.Sprintf("%s: policy=%s mode=%s staleness=%s",
 		fields[0], p.Spec, mode, p.Staleness.Round(time.Millisecond)), nil
-}
-
-// workers shows the maintenance worker-pool size, which is fixed at
-// open (mviewcli -maint-workers).
-func (s *Session) workers(rest string) (string, error) {
-	if strings.TrimSpace(rest) != "" {
-		return "", fmt.Errorf("workers takes no argument (the pool size is set at open: mviewcli -maint-workers)")
-	}
-	return fmt.Sprintf("maintenance workers: %d", s.db.MaintWorkers()), nil
 }
 
 // relevant parses "<view> <rel> (<v>, ...)".

@@ -3,8 +3,6 @@ package cli
 import (
 	"strings"
 	"testing"
-
-	"mview"
 )
 
 // run executes commands in sequence, failing the test on any "error:"
@@ -310,20 +308,6 @@ func TestCaseInsensitiveKeywords(t *testing.T) {
 	out := run(t, s, "show v")
 	if !strings.Contains(out, "[7]") {
 		t.Errorf("show = %q", out)
-	}
-}
-
-// TestWorkersCommand: "workers" shows the pool size the session was
-// opened with; the size is set only at open, so an argument is refused.
-func TestWorkersCommand(t *testing.T) {
-	s := NewSession(mview.WithMaintWorkers(3))
-	defer s.Close()
-	if out := run(t, s, "workers"); out != "maintenance workers: 3" {
-		t.Errorf("workers = %q", out)
-	}
-	expectErr(t, s, "workers 4")
-	if out := run(t, s, "workers"); out != "maintenance workers: 3" {
-		t.Errorf("workers after a refused set = %q", out)
 	}
 }
 

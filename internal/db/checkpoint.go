@@ -171,7 +171,7 @@ type pendingViewDef struct {
 // engine with every relation created (empty) plus the parsed view
 // definitions. Stream the data segments through LoadSegment, then
 // call CompleteSegmentedLoad.
-func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, error) {
+func BeginSegmentedLoad(in io.Reader) (*Engine, *PendingViews, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	switch magic := r.str(); {
 	case r.err != nil:
@@ -179,7 +179,7 @@ func BeginSegmentedLoad(in io.Reader, opts ...Option) (*Engine, *PendingViews, e
 	case magic != catalogMagic:
 		return nil, nil, fmt.Errorf("db: not an mview catalog segment this build reads (magic %q, want %q)", magic, catalogMagic)
 	}
-	e := New(opts...)
+	e := New()
 	nRel := r.u32()
 	if nRel > maxStr {
 		return nil, nil, fmt.Errorf("db: corrupt catalog: %d relations", nRel)

@@ -1,16 +1,11 @@
 package db
 
 import (
-	"fmt"
-	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
 	"mview/internal/delta"
-	"mview/internal/eval"
 	"mview/internal/expr"
-	"mview/internal/obs"
 	"mview/internal/tuple"
 )
 
@@ -139,126 +134,12 @@ func TestChooseAdaptiveCountsSelfJoinOnce(t *testing.T) {
 	}
 }
 
-// TestParallelCommitMatchesSerialAcrossWorkers drives identical random
-// transaction streams through a serial engine (1 worker) and a
-// parallel one (4 workers) over 8 views with mixed modes and policies,
-// then checks every view against the other engine AND against a full
-// recompute oracle. Run with -race to exercise the phase-1/phase-3a
-// fan-out.
-func TestParallelCommitMatchesSerialAcrossWorkers(t *testing.T) {
-	const nviews = 8
-	defs := make([]expr.View, nviews)
-	build := func(workers int) *Engine {
-		e := New(WithMaintWorkers(workers))
-		for i := 0; i < nviews; i++ {
-			if err := e.CreateRelation(fmt.Sprintf("R%d", i), "A", "B"); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := e.CreateRelation("S", "B", "C"); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < nviews; i++ {
-			v, err := expr.NaturalJoin(fmt.Sprintf("v%d", i), e.Scheme(), fmt.Sprintf("R%d", i), "S")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defs[i] = v
-			cfg := ViewConfig{}
-			switch i % 3 {
-			case 1:
-				cfg.When.Kind = RefreshOnDemand
-			case 2:
-				cfg.Policy = PolicyAdaptive
-			}
-			if err := e.CreateView(v, cfg); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return e
-	}
-	serial, par := build(1), build(4)
-
-	rels := make([]string, 0, nviews+1)
-	for i := 0; i < nviews; i++ {
-		rels = append(rels, fmt.Sprintf("R%d", i))
-	}
-	rels = append(rels, "S")
-	live := make(map[string][]tuple.Tuple) // mirror of base contents
-	rng := rand.New(rand.NewSource(2))
-	for round := 0; round < 60; round++ {
-		var tx delta.Tx
-		seen := make(map[string]bool)
-		for n := 1 + rng.Intn(4); n > 0; n-- {
-			rel := rels[rng.Intn(len(rels))]
-			if len(live[rel]) > 0 && rng.Intn(10) < 3 {
-				i := rng.Intn(len(live[rel]))
-				tu := live[rel][i]
-				if seen[rel+tu.Key()] {
-					continue
-				}
-				seen[rel+tu.Key()] = true
-				tx.Delete(rel, tu)
-				live[rel] = append(live[rel][:i], live[rel][i+1:]...)
-				continue
-			}
-			tu := tuple.New(int64(rng.Intn(12)), int64(rng.Intn(6)))
-			if seen[rel+tu.Key()] {
-				continue
-			}
-			dup := false
-			for _, x := range live[rel] {
-				if x.Key() == tu.Key() {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			seen[rel+tu.Key()] = true
-			tx.Insert(rel, tu)
-			live[rel] = append(live[rel], tu)
-		}
-		if tx.Len() == 0 {
-			continue
-		}
-		if _, err := serial.Execute(&tx); err != nil {
-			t.Fatalf("round %d: serial: %v", round, err)
-		}
-		if _, err := par.Execute(&tx); err != nil {
-			t.Fatalf("round %d: parallel: %v", round, err)
-		}
-	}
-	if err := serial.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	if err := par.RefreshAll(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < nviews; i++ {
-		name := fmt.Sprintf("v%d", i)
-		vs, _ := serial.View(name)
-		vp, _ := par.View(name)
-		if !vs.Equal(vp) {
-			t.Errorf("%s diverged between 1 and 4 workers:\n serial: %v\n parallel: %v", name, vs, vp)
-		}
-		oracle, err := par.Query(defs[i], eval.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vp.Equal(oracle) {
-			t.Errorf("%s diverged from recompute oracle:\n view: %v\n oracle: %v", name, vp, oracle)
-		}
-	}
-}
-
-// TestRefreshAllParallelAndErrorKeepsBacklog checks RefreshAll's error
-// contract under the parallel pool: healthy views install, the failing
-// view keeps its backlog, and the first error is returned — then a
-// repaired view refreshes on retry.
-func TestRefreshAllParallelAndErrorKeepsBacklog(t *testing.T) {
-	e := New(WithMaintWorkers(4))
+// TestRefreshAllErrorKeepsBacklog checks RefreshAll's error contract:
+// the views refresh one after another, healthy views install, the
+// failing view keeps its backlog, and the first error is returned —
+// then a repaired view refreshes on retry.
+func TestRefreshAllErrorKeepsBacklog(t *testing.T) {
+	e := New()
 	if err := e.CreateRelation("R", "A", "B"); err != nil {
 		t.Fatal(err)
 	}
@@ -318,39 +199,5 @@ func TestRefreshAllParallelAndErrorKeepsBacklog(t *testing.T) {
 	v, _ := e.View("d2")
 	if v.Has(tuple.New(1, 2, 10)) {
 		t.Errorf("d2 still holds deleted derivation after retry: %v", v)
-	}
-}
-
-// TestMaintWorkersKnob covers the pool-size configuration surface: the
-// GOMAXPROCS default, the option (n <= 0 keeps the default), and the
-// mview_maint_workers gauge.
-func TestMaintWorkersKnob(t *testing.T) {
-	def := runtime.GOMAXPROCS(0)
-	if got := New().MaintWorkers(); got != def {
-		t.Errorf("default MaintWorkers() = %d, want GOMAXPROCS %d", got, def)
-	}
-	e := New(WithMaintWorkers(3))
-	if got := e.MaintWorkers(); got != 3 {
-		t.Errorf("WithMaintWorkers(3): MaintWorkers() = %d", got)
-	}
-	for _, n := range []int{0, -7} {
-		if got := New(WithMaintWorkers(n)).MaintWorkers(); got != def {
-			t.Errorf("WithMaintWorkers(%d): MaintWorkers() = %d, want default %d", n, got, def)
-		}
-	}
-
-	reg := obs.NewRegistry()
-	e.SetObs(reg, nil)
-	gauge := func() float64 {
-		for _, s := range reg.Snapshot() {
-			if s.Name == "mview_maint_workers" {
-				return s.Value
-			}
-		}
-		t.Fatal("mview_maint_workers not in registry snapshot")
-		return 0
-	}
-	if got := gauge(); got != 3 {
-		t.Errorf("gauge after SetObs = %v, want 3", got)
 	}
 }

@@ -14,7 +14,6 @@ package db
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -277,11 +276,6 @@ type Engine struct {
 	// writes; snap is loaded lock-free by every read path.
 	snap       atomic.Pointer[Snapshot]
 	baseShared map[string]bool
-	// maintWorkers bounds the worker pool that runs per-view
-	// maintenance concurrently (phase-1 delta computation and
-	// recompute staging at commit, deferred refreshes in RefreshAll).
-	// 0 means GOMAXPROCS. Guarded by mu.
-	maintWorkers int
 	// group is the group-commit scheduler (group.go); nil means every
 	// Execute commits solo. Atomic so the Execute hot path routes
 	// without taking the engine lock.
@@ -320,12 +314,6 @@ type engineObs struct {
 	tr            obs.Tracer
 	commits       *obs.Counter
 	commitSeconds *obs.Histogram
-	// workers gauges the maintenance worker-pool size; speedup records
-	// serialized-over-wall compute time whenever a commit fans two or
-	// more view computations out to the pool (1 = no overlap, k = the
-	// pool kept k computations in flight).
-	workers *obs.Gauge
-	speedup *obs.Histogram
 	// Read-snapshot instrumentation: reads served lock-free, staleness
 	// of the published snapshot at the last read, and publish cost.
 	snapReads   *obs.Counter
@@ -350,10 +338,6 @@ type engineObs struct {
 // is 64; obs.DefBuckets are latency buckets at the wrong scale).
 var groupSizeBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
-// speedupBuckets spans the useful range of the parallel-speedup ratio
-// (obs.DefBuckets are latency buckets and stop at the wrong scale).
-var speedupBuckets = []float64{0.5, 0.75, 1, 1.5, 2, 3, 4, 6, 8, 12, 16}
-
 // viewObs holds one view's metric handles. All fields are created
 // eagerly except the per-decision refresh histograms, which are cached
 // on first use (callers hold the engine lock).
@@ -367,7 +351,6 @@ type viewObs struct {
 	rows          *obs.Counter
 	joinSteps     *obs.Counter
 	notifications *obs.Counter
-	computeWait   *obs.Histogram
 	staleness     *obs.Gauge
 	sloBound      *obs.Gauge
 }
@@ -390,8 +373,6 @@ func newViewObs(reg *obs.Registry, view string) *viewObs {
 			"Join steps executed by differential maintenance.", l),
 		notifications: reg.Counter("mview_subscriber_notifications_total",
 			"Subscriber callbacks fanned out after refreshes.", l),
-		computeWait: reg.Histogram("mview_view_compute_wait_seconds",
-			"Queue wait before a view's phase-1 delta computation starts on the maintenance worker pool.", nil, l),
 		staleness: reg.Gauge("mview_view_staleness_seconds", stalenessHelp, l),
 		sloBound: reg.Gauge("mview_view_staleness_slo_seconds",
 			"Configured staleness SLO bound (MaxStaleness policy; 0 = no bound).", l),
@@ -448,11 +429,6 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 			"Transactions committed.", nil),
 		commitSeconds: reg.Histogram("mview_commit_seconds",
 			"End-to-end transaction commit latency (net effects, immediate view refresh, index upkeep).", nil, nil),
-		workers: reg.Gauge("mview_maint_workers",
-			"Size of the per-view maintenance worker pool.", nil),
-		speedup: reg.Histogram("mview_commit_parallel_speedup",
-			"Serialized-over-wall compute time of parallel phase-1 view maintenance (1 = no overlap).",
-			speedupBuckets, nil),
 		snapReads: reg.Counter("mview_snapshot_reads_total",
 			"Reads served from the lock-free copy-on-write snapshot.", nil),
 		snapAge: reg.Gauge("mview_snapshot_age_seconds",
@@ -474,7 +450,6 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 			"Commit pipeline stage latency (trace.go stage taxonomy). Every batch observes every stage, 0 when the stage had no work.",
 			nil, obs.Labels{"stage": stageNames[i]})
 	}
-	o.workers.Set(float64(e.poolSize()))
 	e.o.Store(o)
 	for _, name := range e.viewOrder {
 		st := e.views[name]
@@ -484,28 +459,8 @@ func (e *Engine) SetObs(reg *obs.Registry, tr obs.Tracer) {
 	}
 }
 
-// Option configures an Engine at construction.
-type Option func(*Engine)
-
-// WithMaintWorkers bounds the worker pool that parallelizes per-view
-// maintenance: phase-1 delta computation and recompute staging inside
-// Execute, and deferred refreshes in RefreshAll. Each view's delta
-// depends only on the frozen pre-state and the transaction's net
-// updates, so independent views compute concurrently while the commit
-// lock holder waits on the pool. n <= 0 keeps the default, GOMAXPROCS.
-// Values above GOMAXPROCS are honored as given: they cannot speed up
-// CPU-bound maintenance but let blocking per-view work (tracing sinks)
-// overlap.
-func WithMaintWorkers(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.maintWorkers = n
-		}
-	}
-}
-
 // New returns an empty engine.
-func New(opts ...Option) *Engine {
+func New() *Engine {
 	db, err := schema.NewDatabase()
 	if err != nil {
 		panic(err) // unreachable: empty database scheme is valid
@@ -520,62 +475,8 @@ func New(opts ...Option) *Engine {
 		now:        time.Now,
 	}
 	e.sched = newScheduler(e)
-	for _, opt := range opts {
-		opt(e)
-	}
 	e.publishLocked() // the engine is born with an empty snapshot
 	return e
-}
-
-// MaintWorkers reports the effective maintenance worker-pool size.
-func (e *Engine) MaintWorkers() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.poolSize()
-}
-
-// poolSize resolves the configured pool size. Callers hold the engine
-// lock.
-func (e *Engine) poolSize() int {
-	if e.maintWorkers > 0 {
-		return e.maintWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// forEachParallel runs fn(i) for every i in [0, n) on the maintenance
-// worker pool, returning when all calls have finished. With a single
-// worker or a single job it runs inline on the caller's goroutine.
-// Callers hold the engine lock for the whole call; fn must only read
-// engine state (the Maintainer concurrency contract) and write to its
-// own per-index result slot.
-func (e *Engine) forEachParallel(n int, fn func(int)) {
-	w := e.poolSize()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for g := 0; g < w; g++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // provider adapts the engine's index map to diffeval.IndexProvider.
@@ -1062,10 +963,9 @@ func (e *Engine) RefreshView(name string) error {
 
 // RefreshAll refreshes every deferred view with pending changes in one
 // run of the refresh pipeline, under a single lock acquisition: the
-// per-view computations fan out to the maintenance worker pool, and
-// results install in name order. The first error is returned after the
-// remaining successful views have installed (a failed view keeps its
-// backlog and can be retried).
+// views compute one after another and install in name order. The first
+// error is returned after the remaining successful views have installed
+// (a failed view keeps its backlog and can be retried).
 func (e *Engine) RefreshAll() error {
 	e.mu.Lock()
 	sts := make([]*viewState, 0, len(e.views))

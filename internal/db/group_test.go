@@ -21,9 +21,9 @@ import (
 // Per-writer relations keep concurrent streams commutative, so a
 // serial oracle replaying the same transactions in any order must
 // produce identical state.
-func buildGroupFleet(t *testing.T, writers int, opts ...Option) (*Engine, []expr.View) {
+func buildGroupFleet(t *testing.T, writers int) (*Engine, []expr.View) {
 	t.Helper()
-	e := New(opts...)
+	e := New()
 	defs := make([]expr.View, writers)
 	for i := 0; i < writers; i++ {
 		if err := e.CreateRelation(fmt.Sprintf("R%d", i), "A", "B"); err != nil {

@@ -6,8 +6,8 @@ package db
 //
 //	maint     route the filtered views' updates through the relevance
 //	          index (§4, once per tuple; route.go), then compute every
-//	          differential delta (§5) and recompute shadow on the worker
-//	          pool
+//	          differential delta (§5) and recompute shadow, one view
+//	          after another on the goroutine holding the engine lock
 //	validate  check every delta against its view; nothing is visible yet
 //	install   swap the views' next states in; nothing here can fail
 //	publish   one copy-on-write snapshot
@@ -21,6 +21,7 @@ package db
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"mview/internal/delta"
@@ -38,6 +39,7 @@ import (
 // so a failed commit queues nothing.
 type refreshed struct {
 	st         *viewState
+	task       maintTask            // what the maint stage computes
 	deferred   bool                 // backlog staging only; no computation
 	pend       []delta.Update       // staged updates, composed into the backlog at install
 	insts      []*relation.Relation // operand instances for the computation
@@ -45,11 +47,11 @@ type refreshed struct {
 	routed     bool                 // perOp came filtered out of the relevance index (route.go)
 	d          *diffeval.ViewDelta  // differential result
 	vc         *relation.Counted    // recompute shadow (PolicyRecompute)
-	cow        *relation.Counted    // maint-stage clone for the copy-on-write install
+	cow        *relation.Counted    // per-tx fold's private clone, installed as the view's next state
 	err        error                // compute/validate failure
 	decision   string               // metrics label
 	computeDur time.Duration        // delta or recompute computation time
-	wait       time.Duration        // queue wait before compute started
+	wait       time.Duration        // from the maint stage's start to this view's task
 	// refresh marks a deferred view's refresh: computed against the state
 	// rebuilt from its backlog, unindexed; install clears the backlog.
 	refresh bool
@@ -63,14 +65,21 @@ type refreshed struct {
 	perTx      bool
 }
 
+// maintTask is the computation the maint stage runs for one view.
+type maintTask uint8
+
+const (
+	noTask        maintTask = iota
+	deltaTask               // differential delta over perOp
+	recomputeTask           // recompute shadow of the post-state
+)
+
 // maintRun is one pass of the pipeline: the views a commit touched, or
 // the deferred views a refresh drains.
 type maintRun struct {
 	ct      *commitTrace
 	refresh bool
-	ws      []*refreshed // install order; a routing candidate's slot stays nil until a tuple reaches it
-	diff    []*refreshed // differential computations
-	recs    []*refreshed // recompute shadows
+	ws      []*refreshed // install (view) order; a routing candidate's slot stays nil until a tuple reaches it
 	cands   []routeCand  // filtered differential views, routed by the maint stage
 	// A commit's composed delta and its members; both nil for a
 	// refresh, whose views each route their own backlog (routeCand.in).
@@ -139,7 +148,7 @@ func reads(st *viewState, us []delta.Update) bool {
 //     snapshot publishes. Nothing in this phase can fail.
 //
 // ct (nil when obs is detached) times every phase as a pipeline stage
-// and, with a tracer attached, emits the stage and fan-out spans that
+// and, with a tracer attached, emits the stage and per-view task spans that
 // the flight recorder assembles into the commit's trace (trace.go).
 func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) error, ct *commitTrace) ([]notification, error) {
 	e.mu.Lock()
@@ -325,10 +334,8 @@ func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []de
 	}
 	switch {
 	case policy == PolicyRecompute:
-		w := &refreshed{st: st, touchCount: touchCount, refresh: run.refresh,
-			insts: operandInstances(st.bound, work, e.base), decision: decisionLabel(st.cfg, PolicyRecompute)}
-		run.ws = append(run.ws, w)
-		run.recs = append(run.recs, w)
+		run.ws = append(run.ws, &refreshed{st: st, task: recomputeTask, touchCount: touchCount, refresh: run.refresh,
+			insts: operandInstances(st.bound, work, e.base), decision: decisionLabel(st.cfg, PolicyRecompute)})
 	case st.cfg.Maint.Filter:
 		// The view's slot in ws is held (nil) to keep view order; routing
 		// fills it only if a tuple reaches the view.
@@ -336,22 +343,22 @@ func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []de
 		run.ws = append(run.ws, nil)
 	default:
 		w := e.newDifferential(st, touchCount, updates)
-		w.refresh = run.refresh
+		w.task, w.refresh = deltaTask, run.refresh
 		run.ws = append(run.ws, w)
-		run.diff = append(run.diff, w)
 	}
 }
 
-// maintStage is the maint stage: route the candidates, then compute on
-// the worker pool every differential delta, against the frozen
-// pre-state, and every recompute shadow, one task per view. Each task
-// gets its own child span, and the longest one is the slowest_task
-// critical-path component.
+// maintStage is the maint stage: route the candidates, then compute
+// every differential delta, against the frozen pre-state, and every
+// recompute shadow — one task per view, in view order, on the goroutine
+// holding the engine lock. Each task gets its own child span, and the
+// longest one is the slowest_task component.
 //
 // A view's failure lands on its w.err; the returned error is a routing
 // failure, which fails the whole run.
 func (e *Engine) maintStage(run *maintRun) error {
 	ct := run.ct
+	stageStart := time.Now()
 	maintSE := ct.begin(stageMaint)
 	var routing routeStats
 	if len(run.cands) > 0 {
@@ -370,62 +377,46 @@ func (e *Engine) maintStage(run *maintRun) error {
 	}
 
 	var maxTask time.Duration
-	// Pool work: the differential views (tasks[:nDiff]), then the
-	// recompute shadows. Each writes only its own refreshed.
-	var tasks []*refreshed
-	for _, w := range run.diff {
-		if w.refresh {
-			// The base and its persistent indexes are the current state;
-			// a refresh computes against the state its backlog started
-			// from.
-			if w.insts, w.err = e.preRefreshInstances(w.st); w.err != nil {
-				continue
-			}
+	var nDiff, nRec int
+	for _, w := range run.ws {
+		if w.task == noTask {
+			continue
 		}
-		tasks = append(tasks, w)
-	}
-	nDiff := len(tasks)
-	tasks = append(tasks, run.recs...)
-	if len(tasks) > 0 {
-		var prov diffeval.IndexProvider = provider{e: e}
-		submit := time.Now()
-		e.forEachParallel(len(tasks), func(i int) {
-			w, recompute := tasks[i], i >= nDiff
-			var sp obs.Span
-			if ct.tracing() {
-				name := "maint.task"
-				if recompute {
-					name = "maint.recompute"
-				}
-				sp = ct.task(maintSE.ctx, name, obs.KV{K: "view", V: w.st.name})
-			}
-			start := time.Now()
-			w.wait = start.Sub(submit)
-			p := prov
-			if w.refresh {
-				p = nil
-			}
+		recompute := w.task == recomputeTask
+		if recompute {
+			nRec++
+		} else {
+			nDiff++
+		}
+		var sp obs.Span
+		if ct.tracing() {
+			name := "maint.task"
 			if recompute {
-				w.vc, w.err = eval.Materialize(w.st.bound, w.insts, w.st.cfg.EvalOpt)
-			} else if w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, p); w.err == nil && w.st.dataShared {
-				w.cow = w.st.data.Clone()
+				name = "maint.recompute"
 			}
-			w.computeDur = time.Since(start)
-			if sp != nil {
-				sp.End(obs.KV{K: "err", V: w.err != nil})
-			}
-		})
-		var sum time.Duration
-		for _, w := range tasks {
-			sum += w.computeDur
-			if w.err == nil && w.computeDur > maxTask {
-				maxTask = w.computeDur
-			}
+			sp = ct.task(maintSE.ctx, name, obs.KV{K: "view", V: w.st.name})
 		}
-		if o := e.o.Load(); o != nil && len(tasks) > 1 && !run.refresh {
-			if wall := time.Since(submit); wall > 0 {
-				o.speedup.Observe(sum.Seconds() / wall.Seconds())
+		start := time.Now()
+		w.wait = start.Sub(stageStart)
+		switch {
+		case recompute:
+			w.vc, w.err = eval.Materialize(w.st.bound, w.insts, w.st.cfg.EvalOpt)
+		case w.refresh:
+			// The base and its persistent indexes are the current state;
+			// a refresh computes, unindexed, against the state its
+			// backlog started from.
+			if w.insts, w.err = e.preRefreshInstances(w.st); w.err == nil {
+				w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, nil)
 			}
+		default:
+			w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, provider{e: e})
+		}
+		w.computeDur = time.Since(start)
+		if sp != nil {
+			sp.End(obs.KV{K: "err", V: w.err != nil})
+		}
+		if w.err == nil && w.computeDur > maxTask {
+			maxTask = w.computeDur
 		}
 	}
 	// The routed views' filter verdicts were reached before their tasks
@@ -437,7 +428,7 @@ func (e *Engine) maintStage(run *maintRun) error {
 	}
 
 	if maintSE.span != nil {
-		maintSE.end(obs.KV{K: "differential", V: len(run.diff)}, obs.KV{K: "recompute", V: len(run.recs)},
+		maintSE.end(obs.KV{K: "differential", V: nDiff}, obs.KV{K: "recompute", V: nRec},
 			obs.KV{K: "tuples", V: routing.tuples}, obs.KV{K: "candidates", V: routing.candidates},
 			obs.KV{K: "routed_views", V: routing.views})
 	} else {
@@ -468,9 +459,8 @@ func (e *Engine) routeRun(run *maintRun, rs *routeStats) error {
 		c := &run.cands[i]
 		switch {
 		case c.w != nil:
-			c.w.refresh = run.refresh
+			c.w.task, c.w.refresh = deltaTask, run.refresh
 			run.ws[c.at] = c.w
-			run.diff = append(run.diff, c.w)
 		case run.refresh:
 			c.w = e.newDifferential(c.st, 0, nil)
 			c.w.refresh = true
@@ -565,10 +555,7 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 			}
 		case w.d != nil:
 			if st.dataShared {
-				if w.cow == nil {
-					w.cow = st.data.Clone()
-				}
-				st.data = w.cow
+				st.data = st.data.Clone()
 				st.dataShared = false
 			}
 			if err := diffeval.Apply(st.data, w.d); err != nil {
@@ -617,9 +604,6 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 		}
 		if st.vo != nil {
 			st.vo.refreshHist(w.decision).ObserveDuration(w.computeDur + time.Since(t0))
-			if w.d != nil {
-				st.vo.computeWait.ObserveDuration(w.wait)
-			}
 		}
 	}
 	for i := range run.cands {
@@ -829,15 +813,20 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 
 // batchProvider serves persistent indexes only for relations still at
 // their pre-group state; relations already modified by earlier group
-// members (in the overlay, dirty) return nil, and diffeval falls back
-// to scans for them.
+// members (in the overlay, dirty) return nil, and diffeval reaches them
+// through a transient hash table instead.
 type batchProvider struct {
 	provider
 	dirty map[string]*relation.Relation
 }
 
+// blankedIndexes counts the lookups batchProvider answered nil for a
+// dirty relation, so tests can show that path runs.
+var blankedIndexes atomic.Int64
+
 func (p batchProvider) Index(rel string, pos int) *relation.Index {
 	if _, ok := p.dirty[rel]; ok {
+		blankedIndexes.Add(1)
 		return nil
 	}
 	return p.provider.Index(rel, pos)

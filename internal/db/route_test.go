@@ -132,7 +132,9 @@ func routeRound(rng *rand.Rand, live map[string]map[string]tuple.Tuple, n int) [
 // deferred filtered views (ondemand and maxstale), refreshed at random
 // rounds and then held to the same oracle; and subscribed filtered
 // views, whose alerts — one per transaction under group commit — must
-// add up to the view.
+// add up to the view. Under group commit the subscribed self-join must
+// also take the path where an earlier member dirtied its relation and
+// the engine blanks that relation's index.
 func TestRouteEngineMatchesMaterialize(t *testing.T) {
 	for _, group := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
@@ -151,8 +153,16 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 				}
 				var alertMu sync.Mutex
 				alerts := map[string]*relation.Counted{}
-				for i := 0; i < 2; i++ {
-					v := routeView(rng, fmt.Sprintf("s%d", i))
+				// s2, a self-join, probes R's index on every row, so under
+				// group commit a member after one that dirtied R must reach
+				// it through the transient table (batchProvider).
+				subscribed := []expr.View{routeView(rng, "s0"), routeView(rng, "s1"), {
+					Name:     "s2",
+					Operands: []expr.Operand{{Rel: "R", Alias: "x"}, {Rel: "R", Alias: "y"}},
+					Where:    pred.MustParse("x.B = y.A && x.A < 30"),
+					Project:  []schema.Attribute{"x.A", "y.C"},
+				}}
+				for _, v := range subscribed {
 					if err := e.CreateView(v, ViewConfig{Maint: filtered}); err != nil {
 						t.Fatalf("%s (%s): %v", v.Name, v.Where, err)
 					}
@@ -191,6 +201,7 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 					}
 				}
 
+				blankedBefore := blankedIndexes.Load()
 				writers := 1
 				if group {
 					writers = 4
@@ -239,6 +250,9 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 						}
 						check(round, def)
 					}
+				}
+				if blanked := blankedIndexes.Load() - blankedBefore; group && blanked == 0 {
+					t.Errorf("no per-transaction delta reached a relation an earlier group member dirtied: the blanked-index path never ran")
 				}
 			})
 		}

@@ -51,7 +51,7 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // snapView is one view's frozen state within a snapshot: definition,
 // materialization, and a publish-time copy of the maintenance
-// counters (so ViewStats never races with maintenance workers).
+// counters (so ViewStats never races with a commit in progress).
 type snapView struct {
 	name  string
 	bound *expr.Bound

@@ -328,9 +328,8 @@ func readDNF(r *reader) pred.DNF {
 }
 
 // Load reads a snapshot produced by Save and returns a fresh engine
-// with all relations restored and all views re-materialized. The
-// options configure the fresh engine.
-func Load(in io.Reader, opts ...Option) (*Engine, error) {
+// with all relations restored and all views re-materialized.
+func Load(in io.Reader) (*Engine, error) {
 	r := &reader{r: bufio.NewReader(in)}
 	switch magic := r.str(); {
 	case r.err != nil:
@@ -339,7 +338,7 @@ func Load(in io.Reader, opts ...Option) (*Engine, error) {
 		return nil, fmt.Errorf("db: not an mview snapshot this build reads (magic %q, want %q)", magic, storageMagic)
 	}
 
-	e := New(opts...)
+	e := New()
 	nRel := r.u32()
 	if nRel > maxStr {
 		return nil, fmt.Errorf("db: corrupt snapshot: %d relations", nRel)

@@ -8,7 +8,7 @@ package db
 // cumulative critical-path accumulators, and (when a tracer is
 // attached) each stage becomes a child span of the run's root span, so
 // a hierarchical sink like obs.FlightRecorder reconstructs the full
-// tree: root → commit.<stage> → maint.task fan-out.
+// tree: root → commit.<stage> → one maint.task per view.
 //
 // Stage taxonomy (see ARCHITECTURE.md "Tracing & flight recorder"):
 //
@@ -16,17 +16,18 @@ package db
 //	              queue before a leader claimed it (0 for solo commits)
 //	net           phase 1: per-tx net effects against the overlay
 //	compose       phase 2: §6 composition of the group's net effects
-//	maint         phase 3 fan-out wall time (parallel; NOT on the
-//	              critical path — slowest_task is its critical component)
-//	slowest_task  the longest single view's maintenance task
+//	maint         phase 3: §4 routing, then every view's maintenance
+//	              task, one after another
+//	slowest_task  the longest single view's maintenance task (inside
+//	              maint, so reported but not added to the total)
 //	validate      delta validation before anything becomes visible
 //	fsync         phase 4: the batch's single durable log append
 //	install       phase 5: base swap, index upkeep, view installs
 //	publish       the COW snapshot publish
 //
 // Every batch observes every stage (0 when a stage had no work), so
-// per-stage histogram sums divide a workload's total commit time into
-// its critical-path attribution. A refresh traces its maint, validate,
+// per-stage histogram sums, slowest_task aside, divide a workload's
+// total commit time into its critical-path attribution. A refresh traces its maint, validate,
 // install and publish stages as refresh.<stage> spans under its own
 // db.refresh (db.refresh_all) root, and feeds neither the histograms
 // nor the attribution: refresh time is not commit time.
@@ -73,10 +74,11 @@ type StageSummary struct {
 }
 
 // CriticalPathSummary attributes the engine's cumulative commit time
-// to pipeline stages. Seconds sums the critical-path stages: every
-// sequential stage plus the slowest parallel maintenance task — the
-// maint fan-out wall is excluded because slowest_task is its critical
-// component (the rest of the fan-out overlapped it).
+// to pipeline stages. Every stage runs in sequence, so Seconds sums
+// them all, maint included. slowest_task is reported as a component of
+// maint, the longest single view's task, and is not added to Seconds;
+// its Share is still its fraction of Seconds, so the shares of the
+// other stages sum to 1.
 type CriticalPathSummary struct {
 	Batches int64                   `json:"batches"`
 	Seconds float64                 `json:"seconds"`
@@ -89,19 +91,16 @@ type CriticalPathSummary struct {
 func (e *Engine) CriticalPath() CriticalPathSummary {
 	out := CriticalPathSummary{
 		Batches: e.crit.batches.Load(),
-		Stages:  make(map[string]StageSummary, numStages-1),
+		Stages:  make(map[string]StageSummary, numStages),
 	}
 	var secs [numStages]float64
 	for i := 0; i < numStages; i++ {
 		secs[i] = time.Duration(e.crit.nanos[i].Load()).Seconds()
-		if i != stageMaint {
+		if i != stageSlowestTask {
 			out.Seconds += secs[i]
 		}
 	}
 	for i := 0; i < numStages; i++ {
-		if i == stageMaint {
-			continue
-		}
 		s := StageSummary{Seconds: secs[i]}
 		if out.Seconds > 0 {
 			s.Share = secs[i] / out.Seconds
@@ -214,7 +213,7 @@ type stageEnd struct {
 
 // begin opens a stage: starts its timer and, when a tracer is
 // attached, a commit.<stage> (refresh.<stage>) child span whose context
-// fan-out tasks parent to (stageEnd.ctx).
+// per-view tasks parent to (stageEnd.ctx).
 func (ct *commitTrace) begin(idx int, kv ...obs.KV) stageEnd {
 	if ct == nil {
 		return stageEnd{}
@@ -244,7 +243,7 @@ func (se stageEnd) end(kv ...obs.KV) time.Duration {
 	return d
 }
 
-// task starts one fan-out child span under a stage (maint.task,
+// task starts one per-view child span under a stage (maint.task,
 // maint.recompute). Returns nil when tracing is off; callers guard.
 func (ct *commitTrace) task(parent obs.SpanContext, name string, kv ...obs.KV) obs.Span {
 	if ct == nil || ct.tr == nil {

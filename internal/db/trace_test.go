@@ -12,20 +12,25 @@ import (
 	"mview/internal/tuple"
 )
 
-// TestCommitStageSpansAndHistograms commits one transaction with a
-// hierarchical tracer attached and checks the whole observability
-// surface at once: the span tree (db.commit root, commit.<stage>
-// children, maint.task grandchildren, all on one trace), the
-// mview_commit_stage_seconds histograms (every stage observed exactly
-// once, including skipped ones at zero), and the engine's cumulative
-// critical-path attribution.
+// TestCommitStageSpansAndHistograms commits one transaction touching
+// three views with a hierarchical tracer attached and checks the whole
+// observability surface at once: the span tree (db.commit root,
+// commit.<stage> children, one maint.task grandchild per view in view
+// order, all on one trace, run one after another inside the maint
+// stage), the mview_commit_stage_seconds histograms (every stage
+// observed exactly once, including skipped ones at zero), and the
+// engine's cumulative critical-path attribution (every stage summed,
+// maint included; slowest_task reported inside maint, not added).
 func TestCommitStageSpansAndHistograms(t *testing.T) {
 	e := newEngine(t)
 	reg := obs.NewRegistry()
 	tr := &obs.CollectingTracer{}
 	e.SetObs(reg, tr)
-	if err := e.CreateView(joinViewDef(t, e, "V"), ViewConfig{}); err != nil {
-		t.Fatal(err)
+	views := []string{"V1", "V2", "V3"}
+	for _, name := range views {
+		if err := e.CreateView(joinViewDef(t, e, name), ViewConfig{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	var tx delta.Tx
@@ -57,12 +62,30 @@ func TestCommitStageSpansAndHistograms(t *testing.T) {
 	if _, ok := byName["commit.fsync"]; ok {
 		t.Errorf("unexpected commit.fsync span on the unlogged path")
 	}
-	task, ok := byName["maint.task"]
-	if !ok {
-		t.Fatalf("no maint.task fan-out span")
+	maint := byName["commit.maint"]
+	var taskViews []string
+	var taskSum time.Duration
+	for _, s := range tr.Spans {
+		if s.Name != "maint.task" {
+			continue
+		}
+		if s.Parent != maint.Span || s.Trace != root.Trace {
+			t.Errorf("maint.task not parented under commit.maint: %+v", s)
+		}
+		for _, kv := range s.KVs {
+			if kv.K == "view" {
+				taskViews = append(taskViews, fmt.Sprint(kv.V))
+			}
+		}
+		taskSum += s.Dur
 	}
-	if task.Parent != byName["commit.maint"].Span || task.Trace != root.Trace {
-		t.Errorf("maint.task not parented under commit.maint: %+v", task)
+	if fmt.Sprint(taskViews) != fmt.Sprint(views) {
+		t.Errorf("maint.task spans ran for views %v, want one per view in view order %v", taskViews, views)
+	}
+	// The tasks run one after another inside the stage, so together
+	// they fit in its wall time.
+	if taskSum > maint.Dur {
+		t.Errorf("maint.task spans sum to %v, more than the maint stage's %v: tasks overlapped", taskSum, maint.Dur)
 	}
 
 	// Every stage's histogram observed exactly one batch, aligned counts.
@@ -80,18 +103,31 @@ func TestCommitStageSpansAndHistograms(t *testing.T) {
 	if cp.Seconds <= 0 {
 		t.Errorf("CriticalPath seconds = %v, want > 0", cp.Seconds)
 	}
-	if _, ok := cp.Stages["maint"]; ok {
-		t.Errorf("maint fan-out wall must be excluded from the critical path")
+	if len(cp.Stages) != numStages {
+		t.Errorf("CriticalPath reports %d stages, want all %d", len(cp.Stages), numStages)
 	}
-	var share float64
+	mst, slow := cp.Stages["maint"], cp.Stages["slowest_task"]
+	if mst.Seconds <= 0 {
+		t.Errorf("maint stage = %+v, want it counted on the critical path", mst)
+	}
+	if slow.Seconds <= 0 || slow.Seconds > mst.Seconds {
+		t.Errorf("slowest_task %v s must be a positive component of maint's %v s", slow.Seconds, mst.Seconds)
+	}
+	var share, secs float64
 	for name, st := range cp.Stages {
 		if st.Seconds < 0 || st.Share < 0 || st.Share > 1 {
 			t.Errorf("stage %s out of range: %+v", name, st)
 		}
-		share += st.Share
+		if name != "slowest_task" {
+			share += st.Share
+			secs += st.Seconds
+		}
 	}
 	if share < 0.999 || share > 1.001 {
-		t.Errorf("stage shares sum to %v, want 1", share)
+		t.Errorf("stage shares (slowest_task aside) sum to %v, want 1", share)
+	}
+	if d := secs - cp.Seconds; d > 1e-9 || d < -1e-9 {
+		t.Errorf("CriticalPath seconds = %v, the stages (slowest_task aside) sum to %v", cp.Seconds, secs)
 	}
 }
 

@@ -20,10 +20,12 @@
 //     the table representing the necessary subexpressions".
 //  3. Each row is an SPJ expression evaluated with the §5.3 tag
 //     algebra (insert ⋈ delete → ignore). Several strategies are
-//     provided; see Strategy.
-//  4. The merged full-width result is projected with §5.2 counting
-//     into insert and delete multisets, which Apply folds into the
-//     stored view: v' = v ⊎ ins ⊖ del.
+//     provided; see Strategy. The engine uses StrategyIndexedDelta,
+//     which streams each delta tuple through index probes of the old
+//     slots one tuple at a time.
+//  4. Every derived joint tuple is projected with §5.2 counting into
+//     insert and delete multisets, which Apply folds into the stored
+//     view: v' = v ⊎ ins ⊖ del.
 //
 // An optional irrelevance pre-filter (§4, Algorithm 4.1) shrinks the
 // delta slots before any join work: ComputeDeltaWith runs it per view,
@@ -75,12 +77,17 @@ const (
 	// smallest slot. It exists to quantify the §5.3 join-ordering
 	// observation.
 	StrategyRowByRowGreedy
-	// StrategyIndexedDelta evaluates each row delta-first: the row's
-	// (small) delta slots come first and old slots are reached by
-	// probing the provider's persistent indexes, so maintenance work
-	// scales with the delta, not the base relations. Requires an
-	// index provider; operands without a usable index fall back to
-	// hash joins.
+	// StrategyIndexedDelta evaluates each row as a probe pipeline:
+	// every tuple of the row's smallest delta slot walks the other
+	// operands one tuple at a time, reaching old slots by probing the
+	// provider's persistent indexes, applying each residual atom as
+	// soon as its variables are bound, and counting each surviving
+	// joint tuple straight into the view delta — so maintenance work
+	// scales with the delta, not the base relations. Requires an index
+	// provider. An old operand the provider has no index for is
+	// reached through one transient hash table per row and step, built
+	// over its surviving tuples on a linking column; a cross product
+	// scans it.
 	StrategyIndexedDelta
 )
 
@@ -101,8 +108,8 @@ type Stats struct {
 	// prefix-sharing and indexed strategies prune rows whose
 	// intermediates go empty and count only completed ones.
 	RowsEvaluated int
-	JoinSteps     int // join steps executed (hash or probe batches)
-	IndexProbes   int // individual index probes issued
+	JoinSteps     int // join steps executed (indexed: steps some tuple reached)
+	IndexProbes   int // tuples probed against a persistent index
 	FilterChecked int // delta tuples examined by the irrelevance filter
 	FilteredOut   int // delta tuples removed by the irrelevance filter
 	DeltaInserts  int // distinct inserted view tuples
@@ -119,22 +126,24 @@ type ViewDelta struct {
 // Maintainer differentially maintains one bound view.
 //
 // Concurrency: after NewMaintainer returns, a Maintainer holds no
-// mutable state of its own — plans, conjunct info, and irrelevance
-// checkers are immutable (checker stats are atomic), and every
-// ComputeDelta/ComputeDeltaWith call builds its scratch state (the
-// per-operand slots) on the call stack. Concurrent ComputeDelta calls
-// on one Maintainer are therefore safe provided (a) Tracer is set
-// before the first concurrent use and is itself concurrency-safe (the
-// obs.Tracer contract), and (b) the operand instances and index
-// provider passed in are not mutated during the call. The engine's
-// parallel commit pipeline and RefreshAll rely on exactly this: the
-// lock holder freezes the database state, fans per-view computations
-// out to workers, and mutates nothing until all of them return.
+// mutable state of its own — plans, conjunct info, compiled predicates
+// and irrelevance checkers are immutable (checker stats are atomic),
+// and every ComputeDelta/ComputeDeltaWith call builds its scratch state
+// (the per-operand slots, the row pipelines) on the call stack.
+// Concurrent ComputeDelta calls on one Maintainer are therefore safe
+// provided (a) Tracer is set before the first concurrent use and is
+// itself concurrency-safe (the obs.Tracer contract), and (b) the
+// operand instances and index provider passed in are not mutated
+// during the call.
 type Maintainer struct {
 	bound *expr.Bound
 	opts  Options
 	plans []*eval.Plan // fixed-order plan per conjunct
 	conjs []conjInfo   // resolved atom info per conjunct (indexed path)
+	// where is the whole condition compiled against the joint scheme:
+	// the indexed path counts a joint tuple under the first conjunct it
+	// satisfies.
+	where *pred.Program
 
 	// checkers holds the view's one §4 checker per operand (see
 	// Checker): all built by NewMaintainer when Options.Filter is set,
@@ -148,120 +157,21 @@ type Maintainer struct {
 	// concurrent use (the engine sets it under its own lock).
 	Tracer obs.Tracer
 
-	// jointAttrs is the view's output attribute order, computed once —
-	// every truth-table row permutes its result to it.
-	jointAttrs []schema.Attribute
-
 	// deltaPos/deltaPS is the precomputed Joint→Project split plan:
 	// every commit ends by projecting the joint delta onto the view
 	// scheme, so the two derived schemes are built once, not per
 	// transaction.
 	deltaPos []int
 	deltaPS  *schema.Scheme
-
-	// Derived-object caches. Truth-table rows rebuild the same handful
-	// of intermediate schemes, residual-predicate programs, and reorder
-	// plans on every commit; since the inputs are identified by stable
-	// pointers (operand QSchemes and the schemes cached here), one
-	// lookup replaces the rebuild. sync.Map because the worker pool may
-	// drive one maintainer concurrently (a commit and per-transaction
-	// subscriber deltas).
-	concats  sync.Map // concatKey → *schema.Scheme
-	resids   sync.Map // residKey → func(tuple.Tuple) bool
-	reorders sync.Map // *schema.Scheme → *reorderPlan
-}
-
-// concatKey identifies a cached scheme concatenation.
-type concatKey struct{ a, b *schema.Scheme }
-
-// residKey identifies a compiled residual predicate: the atoms of
-// conjunct conj selected by mask, resolved against scheme.
-type residKey struct {
-	scheme *schema.Scheme
-	conj   int
-	mask   uint64
-}
-
-// reorderPlan caches the position map and target scheme for permuting
-// an intermediate scheme to the view's output order.
-type reorderPlan struct {
-	pos      []int
-	ps       *schema.Scheme
-	identity bool // pos is the identity permutation
-}
-
-// concatScheme returns the cached concatenation of two schemes.
-func (m *Maintainer) concatScheme(a, b *schema.Scheme) (*schema.Scheme, error) {
-	k := concatKey{a, b}
-	if v, ok := m.concats.Load(k); ok {
-		return v.(*schema.Scheme), nil
-	}
-	cs, err := a.Concat(b)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := m.concats.LoadOrStore(k, cs)
-	return v.(*schema.Scheme), nil
-}
-
-// residualFilter returns the compiled filter for the atoms of conjunct
-// ci selected by mask, resolved against s.
-func (m *Maintainer) residualFilter(ci int, s *schema.Scheme, mask uint64) (func(tuple.Tuple) bool, error) {
-	k := residKey{scheme: s, conj: ci, mask: mask}
-	if v, ok := m.resids.Load(k); ok {
-		return v.(func(tuple.Tuple) bool), nil
-	}
-	info := &m.conjs[ci]
-	var atoms []pred.Atom
-	for ai := range info.atoms {
-		if mask&(1<<uint(ai)) != 0 {
-			atoms = append(atoms, info.atoms[ai].a)
-		}
-	}
-	f, err := pred.Or(pred.And(atoms...)).Compile(s)
-	if err != nil {
-		return nil, err
-	}
-	v, _ := m.resids.LoadOrStore(k, f)
-	return v.(func(tuple.Tuple) bool), nil
-}
-
-// reorderJoint permutes g to the view's output attribute order using a
-// cached per-scheme plan. The result is read-only: when the columns are
-// already in order it is a zero-copy scheme rebind of g, not a clone —
-// callers merge it into an accumulator and drop it.
-func (m *Maintainer) reorderJoint(g *relation.Tagged) (*relation.Tagged, error) {
-	s := g.Scheme()
-	v, ok := m.reorders.Load(s)
-	if !ok {
-		pos, err := s.Positions(m.jointAttrs)
-		if err != nil {
-			return nil, err
-		}
-		ps, err := s.Project(m.jointAttrs)
-		if err != nil {
-			return nil, err
-		}
-		identity := true
-		for i, p := range pos {
-			if p != i {
-				identity = false
-				break
-			}
-		}
-		v, _ = m.reorders.LoadOrStore(s, &reorderPlan{pos: pos, ps: ps, identity: identity})
-	}
-	p := v.(*reorderPlan)
-	if p.identity {
-		return g.RebindScheme(p.ps)
-	}
-	return g.ReorderPlanned(p.pos, p.ps)
 }
 
 // NewMaintainer prepares a maintainer for the bound view.
 func NewMaintainer(b *expr.Bound, opts Options) (*Maintainer, error) {
-	m := &Maintainer{bound: b, opts: opts, jointAttrs: b.Joint.Attributes()}
+	m := &Maintainer{bound: b, opts: opts}
 	var err error
+	if m.where, err = b.Where.CompileProgram(b.Joint); err != nil {
+		return nil, err
+	}
 	if m.deltaPos, err = b.Joint.Positions(b.Project); err != nil {
 		return nil, err
 	}
@@ -323,9 +233,9 @@ func (m *Maintainer) EmptyDelta() *ViewDelta {
 	}
 }
 
-// slot holds one operand's partition for the current transaction.
-// Tagged forms are built lazily: the indexed strategy often never
-// touches an old slot, and building it costs O(|base|).
+// slot holds one operand's partition for the current transaction. The
+// indexed strategy reads ins, del and inst directly; the Tagged forms
+// the other strategies join are built lazily, once per call.
 type slot struct {
 	op       *expr.BoundOperand
 	inst     *relation.Relation // pre-transaction instance
@@ -498,30 +408,34 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 		sl[i] = s
 	}
 
-	// Presize the joint accumulator by the total delta size: the number
-	// of result rows is usually on the order of the touched tuples, and
-	// a close guess turns the per-row map growth into one allocation.
+	// Presize the outputs by the total delta size: the number of result
+	// rows is usually on the order of the touched tuples, and a close
+	// guess turns the per-row map growth into one allocation.
 	sizeHint := 0
 	for _, s := range sl {
 		sizeHint += s.deltaSize()
 	}
-	out := relation.NewTaggedCap(b.Joint, sizeHint)
-	if stats.ModifiedOperands > 0 {
-		var err error
-		switch strategy {
-		case StrategyRowByRow, StrategyRowByRowGreedy:
+	var ins, del *relation.Counted
+	var err error
+	switch strategy {
+	case StrategyIndexedDelta:
+		ins, del = relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
+		if stats.ModifiedOperands > 0 {
+			err = m.streamRows(sl, &stats, provider, ins, del)
+		}
+	default:
+		out := relation.NewTaggedCap(b.Joint, sizeHint)
+		switch {
+		case stats.ModifiedOperands == 0:
+		case strategy == StrategyRowByRow || strategy == StrategyRowByRowGreedy:
 			err = m.runRows(sl, out, &stats, strategy == StrategyRowByRowGreedy)
-		case StrategyIndexedDelta:
-			err = m.runIndexed(sl, out, &stats, provider)
 		default:
 			err = m.runPrefixShare(sl, out, &stats)
 		}
-		if err != nil {
-			return nil, err
+		if err == nil {
+			ins, del, err = out.DeltasPlanned(m.deltaPos, m.deltaPS)
 		}
 	}
-
-	ins, del, err := out.DeltasPlanned(m.deltaPos, m.deltaPS)
 	if err != nil {
 		return nil, err
 	}

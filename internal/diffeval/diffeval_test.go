@@ -2,6 +2,7 @@ package diffeval
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mview/internal/delta"
@@ -750,7 +751,10 @@ func TestIndexedProbeSkipsDeletedTuples(t *testing.T) {
 // random databases, random views, and random transactions, applying
 // the differential delta must equal re-materializing from the
 // post-transaction state — under every strategy, with and without the
-// irrelevance filter.
+// irrelevance filter. The view shapes cover each way the indexed
+// pipeline reaches an operand: an index probe, a self-join, a non-equi
+// link and a cross product (no index serves them), an overlapping DNF,
+// and a provider that has no index for some (relation, position).
 func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 	db := testDB(t)
 	names := []string{"R", "S", "T"}
@@ -759,27 +763,40 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 		"S": schema.MustScheme("B", "C"),
 		"T": schema.MustScheme("C", "D"),
 	}
+	ops := func(rels ...string) []expr.Operand {
+		out := make([]expr.Operand, len(rels))
+		for i, rl := range rels {
+			out[i] = expr.Operand{Rel: rl}
+		}
+		return out
+	}
 	conds := []struct {
-		rels []string
+		ops  []expr.Operand
 		cond string
 		proj []schema.Attribute
 	}{
-		{[]string{"R"}, "R.A < 5", nil},
-		{[]string{"R"}, "R.A >= 3", []schema.Attribute{"R.B"}},
-		{[]string{"R", "S"}, "R.B = S.B", []schema.Attribute{"R.A", "S.C"}},
-		{[]string{"R", "S"}, "R.B = S.B && S.C > 3", nil},
-		{[]string{"R", "S", "T"}, "R.B = S.B && S.C = T.C", []schema.Attribute{"R.A", "T.D"}},
-		{[]string{"R", "S"}, "(R.B = S.B && R.A < 4) || (R.B = S.B && S.C > 6)", []schema.Attribute{"R.A"}},
+		{ops("R"), "R.A < 5", nil},
+		{ops("R"), "R.A >= 3", []schema.Attribute{"R.B"}},
+		{ops("R", "S"), "R.B = S.B", []schema.Attribute{"R.A", "S.C"}},
+		{ops("R", "S"), "R.B = S.B && S.C > 3", nil},
+		{ops("R", "S", "T"), "R.B = S.B && S.C = T.C", []schema.Attribute{"R.A", "T.D"}},
+		{ops("R", "S"), "(R.B = S.B && R.A < 4) || (R.B = S.B && S.C > 6)", []schema.Attribute{"R.A"}},
+		// Self-join: one update feeds both operands.
+		{[]expr.Operand{{Rel: "R", Alias: "x"}, {Rel: "R", Alias: "y"}}, "x.B = y.A && x.A < 6",
+			[]schema.Attribute{"x.A", "y.B"}},
+		// Non-equi link: no index serves it.
+		{ops("R", "S"), "R.B < S.B && S.C > 2", []schema.Attribute{"R.A", "S.C"}},
+		// Cross product.
+		{ops("R", "T"), "R.A < 3 && T.D >= 4", nil},
+		// Three operands projecting five attributes, with constants.
+		{ops("R", "S", "T"), "R.B = S.B && S.C = T.C && R.A >= 2 && T.D < 6",
+			[]schema.Attribute{"R.A", "R.B", "S.C", "T.C", "T.D"}},
 	}
 	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 120; trial++ {
+	for trial := 0; trial < 200; trial++ {
 		spec := conds[trial%len(conds)]
-		var ops []expr.Operand
-		for _, rl := range spec.rels {
-			ops = append(ops, expr.Operand{Rel: rl})
-		}
 		b, err := expr.Bind(expr.View{
-			Name: "v", Operands: ops,
+			Name: "v", Operands: spec.ops,
 			Where: pred.MustParse(spec.cond), Project: spec.proj,
 		}, db)
 		if err != nil {
@@ -795,9 +812,11 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 			}
 			instByName[n] = r
 		}
-		insts := make([]*relation.Relation, len(spec.rels))
-		for i, n := range spec.rels {
-			insts[i] = instByName[n]
+		insts := make([]*relation.Relation, len(spec.ops))
+		opRels := make([]string, len(spec.ops))
+		for i, op := range spec.ops {
+			insts[i] = instByName[op.Rel]
+			opRels[i] = op.Rel
 		}
 
 		view, err := eval.Materialize(b, insts, eval.Options{})
@@ -805,10 +824,10 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// Random net updates on a random subset of relations.
+		// Random net updates on a random subset of the view's relations.
 		var ups []delta.Update
-		for _, n := range spec.rels {
-			if rng.Intn(3) == 0 {
+		for _, n := range names {
+			if !slices.Contains(opRels, n) || rng.Intn(3) == 0 {
 				continue
 			}
 			inst := instByName[n]
@@ -832,42 +851,102 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 		}
 
 		// Post-state oracle.
-		post := applyUpdates(t, insts, spec.rels, ups)
+		post := applyUpdates(t, insts, opRels, ups)
 		want, err := eval.Materialize(b, post, eval.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 
 		prov := buildAllIndexes(t, names, instByName)
-		for _, opt := range []Options{
-			{Strategy: StrategyPrefixShare},
-			{Strategy: StrategyRowByRow},
-			{Strategy: StrategyRowByRowGreedy},
-			{Strategy: StrategyPrefixShare, Filter: true},
-			{Strategy: StrategyIndexedDelta},
-			{Strategy: StrategyIndexedDelta, Filter: true},
-			{Strategy: StrategyAuto},
+		// holey has no index on R's first column nor S's second.
+		holey := partialProvider{p: prov, skip: map[string]int{"R": 0, "S": 1}}
+		for _, c := range []struct {
+			opt  Options
+			prov IndexProvider
+		}{
+			{Options{Strategy: StrategyPrefixShare}, nil},
+			{Options{Strategy: StrategyRowByRow}, nil},
+			{Options{Strategy: StrategyRowByRowGreedy}, nil},
+			{Options{Strategy: StrategyPrefixShare, Filter: true}, nil},
+			{Options{Strategy: StrategyIndexedDelta}, prov},
+			{Options{Strategy: StrategyIndexedDelta, Filter: true}, prov},
+			{Options{Strategy: StrategyIndexedDelta}, holey},
+			{Options{Strategy: StrategyIndexedDelta}, noProvider{}},
+			{Options{Strategy: StrategyAuto}, prov},
 		} {
-			m, err := NewMaintainer(b, opt)
+			m, err := NewMaintainer(b, c.opt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := view.Clone()
-			var d *ViewDelta
-			if opt.Strategy == StrategyIndexedDelta || opt.Strategy == StrategyAuto {
-				d, err = m.ComputeDeltaWith(insts, ups, prov)
-			} else {
-				d, err = m.ComputeDelta(insts, ups)
-			}
+			d, err := m.ComputeDeltaWith(insts, ups, c.prov)
 			if err != nil {
 				t.Fatalf("trial %d cond %q: %v", trial, spec.cond, err)
 			}
 			if err := Apply(got, d); err != nil {
-				t.Fatalf("trial %d cond %q opts %+v: Apply: %v", trial, spec.cond, opt, err)
+				t.Fatalf("trial %d cond %q opts %+v provider %T: Apply: %v", trial, spec.cond, c.opt, c.prov, err)
 			}
 			if !got.Equal(want) {
-				t.Fatalf("trial %d cond %q opts %+v:\n got %v\nwant %v", trial, spec.cond, opt, got, want)
+				t.Fatalf("trial %d cond %q opts %+v provider %T:\n got %v\nwant %v", trial, spec.cond, c.opt, c.prov, got, want)
 			}
 		}
+	}
+}
+
+// partialProvider is p without the index of each relation in skip on
+// the given position.
+type partialProvider struct {
+	p    IndexProvider
+	skip map[string]int
+}
+
+func (p partialProvider) Index(rel string, pos int) *relation.Index {
+	if skip, ok := p.skip[rel]; ok && skip == pos {
+		return nil
+	}
+	return p.p.Index(rel, pos)
+}
+
+// TestIndexedStatsHandComputed pins the indexed pipeline's counters on
+// a case small enough to count by hand. V = R ⋈ S ⋈ T over
+// R = {(1,2)}, S = {(2,3)}, T = {(3,4)}, with (5,2) inserted into R and
+// (9,9) into T (k = 2, three rows):
+//
+//	R delta, T old:   (5,2) probes S on B=2 → (2,3) probes T on C=3 →
+//	                  (3,4): completes; 2 steps, 2 probes.
+//	R old, T delta:   (9,9) probes S on C=9, finds nothing: pruned
+//	                  midway; 1 step, 1 probe.
+//	both delta:       (5,2) probes S → (2,3) reaches T's delta slot,
+//	                  which holds no C=3: pruned; 2 steps, 1 probe.
+//
+// So RowsEvaluated = 1, JoinSteps = 5, IndexProbes = 4, and the view
+// gains (5,2,3,4).
+func TestIndexedStatsHandComputed(t *testing.T) {
+	db := testDB(t)
+	b := joinView(t, db, "R", "S", "T")
+	insts := map[string]*relation.Relation{
+		"R": relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2)),
+		"S": relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 3)),
+		"T": relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(3, 4)),
+	}
+	ups := []delta.Update{
+		{Rel: "R", Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(5, 2))},
+		{Rel: "T", Inserts: relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(9, 9))},
+	}
+	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.ComputeDeltaWith([]*relation.Relation{insts["R"], insts["S"], insts["T"]}, ups,
+		buildAllIndexes(t, []string{"R", "S", "T"}, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Stats{ModifiedOperands: 2, RowsEvaluated: 1, JoinSteps: 5, IndexProbes: 4, DeltaInserts: 1}
+	if d.Stats != want {
+		t.Errorf("stats = %+v, want %+v", d.Stats, want)
+	}
+	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(5, 2, 3, 4)) || d.Deletes.Len() != 0 {
+		t.Errorf("delta = +%v −%v, want +{(5, 2, 3, 4)}", d.Inserts, d.Deletes)
 	}
 }

@@ -1,13 +1,17 @@
 package diffeval
 
-// This file implements StrategyIndexedDelta: per-row, delta-first
-// evaluation that reaches old slots by probing persistent base
-// relation indexes, so the per-transaction cost scales with the delta
-// rather than with the base relations.
+// This file implements StrategyIndexedDelta: one probe pipeline per
+// (conjunct, truth-table row). Each tuple of the row's first delta slot
+// walks the remaining operands one tuple at a time: an old operand is
+// reached by probing a persistent base index where one serves the link,
+// otherwise through a transient hash table over the slot, or by a scan
+// for a cross product. A residual atom applies as soon as its variables
+// are bound, and each surviving joint tuple is projected and counted
+// straight into the view delta, so the per-transaction cost scales with
+// the delta and what it joins rather than with the base relations.
 
 import (
 	"fmt"
-	"sort"
 
 	"mview/internal/expr"
 	"mview/internal/pred"
@@ -19,12 +23,12 @@ import (
 // atomInfo is a selection atom with its variables resolved to owning
 // operands and positions.
 type atomInfo struct {
-	a        pred.Atom
 	leftOp   int // operand owning the left variable
 	leftPos  int // position within that operand's scheme
 	rightOp  int // -1 when the right side is a constant
 	rightPos int
-	eqJoin   bool // x = y (no offset) across two distinct operands
+	eqJoin   bool          // x = y (no offset) across two distinct operands
+	prog     *pred.Program // the atom alone, compiled against the joint scheme
 }
 
 type conjInfo struct {
@@ -48,7 +52,7 @@ func resolveConj(b *expr.Bound, conj pred.Conjunction) (conjInfo, error) {
 		return ops[0], pos, nil
 	}
 	for i, a := range conj.Atoms {
-		ai := atomInfo{a: a, rightOp: -1}
+		ai := atomInfo{rightOp: -1}
 		var err error
 		ai.leftOp, ai.leftPos, err = resolve(a.Left)
 		if err != nil {
@@ -61,336 +65,326 @@ func resolveConj(b *expr.Bound, conj pred.Conjunction) (conjInfo, error) {
 			}
 			ai.eqJoin = a.Op == pred.OpEQ && a.C == 0 && ai.leftOp != ai.rightOp
 		}
+		if ai.prog, err = pred.CompileAtoms([]pred.Atom{a}, b.Joint); err != nil {
+			return ci, err
+		}
 		ci.atoms[i] = ai
 	}
 	return ci, nil
 }
 
-// runIndexed evaluates every non-all-old truth-table row delta-first
-// with index probes.
-func (m *Maintainer) runIndexed(sl []*slot, out *relation.Tagged, stats *Stats, provider IndexProvider) error {
-	var modified []int
+// entry is one tuple of a transient table with its §5.3 tag, chained
+// to the next entry with the same key (1-based; 0 ends the chain).
+type entry struct {
+	t    tuple.Tuple
+	tag  tuple.Tag
+	next int32
+}
+
+// step is one operand of a row's pipeline. Candidates for a bound
+// prefix come from, in order of preference: the persistent index ix,
+// probed with the joint value at probe; a transient hash table over
+// the slot keyed on the operand column linkPos, probed with the joint
+// value at link (built when the first tuple reaches the step); or, for
+// a cross product (link < 0), a scan of the slot.
+type step struct {
+	op      int
+	delta   bool // the operand contributes its delta slot, else its old slot
+	ix      *relation.Index
+	probe   int
+	link    int
+	linkPos int
+	heads   map[tuple.Value]int32 // transient table: key → first entry (1-based)
+	ents    []entry
+	atoms   []*pred.Program // residual atoms whose variables this step binds last
+	reached bool            // some tuple reached the step
+}
+
+// pipeline is one ComputeDelta call's scratch for the indexed strategy:
+// the current row's steps, the joint tuple being bound, and the ⊎/⊖
+// outputs every completed joint tuple is counted into.
+type pipeline struct {
+	m        *Maintainer
+	sl       []*slot
+	provider IndexProvider
+	stats    *Stats
+	ins, del *relation.Counted
+
+	ci       int // conjunct of the current row
+	steps    []step
+	joint    tuple.Tuple // joint-scheme tuple; steps fill their operand's columns
+	proj     tuple.Tuple
+	isDelta  []bool // per operand, for the current row
+	consumed []bool
+	assigned []bool // per atom of the current conjunct
+	done     bool   // some tuple completed the current row
+	err      error
+}
+
+// streamRows evaluates every non-all-old truth-table row of every
+// conjunct through its probe pipeline, counting the view delta into
+// ins and del.
+func (m *Maintainer) streamRows(sl []*slot, stats *Stats, provider IndexProvider, ins, del *relation.Counted) error {
+	var modifiedBuf [8]int
+	modified := modifiedBuf[:0]
 	for i := range sl {
 		if sl[i].modified {
 			modified = append(modified, i)
 		}
 	}
-	k := len(modified)
+	n := len(sl)
+	flags := make([]bool, 2*n)
+	p := &pipeline{
+		m: m, sl: sl, provider: provider, stats: stats, ins: ins, del: del,
+		steps:    make([]step, n),
+		joint:    make(tuple.Tuple, m.bound.Joint.Arity()),
+		proj:     make(tuple.Tuple, len(m.deltaPos)),
+		isDelta:  flags[:n],
+		consumed: flags[n:],
+	}
 	for ci := range m.conjs {
-		for mask := 1; mask < 1<<k; mask++ {
-			res, err := m.evalRowIndexed(ci, sl, modified, mask, stats, provider)
-			if err != nil {
-				return err
-			}
-			if res != nil {
-				if err := out.Merge(res); err != nil {
-					return err
-				}
+		for mask := 1; mask < 1<<len(modified); mask++ {
+			p.plan(ci, modified, mask)
+			p.run()
+			if p.err != nil {
+				return p.err
 			}
 		}
 	}
 	return nil
 }
 
-// rowState tracks one row's evaluation.
-type rowState struct {
-	g        *relation.Tagged
-	scheme   *schema.Scheme
-	consumed []bool
-	applied  []bool
+// size is operand i's slot size in the current row.
+func (p *pipeline) size(i int) int {
+	if p.isDelta[i] {
+		return p.sl[i].deltaSize()
+	}
+	return p.sl[i].inst.Len()
 }
 
-// evalRowIndexed evaluates one truth-table row of one conjunct.
-// It returns nil (no error) when the row is pruned empty.
-func (m *Maintainer) evalRowIndexed(ci int, sl []*slot, modified []int, mask int,
-	stats *Stats, provider IndexProvider) (*relation.Tagged, error) {
-
-	info := &m.conjs[ci]
-	n := len(sl)
-	// Scratch state lives in stack buffers for the typical view shape
-	// (≤8 operands, ≤16 atoms): truth-table rows are evaluated a few
-	// times per commit and these little slices would otherwise be the
-	// row's fixed allocation overhead.
-	var isDeltaBuf, consumedBuf [8]bool
-	var appliedBuf [16]bool
-	var isDelta []bool
-	if n <= len(isDeltaBuf) {
-		isDelta = isDeltaBuf[:n]
-	} else {
-		isDelta = make([]bool, n)
+// link reports whether atom a equi-joins operand j to the consumed set,
+// with j's column and the joint position of the bound value.
+func (p *pipeline) link(a *atomInfo, j int) (jPos, bound int, ok bool) {
+	switch {
+	case !a.eqJoin:
+		return 0, 0, false
+	case a.rightOp == j && p.consumed[a.leftOp]:
+		return a.rightPos, p.sl[a.leftOp].op.Offset + a.leftPos, true
+	case a.leftOp == j && p.consumed[a.rightOp]:
+		return a.leftPos, p.sl[a.rightOp].op.Offset + a.rightPos, true
 	}
-	for bit, opIdx := range modified {
+	return 0, 0, false
+}
+
+// plan fixes the operand order of conjunct ci's row mask: the row's
+// smallest delta slot first, then a connected old operand with a usable
+// index, else the smallest connected operand, else (a cross product)
+// the smallest remaining one. Each step takes the atoms it binds last.
+func (p *pipeline) plan(ci int, modified []int, mask int) {
+	atoms := p.m.conjs[ci].atoms
+	p.ci, p.done = ci, false
+	clear(p.isDelta)
+	clear(p.consumed)
+	if cap(p.assigned) < len(atoms) {
+		p.assigned = make([]bool, len(atoms))
+	}
+	p.assigned = p.assigned[:len(atoms)]
+	clear(p.assigned)
+	first := -1
+	for bit, op := range modified {
 		if mask&(1<<bit) != 0 {
-			isDelta[opIdx] = true
+			p.isDelta[op] = true
+			if first < 0 || p.size(op) < p.size(first) {
+				first = op
+			}
 		}
 	}
-	rowSlot := func(i int) (*relation.Tagged, error) {
-		if isDelta[i] {
-			return sl[i].deltaTagged()
-		}
-		return sl[i].old()
-	}
-
-	st := &rowState{}
-	if n <= len(consumedBuf) {
-		st.consumed = consumedBuf[:n]
-	} else {
-		st.consumed = make([]bool, n)
-	}
-	if na := len(info.atoms); na <= len(appliedBuf) {
-		st.applied = appliedBuf[:na]
-	} else {
-		st.applied = make([]bool, na)
-	}
-
-	// Linking atoms between the consumed set and operand j.
-	linksTo := func(j int) []int {
-		var out []int
-		for ai, a := range info.atoms {
-			if !a.eqJoin || st.applied[ai] {
-				continue
-			}
-			if (st.consumed[a.leftOp] && a.rightOp == j) || (st.consumed[a.rightOp] && a.leftOp == j) {
-				out = append(out, ai)
-			}
-		}
-		return out
-	}
-
-	// probeFor returns the linking atom and index to use for an
-	// indexed probe of operand j's old slot, or (-1, nil).
-	probeFor := func(j int, links []int) (int, *relation.Index) {
-		if isDelta[j] || provider == nil {
-			return -1, nil
-		}
-		for _, ai := range links {
-			a := info.atoms[ai]
-			jPos := a.rightPos
-			if a.leftOp == j {
-				jPos = a.leftPos
-			}
-			if ix := provider.Index(sl[j].op.Rel, jPos); ix != nil {
-				return ai, ix
-			}
-		}
-		return -1, nil
-	}
-
-	// Choose the evaluation order: the row's delta slots first
-	// (smallest first), then connected operands preferring indexed
-	// probes, then the rest.
-	var deltaOpsBuf [8]int
-	deltaOps := deltaOpsBuf[:0]
-	for _, opIdx := range modified {
-		if isDelta[opIdx] {
-			deltaOps = append(deltaOps, opIdx)
-		}
-	}
-	sort.Slice(deltaOps, func(a, b int) bool {
-		return sl[deltaOps[a]].deltaSize() < sl[deltaOps[b]].deltaSize()
-	})
-
-	// tryApply filters the intermediate by every not-yet-applied atom
-	// whose variables are all available. The compiled filter is cached
-	// per (conjunct, atom set, scheme) — the same residuals recur every
-	// commit.
-	tryApply := func() error {
-		if len(info.atoms) > 64 {
-			// Can't key the cache by bitmask; compile directly.
-			var atoms []pred.Atom
-			for ai, a := range info.atoms {
-				if st.applied[ai] {
-					continue
-				}
-				if st.scheme.Has(schema.Attribute(a.a.Left)) &&
-					(!a.a.HasRightVar() || st.scheme.Has(schema.Attribute(a.a.Right))) {
-					atoms = append(atoms, a.a)
-					st.applied[ai] = true
-				}
-			}
-			if len(atoms) == 0 {
-				return nil
-			}
-			f, err := pred.Or(pred.And(atoms...)).Compile(st.scheme)
-			if err != nil {
-				return err
-			}
-			st.g = relation.SelectTagged(st.g, f)
-			return nil
-		}
-		var amask uint64
-		for ai, a := range info.atoms {
-			if st.applied[ai] {
-				continue
-			}
-			if st.scheme.Has(schema.Attribute(a.a.Left)) &&
-				(!a.a.HasRightVar() || st.scheme.Has(schema.Attribute(a.a.Right))) {
-				amask |= 1 << uint(ai)
-				st.applied[ai] = true
-			}
-		}
-		if amask == 0 {
-			return nil
-		}
-		f, err := m.residualFilter(ci, st.scheme, amask)
-		if err != nil {
-			return err
-		}
-		st.g = relation.SelectTagged(st.g, f)
-		return nil
-	}
-
-	// Consume the first operand.
-	first := deltaOps[0]
-	g, err := rowSlot(first)
-	if err != nil {
-		return nil, err
-	}
-	st.g, st.scheme = g, sl[first].op.QScheme
-	st.consumed[first] = true
-	if err := tryApply(); err != nil {
-		return nil, err
-	}
-
-	for consumedCount := 1; consumedCount < n; consumedCount++ {
-		if st.g.Len() == 0 {
-			return nil, nil // pruned
-		}
-		// Pick the next operand.
-		next, probeAtom := -1, -1
-		var probeIx *relation.Index
-		var nextLinks []int
-		// Pass 1: connected with a usable index.
-		for j := 0; j < n; j++ {
-			if st.consumed[j] {
-				continue
-			}
-			links := linksTo(j)
-			if len(links) == 0 {
-				continue
-			}
-			if ai, ix := probeFor(j, links); ix != nil {
-				next, probeAtom, probeIx, nextLinks = j, ai, ix, links
-				break
-			}
-			if next < 0 || sizeOf(sl[j], isDelta[j]) < sizeOf(sl[next], isDelta[next]) {
-				next, nextLinks = j, links
-			}
-		}
-		// Pass 2: nothing connected — cross product with the smallest.
-		if next < 0 {
-			for j := 0; j < n; j++ {
-				if st.consumed[j] {
-					continue
-				}
-				if next < 0 || sizeOf(sl[j], isDelta[j]) < sizeOf(sl[next], isDelta[next]) {
-					next = j
-				}
-			}
-			nextLinks = nil
-		}
-
-		stats.JoinSteps++
-		if probeIx != nil {
-			// Indexed probe of an old slot: iterate the (small)
-			// intermediate and look up matches in the persistent
-			// base index, skipping deleted tuples.
-			a := info.atoms[probeAtom]
-			var curVar pred.Var
-			if a.leftOp == next {
-				curVar = a.a.Right
-			} else {
-				curVar = a.a.Left
-			}
-			lpos, ok := st.scheme.Pos(schema.Attribute(curVar))
-			if !ok {
-				return nil, fmt.Errorf("diffeval: probe variable %q missing from intermediate", curVar)
-			}
-			nextScheme, err := m.concatScheme(st.scheme, sl[next].op.QScheme)
-			if err != nil {
-				return nil, err
-			}
-			ng := relation.NewTaggedCap(nextScheme, st.g.Len())
-			delSet := sl[next].del
-			var setErr error
-			st.g.Each(func(t tuple.Tuple, tag tuple.Tag) {
-				if setErr != nil {
-					return
-				}
-				stats.IndexProbes++
-				probeIx.EachMatch(t[lpos], func(bt tuple.Tuple) {
-					if setErr != nil {
-						return
-					}
-					if delSet != nil && delSet.Has(bt) {
-						return
-					}
-					if err := ng.SetPair(t, bt, tag); err != nil {
-						setErr = err
-					}
-				})
-			})
-			if setErr != nil {
-				return nil, setErr
-			}
-			st.g, st.scheme = ng, nextScheme
-			st.applied[probeAtom] = true
+	for d := range p.steps {
+		s := &p.steps[d]
+		*s = step{atoms: s.atoms[:0], heads: s.heads, ents: s.ents[:0], link: -1}
+		if d == 0 {
+			s.op = first
 		} else {
-			// Hash join (or cross product) against the row slot.
-			rhs, err := rowSlot(next)
-			if err != nil {
-				return nil, err
-			}
-			var lpos, rpos []int
-			for _, ai := range nextLinks {
-				a := info.atoms[ai]
-				var curVar pred.Var
-				var rp int
-				if a.leftOp == next {
-					curVar, rp = a.a.Right, a.leftPos
-				} else {
-					curVar, rp = a.a.Left, a.rightPos
-				}
-				lp, ok := st.scheme.Pos(schema.Attribute(curVar))
-				if !ok {
-					return nil, fmt.Errorf("diffeval: join variable %q missing from intermediate", curVar)
-				}
-				lpos = append(lpos, lp)
-				rpos = append(rpos, rp)
-				st.applied[ai] = true
-			}
-			cs, err := m.concatScheme(st.scheme, rhs.Scheme())
-			if err != nil {
-				return nil, err
-			}
-			ng, err := relation.JoinOnScheme(st.g, rhs, lpos, rpos, cs)
-			if err != nil {
-				return nil, err
-			}
-			st.g = ng
-			st.scheme = ng.Scheme()
+			p.choose(s, atoms)
 		}
-		st.consumed[next] = true
-		if err := tryApply(); err != nil {
-			return nil, err
+		s.delta = p.isDelta[s.op]
+		p.consumed[s.op] = true
+		for ai := range atoms {
+			a := &atoms[ai]
+			if !p.assigned[ai] && p.consumed[a.leftOp] && (a.rightOp < 0 || p.consumed[a.rightOp]) {
+				p.assigned[ai] = true
+				s.atoms = append(s.atoms, a.prog)
+			}
 		}
 	}
-
-	if st.g.Len() == 0 {
-		return nil, nil
-	}
-	for ai := range info.atoms {
-		if !st.applied[ai] {
-			return nil, fmt.Errorf("diffeval: atom %q never applied in indexed row", info.atoms[ai].a)
-		}
-	}
-	stats.RowsEvaluated++
-	return m.reorderJoint(st.g)
 }
 
-func sizeOf(s *slot, isDelta bool) int {
-	if isDelta {
-		return s.deltaSize()
+// choose picks the next operand for step s and how to reach it, and
+// marks the atom that serves as its probe key applied.
+func (p *pipeline) choose(s *step, atoms []atomInfo) {
+	next, key := -1, -1
+	var keyPos, keyBound int
+	for j := range p.sl {
+		if p.consumed[j] {
+			continue
+		}
+		jKey := -1
+		var jPos, jBound int
+		var ix *relation.Index
+		for ai := range atoms {
+			pos, bound, ok := p.link(&atoms[ai], j)
+			if !ok {
+				continue
+			}
+			if jKey < 0 {
+				jKey, jPos, jBound = ai, pos, bound
+			}
+			if !p.isDelta[j] && p.provider != nil {
+				if ix = p.provider.Index(p.sl[j].op.Rel, pos); ix != nil {
+					jKey, jPos, jBound = ai, pos, bound
+					break
+				}
+			}
+		}
+		if jKey < 0 {
+			continue
+		}
+		if ix != nil {
+			s.op, s.ix, s.probe = j, ix, jBound
+			p.assigned[jKey] = true
+			return
+		}
+		if next < 0 || p.size(j) < p.size(next) {
+			next, key, keyPos, keyBound = j, jKey, jPos, jBound
+		}
 	}
-	return s.inst.Len()
+	if next >= 0 {
+		s.op, s.link, s.linkPos = next, keyBound, keyPos
+		p.assigned[key] = true
+		return
+	}
+	for j := range p.sl {
+		if !p.consumed[j] && (next < 0 || p.size(j) < p.size(next)) {
+			next = j
+		}
+	}
+	s.op = next
+}
+
+// run streams the row's first delta slot through the pipeline.
+func (p *pipeline) run() {
+	p.each(&p.steps[0], func(t tuple.Tuple, tag tuple.Tag) { p.enter(0, t, tag) })
+	if p.done {
+		p.stats.RowsEvaluated++
+	}
+}
+
+// each calls f for every tuple of step s's slot: the delta slot's
+// inserts and deletes, or the old slot's surviving tuples.
+func (p *pipeline) each(s *step, f func(tuple.Tuple, tuple.Tag)) {
+	sl := p.sl[s.op]
+	if s.delta {
+		if sl.ins != nil {
+			sl.ins.Each(func(t tuple.Tuple) { f(t, tuple.TagInsert) })
+		}
+		if sl.del != nil {
+			sl.del.Each(func(t tuple.Tuple) { f(t, tuple.TagDelete) })
+		}
+		return
+	}
+	sl.inst.Each(func(t tuple.Tuple) {
+		if sl.del == nil || !sl.del.Has(t) {
+			f(t, tuple.TagOld)
+		}
+	})
+}
+
+// enter binds t, whose combined tag is tag, as step d's operand tuple;
+// if the step's residual atoms hold, the joint tuple moves on.
+func (p *pipeline) enter(d int, t tuple.Tuple, tag tuple.Tag) {
+	if p.err != nil {
+		return
+	}
+	s := &p.steps[d]
+	copy(p.joint[p.sl[s.op].op.Offset:], t)
+	for _, a := range s.atoms {
+		if !a.Eval(p.joint) {
+			return
+		}
+	}
+	if d+1 < len(p.steps) {
+		p.advance(d+1, tag)
+	} else {
+		p.emit(tag)
+	}
+}
+
+// advance feeds step d every candidate that joins the bound prefix,
+// tagged by §5.3's table; "ignore" combinations do not emerge.
+func (p *pipeline) advance(d int, tag tuple.Tag) {
+	s := &p.steps[d]
+	if !s.reached {
+		s.reached = true
+		p.stats.JoinSteps++
+		if s.ix == nil && s.link >= 0 {
+			if s.heads == nil {
+				s.heads = make(map[tuple.Value]int32)
+			}
+			clear(s.heads)
+			p.each(s, func(t tuple.Tuple, tg tuple.Tag) {
+				k := t[s.linkPos]
+				s.ents = append(s.ents, entry{t: t, tag: tg, next: s.heads[k]})
+				s.heads[k] = int32(len(s.ents))
+			})
+		}
+	}
+	join := func(t tuple.Tuple, tg tuple.Tag) {
+		if jt := tuple.JoinTags(tag, tg); jt != tuple.TagIgnore {
+			p.enter(d, t, jt)
+		}
+	}
+	switch {
+	case s.ix != nil:
+		p.stats.IndexProbes++
+		deleted := p.sl[s.op].del
+		s.ix.EachMatch(p.joint[s.probe], func(t tuple.Tuple) {
+			if deleted == nil || !deleted.Has(t) {
+				p.enter(d, t, tag) // an old tuple keeps the prefix's tag
+			}
+		})
+	case s.link >= 0:
+		for i := s.heads[p.joint[s.link]]; i != 0; {
+			e := &s.ents[i-1]
+			i = e.next
+			join(e.t, e.tag)
+		}
+	default:
+		p.each(s, join)
+	}
+}
+
+// emit counts a completed joint tuple into the delta. Under a DNF, a
+// tuple satisfying an earlier conjunct was already counted there.
+func (p *pipeline) emit(tag tuple.Tag) {
+	p.done = true
+	for cj := 0; cj < p.ci; cj++ {
+		if p.m.where.EvalConjunct(cj, p.joint) {
+			return
+		}
+	}
+	var target *relation.Counted
+	switch tag {
+	case tuple.TagInsert:
+		target = p.ins
+	case tuple.TagDelete:
+		target = p.del
+	default: // unreachable: every row starts from a delta slot
+		return
+	}
+	for i, pos := range p.m.deltaPos {
+		p.proj[i] = p.joint[pos]
+	}
+	if err := target.Add(p.proj, 1); err != nil {
+		p.err = err
+	}
 }

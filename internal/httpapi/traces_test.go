@@ -188,13 +188,10 @@ func TestDebugStatsCriticalPathAndStaleness(t *testing.T) {
 		t.Errorf("critical_path batches = %v, want >= 1", cp["batches"])
 	}
 	stages := cp["stages"].(map[string]any)
-	for _, stage := range []string{"queue_wait", "net", "compose", "slowest_task", "validate", "fsync", "install", "publish"} {
+	for _, stage := range []string{"queue_wait", "net", "compose", "maint", "slowest_task", "validate", "fsync", "install", "publish"} {
 		if _, ok := stages[stage]; !ok {
 			t.Errorf("critical_path missing stage %q: %v", stage, stages)
 		}
-	}
-	if _, ok := stages["maint"]; ok {
-		t.Errorf("critical_path must exclude the maint fan-out wall")
 	}
 	stale := resp["staleness"].(map[string]any)
 	if stale["d"].(float64) <= 0 {

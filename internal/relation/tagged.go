@@ -99,19 +99,6 @@ func (g *Tagged) Set(t tuple.Tuple, tag tuple.Tag) error {
 	return nil
 }
 
-// SetPair records the concatenation a ++ b with the given tag, without
-// materializing the concatenated tuple: the two halves are appended
-// straight into the arena. It is the indexed-probe fast path of
-// differential join evaluation.
-func (g *Tagged) SetPair(a, b tuple.Tuple, tag tuple.Tag) error {
-	if len(a)+len(b) != g.scheme.Arity() {
-		return fmt.Errorf("relation: tagged pair has arity %d+%d, scheme %s has arity %d",
-			len(a), len(b), g.scheme, g.scheme.Arity())
-	}
-	g.set(a, b, tag)
-	return nil
-}
-
 // set records the concatenation of p and q with the given tag.
 func (g *Tagged) set(p, q tuple.Tuple, tag tuple.Tag) {
 	h, hash, ok := g.a.find(p, q)
@@ -161,19 +148,6 @@ func (g *Tagged) Clone() *Tagged {
 		a:      g.a.cloneShared(),
 		tags:   append([]tuple.Tag(nil), g.tags...),
 	}
-}
-
-// RebindScheme returns g viewed under scheme ps, which must have the
-// same arity (the usual case is renaming qualified attributes to the
-// view's output order when the column order already matches). Storage
-// is shared, not copied: the result is a read-only alias — mutating
-// either relation afterwards is undefined. Callers that need an
-// independent copy use Clone.
-func (g *Tagged) RebindScheme(ps *schema.Scheme) (*Tagged, error) {
-	if ps.Arity() != g.scheme.Arity() {
-		return nil, fmt.Errorf("relation: cannot rebind tagged %s as %s: arity mismatch", g.scheme, ps)
-	}
-	return &Tagged{scheme: ps, a: g.a, tags: g.tags}, nil
 }
 
 // Merge adds every tuple of o into g. A tuple present in both must
@@ -239,7 +213,7 @@ func CrossTagged(a, b *Tagged) (*Tagged, error) {
 			if tag == tuple.TagIgnore {
 				return
 			}
-			out.SetPair(ta, tb, tag)
+			out.set(ta, tb, tag)
 		})
 	})
 	return out, nil
@@ -292,13 +266,6 @@ func JoinOn(a, b *Tagged, lpos, rpos []int) (*Tagged, error) {
 	if err != nil {
 		return nil, err
 	}
-	return JoinOnScheme(a, b, lpos, rpos, cs)
-}
-
-// JoinOnScheme is JoinOn with the concatenated output scheme supplied
-// by the caller (it must equal a.Scheme().Concat(b.Scheme())), so
-// repeated joins over the same operand shapes can reuse one scheme.
-func JoinOnScheme(a, b *Tagged, lpos, rpos []int, cs *schema.Scheme) (*Tagged, error) {
 	if len(lpos) != len(rpos) {
 		return nil, fmt.Errorf("relation: JoinOn with %d left and %d right positions", len(lpos), len(rpos))
 	}
@@ -324,7 +291,7 @@ func JoinOnScheme(a, b *Tagged, lpos, rpos []int, cs *schema.Scheme) (*Tagged, e
 			if tag == tuple.TagIgnore {
 				return
 			}
-			out.SetPair(ta, b.a.row(h), tag)
+			out.set(ta, b.a.row(h), tag)
 		})
 	})
 	return out, nil
@@ -344,17 +311,6 @@ func (g *Tagged) Reorder(attrs []schema.Attribute) (*Tagged, error) {
 	ps, err := g.scheme.Project(attrs)
 	if err != nil {
 		return nil, err
-	}
-	return g.ReorderPlanned(pos, ps)
-}
-
-// ReorderPlanned is Reorder with the position map and target scheme
-// precomputed (g.Scheme().Positions(attrs) and g.Scheme().Project
-// (attrs)); callers that repeatedly permute to a fixed attribute order
-// cache the plan instead of re-deriving it per call.
-func (g *Tagged) ReorderPlanned(pos []int, ps *schema.Scheme) (*Tagged, error) {
-	if len(pos) != g.scheme.Arity() || ps.Arity() != g.scheme.Arity() {
-		return nil, fmt.Errorf("relation: Reorder plan with %d of %d attributes", len(pos), g.scheme.Arity())
 	}
 	if isIdentity(pos, g.scheme.Arity()) {
 		// Already in order (the common case for select-shaped views):

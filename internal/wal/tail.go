@@ -47,6 +47,7 @@ type Tail struct {
 	cur      *os.File
 	curPath  string
 	off      int64
+	size     int64  // current file's size when last checked
 	fileLast uint64 // last LSN read from the current file (0 = none yet)
 	last     uint64 // last LSN read overall, including filtered ones
 }
@@ -179,6 +180,17 @@ func (t *Tail) readRecord(limitLSN uint64) (Record, bool) {
 	if lsn > limitLSN {
 		return Record{}, false
 	}
+	// Allocate the body only once the file holds it: a torn header may
+	// claim up to MaxPayload. The file may have grown since the size was
+	// last checked, so a record past it rechecks.
+	end := t.off + int64(headerLen) + int64(plen) + crcLen
+	if end > t.size {
+		info, err := t.cur.Stat()
+		if err != nil || end > info.Size() {
+			return Record{}, false
+		}
+		t.size = info.Size()
+	}
 	body := make([]byte, int(plen)+crcLen)
 	if _, err := t.cur.ReadAt(body, t.off+int64(headerLen)); err != nil {
 		return Record{}, false
@@ -223,7 +235,7 @@ func (t *Tail) advance() (bool, error) {
 			if t.cur != nil {
 				t.cur.Close()
 			}
-			t.cur, t.curPath, t.off, t.fileLast = f, p, 0, 0
+			t.cur, t.curPath, t.off, t.size, t.fileLast = f, p, 0, 0, 0
 			return true, nil
 		}
 		if first > want && (oldestAhead == 0 || first < oldestAhead) {

@@ -256,7 +256,9 @@ func Open(path string) (*Log, error) {
 // for each valid record with LSN > fromLSN, and returns the byte offset
 // after the last valid record plus the last valid LSN (prevLSN when the
 // segment holds none). A torn or corrupt tail terminates the scan
-// without error.
+// without error. A record body is allocated only once the file is
+// known to hold it, so a torn header claiming a large payload costs
+// nothing.
 //
 // prevLSN threads continuity across a segment chain: when non-zero, the
 // first record must carry exactly prevLSN+1. When zero (the chain's
@@ -265,6 +267,10 @@ func Open(path string) (*Log, error) {
 // checkpoint may have dropped every earlier segment.
 func scan(f *os.File, prevLSN, fromLSN uint64, fn func(Record) error) (validEnd int64, lastLSN uint64, err error) {
 	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		return 0, 0, err
+	}
+	info, err := f.Stat()
+	if err != nil {
 		return 0, 0, err
 	}
 	r := io.Reader(f)
@@ -281,6 +287,9 @@ func scan(f *os.File, prevLSN, fromLSN uint64, fn func(Record) error) (validEnd 
 		// LSNs start at 1 and increase strictly sequentially.
 		if plen > MaxPayload || lsn == 0 || (lastLSN != 0 && lsn != lastLSN+1) {
 			return offset, lastLSN, nil // corrupt: stop at last valid record
+		}
+		if offset+int64(headerLen)+int64(plen)+crcLen > info.Size() {
+			return offset, lastLSN, nil // torn record
 		}
 		body := make([]byte, int(plen)+crcLen)
 		if _, err := io.ReadFull(r, body); err != nil {

@@ -90,13 +90,10 @@ func (d *DB) engine() *db.Engine { return d.eng.Load() }
 func Open(opts ...Option) *DB {
 	cfg := buildOpenConfig(opts)
 	d := &DB{}
-	d.eng.Store(db.New(cfg.engineOptions()...))
+	d.eng.Store(db.New())
 	d.applyRuntime(cfg)
 	return d
 }
-
-// MaintWorkers reports the effective maintenance worker-pool size.
-func (d *DB) MaintWorkers() int { return d.engine().MaintWorkers() }
 
 // CreateRelation adds a base relation with the named attributes.
 func (d *DB) CreateRelation(name string, attrs ...string) error {
@@ -668,7 +665,7 @@ func (d *DB) Save(w io.Writer) error { return d.engine().Save(w) }
 // all relations restored and all views re-materialized.
 func Load(r io.Reader, opts ...Option) (*DB, error) {
 	cfg := buildOpenConfig(opts)
-	eng, err := db.Load(r, cfg.engineOptions()...)
+	eng, err := db.Load(r)
 	if err != nil {
 		return nil, err
 	}
@@ -713,10 +710,11 @@ type CriticalPathSummary = db.CriticalPathSummary
 
 // CriticalPath returns the database's cumulative commit-time
 // attribution: for every pipeline stage (queue wait, net effects,
-// composition, the slowest parallel maintenance task, validation,
-// fsync, install, snapshot publish), the total seconds spent there and
-// its share of the critical path. Counters accumulate from open; the
-// read is lock-free.
+// composition, maintenance, validation, fsync, install, snapshot
+// publish), the total seconds spent there and its share of the
+// critical path, plus the slowest single view's maintenance task as a
+// component of maintenance. Counters accumulate from open; the read is
+// lock-free.
 func (d *DB) CriticalPath() CriticalPathSummary { return d.engine().CriticalPath() }
 
 // Staleness reports each view's staleness in seconds: the age of its

@@ -9,17 +9,15 @@ import (
 	"fmt"
 	"time"
 
-	"mview/internal/db"
 	"mview/internal/obs"
 )
 
 // Option configures a database at open time. Options apply in order;
-// the zero set matches the historical defaults (GOMAXPROCS maintenance
-// workers, serial commits, no instrumentation).
+// the zero set matches the historical defaults (serial commits, no
+// instrumentation).
 type Option func(*config)
 
 type config struct {
-	maintWorkers int
 	groupCommit  bool
 	groupMax     int
 	groupWindow  time.Duration
@@ -28,13 +26,6 @@ type config struct {
 	tracer       obs.Tracer
 	segmentBytes int64
 	defPolicy    *ViewOption
-}
-
-// WithMaintWorkers bounds the worker pool that parallelizes per-view
-// maintenance inside each commit and RefreshAll. n <= 0 selects the
-// default, GOMAXPROCS.
-func WithMaintWorkers(n int) Option {
-	return func(c *config) { c.maintWorkers = n }
 }
 
 // WithGroupCommit opens the database with group commit enabled:
@@ -98,16 +89,6 @@ func buildOpenConfig(opts []Option) config {
 		o(&c)
 	}
 	return c
-}
-
-// engineOptions returns the options that must reach the engine
-// constructor (or db.Load) itself.
-func (c config) engineOptions() []db.Option {
-	var eo []db.Option
-	if c.maintWorkers > 0 {
-		eo = append(eo, db.WithMaintWorkers(c.maintWorkers))
-	}
-	return eo
 }
 
 // applyRuntime applies the post-construction options. For durable

@@ -164,7 +164,7 @@ func loadReplSnapshot(r io.Reader, cfg config) (*db.Engine, uint64, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("mview: reading snapshot catalog: %w", err)
 	}
-	eng, pending, err := db.BeginSegmentedLoad(bytes.NewReader(cat), cfg.engineOptions()...)
+	eng, pending, err := db.BeginSegmentedLoad(bytes.NewReader(cat))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -219,7 +219,7 @@ func openFollowerTransport(t repl.Transport, id string, opts ...Option) (*DB, er
 	}
 	cfg := buildOpenConfig(opts)
 	d := &DB{readonly: true}
-	d.eng.Store(db.New(cfg.engineOptions()...))
+	d.eng.Store(db.New())
 	// Policy DDL replays on followers so their catalogs mirror the
 	// leader's, but only the leader RUNS the policies: refreshes arrive
 	// through the replication stream, so a follower driving its own

@@ -15,7 +15,7 @@
 #   default benchtime 100x keeps a full sweep tractable in CI.
 set -eu
 
-BENCH="${1:-ParallelCommit|SnapshotReads|GroupCommit|Checkpoint|FlatEval|Replication|RefreshPolicy|CloneWrite}"
+BENCH="${1:-SnapshotReads|GroupCommit|Checkpoint|FlatEval|Replication|RefreshPolicy|CloneWrite}"
 BENCHTIME="${2:-100x}"
 
 go test -run=NONE -bench="$BENCH" -benchtime="$BENCHTIME" -benchmem . ./internal/relation |
