@@ -117,9 +117,12 @@ trace-smoke:
 repl-smoke:
 	scripts/repl-smoke.sh
 
+# internal/eval is the reference evaluator the oracles check the engine
+# against; lint fails if the server or the library ever links it.
 lint:
 	$(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
+	! $(GO) list -deps ./cmd/mviewd . | grep -qx 'mview/internal/eval'
 
 # The exported Go surface of the root package, pinned. apicheck fails
 # on any drift from docs/api.lock; after an intentional API change,

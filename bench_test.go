@@ -21,7 +21,6 @@ import (
 	"mview/internal/db"
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/irrelevance"
 	"mview/internal/obs"
@@ -236,7 +235,7 @@ func BenchmarkSelectView(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("delta=%d/recompute", deltaN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.Materialize(bound, post, eval.Options{}); err != nil {
+				if _, err := m.Materialize(post, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -283,7 +282,7 @@ func BenchmarkProjectView(b *testing.B) {
 	}
 }
 
-// ---------- C-JOIN / C-MEMO / C-ORDER / C-IDX: join views ----------
+// ---------- C-JOIN / C-ROWS / C-IDX: join views ----------
 
 // joinFixture builds a p-way chain join with k modified relations,
 // returning the bound view, pre-state, updates, post-state, and an
@@ -300,20 +299,15 @@ type benchProvider map[string]map[int]*relation.Index
 
 func (p benchProvider) Index(rel string, pos int) *relation.Index { return p[rel][pos] }
 
+// makeJoinFixture builds a p-way chain fixture with net inserts on its
+// first k relations.
 func makeJoinFixture(b *testing.B, p, k, rows, deltaN int) joinFixture {
 	b.Helper()
-	mod := make([]int, k)
-	for i := range mod {
-		mod[i] = i
+	modify := make([]int, k)
+	for i := range modify {
+		modify[i] = i
 	}
-	return makeJoinFixtureMod(b, p, mod, rows, deltaN)
-}
-
-// makeJoinFixtureMod builds a chain fixture with net inserts on the
-// listed relation indexes.
-func makeJoinFixtureMod(b *testing.B, p int, modify []int, rows, deltaN int) joinFixture {
-	b.Helper()
-	g := workload.New(int64(100*p + len(modify)))
+	g := workload.New(int64(100*p + k))
 	ch, err := g.Chain(p, rows, int64(rows))
 	if err != nil {
 		b.Fatal(err)
@@ -356,23 +350,26 @@ func makeJoinFixtureMod(b *testing.B, p int, modify []int, rows, deltaN int) joi
 	return joinFixture{bound: bound, pre: ch.Insts, ups: ups, post: post, prov: prov}
 }
 
-func benchStrategies(b *testing.B, fx joinFixture, strategies map[string]diffeval.Strategy, recompute bool) {
+// benchJoin times the fixture's delta with every index ("indexed") and,
+// when scan is set, with none ("scan"); recompute adds full
+// re-evaluation of the post-state by the same evaluator.
+func benchJoin(b *testing.B, fx joinFixture, scan, recompute bool) {
 	b.Helper()
-	for name, strat := range strategies {
-		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: strat})
-		if err != nil {
-			b.Fatal(err)
+	m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("indexed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := m.ComputeDeltaWith(fx.pre, fx.ups, fx.prov); err != nil {
+				b.Fatal(err)
+			}
 		}
-		indexed := strat == diffeval.StrategyIndexedDelta
-		b.Run(name, func(b *testing.B) {
+	})
+	if scan {
+		b.Run("scan", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				var err error
-				if indexed {
-					_, err = m.ComputeDeltaWith(fx.pre, fx.ups, fx.prov)
-				} else {
-					_, err = m.ComputeDelta(fx.pre, fx.ups)
-				}
-				if err != nil {
+				if _, err := m.ComputeDelta(fx.pre, fx.ups); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -381,7 +378,7 @@ func benchStrategies(b *testing.B, fx joinFixture, strategies map[string]diffeva
 	if recompute {
 		b.Run("recompute", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := eval.Materialize(fx.bound, fx.post, eval.Options{Greedy: true}); err != nil {
+				if _, err := m.Materialize(fx.post, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -394,11 +391,7 @@ func benchStrategies(b *testing.B, fx joinFixture, strategies map[string]diffeva
 func BenchmarkJoinView(b *testing.B) {
 	for _, deltaN := range []int{1, 10, 100, 1000} {
 		b.Run(fmt.Sprintf("delta=%d", deltaN), func(b *testing.B) {
-			fx := makeJoinFixture(b, 2, 1, 20_000, deltaN)
-			benchStrategies(b, fx, map[string]diffeval.Strategy{
-				"indexed":     diffeval.StrategyIndexedDelta,
-				"prefixshare": diffeval.StrategyPrefixShare,
-			}, true)
+			benchJoin(b, makeJoinFixture(b, 2, 1, 20_000, deltaN), true, true)
 		})
 	}
 }
@@ -408,36 +401,9 @@ func BenchmarkJoinView(b *testing.B) {
 func BenchmarkRowsByK(b *testing.B) {
 	for _, k := range []int{1, 2, 3, 4} {
 		b.Run(fmt.Sprintf("p=4/k=%d", k), func(b *testing.B) {
-			fx := makeJoinFixture(b, 4, k, 5_000, 50)
-			benchStrategies(b, fx, map[string]diffeval.Strategy{
-				"indexed": diffeval.StrategyIndexedDelta,
-			}, false)
+			benchJoin(b, makeJoinFixture(b, 4, k, 5_000, 50), false, false)
 		})
 	}
-}
-
-// BenchmarkRowMemo quantifies the §5.3/§5.4 observation about re-using
-// partial subexpressions across truth-table rows: prefix sharing vs
-// independent row evaluation, p = k = 4 (15 rows).
-func BenchmarkRowMemo(b *testing.B) {
-	fx := makeJoinFixture(b, 4, 4, 5_000, 50)
-	benchStrategies(b, fx, map[string]diffeval.Strategy{
-		"prefixshare": diffeval.StrategyPrefixShare,
-		"rowbyrow":    diffeval.StrategyRowByRow,
-	}, false)
-}
-
-// BenchmarkDeltaJoinOrder quantifies the §5.3 join-order observation:
-// fixed as-written order vs greedy smallest-first per row. The delta
-// lands on the LAST chain relation, so the as-written order starts
-// each row from a full base relation while greedy starts from the
-// delta.
-func BenchmarkDeltaJoinOrder(b *testing.B) {
-	fx := makeJoinFixtureMod(b, 3, []int{2}, 20_000, 10)
-	benchStrategies(b, fx, map[string]diffeval.Strategy{
-		"aswritten": diffeval.StrategyRowByRow,
-		"greedy":    diffeval.StrategyRowByRowGreedy,
-	}, false)
 }
 
 // ---------- C-FILT: irrelevance-ratio sweep ----------
@@ -469,7 +435,7 @@ func BenchmarkMaintainFilter(b *testing.B) {
 		ups := []delta.Update{{Rel: "R", Inserts: insRel}}
 		pre := []*relation.Relation{base, s}
 		for _, filter := range []bool{true, false} {
-			m, err := diffeval.NewMaintainer(bound, diffeval.Options{Filter: filter, Strategy: diffeval.StrategyPrefixShare})
+			m, err := diffeval.NewMaintainer(bound, diffeval.Options{Filter: filter})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -531,7 +497,7 @@ func BenchmarkSPJMaintain(b *testing.B) {
 			}
 		}
 	})
-	mp, err := diffeval.NewMaintainer(bound, diffeval.Options{Strategy: diffeval.StrategyPrefixShare})
+	mp, err := diffeval.NewMaintainer(bound, diffeval.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -544,7 +510,7 @@ func BenchmarkSPJMaintain(b *testing.B) {
 	})
 	b.Run("recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := eval.Materialize(bound, post, eval.Options{Greedy: true}); err != nil {
+			if _, err := mp.Materialize(post, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

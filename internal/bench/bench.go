@@ -35,8 +35,6 @@ func Experiments() []Experiment {
 		{ID: "C-PROJ", Title: "project view with counters under deletes", Run: runCProj},
 		{ID: "C-JOIN", Title: "join view: indexed differential vs scan vs recompute", Run: runCJoin},
 		{ID: "C-ROWS", Title: "2^k−1 truth-table rows vs modified relations k", Run: runCRows},
-		{ID: "C-MEMO", Title: "prefix sharing across truth-table rows vs row-by-row", Run: runCMemo},
-		{ID: "C-ORDER", Title: "delta-row join order: as-written vs greedy smallest-first", Run: runCOrder},
 		{ID: "C-SPJ", Title: "realistic SPJ view end-to-end (orders ⋈ items)", Run: runCSPJ},
 		{ID: "C-T42", Title: "Theorem 4.2: multi-tuple (cross-relation) irrelevance", Run: runCT42},
 		{ID: "C-SNAP", Title: "deferred snapshot refresh amortization (§6)", Run: runCSnap},

@@ -12,7 +12,6 @@ import (
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/irrelevance"
 	"mview/internal/pred"
@@ -289,7 +288,7 @@ func runCSel(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := eval.Materialize(b, []*relation.Relation{post}, eval.Options{})
+			_, err := m.Materialize([]*relation.Relation{post}, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -350,7 +349,7 @@ func runCProj(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := eval.Materialize(b, []*relation.Relation{post}, eval.Options{})
+			_, err := m.Materialize([]*relation.Relation{post}, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -380,7 +379,7 @@ type provMap map[string]map[int]*relation.Index
 func (p provMap) Index(rel string, pos int) *relation.Index { return p[rel][pos] }
 
 func makeChain(p, k, rows, deltaN int) (*chainFixture, error) {
-	return makeChainMod(p, firstK(k), rows, deltaN)
+	return makeChainUpd(p, firstK(k), rows, deltaN, false)
 }
 
 func firstK(k int) []int {
@@ -391,14 +390,8 @@ func firstK(k int) []int {
 	return out
 }
 
-// makeChainMod builds a p-way chain fixture with net inserts on the
-// listed relation indexes.
-func makeChainMod(p int, modify []int, rows, deltaN int) (*chainFixture, error) {
-	return makeChainUpd(p, modify, rows, deltaN, false)
-}
-
-// makeChainUpd is makeChainMod with a choice between net inserts and
-// net deletes.
+// makeChainUpd builds a p-way chain fixture with net inserts, or net
+// deletes, on the listed relation indexes.
 func makeChainUpd(p int, modify []int, rows, deltaN int, deletes bool) (*chainFixture, error) {
 	g := workload.New(int64(100*p + len(modify)))
 	ch, err := g.Chain(p, rows, int64(rows))
@@ -464,30 +457,26 @@ func runCJoin(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		mi, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: diffeval.StrategyIndexedDelta})
-		if err != nil {
-			return err
-		}
-		ms, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: diffeval.StrategyPrefixShare})
+		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{})
 		if err != nil {
 			return err
 		}
 		ti, err := timeOp(func() error {
-			_, err := mi.ComputeDeltaWith(fx.pre, fx.ups, fx.prov)
+			_, err := m.ComputeDeltaWith(fx.pre, fx.ups, fx.prov)
 			return err
 		}, quick)
 		if err != nil {
 			return err
 		}
 		ts, err := timeOp(func() error {
-			_, err := ms.ComputeDelta(fx.pre, fx.ups)
+			_, err := m.ComputeDelta(fx.pre, fx.ups)
 			return err
 		}, quick)
 		if err != nil {
 			return err
 		}
 		tf, err := timeOp(func() error {
-			_, err := eval.Materialize(fx.bound, fx.post, eval.Options{Greedy: true})
+			_, err := m.Materialize(fx.post, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -511,7 +500,7 @@ func runCRows(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: diffeval.StrategyIndexedDelta})
+		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{})
 		if err != nil {
 			return err
 		}
@@ -532,79 +521,6 @@ func runCRows(w io.Writer, quick bool) error {
 		return err
 	}
 	fmt.Fprintln(w, "shape (§5.3): the truth table doubles per modified relation, but empty-intermediate pruning keeps completed rows below 2^k−1")
-	return nil
-}
-
-func runCMemo(w io.Writer, quick bool) error {
-	fx, err := makeChain(4, 4, scale(5_000, quick), 50)
-	if err != nil {
-		return err
-	}
-	t := tabular.New("strategy", "time/op", "note")
-	for _, s := range []struct {
-		name  string
-		strat diffeval.Strategy
-	}{
-		{"prefix sharing", diffeval.StrategyPrefixShare},
-		{"row-by-row", diffeval.StrategyRowByRow},
-	} {
-		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: s.strat})
-		if err != nil {
-			return err
-		}
-		d, err := timeOp(func() error {
-			_, err := m.ComputeDelta(fx.pre, fx.ups)
-			return err
-		}, quick)
-		if err != nil {
-			return err
-		}
-		note := "shares each join prefix across the 15 rows"
-		if s.strat == diffeval.StrategyRowByRow {
-			note = "recomputes shared prefixes per row"
-		}
-		t.Row(s.name, tabular.Dur(d), note)
-	}
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "shape (§5.3/§5.4 observation): re-using partial subexpressions across truth-table rows pays off as k grows")
-	return nil
-}
-
-func runCOrder(w io.Writer, quick bool) error {
-	// The delta lands on the LAST chain relation, so the as-written
-	// order starts each row from a full base relation while the
-	// greedy order starts from the 10-tuple delta.
-	fx, err := makeChainMod(3, []int{2}, scale(20_000, quick), 10)
-	if err != nil {
-		return err
-	}
-	t := tabular.New("row join order", "time/op")
-	for _, s := range []struct {
-		name  string
-		strat diffeval.Strategy
-	}{
-		{"as written", diffeval.StrategyRowByRow},
-		{"greedy smallest-first", diffeval.StrategyRowByRowGreedy},
-	} {
-		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: s.strat})
-		if err != nil {
-			return err
-		}
-		d, err := timeOp(func() error {
-			_, err := m.ComputeDelta(fx.pre, fx.ups)
-			return err
-		}, quick)
-		if err != nil {
-			return err
-		}
-		t.Row(s.name, tabular.Dur(d))
-	}
-	if _, err := t.WriteTo(w); err != nil {
-		return err
-	}
-	fmt.Fprintln(w, "shape (§5.3 observation): starting each row from its smallest (delta) slot shrinks the intermediates")
 	return nil
 }
 
@@ -652,7 +568,7 @@ func runCSPJ(w io.Writer, quick bool) error {
 		return err
 	}
 	t.Row("differential (indexed, filtered)", tabular.Dur(d))
-	ms, err := diffeval.NewMaintainer(bound, diffeval.Options{Strategy: diffeval.StrategyPrefixShare})
+	ms, err := diffeval.NewMaintainer(bound, diffeval.Options{})
 	if err != nil {
 		return err
 	}
@@ -665,7 +581,7 @@ func runCSPJ(w io.Writer, quick bool) error {
 	}
 	t.Row("differential (scans)", tabular.Dur(d2))
 	d3, err := timeOp(func() error {
-		_, err := eval.Materialize(bound, post, eval.Options{Greedy: true})
+		_, err := ms.Materialize(post, nil)
 		return err
 	}, quick)
 	if err != nil {
@@ -765,7 +681,7 @@ func runCSnap(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
-	m, err := diffeval.NewMaintainer(b, diffeval.Options{Strategy: diffeval.StrategyPrefixShare})
+	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
 	if err != nil {
 		return err
 	}
@@ -870,7 +786,7 @@ func runCAdapt(w io.Writer, quick bool) error {
 		if err != nil {
 			return err
 		}
-		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{Strategy: diffeval.StrategyPrefixShare})
+		m, err := diffeval.NewMaintainer(fx.bound, diffeval.Options{})
 		if err != nil {
 			return err
 		}
@@ -882,7 +798,7 @@ func runCAdapt(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := eval.Materialize(fx.bound, fx.post, eval.Options{Greedy: true})
+			_, err := m.Materialize(fx.post, nil)
 			return err
 		}, quick)
 		if err != nil {

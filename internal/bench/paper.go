@@ -9,7 +9,6 @@ import (
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/irrelevance"
 	"mview/internal/pred"
@@ -52,7 +51,7 @@ func runP41(w io.Writer, _ bool) error {
 		return err
 	}
 	fmt.Fprintf(w, "r = %v\ns = %v\n", r, s)
-	v, err := eval.Materialize(b, []*relation.Relation{r, s}, eval.Options{})
+	_, v, err := materialize(b, r, s)
 	if err != nil {
 		return err
 	}
@@ -164,16 +163,12 @@ func runP52(w io.Writer, _ bool) error {
 	}
 	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2))
 	s := relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 10), tuple.New(5, 20))
-	view, err := eval.Materialize(b, []*relation.Relation{r, s}, eval.Options{})
+	m, view, err := materialize(b, r, s)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "r = %v, s = %v\nv = r ⋈ s = %v\n", r, s, view)
 	ir := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(7, 5))
-	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
-	if err != nil {
-		return err
-	}
 	d, err := m.ComputeDelta([]*relation.Relation{r, s}, []delta.Update{{Rel: "R", Inserts: ir}})
 	if err != nil {
 		return err
@@ -193,16 +188,12 @@ func runP53(w io.Writer, _ bool) error {
 	}
 	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2), tuple.New(3, 5))
 	s := relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 10), tuple.New(5, 20))
-	view, err := eval.Materialize(b, []*relation.Relation{r, s}, eval.Options{})
+	m, view, err := materialize(b, r, s)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "r = %v, s = %v\nv = r ⋈ s = %v\n", r, s, view)
 	dr := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(3, 5))
-	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
-	if err != nil {
-		return err
-	}
 	d, err := m.ComputeDelta([]*relation.Relation{r, s}, []delta.Update{{Rel: "R", Deletes: dr}})
 	if err != nil {
 		return err
@@ -260,17 +251,13 @@ func runP55(w io.Writer, _ bool) error {
 	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2))
 	s := relation.MustFromTuples(schema.MustScheme("B", "C"),
 		tuple.New(2, 5), tuple.New(3, 20), tuple.New(4, 30))
-	view, err := eval.Materialize(b, []*relation.Relation{r, s}, eval.Options{})
+	m, view, err := materialize(b, r, s)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "v = π_A(σ_{C>10}(R ⋈ S)); r = %v, s = %v\ninitial v = %v\n", r, s, view)
 	ir := relation.MustFromTuples(schema.MustScheme("A", "B"),
 		tuple.New(9, 3), tuple.New(9, 4), tuple.New(7, 2))
-	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
-	if err != nil {
-		return err
-	}
 	d, err := m.ComputeDelta([]*relation.Relation{r, s}, []delta.Update{{Rel: "R", Inserts: ir}})
 	if err != nil {
 		return err
@@ -334,7 +321,7 @@ func runPTT3(w io.Writer, _ bool) error {
 	r1 := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2))
 	r2 := relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 3))
 	r3 := relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(3, 4))
-	m, err := diffeval.NewMaintainer(b, diffeval.Options{Strategy: diffeval.StrategyRowByRow})
+	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
 	if err != nil {
 		return err
 	}
@@ -345,7 +332,21 @@ func runPTT3(w io.Writer, _ bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "engine: ModifiedOperands=%d RowsEvaluated=%d (2^2−1=3) Δinserts=%v\n",
+	fmt.Fprintf(w, "engine: ModifiedOperands=%d RowsEvaluated=%d (≤ 2^2−1 = 3: a row whose tuples all fall out midway is pruned) Δinserts=%v\n",
 		d.Stats.ModifiedOperands, d.Stats.RowsEvaluated, d.Inserts)
 	return nil
+}
+
+// materialize evaluates b from scratch over insts with the engine's
+// evaluator, returning the maintainer with the view.
+func materialize(b *expr.Bound, insts ...*relation.Relation) (*diffeval.Maintainer, *relation.Counted, error) {
+	m, err := diffeval.NewMaintainer(b, diffeval.Options{})
+	if err != nil {
+		return nil, nil, err
+	}
+	d, err := m.Materialize(insts, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	return m, d.Inserts, nil
 }

@@ -73,7 +73,7 @@ const Help = `commands:
        [where <condition>] [select <attr>, ...] [options <opt>,...]
                                             define a materialized SPJ view
        options: oncommit | ondemand | every=<dur> | maxstale=<dur> | autopolicy
-                | recompute | adaptive | filtered | rowbyrow
+                | recompute | adaptive | filtered
   create join view <name> from <rel>, ...  natural-join view (§5.3)
   insert <rel> (<v>, ...)                  insert a tuple (auto-commits unless in a tx)
   delete <rel> (<v>, ...)                  delete a tuple

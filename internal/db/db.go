@@ -22,7 +22,6 @@ import (
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/obs"
 	"mview/internal/pred"
@@ -127,10 +126,9 @@ func (s RefreshSpec) String() string {
 // ViewConfig configures one materialized view: When says when it
 // refreshes, Policy how.
 type ViewConfig struct {
-	When    RefreshSpec
-	Policy  Policy
-	Maint   diffeval.Options // differential maintenance options
-	EvalOpt eval.Options     // options for full (re-)evaluation
+	When   RefreshSpec
+	Policy Policy
+	Maint  diffeval.Options // differential maintenance options
 }
 
 // ViewStats accumulates maintenance counters for one view.
@@ -140,10 +138,14 @@ type ViewStats struct {
 	Recomputes    int // full re-evaluations performed
 	RowsEvaluated int // truth-table rows completed (differential)
 	JoinSteps     int // join pipeline steps executed (differential)
-	FilteredOut   int // update tuples discarded by the §4 filter
-	DeltaInserts  int // view tuples inserted by deltas
-	DeltaDeletes  int // view tuples deleted by deltas
-	PendingTx     int // transactions awaiting a deferred refresh
+	// BaseRowsScanned counts the base rows maintenance read because no
+	// index served a step (diffeval.Stats.BaseRowsScanned); a recompute
+	// counts every row it reads.
+	BaseRowsScanned int
+	FilteredOut     int // update tuples discarded by the §4 filter
+	DeltaInserts    int // view tuples inserted by deltas
+	DeltaDeletes    int // view tuples deleted by deltas
+	PendingTx       int // transactions awaiting a deferred refresh
 }
 
 type viewState struct {
@@ -642,7 +644,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	if err := e.ensureIndexes(bound); err != nil {
 		return err
 	}
-	data, err := eval.Materialize(bound, operandInstances(bound, nil, e.base), cfg.EvalOpt)
+	d, err := maint.Materialize(operandInstances(bound, nil, e.base), provider{e})
 	if err != nil {
 		return err
 	}
@@ -651,7 +653,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 		bound:    bound,
 		cfg:      cfg,
 		maint:    maint,
-		data:     data,
+		data:     d.Inserts,
 		pending:  make(map[string]delta.Update),
 		deferred: cfg.When.defers(),
 		away:     new(routedAway),
@@ -842,6 +844,7 @@ func (st *viewState) noteDelta(d *diffeval.ViewDelta) {
 	st.stats.Refreshes++
 	st.stats.RowsEvaluated += d.Stats.RowsEvaluated
 	st.stats.JoinSteps += d.Stats.JoinSteps
+	st.stats.BaseRowsScanned += d.Stats.BaseRowsScanned
 	st.stats.FilteredOut += d.Stats.FilteredOut
 	st.stats.DeltaInserts += d.Stats.DeltaInserts
 	st.stats.DeltaDeletes += d.Stats.DeltaDeletes
@@ -1066,18 +1069,6 @@ func (e *Engine) Explain(name string) (string, error) {
 		policy = fmt.Sprintf("adaptive (differential while |δ| ≤ %.0f%% of base)", 100*DefaultAdaptiveThreshold)
 	}
 	fmt.Fprintf(&sb, "  policy:  %s\n", policy)
-	strategy := "auto (indexed delta joins when indexes exist, else prefix-sharing rows)"
-	switch st.cfg.Maint.Strategy {
-	case diffeval.StrategyPrefixShare:
-		strategy = "prefix-sharing truth-table rows"
-	case diffeval.StrategyRowByRow:
-		strategy = "row-by-row (no prefix sharing)"
-	case diffeval.StrategyRowByRowGreedy:
-		strategy = "row-by-row with greedy join order"
-	case diffeval.StrategyIndexedDelta:
-		strategy = "indexed delta joins"
-	}
-	fmt.Fprintf(&sb, "  rows:    %s\n", strategy)
 	fmt.Fprintf(&sb, "  filter:  §4 irrelevance pre-filter %s\n", onOff(st.cfg.Maint.Filter))
 	m := st.cfg.Maint.FilterOptions.Method
 	// Largest conjunct decides the detector under MethodAdaptive; +1
@@ -1217,12 +1208,23 @@ func (e *Engine) StopScheduler() { e.sched.stop() }
 // Query evaluates an ad-hoc SPJ expression against the current read
 // snapshot without materializing it. Binding and evaluation run
 // lock-free over one consistent cut of the base relations, so a long
-// query neither blocks nor is torn by concurrent commits.
-func (e *Engine) Query(v expr.View, opts eval.Options) (*relation.Counted, error) {
+// query neither blocks nor is torn by concurrent commits. It runs the
+// §5 evaluator with no index provider: the persistent indexes track
+// the live state under the engine lock, not the snapshot, so every
+// join step goes through a transient hash table.
+func (e *Engine) Query(v expr.View) (*relation.Counted, error) {
 	s := e.currentSnapshot()
 	bound, err := expr.Bind(v, s.scheme)
 	if err != nil {
 		return nil, err
 	}
-	return eval.Materialize(bound, operandInstances(bound, nil, s.base), opts)
+	m, err := diffeval.NewMaintainer(bound, diffeval.Options{})
+	if err != nil {
+		return nil, err
+	}
+	d, err := m.Materialize(operandInstances(bound, nil, s.base), nil)
+	if err != nil {
+		return nil, err
+	}
+	return d.Inserts, nil
 }

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mview/internal/delta"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/obs"
 	"mview/internal/relation"
@@ -174,11 +173,7 @@ func TestGroupCommitMatchesSerialOracle(t *testing.T) {
 		if !vg.Equal(vo) {
 			t.Errorf("%s diverged:\n group: %v\n oracle: %v", name, vg, vo)
 		}
-		rec, err := grp.Query(defs[w], eval.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !vg.Equal(rec) {
+		if rec := referenceView(t, grp, defs[w]); !vg.Equal(rec) {
 			t.Errorf("%s diverged from recompute oracle:\n view: %v\n oracle: %v", name, vg, rec)
 		}
 	}

@@ -18,15 +18,20 @@ package db
 // derives them from each view's backlog — the §6 composed net change
 // since its last refresh — and computes against the pre-refresh state
 // rebuilt from that backlog.
+//
+// Every computation is diffeval's one evaluator, fed the persistent
+// indexes of the relations still at the state it reads: a commit's
+// differential deltas read the pre-commit base, whose indexes are all
+// current; a refresh reads its backlog's relations as rebuilt copies,
+// which no index describes; a recompute reads the commit's post-state,
+// whose written relations no index describes yet (blankingProvider).
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/obs"
 	"mview/internal/relation"
@@ -39,21 +44,22 @@ import (
 // so a failed commit queues nothing.
 type refreshed struct {
 	st         *viewState
-	task       maintTask            // what the maint stage computes
-	deferred   bool                 // backlog staging only; no computation
-	pend       []delta.Update       // staged updates, composed into the backlog at install
-	insts      []*relation.Relation // operand instances for the computation
-	perOp      []delta.Update       // differential input: each operand's net update
-	routed     bool                 // perOp came filtered out of the relevance index (route.go)
-	d          *diffeval.ViewDelta  // differential result
-	vc         *relation.Counted    // recompute shadow (PolicyRecompute)
-	cow        *relation.Counted    // per-tx fold's private clone, installed as the view's next state
-	err        error                // compute/validate failure
-	decision   string               // metrics label
-	computeDur time.Duration        // delta or recompute computation time
-	wait       time.Duration        // from the maint stage's start to this view's task
+	task       maintTask              // what the maint stage computes
+	deferred   bool                   // backlog staging only; no computation
+	pend       []delta.Update         // staged updates, composed into the backlog at install
+	insts      []*relation.Relation   // operand instances for the computation
+	perOp      []delta.Update         // differential input: each operand's net update
+	routed     bool                   // perOp came filtered out of the relevance index (route.go)
+	d          *diffeval.ViewDelta    // differential result
+	vc         *diffeval.ViewDelta    // recompute shadow (PolicyRecompute): Inserts is the view
+	prov       diffeval.IndexProvider // recompute: the indexes that describe insts
+	cow        *relation.Counted      // per-tx fold's private clone, installed as the view's next state
+	err        error                  // compute/validate failure
+	decision   string                 // metrics label
+	computeDur time.Duration          // delta or recompute computation time
+	wait       time.Duration          // from the maint stage's start to this view's task
 	// refresh marks a deferred view's refresh: computed against the state
-	// rebuilt from its backlog, unindexed; install clears the backlog.
+	// rebuilt from its backlog; install clears the backlog.
 	refresh bool
 	// Group-commit fields (group.go). touchCount is how many of the
 	// group's transactions touch this view — the serial-equivalent
@@ -335,7 +341,8 @@ func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []de
 	switch {
 	case policy == PolicyRecompute:
 		run.ws = append(run.ws, &refreshed{st: st, task: recomputeTask, touchCount: touchCount, refresh: run.refresh,
-			insts: operandInstances(st.bound, work, e.base), decision: decisionLabel(st.cfg, PolicyRecompute)})
+			insts: operandInstances(st.bound, work, e.base), prov: blankingProvider{provider{e}, inMap(work)},
+			decision: decisionLabel(st.cfg, PolicyRecompute)})
 	case st.cfg.Maint.Filter:
 		// The view's slot in ws is held (nil) to keep view order; routing
 		// fills it only if a tuple reaches the view.
@@ -400,13 +407,15 @@ func (e *Engine) maintStage(run *maintRun) error {
 		w.wait = start.Sub(stageStart)
 		switch {
 		case recompute:
-			w.vc, w.err = eval.Materialize(w.st.bound, w.insts, w.st.cfg.EvalOpt)
+			w.vc, w.err = w.st.maint.Materialize(w.insts, w.prov)
 		case w.refresh:
 			// The base and its persistent indexes are the current state;
-			// a refresh computes, unindexed, against the state its
-			// backlog started from.
+			// a refresh computes against the state its backlog started
+			// from, probing the indexes of the relations the backlog did
+			// not touch.
 			if w.insts, w.err = e.preRefreshInstances(w.st); w.err == nil {
-				w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, nil)
+				w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp,
+					blankingProvider{provider{e}, inMap(w.st.pending)})
 			}
 		default:
 			w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, provider{e: e})
@@ -567,12 +576,13 @@ func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation)
 			ns = append(ns, st.notifications(st.name, w.d.Inserts, w.d.Deletes)...)
 		default:
 			if len(st.subscribers) > 0 {
-				ins, del := countedDiff(st.data, w.vc)
+				ins, del := countedDiff(st.data, w.vc.Inserts)
 				ns = append(ns, st.notifications(st.name, ins, del)...)
 			}
-			st.data = w.vc
+			st.data = w.vc.Inserts
 			st.dataShared = false
 			st.stats.Recomputes++
+			st.stats.BaseRowsScanned += w.vc.Stats.BaseRowsScanned
 		}
 		if w.refresh {
 			st.pending = make(map[string]delta.Update)
@@ -797,7 +807,7 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 			r.viewDeltas[c.st.name] = c.st.maint.EmptyDelta()
 		}
 	}
-	prov := batchProvider{provider{e}, work}
+	prov := blankingProvider{provider{e}, inMap(work)}
 	for _, w := range ws {
 		d, err := w.st.maint.ComputeDeltaPerOperand(operandInstances(w.st.bound, work, e.base), w.perOp, prov)
 		if err != nil {
@@ -811,23 +821,27 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 	return nil
 }
 
-// batchProvider serves persistent indexes only for relations still at
-// their pre-group state; relations already modified by earlier group
-// members (in the overlay, dirty) return nil, and diffeval reaches them
-// through a transient hash table instead.
-type batchProvider struct {
+// blankingProvider serves the persistent indexes, which describe the
+// live base, only for relations dirty does not report: those a
+// computation reads at another state — written by an earlier group
+// member or by the commit itself, or rebuilt from a refresh's backlog —
+// return nil, and diffeval reaches them through a transient hash table.
+type blankingProvider struct {
 	provider
-	dirty map[string]*relation.Relation
+	dirty func(rel string) bool
 }
 
-// blankedIndexes counts the lookups batchProvider answered nil for a
-// dirty relation, so tests can show that path runs.
-var blankedIndexes atomic.Int64
-
-func (p batchProvider) Index(rel string, pos int) *relation.Index {
-	if _, ok := p.dirty[rel]; ok {
-		blankedIndexes.Add(1)
+func (p blankingProvider) Index(rel string, pos int) *relation.Index {
+	if p.dirty(rel) {
 		return nil
 	}
 	return p.provider.Index(rel, pos)
+}
+
+// inMap reports whether a relation is a key of m.
+func inMap[V any](m map[string]V) func(string) bool {
+	return func(rel string) bool {
+		_, ok := m[rel]
+		return ok
+	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"mview/internal/delta"
 	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/obs"
 	"mview/internal/pred"
@@ -57,6 +56,32 @@ func routeView(rng *rand.Rand, name string) expr.View {
 	}
 	v.Where = pred.MustParse(where)
 	return v
+}
+
+// equiLinked reports whether every conjunct of b links all its operands
+// by equalities (x = y, no offset), so an index can serve every join
+// step whichever operand a row starts from.
+func equiLinked(b *expr.Bound) bool {
+	owner := func(v pred.Var) int { return b.OperandsOf(v)[0] }
+	for _, conj := range b.Where.Conjuncts {
+		linked := map[int]bool{0: true}
+		for grew := true; grew; {
+			grew = false
+			for _, a := range conj.Atoms {
+				if a.Op != pred.OpEQ || !a.HasRightVar() || a.C != 0 {
+					continue
+				}
+				l, r := owner(a.Left), owner(a.Right)
+				if linked[l] != linked[r] {
+					linked[l], linked[r], grew = true, true, true
+				}
+			}
+		}
+		if len(linked) < len(b.Operands) {
+			return false
+		}
+	}
+	return true
 }
 
 // routeFleet creates R(A,B,C), S(D,E) and a random set of immediate
@@ -134,8 +159,15 @@ func routeRound(rng *rand.Rand, live map[string]map[string]tuple.Tuple, n int) [
 // views, whose alerts — one per transaction under group commit — must
 // add up to the view. Under group commit the subscribed self-join must
 // also take the path where an earlier member dirtied its relation and
-// the engine blanks that relation's index.
+// the engine blanks that relation's index. An immediate differential
+// view whose every join step an index serves reads no base row.
 func TestRouteEngineMatchesMaterialize(t *testing.T) {
+	indexedJoins := 0 // indexed views that took a join step, over all subtests
+	defer func() {
+		if indexedJoins == 0 {
+			t.Error("no indexed view took a join step: the base-rows check is vacuous")
+		}
+	}()
 	for _, group := range []bool{false, true} {
 		for seed := int64(1); seed <= 6; seed++ {
 			t.Run(fmt.Sprintf("group=%v/seed=%d", group, seed), func(t *testing.T) {
@@ -155,7 +187,7 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 				alerts := map[string]*relation.Counted{}
 				// s2, a self-join, probes R's index on every row, so under
 				// group commit a member after one that dirtied R must reach
-				// it through the transient table (batchProvider).
+				// it through the transient table (blankingProvider).
 				subscribed := []expr.View{routeView(rng, "s0"), routeView(rng, "s1"), {
 					Name:     "s2",
 					Operands: []expr.Operand{{Rel: "R", Alias: "x"}, {Rel: "R", Alias: "y"}},
@@ -191,17 +223,22 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := e.Query(def, eval.Options{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !got.Equal(want) {
+					if want := referenceView(t, e, def); !got.Equal(want) {
 						t.Fatalf("round %d: view %s (%s) diverged from recomputation:\n got: %v\nwant: %v",
 							round, def.Name, def.Where, got, want)
 					}
 				}
 
-				blankedBefore := blankedIndexes.Load()
+				// indexed are the immediate differential views that probe
+				// an index at every join step (no subscriber: a group's
+				// per-transaction deltas may find an index blanked).
+				var indexed []string
+				for _, def := range defs {
+					st := e.views[def.Name]
+					if len(st.subscribers) == 0 && st.cfg.Policy == PolicyDifferential && equiLinked(st.bound) {
+						indexed = append(indexed, def.Name)
+					}
+				}
 				writers := 1
 				if group {
 					writers = 4
@@ -228,6 +265,11 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 					for _, def := range defs {
 						check(round, def)
 					}
+					for _, name := range indexed {
+						if st, _ := e.ViewStats(name); st.BaseRowsScanned != 0 {
+							t.Fatalf("round %d: indexed view %s read %d base rows", round, name, st.BaseRowsScanned)
+						}
+					}
 					alertMu.Lock()
 					for name, sum := range alerts {
 						if got, _ := e.View(name); !sum.Equal(got) {
@@ -251,8 +293,18 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 						check(round, def)
 					}
 				}
-				if blanked := blankedIndexes.Load() - blankedBefore; group && blanked == 0 {
-					t.Errorf("no per-transaction delta reached a relation an earlier group member dirtied: the blanked-index path never ran")
+				for _, name := range indexed {
+					if st, _ := e.ViewStats(name); st.JoinSteps > 0 {
+						indexedJoins++
+					}
+				}
+				// s2 probes R's index at every step, so it reads base rows
+				// only where a group member's delta found that index
+				// blanked — which must happen under group commit, and
+				// only there.
+				if st, _ := e.ViewStats("s2"); group != (st.BaseRowsScanned > 0) {
+					t.Errorf("group=%v: s2 read %d base rows; want some exactly when per-transaction deltas meet a blanked index",
+						group, st.BaseRowsScanned)
 				}
 			})
 		}
@@ -392,7 +444,7 @@ func routeCountContract(t *testing.T, mode string) {
 	}
 	// maintain is one reference pass: the view's own §4 filter over
 	// updates, then §5 against the instances in insts.
-	maintain := func(ref *reference, insts map[string]*relation.Relation, updates []delta.Update, prov diffeval.IndexProvider) {
+	maintain := func(ref *reference, insts map[string]*relation.Relation, updates []delta.Update, prov diffeval.IndexProvider) *diffeval.ViewDelta {
 		b := ref.m.Bound()
 		ops := make([]*relation.Relation, len(b.Operands))
 		for i, op := range b.Operands {
@@ -408,15 +460,20 @@ func routeCountContract(t *testing.T, mode string) {
 		ref.want.Refreshes++
 		ref.want.RowsEvaluated += d.Stats.RowsEvaluated
 		ref.want.JoinSteps += d.Stats.JoinSteps
+		ref.want.BaseRowsScanned += d.Stats.BaseRowsScanned
 		ref.want.FilteredOut += d.Stats.FilteredOut
 		ref.want.DeltaInserts += d.Stats.DeltaInserts
 		ref.want.DeltaDeletes += d.Stats.DeltaDeletes
 		ref.discarded += d.Stats.FilteredOut
 		ref.passed += d.Stats.FilterChecked - d.Stats.FilteredOut
+		return d
 	}
 	// refresh mirrors a deferred view's refresh: one pass over the
-	// composed backlog against the base the last refresh left, with no
-	// index provider.
+	// composed backlog against the base the last refresh left, probing
+	// the indexes of the relations the backlog left untouched. A
+	// backlog that left some operand untouched reads no base row
+	// there; without that index, the same refresh does.
+	oneSided := 0
 	refresh := func(ref *reference) {
 		if len(ref.backlog) == 0 {
 			return
@@ -425,7 +482,26 @@ func routeCountContract(t *testing.T, mode string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		maintain(ref, ref.since, composed, nil)
+		touched := map[string]*relation.Relation{}
+		for _, u := range composed {
+			touched[u.Rel] = nil
+		}
+		prov := &lazyProvider{base: ref.since, built: map[string]*relation.Index{}, skip: touched}
+		d := maintain(ref, ref.since, composed, prov)
+		if b := ref.m.Bound(); len(touched) == 1 && len(b.Operands) == 2 && b.Operands[0].Rel != b.Operands[1].Rel && d.Stats.JoinSteps > 0 {
+			oneSided++
+			if d.Stats.BaseRowsScanned != 0 {
+				t.Errorf("%s: a one-sided refresh read %d base rows", b.Name, d.Stats.BaseRowsScanned)
+			}
+			ops := []*relation.Relation{ref.since[b.Operands[0].Rel], ref.since[b.Operands[1].Rel]}
+			unindexed, err := ref.m.ComputeDeltaWith(ops, composed, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if unindexed.Stats.BaseRowsScanned == 0 {
+				t.Errorf("%s: the same refresh without indexes read no base row", b.Name)
+			}
+		}
 		ref.backlog, ref.since, ref.want.PendingTx = nil, base(), 0
 	}
 
@@ -442,26 +518,8 @@ func routeCountContract(t *testing.T, mode string) {
 	if mode == "subscribed" {
 		batch = 3
 	}
-	for n := 0; n < 120; n += batch {
-		txs := make([]*delta.Tx, batch)
-		for i := range txs {
-			tx := &delta.Tx{}
-			rel := "R"
-			if (n+i)%5 == 4 {
-				rel = "S" // reaches only the join view
-			}
-			for m := 0; m < 6; m++ {
-				tu := draw(rel)
-				if _, present := live[rel][tu.Key()]; present {
-					tx.Delete(rel, tu)
-					delete(live[rel], tu.Key())
-				} else {
-					tx.Insert(rel, tu)
-					live[rel][tu.Key()] = tu
-				}
-			}
-			txs[i] = tx
-		}
+	// commit runs txs through the engine and the reference alike.
+	commit := func(n int, txs []*delta.Tx) {
 		// Each member's net effect against the overlay of its
 		// predecessors, as the engine computes it.
 		pre := base()
@@ -519,6 +577,28 @@ func routeCountContract(t *testing.T, mode string) {
 			t.Fatalf("tx %d: ViewsRefreshed/ViewsDeferred = %d/%d, want %d/%d",
 				n, res.ViewsRefreshed, res.ViewsDeferred, refreshed, deferred)
 		}
+	}
+	for n := 0; n < 120; n += batch {
+		txs := make([]*delta.Tx, batch)
+		for i := range txs {
+			tx := &delta.Tx{}
+			rel := "R"
+			if (n+i)%5 == 4 {
+				rel = "S" // reaches only the join view
+			}
+			for m := 0; m < 6; m++ {
+				tu := draw(rel)
+				if _, present := live[rel][tu.Key()]; present {
+					tx.Delete(rel, tu)
+					delete(live[rel], tu.Key())
+				} else {
+					tx.Insert(rel, tu)
+					live[rel][tu.Key()] = tu
+				}
+			}
+			txs[i] = tx
+		}
+		commit(n, txs)
 		if mode == "deferred" && n%9 == 8 {
 			if i := rng.Intn(len(refs) + 1); i < len(refs) {
 				if err := e.RefreshView(defs[i].Name); err != nil {
@@ -536,11 +616,29 @@ func routeCountContract(t *testing.T, mode string) {
 		}
 	}
 	if mode == "deferred" {
+		// A one-sided backlog: after a refresh only S changes, so the
+		// join view's refresh probes R's live index.
 		if err := e.RefreshAll(); err != nil {
 			t.Fatal(err)
 		}
 		for _, ref := range refs {
 			refresh(ref)
+		}
+		tx := &delta.Tx{}
+		for b := int64(0); b < 12; b++ {
+			tu := tuple.New(b, 1000+b)
+			tx.Insert("S", tu)
+			live["S"][tu.Key()] = tu
+		}
+		commit(120, []*delta.Tx{tx})
+		if err := e.RefreshAll(); err != nil {
+			t.Fatal(err)
+		}
+		for _, ref := range refs {
+			refresh(ref)
+		}
+		if oneSided == 0 {
+			t.Error("no refresh had a one-sided backlog")
 		}
 	}
 
@@ -576,6 +674,21 @@ func routeCountContract(t *testing.T, mode string) {
 		}
 		if !view.Equal(ref.data) {
 			t.Errorf("%s: view diverged from the serial reference", def.Name)
+		}
+	}
+	if mode == "deferred" {
+		// Pinned by hand. join and self are 2-operand views, refreshed
+		// three times each with k = 2, 2 and 1 modified operands: 3 + 3
+		// + 1 truth-table rows. Every row's first delta slot holds a
+		// tuple the §4 routing passed, which satisfies that operand's
+		// own atoms, so each row reaches its one join step: 7 steps per
+		// view.
+		for i, def := range defs {
+			if def.Name == "join" || def.Name == "self" {
+				if got := refs[i].want.JoinSteps; got != 7 {
+					t.Errorf("%s: JoinSteps = %d, want 7", def.Name, got)
+				}
+			}
 		}
 	}
 	if sumDiscarded != wantDiscarded || sumPassed != wantPassed {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"mview/internal/delta"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/obs"
 	"mview/internal/pred"
@@ -172,7 +171,7 @@ func TestSnapshotConcurrentReaders(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := e.Query(q, eval.Options{}); err != nil {
+				if _, err := e.Query(q); err != nil {
 					t.Error(err)
 					return
 				}

@@ -15,15 +15,12 @@ import (
 	"math"
 	"time"
 
-	"mview/internal/diffeval"
 	"mview/internal/expr"
 	"mview/internal/pred"
 	"mview/internal/satgraph"
 	"mview/internal/schema"
 	"mview/internal/tuple"
 )
-
-func diffevalStrategy(v uint8) diffeval.Strategy { return diffeval.Strategy(v) }
 
 func satMethod(v uint8) satgraph.Method { return satgraph.Method(v) }
 
@@ -212,11 +209,11 @@ func writeViewDef(w *writer, name string, b *expr.Bound, cfg ViewConfig) {
 	w.u8(0) // retired mode byte: written as 0, skipped on read
 	w.u8(uint8(cfg.Policy))
 	w.f64(0) // retired adaptive threshold: written as 0, skipped on read
-	w.u8(uint8(cfg.Maint.Strategy))
+	w.u8(0)  // retired row-strategy byte: written as 0, skipped on read
 	w.bool(cfg.Maint.Filter)
 	w.u8(uint8(cfg.Maint.FilterOptions.Method))
 	w.i64(int64(cfg.Maint.FilterOptions.NELimit))
-	w.bool(cfg.EvalOpt.Greedy)
+	w.bool(false) // retired greedy-order flag: written as false, skipped on read
 	w.u8(uint8(cfg.When.Kind))
 	w.i64(int64(cfg.When.Interval))
 	w.i64(int64(cfg.When.Bound))
@@ -247,11 +244,11 @@ func readViewDef(r *reader) (expr.View, ViewConfig, error) {
 	r.u8() // retired mode byte
 	cfg.Policy = Policy(r.u8())
 	r.f64() // retired adaptive threshold
-	cfg.Maint.Strategy = diffevalStrategy(r.u8())
+	r.u8()  // retired row-strategy byte
 	cfg.Maint.Filter = r.bool()
 	cfg.Maint.FilterOptions.Method = satMethod(r.u8())
 	cfg.Maint.FilterOptions.NELimit = int(r.i64())
-	cfg.EvalOpt.Greedy = r.bool()
+	r.bool() // retired greedy-order flag
 	cfg.When.Kind = RefreshKind(r.u8())
 	cfg.When.Interval = time.Duration(r.i64())
 	cfg.When.Bound = time.Duration(r.i64())

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"bufio"
 	"bytes"
 	"strings"
 	"testing"
@@ -151,5 +152,48 @@ func TestSaveDeterministic(t *testing.T) {
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("Save is not deterministic")
+	}
+}
+
+// TestViewDefReadsRetiredStrategyBytes: a view definition written when
+// a view could pick its row strategy carries a strategy byte and a
+// greedy-order flag; a parent build's rowbyrow view wrote 2 and 1. Both
+// are written as 0 now and skipped on read, so such a definition
+// decodes to the same config and re-materializes to the same rows.
+func TestViewDefReadsRetiredStrategyBytes(t *testing.T) {
+	e := populatedEngine(t)
+	st := e.views["v"]
+	var buf bytes.Buffer
+	w := &writer{w: bufio.NewWriter(&buf)}
+	writeViewDef(w, "v", st.bound, st.cfg)
+	if err := w.w.Flush(); err != nil || w.err != nil {
+		t.Fatal(err, w.err)
+	}
+	enc := buf.Bytes()
+	// The tail after the strategy byte: filter, sat method, NE limit,
+	// greedy flag, refresh kind, interval, bound (1+1+8+1+1+8+8 bytes);
+	// after the greedy flag, the last three (17 bytes).
+	strategy, greedy := len(enc)-29, len(enc)-18
+	if enc[strategy] != 0 || enc[greedy] != 0 {
+		t.Fatalf("retired bytes written as %d/%d, want 0/0", enc[strategy], enc[greedy])
+	}
+	enc[strategy], enc[greedy] = 2, 1
+
+	r := &reader{r: bufio.NewReader(bytes.NewReader(enc))}
+	v, cfg, err := readViewDef(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg != st.cfg {
+		t.Errorf("decoded config = %+v, want %+v", cfg, st.cfg)
+	}
+	v.Name = "v2"
+	if err := e.CreateView(v, cfg); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := e.View("v2")
+	want, _ := e.View("v")
+	if got.Len() == 0 || !got.Equal(want) {
+		t.Errorf("re-materialized view = %v, want %v", got, want)
 	}
 }

@@ -15,17 +15,23 @@
 //     is produced exactly once.
 //  2. Rows in which every modified operand contributes its old slot
 //     reduce to the current view and are skipped; only rows touching
-//     at least one delta slot are evaluated — 2^k − 1 rows for k
-//     modified operands, exactly the paper's "build only those rows of
-//     the table representing the necessary subexpressions".
-//  3. Each row is an SPJ expression evaluated with the §5.3 tag
-//     algebra (insert ⋈ delete → ignore). Several strategies are
-//     provided; see Strategy. The engine uses StrategyIndexedDelta,
-//     which streams each delta tuple through index probes of the old
-//     slots one tuple at a time.
-//  4. Every derived joint tuple is projected with §5.2 counting into
+//     at least one delta slot are evaluated — at most 2^k − 1 rows for
+//     k modified operands, exactly the paper's "build only those rows
+//     of the table representing the necessary subexpressions".
+//  3. Each row is a probe pipeline (indexed.go): every tuple of the
+//     row's smallest delta slot walks the other operands one tuple at
+//     a time, reaching an old slot through a persistent index where
+//     the IndexProvider has one, else a transient hash table, and
+//     combining tags by the §5.3 algebra (insert ⋈ delete → ignore).
+//     A row whose tuples all fall out early is pruned.
+//  4. Every surviving joint tuple is projected with §5.2 counting into
 //     insert and delete multisets, which Apply folds into the stored
 //     view: v' = v ⊎ ins ⊖ del.
+//
+// The same pipeline materializes a view (Materialize): §5.3's row in
+// which one operand's whole instance is the delta, inserted into an
+// empty view. It is the engine's only evaluator; internal/eval keeps an
+// independent reference evaluator for tests.
 //
 // An optional irrelevance pre-filter (§4, Algorithm 4.1) shrinks the
 // delta slots before any join work: ComputeDeltaWith runs it per view,
@@ -39,7 +45,6 @@ import (
 	"sync"
 
 	"mview/internal/delta"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/irrelevance"
 	"mview/internal/obs"
@@ -56,44 +61,8 @@ type IndexProvider interface {
 	Index(rel string, pos int) *relation.Index
 }
 
-// Strategy selects how truth-table rows are evaluated.
-type Strategy uint8
-
-const (
-	// StrategyAuto (default) uses StrategyIndexedDelta when an index
-	// provider is supplied and StrategyPrefixShare otherwise.
-	StrategyAuto Strategy = iota
-	// StrategyPrefixShare enumerates rows depth-first along a fixed
-	// operand order, computing every shared join prefix once and
-	// pruning empty intermediates — the paper's closing observation
-	// about re-using partial subexpressions across rows.
-	StrategyPrefixShare
-	// StrategyRowByRow evaluates every row independently with a fixed
-	// operand order. It exists to quantify the value of prefix
-	// sharing.
-	StrategyRowByRow
-	// StrategyRowByRowGreedy evaluates every row independently,
-	// choosing a per-row greedy join order that starts from the
-	// smallest slot. It exists to quantify the §5.3 join-ordering
-	// observation.
-	StrategyRowByRowGreedy
-	// StrategyIndexedDelta evaluates each row as a probe pipeline:
-	// every tuple of the row's smallest delta slot walks the other
-	// operands one tuple at a time, reaching old slots by probing the
-	// provider's persistent indexes, applying each residual atom as
-	// soon as its variables are bound, and counting each surviving
-	// joint tuple straight into the view delta — so maintenance work
-	// scales with the delta, not the base relations. Requires an index
-	// provider. An old operand the provider has no index for is
-	// reached through one transient hash table per row and step, built
-	// over its surviving tuples on a linking column; a cross product
-	// scans it.
-	StrategyIndexedDelta
-)
-
 // Options tunes a Maintainer.
 type Options struct {
-	Strategy Strategy
 	// Filter enables the §4 irrelevance pre-filter on delta slots.
 	Filter bool
 	// FilterOptions configures the pre-filter when enabled.
@@ -103,17 +72,20 @@ type Options struct {
 // Stats describes the work done for one maintenance call.
 type Stats struct {
 	ModifiedOperands int // k: operands with a non-empty delta slot
-	// RowsEvaluated counts truth-table rows carried to completion.
-	// Row-by-row strategies evaluate exactly 2^k − 1 rows; the
-	// prefix-sharing and indexed strategies prune rows whose
-	// intermediates go empty and count only completed ones.
+	// RowsEvaluated counts truth-table rows carried to completion: of
+	// the 2^k − 1 rows per conjunct, a row whose tuples all fall out
+	// before its last step is pruned and not counted.
 	RowsEvaluated int
-	JoinSteps     int // join steps executed (indexed: steps some tuple reached)
+	JoinSteps     int // pipeline steps some tuple reached
 	IndexProbes   int // tuples probed against a persistent index
-	FilterChecked int // delta tuples examined by the irrelevance filter
-	FilteredOut   int // delta tuples removed by the irrelevance filter
-	DeltaInserts  int // distinct inserted view tuples
-	DeltaDeletes  int // distinct deleted view tuples
+	// BaseRowsScanned counts old-slot tuples read by transient hash
+	// builds and cross-product scans — base rows read because no index
+	// served the step. Materialize counts every tuple it reads.
+	BaseRowsScanned int
+	FilterChecked   int // delta tuples examined by the irrelevance filter
+	FilteredOut     int // delta tuples removed by the irrelevance filter
+	DeltaInserts    int // distinct inserted view tuples
+	DeltaDeletes    int // distinct deleted view tuples
 }
 
 // ViewDelta is the computed change to a materialized view.
@@ -126,11 +98,11 @@ type ViewDelta struct {
 // Maintainer differentially maintains one bound view.
 //
 // Concurrency: after NewMaintainer returns, a Maintainer holds no
-// mutable state of its own — plans, conjunct info, compiled predicates
-// and irrelevance checkers are immutable (checker stats are atomic),
-// and every ComputeDelta/ComputeDeltaWith call builds its scratch state
-// (the per-operand slots, the row pipelines) on the call stack.
-// Concurrent ComputeDelta calls on one Maintainer are therefore safe
+// mutable state of its own — conjunct info, compiled predicates and
+// irrelevance checkers are immutable (checker stats are atomic), and
+// every ComputeDelta/Materialize call builds its scratch state (the
+// per-operand slots, the row pipelines) on the call stack.
+// Concurrent calls on one Maintainer are therefore safe
 // provided (a) Tracer is set before the first concurrent use and is
 // itself concurrency-safe (the obs.Tracer contract), and (b) the
 // operand instances and index provider passed in are not mutated
@@ -138,11 +110,9 @@ type ViewDelta struct {
 type Maintainer struct {
 	bound *expr.Bound
 	opts  Options
-	plans []*eval.Plan // fixed-order plan per conjunct
-	conjs []conjInfo   // resolved atom info per conjunct (indexed path)
+	conjs []conjInfo // resolved atom info per conjunct
 	// where is the whole condition compiled against the joint scheme:
-	// the indexed path counts a joint tuple under the first conjunct it
-	// satisfies.
+	// a joint tuple is counted under the first conjunct it satisfies.
 	where *pred.Program
 
 	// checkers holds the view's one §4 checker per operand (see
@@ -179,11 +149,6 @@ func NewMaintainer(b *expr.Bound, opts Options) (*Maintainer, error) {
 		return nil, err
 	}
 	for _, conj := range b.Where.Conjuncts {
-		p, err := eval.BuildPlan(b, conj, nil)
-		if err != nil {
-			return nil, err
-		}
-		m.plans = append(m.plans, p)
 		ci, err := resolveConj(b, conj)
 		if err != nil {
 			return nil, err
@@ -233,37 +198,16 @@ func (m *Maintainer) EmptyDelta() *ViewDelta {
 	}
 }
 
-// slot holds one operand's partition for the current transaction. The
-// indexed strategy reads ins, del and inst directly; the Tagged forms
-// the other strategies join are built lazily, once per call.
+// slot holds one operand's partition for the current call: the old
+// slot is inst minus del, the delta slot ins plus del.
 type slot struct {
 	op       *expr.BoundOperand
 	inst     *relation.Relation // pre-transaction instance
 	ins, del *relation.Relation // net update; may be nil
 	modified bool
-
-	oldT   *relation.Tagged // lazy: surviving old tuples, tagged old
-	deltaT *relation.Tagged // lazy: inserts + deletes, tagged
-}
-
-func (s *slot) old() (*relation.Tagged, error) {
-	if s.oldT != nil {
-		return s.oldT, nil
-	}
-	surviving := s.inst
-	if s.del != nil && s.del.Len() > 0 {
-		sv, err := relation.Diff(s.inst, s.del)
-		if err != nil {
-			return nil, err
-		}
-		surviving = sv
-	}
-	g, err := relation.TagRelationAs(surviving, s.op.QScheme, tuple.TagOld)
-	if err != nil {
-		return nil, err
-	}
-	s.oldT = g
-	return g, nil
+	// whole marks a delta slot that is a whole base instance
+	// (Materialize), so reading it reads base rows.
+	whole bool
 }
 
 func (s *slot) deltaSize() int {
@@ -277,23 +221,22 @@ func (s *slot) deltaSize() int {
 	return n
 }
 
-func (s *slot) deltaTagged() (*relation.Tagged, error) {
-	if s.deltaT != nil {
-		return s.deltaT, nil
+// slots pairs each operand with its instance, checking the schemes.
+func (m *Maintainer) slots(insts []*relation.Relation) ([]*slot, error) {
+	b := m.bound
+	if len(insts) != len(b.Operands) {
+		return nil, fmt.Errorf("diffeval: %d instances for %d operands", len(insts), len(b.Operands))
 	}
-	g := relation.NewTaggedCap(s.op.QScheme, s.deltaSize())
-	if s.ins != nil {
-		if err := g.MergeRelation(s.ins, tuple.TagInsert); err != nil {
-			return nil, err
+	sl := make([]*slot, len(b.Operands))
+	for i := range b.Operands {
+		op := &b.Operands[i]
+		if !insts[i].Scheme().Equal(op.Scheme) {
+			return nil, fmt.Errorf("diffeval: instance %d has scheme %s, operand %q wants %s",
+				i, insts[i].Scheme(), op.Alias, op.Scheme)
 		}
+		sl[i] = &slot{op: op, inst: insts[i]}
 	}
-	if s.del != nil {
-		if err := g.MergeRelation(s.del, tuple.TagDelete); err != nil {
-			return nil, err
-		}
-	}
-	s.deltaT = g
-	return g, nil
+	return sl, nil
 }
 
 // ComputeDelta computes the view delta for a transaction without
@@ -309,7 +252,8 @@ func (m *Maintainer) ComputeDelta(insts []*relation.Relation, updates []delta.Up
 // effects keyed by base relation name (an update applies to every
 // operand referencing that relation, so self-joins work). provider,
 // when non-nil, supplies persistent indexes over the PRE-transaction
-// base relations for the indexed strategy.
+// base relations; an operand it has none for is reached through a
+// transient hash table.
 func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delta.Update, provider IndexProvider) (*ViewDelta, error) {
 	byRel := make(map[string]delta.Update, len(updates))
 	for _, u := range updates {
@@ -360,21 +304,10 @@ func (m *Maintainer) ComputeDeltaPerOperand(insts []*relation.Relation, perOp []
 // counted.
 func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider, stats Stats) (*ViewDelta, error) {
 	b := m.bound
-	if len(insts) != len(b.Operands) {
-		return nil, fmt.Errorf("diffeval: %d instances for %d operands", len(insts), len(b.Operands))
+	sl, err := m.slots(insts)
+	if err != nil {
+		return nil, err
 	}
-	strategy := m.opts.Strategy
-	if strategy == StrategyAuto {
-		if provider != nil {
-			strategy = StrategyIndexedDelta
-		} else {
-			strategy = StrategyPrefixShare
-		}
-	}
-	if strategy == StrategyIndexedDelta && provider == nil {
-		return nil, fmt.Errorf("diffeval: StrategyIndexedDelta requires an index provider")
-	}
-
 	if m.Tracer != nil {
 		span := m.Tracer.Start("diffeval.compute", obs.KV{K: "view", V: b.Name})
 		defer func() {
@@ -384,195 +317,64 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 				obs.KV{K: "deletes", V: stats.DeltaDeletes})
 		}()
 	}
-	sl := make([]*slot, len(b.Operands))
-	for i := range b.Operands {
-		op := &b.Operands[i]
-		inst := insts[i]
-		if !inst.Scheme().Equal(op.Scheme) {
-			return nil, fmt.Errorf("diffeval: instance %d has scheme %s, operand %q wants %s",
-				i, inst.Scheme(), op.Alias, op.Scheme)
-		}
-		s := &slot{op: op, inst: inst}
-		if u := perOp[i]; u.Rel != "" {
-			s.ins, s.del = u.Inserts, u.Deletes
-			s.modified = s.deltaSize() > 0
-			if s.modified {
-				stats.ModifiedOperands++
-			}
-			if m.Tracer != nil {
-				m.Tracer.Event("diffeval.operand_delta",
-					obs.KV{K: "view", V: b.Name}, obs.KV{K: "operand", V: op.Alias},
-					obs.KV{K: "rel", V: op.Rel}, obs.KV{K: "size", V: s.deltaSize()})
-			}
-		}
-		sl[i] = s
-	}
-
 	// Presize the outputs by the total delta size: the number of result
 	// rows is usually on the order of the touched tuples, and a close
 	// guess turns the per-row map growth into one allocation.
 	sizeHint := 0
-	for _, s := range sl {
+	for i, s := range sl {
+		u := perOp[i]
+		if u.Rel == "" {
+			continue
+		}
+		s.ins, s.del = u.Inserts, u.Deletes
+		s.modified = s.deltaSize() > 0
+		if s.modified {
+			stats.ModifiedOperands++
+		}
 		sizeHint += s.deltaSize()
-	}
-	var ins, del *relation.Counted
-	var err error
-	switch strategy {
-	case StrategyIndexedDelta:
-		ins, del = relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
-		if stats.ModifiedOperands > 0 {
-			err = m.streamRows(sl, &stats, provider, ins, del)
-		}
-	default:
-		out := relation.NewTaggedCap(b.Joint, sizeHint)
-		switch {
-		case stats.ModifiedOperands == 0:
-		case strategy == StrategyRowByRow || strategy == StrategyRowByRowGreedy:
-			err = m.runRows(sl, out, &stats, strategy == StrategyRowByRowGreedy)
-		default:
-			err = m.runPrefixShare(sl, out, &stats)
-		}
-		if err == nil {
-			ins, del, err = out.DeltasPlanned(m.deltaPos, m.deltaPS)
+		if m.Tracer != nil {
+			m.Tracer.Event("diffeval.operand_delta",
+				obs.KV{K: "view", V: b.Name}, obs.KV{K: "operand", V: s.op.Alias},
+				obs.KV{K: "rel", V: s.op.Rel}, obs.KV{K: "size", V: s.deltaSize()})
 		}
 	}
-	if err != nil {
-		return nil, err
+	ins, del := relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
+	if stats.ModifiedOperands > 0 {
+		if err := m.streamRows(sl, &stats, provider, ins, del); err != nil {
+			return nil, err
+		}
 	}
 	stats.DeltaInserts = ins.Len()
 	stats.DeltaDeletes = del.Len()
 	return &ViewDelta{Inserts: ins, Deletes: del, Stats: stats}, nil
 }
 
-// runPrefixShare enumerates the non-all-old truth-table rows
-// depth-first along each plan's operand order, sharing join prefixes
-// and pruning empty intermediates.
-func (m *Maintainer) runPrefixShare(sl []*slot, out *relation.Tagged, stats *Stats) error {
-	for _, p := range m.plans {
-		// suffixHasDelta[d] reports whether any operand consumed at
-		// step ≥ d is modified; an all-old prefix with no modified
-		// operand left below it can only reach the all-old row and is
-		// pruned before any scan or join work.
-		suffixHasDelta := make([]bool, p.Steps()+1)
-		for d := p.Steps() - 1; d >= 0; d-- {
-			suffixHasDelta[d] = suffixHasDelta[d+1] || sl[p.OperandAt(d)].modified
-		}
-		var rec func(cur *relation.Tagged, depth int, anyDelta bool) error
-		rec = func(cur *relation.Tagged, depth int, anyDelta bool) error {
-			if depth > 0 && cur.Len() == 0 {
-				return nil // empty prefix: no row below can contribute
-			}
-			if depth == p.Steps() {
-				stats.RowsEvaluated++
-				res, err := p.Finish(cur)
-				if err != nil {
-					return err
-				}
-				return out.Merge(res)
-			}
-			opIdx := p.OperandAt(depth)
-			step := func(isDelta bool) error {
-				nextAny := anyDelta || isDelta
-				// Prune before any scan or join work: a prefix that
-				// has seen no delta and has none below can only reach
-				// the all-old row, which is the current view.
-				if !nextAny && !suffixHasDelta[depth+1] {
-					return nil
-				}
-				var inst *relation.Tagged
-				var err error
-				if isDelta {
-					inst, err = sl[opIdx].deltaTagged()
-				} else {
-					inst, err = sl[opIdx].old()
-				}
-				if err != nil {
-					return err
-				}
-				var next *relation.Tagged
-				if depth == 0 {
-					next = p.Scan(inst)
-				} else {
-					stats.JoinSteps++
-					next, err = p.RunStep(cur, depth, inst)
-					if err != nil {
-						return err
-					}
-				}
-				return rec(next, depth+1, nextAny)
-			}
-			if err := step(false); err != nil {
-				return err
-			}
-			if sl[opIdx].modified {
-				if err := step(true); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		if err := rec(nil, 0, false); err != nil {
-			return err
+// Materialize computes the view from scratch over insts (one instance
+// per operand, in operand order) as §5.3's single-delta truth-table
+// row: the smallest operand supplies all of its tuples as inserts and
+// every other operand is old, so the row's inserts are the whole view
+// with its §5.2 counts. It returns that row as a delta from the empty
+// view: Inserts is the view, Deletes is empty. provider, when non-nil,
+// supplies persistent indexes over insts themselves.
+func (m *Maintainer) Materialize(insts []*relation.Relation, provider IndexProvider) (*ViewDelta, error) {
+	sl, err := m.slots(insts)
+	if err != nil {
+		return nil, err
+	}
+	first := sl[0]
+	for _, s := range sl[1:] {
+		if s.inst.Len() < first.inst.Len() {
+			first = s
 		}
 	}
-	return nil
-}
-
-// runRows evaluates each truth-table row independently (the ablation
-// baseline for prefix sharing and for greedy per-row ordering).
-func (m *Maintainer) runRows(sl []*slot, out *relation.Tagged, stats *Stats, greedy bool) error {
-	var modified []int
-	for i := range sl {
-		if sl[i].modified {
-			modified = append(modified, i)
-		}
+	first.ins, first.modified, first.whole = first.inst, true, true
+	stats := Stats{ModifiedOperands: 1}
+	ins, del := relation.NewCountedCap(m.deltaPS, first.inst.Len()), relation.NewCounted(m.deltaPS)
+	if err := m.streamRows(sl, &stats, provider, ins, del); err != nil {
+		return nil, err
 	}
-	k := len(modified)
-	for mask := 1; mask < 1<<k; mask++ {
-		insts := make([]*relation.Tagged, len(sl))
-		for i := range sl {
-			g, err := sl[i].old()
-			if err != nil {
-				return err
-			}
-			insts[i] = g
-		}
-		for bit, opIdx := range modified {
-			if mask&(1<<bit) != 0 {
-				g, err := sl[opIdx].deltaTagged()
-				if err != nil {
-					return err
-				}
-				insts[opIdx] = g
-			}
-		}
-		stats.RowsEvaluated++
-		for ci, conj := range m.bound.Where.Conjuncts {
-			var p *eval.Plan
-			if greedy {
-				sizes := make([]int, len(insts))
-				for i, g := range insts {
-					sizes[i] = g.Len()
-				}
-				var err error
-				p, err = eval.BuildPlan(m.bound, conj, eval.GreedyOrder(m.bound, conj, sizes))
-				if err != nil {
-					return err
-				}
-			} else {
-				p = m.plans[ci]
-			}
-			stats.JoinSteps += p.Steps() - 1
-			res, err := p.Run(insts)
-			if err != nil {
-				return err
-			}
-			if err := out.Merge(res); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	stats.DeltaInserts = ins.Len()
+	return &ViewDelta{Inserts: ins, Deletes: del, Stats: stats}, nil
 }
 
 // Validate reports whether Apply(view, d) would succeed, without
@@ -614,50 +416,4 @@ func Apply(view *relation.Counted, d *ViewDelta) error {
 		return err
 	}
 	return view.Subtract(d.Deletes)
-}
-
-// SelectViewDelta is the specialized §5.1 path for single-operand
-// select views (and select-project views): the view delta is simply
-// π(σ_C(i_r)) and π(σ_C(d_r)). It is equivalent to ComputeDelta for
-// p = 1 and exists to state the paper's formula directly.
-func SelectViewDelta(b *expr.Bound, u delta.Update) (*ViewDelta, error) {
-	if len(b.Operands) != 1 {
-		return nil, fmt.Errorf("diffeval: SelectViewDelta on a %d-operand view", len(b.Operands))
-	}
-	op := b.Operands[0]
-	f, err := b.Where.Compile(op.QScheme)
-	if err != nil {
-		return nil, err
-	}
-	project := func(r *relation.Relation) (*relation.Counted, error) {
-		if r == nil {
-			return relation.NewCounted(mustOut(b)), nil
-		}
-		g, err := relation.TagRelationAs(r, op.QScheme, tuple.TagOld)
-		if err != nil {
-			return nil, err
-		}
-		return relation.SelectTagged(g, f).CountAll(b.Project)
-	}
-	ins, err := project(u.Inserts)
-	if err != nil {
-		return nil, err
-	}
-	del, err := project(u.Deletes)
-	if err != nil {
-		return nil, err
-	}
-	return &ViewDelta{
-		Inserts: ins,
-		Deletes: del,
-		Stats:   Stats{ModifiedOperands: 1, RowsEvaluated: 1, DeltaInserts: ins.Len(), DeltaDeletes: del.Len()},
-	}, nil
-}
-
-func mustOut(b *expr.Bound) *schema.Scheme {
-	s, err := b.OutScheme()
-	if err != nil {
-		panic(err) // unreachable: Bind validated the projection
-	}
-	return s
 }

@@ -1,6 +1,7 @@
 package diffeval
 
 import (
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
@@ -191,6 +192,71 @@ func TestExample55(t *testing.T) {
 	}
 }
 
+// TestExample54Cases reproduces the six cases of the paper's Example
+// 5.4 for V = R ⋈ S with R(A,B), S(B,C): the one derivation
+// (1,2) ⋈ (2,3) is placed in each pair of slots, and the evaluator must
+// tag it by §5.3's table, with and without indexes.
+func TestExample54Cases(t *testing.T) {
+	db := testDB(t)
+	b := joinView(t, db, "R", "S")
+	rs, ss := schema.MustScheme("A", "B"), schema.MustScheme("B", "C")
+	rt, st := tuple.New(1, 2), tuple.New(2, 3)
+	cases := []struct {
+		name       string
+		rTag, sTag tuple.Tag
+		want       tuple.Tag // TagOld: no change reaches the view
+	}{
+		{"case1 i_r⋈i_s → insert", tuple.TagInsert, tuple.TagInsert, tuple.TagInsert},
+		{"case2 i_r⋈d_s → ignore", tuple.TagInsert, tuple.TagDelete, tuple.TagOld},
+		{"case3 i_r⋈s → insert", tuple.TagInsert, tuple.TagOld, tuple.TagInsert},
+		{"case4 d_r⋈d_s → delete", tuple.TagDelete, tuple.TagDelete, tuple.TagDelete},
+		{"case5 d_r⋈s → delete", tuple.TagDelete, tuple.TagOld, tuple.TagDelete},
+		{"case6 r⋈s → old", tuple.TagOld, tuple.TagOld, tuple.TagOld},
+	}
+	// slot places t in the slot tag names: absent before and inserted,
+	// present and deleted, or present and untouched.
+	slot := func(rel string, s *schema.Scheme, tu tuple.Tuple, tag tuple.Tag) (*relation.Relation, delta.Update) {
+		pre, u := relation.New(s), delta.Update{Rel: rel}
+		switch tag {
+		case tuple.TagInsert:
+			u.Inserts = relation.MustFromTuples(s, tu)
+		case tuple.TagDelete:
+			u.Deletes = relation.MustFromTuples(s, tu)
+			_ = pre.Insert(tu)
+		default:
+			_ = pre.Insert(tu)
+		}
+		return pre, u
+	}
+	m, err := NewMaintainer(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			r, ur := slot("R", rs, rt, c.rTag)
+			s, us := slot("S", ss, st, c.sTag)
+			for _, prov := range []IndexProvider{nil, buildAllIndexes(t, []string{"R", "S"}, map[string]*relation.Relation{"R": r, "S": s})} {
+				d, err := m.ComputeDeltaWith([]*relation.Relation{r, s}, []delta.Update{ur, us}, prov)
+				if err != nil {
+					t.Fatal(err)
+				}
+				joint := tuple.New(1, 2, 3)
+				ins, del := d.Inserts.Count(joint), d.Deletes.Count(joint)
+				switch {
+				case c.want == tuple.TagInsert && (ins != 1 || del != 0),
+					c.want == tuple.TagDelete && (ins != 0 || del != 1),
+					c.want == tuple.TagOld && (ins != 0 || del != 0):
+					t.Errorf("provider %T: delta = +%v −%v, want the joint tuple tagged %v", prov, d.Inserts, d.Deletes, c.want)
+				}
+				if d.Inserts.Len()+d.Deletes.Len() > 1 {
+					t.Errorf("provider %T: delta = +%v −%v, want at most the one joint tuple", prov, d.Inserts, d.Deletes)
+				}
+			}
+		})
+	}
+}
+
 // TestTruthTableP3 checks §5.3's p=3 example: when r1 and r2 are
 // modified, exactly rows 3, 5, 7 of the truth table are computed.
 func TestTruthTableP3(t *testing.T) {
@@ -208,33 +274,24 @@ func TestTruthTableP3(t *testing.T) {
 		{Rel: "R", Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(10, 2))},
 		{Rel: "S", Inserts: relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 30))},
 	}
-	for _, strat := range []Strategy{StrategyPrefixShare, StrategyRowByRow, StrategyRowByRowGreedy} {
-		m, err := NewMaintainer(b, Options{Strategy: strat})
-		if err != nil {
-			t.Fatal(err)
-		}
-		vc := view.Clone()
-		d := maintain(t, m, vc, []*relation.Relation{r, s, tt}, ups)
-		if d.Stats.ModifiedOperands != 2 {
-			t.Errorf("strategy %d: k = %d, want 2", strat, d.Stats.ModifiedOperands)
-		}
-		// 2^2 − 1 = 3 rows: (r, i_s, t), (i_r, s, t), (i_r, i_s, t) —
-		// exactly the paper's rows 3, 5, 7. The prefix-sharing
-		// strategy additionally prunes the two rows whose
-		// intermediates go empty (i_s finds no T partner), completing
-		// only one.
-		wantRows := 3
-		if strat == StrategyPrefixShare {
-			wantRows = 1
-		}
-		if d.Stats.RowsEvaluated != wantRows {
-			t.Errorf("strategy %d: rows = %d, want %d", strat, d.Stats.RowsEvaluated, wantRows)
-		}
-		// i_r=(10,2) joins s=(2,3) → (10,2,3,4); r=(1,2) joins
-		// i_s=(2,30) → nothing in T(C=30); i_r ⋈ i_s → (10,2,30,…) → no T.
-		if vc.Len() != 2 || !vc.Has(tuple.New(10, 2, 3, 4)) {
-			t.Errorf("strategy %d: view = %v", strat, vc)
-		}
+	m, err := NewMaintainer(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := maintain(t, m, view, []*relation.Relation{r, s, tt}, ups)
+	if d.Stats.ModifiedOperands != 2 {
+		t.Errorf("k = %d, want 2", d.Stats.ModifiedOperands)
+	}
+	// 2^2 − 1 = 3 rows: (r, i_s, t), (i_r, s, t), (i_r, i_s, t) —
+	// exactly the paper's rows 3, 5, 7. Two of them go empty midway
+	// (i_s finds no T partner) and are pruned, so one completes.
+	if d.Stats.RowsEvaluated != 1 {
+		t.Errorf("rows = %d, want 1", d.Stats.RowsEvaluated)
+	}
+	// i_r=(10,2) joins s=(2,3) → (10,2,3,4); r=(1,2) joins
+	// i_s=(2,30) → nothing in T(C=30); i_r ⋈ i_s → (10,2,30,…) → no T.
+	if view.Len() != 2 || !view.Has(tuple.New(10, 2, 3, 4)) {
+		t.Errorf("view = %v", view)
 	}
 }
 
@@ -292,7 +349,28 @@ func TestInsertMeetsDeleteIgnored(t *testing.T) {
 	}
 }
 
-// TestSelectViewDelta checks the §5.1 formula path.
+// selectDelta computes a single-operand view's delta through
+// ComputeDelta: the p = 1 case, where §5.1's formula
+// π(σ_C(i_r)) / π(σ_C(d_r)) is the one truth-table row.
+func selectDelta(t *testing.T, b *expr.Bound, r *relation.Relation, u delta.Update) *ViewDelta {
+	t.Helper()
+	m, err := NewMaintainer(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := m.ComputeDelta([]*relation.Relation{r}, []delta.Update{u})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (Stats{ModifiedOperands: 1, RowsEvaluated: d.Stats.RowsEvaluated,
+		DeltaInserts: d.Inserts.Len(), DeltaDeletes: d.Deletes.Len()}); d.Stats != want {
+		t.Errorf("stats = %+v: a select view's delta joins nothing and reads no base row", d.Stats)
+	}
+	return d
+}
+
+// TestSelectViewDelta checks the §5.1 select-view formula: the delta is
+// σ_C of the inserts and σ_C of the deletes.
 func TestSelectViewDelta(t *testing.T) {
 	db := testDB(t)
 	b, err := expr.Bind(expr.View{
@@ -308,32 +386,16 @@ func TestSelectViewDelta(t *testing.T) {
 		Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(11, 0), tuple.New(5, 0)),
 		Deletes: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(20, 0)),
 	}
-	d, err := SelectViewDelta(b, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(20, 0), tuple.New(1, 1))
+	d := selectDelta(t, b, r, u)
 	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(11, 0)) {
 		t.Errorf("inserts = %v", d.Inserts)
 	}
 	if d.Deletes.Len() != 1 || !d.Deletes.Has(tuple.New(20, 0)) {
 		t.Errorf("deletes = %v", d.Deletes)
 	}
-	// Multi-operand views are rejected.
-	if _, err := SelectViewDelta(joinView(t, db, "R", "S"), u); err == nil {
-		t.Error("SelectViewDelta must reject join views")
-	}
-	// It must agree with the general machinery.
-	m, err := NewMaintainer(b, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(20, 0), tuple.New(1, 1))
-	g, err := m.ComputeDelta([]*relation.Relation{r}, []delta.Update{u})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !g.Inserts.Equal(d.Inserts) || !g.Deletes.Equal(d.Deletes) {
-		t.Errorf("general %v/%v vs select %v/%v", g.Inserts, g.Deletes, d.Inserts, d.Deletes)
+	if d.Stats.RowsEvaluated != 1 {
+		t.Errorf("rows = %d, want 1", d.Stats.RowsEvaluated)
 	}
 }
 
@@ -491,9 +553,9 @@ func TestApplyRejectsMismatchedDelta(t *testing.T) {
 	}
 }
 
-// TestSelectViewDeltaNilSides covers the p=1 fast path with one nil
-// update side (exercising the empty-counted construction via the
-// view's output scheme).
+// TestSelectViewDeltaNilSides covers the p = 1 case with one nil
+// update side and a projection: the delta is counted over the view's
+// output scheme.
 func TestSelectViewDeltaNilSides(t *testing.T) {
 	db := testDB(t)
 	b, err := expr.Bind(expr.View{
@@ -507,12 +569,12 @@ func TestSelectViewDeltaNilSides(t *testing.T) {
 	}
 	u := delta.Update{Rel: "R",
 		Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(11, 5))}
-	d, err := SelectViewDelta(b, u)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := selectDelta(t, b, relation.New(schema.MustScheme("A", "B")), u)
 	if d.Inserts.Count(tuple.New(5)) != 1 || d.Deletes.Len() != 0 {
 		t.Errorf("delta = %v / %v", d.Inserts, d.Deletes)
+	}
+	if !d.Deletes.Scheme().Equal(schema.MustScheme("R.B")) {
+		t.Errorf("deletes scheme = %s, want (R.B)", d.Deletes.Scheme())
 	}
 }
 
@@ -529,7 +591,7 @@ func TestIndexedThreeWayFallbackOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,13 +642,13 @@ func buildAllIndexes(t *testing.T, names []string, insts map[string]*relation.Re
 func (p mapProvider) Index(rel string, pos int) *relation.Index { return p[rel][pos] }
 
 // noProvider satisfies IndexProvider but never has an index, forcing
-// the indexed strategy through its hash-join fallback.
+// the pipeline through its transient hash tables.
 type noProvider struct{}
 
 func (noProvider) Index(string, int) *relation.Index { return nil }
 
-// TestIndexedFallbackWithoutIndexes: StrategyIndexedDelta must still
-// be correct when no usable index exists (hash-join fallback), when
+// TestIndexedFallbackWithoutIndexes: the pipeline must still be
+// correct when no usable index exists (hash-join fallback), when
 // rows demand cross products, and under self-joins.
 func TestIndexedFallbackWithoutIndexes(t *testing.T) {
 	db := testDB(t)
@@ -597,7 +659,7 @@ func TestIndexedFallbackWithoutIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -619,7 +681,7 @@ func TestIndexedFallbackWithoutIndexes(t *testing.T) {
 }
 
 // TestIndexedCrossProductRow: a view whose operands share no join
-// attribute forces the indexed strategy through a cross-product step.
+// attribute forces the pipeline through a cross-product step.
 func TestIndexedCrossProductRow(t *testing.T) {
 	db, err := schema.NewDatabase(
 		&schema.RelScheme{Name: "X", Scheme: schema.MustScheme("A")},
@@ -642,7 +704,7 @@ func TestIndexedCrossProductRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,7 +723,7 @@ func TestIndexedCrossProductRow(t *testing.T) {
 	}
 }
 
-// TestIndexedSelfJoin drives the indexed strategy through a self-join
+// TestIndexedSelfJoin drives the pipeline through a self-join
 // with a shared update.
 func TestIndexedSelfJoin(t *testing.T) {
 	db := testDB(t)
@@ -679,7 +741,7 @@ func TestIndexedSelfJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	prov := buildAllIndexes(t, []string{"R"}, map[string]*relation.Relation{"R": r})
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,21 +759,6 @@ func TestIndexedSelfJoin(t *testing.T) {
 	}
 }
 
-// TestIndexedStrategyRequiresProvider checks the explicit error.
-func TestIndexedStrategyRequiresProvider(t *testing.T) {
-	db := testDB(t)
-	b := joinView(t, db, "R", "S")
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := relation.New(schema.MustScheme("A", "B"))
-	s := relation.New(schema.MustScheme("B", "C"))
-	if _, err := m.ComputeDelta([]*relation.Relation{r, s}, nil); err == nil {
-		t.Error("indexed strategy without provider must fail")
-	}
-}
-
 // TestIndexedProbeSkipsDeletedTuples: the persistent index holds the
 // pre-state (including to-be-deleted tuples); probes must skip them.
 func TestIndexedProbeSkipsDeletedTuples(t *testing.T) {
@@ -720,7 +767,7 @@ func TestIndexedProbeSkipsDeletedTuples(t *testing.T) {
 	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2))
 	s := relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 10), tuple.New(2, 20))
 	prov := buildAllIndexes(t, []string{"R", "S"}, map[string]*relation.Relation{"R": r, "S": s})
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -749,12 +796,14 @@ func TestIndexedProbeSkipsDeletedTuples(t *testing.T) {
 
 // TestDifferentialMatchesFullReevaluation is the headline oracle: for
 // random databases, random views, and random transactions, applying
-// the differential delta must equal re-materializing from the
-// post-transaction state — under every strategy, with and without the
-// irrelevance filter. The view shapes cover each way the indexed
-// pipeline reaches an operand: an index probe, a self-join, a non-equi
-// link and a cross product (no index serves them), an overlapping DNF,
-// and a provider that has no index for some (relation, position).
+// the differential delta must equal the reference evaluator
+// (internal/eval) over the post-transaction state, with and without the
+// irrelevance filter, and so must Materialize. The view shapes cover
+// each way the pipeline reaches an operand: an index probe, a
+// self-join, a non-equi link and a cross product (no index serves
+// them), an overlapping DNF, and a provider that has no index for some
+// (relation, position) or none at all. With every index present, a
+// view whose links are all equalities reads no base row.
 func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 	db := testDB(t)
 	names := []string{"R", "S", "T"}
@@ -771,26 +820,27 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 		return out
 	}
 	conds := []struct {
-		ops  []expr.Operand
-		cond string
-		proj []schema.Attribute
+		ops   []expr.Operand
+		cond  string
+		proj  []schema.Attribute
+		scans bool // some link is not an equality: no index serves it
 	}{
-		{ops("R"), "R.A < 5", nil},
-		{ops("R"), "R.A >= 3", []schema.Attribute{"R.B"}},
-		{ops("R", "S"), "R.B = S.B", []schema.Attribute{"R.A", "S.C"}},
-		{ops("R", "S"), "R.B = S.B && S.C > 3", nil},
-		{ops("R", "S", "T"), "R.B = S.B && S.C = T.C", []schema.Attribute{"R.A", "T.D"}},
-		{ops("R", "S"), "(R.B = S.B && R.A < 4) || (R.B = S.B && S.C > 6)", []schema.Attribute{"R.A"}},
+		{ops("R"), "R.A < 5", nil, false},
+		{ops("R"), "R.A >= 3", []schema.Attribute{"R.B"}, false},
+		{ops("R", "S"), "R.B = S.B", []schema.Attribute{"R.A", "S.C"}, false},
+		{ops("R", "S"), "R.B = S.B && S.C > 3", nil, false},
+		{ops("R", "S", "T"), "R.B = S.B && S.C = T.C", []schema.Attribute{"R.A", "T.D"}, false},
+		{ops("R", "S"), "(R.B = S.B && R.A < 4) || (R.B = S.B && S.C > 6)", []schema.Attribute{"R.A"}, false},
 		// Self-join: one update feeds both operands.
 		{[]expr.Operand{{Rel: "R", Alias: "x"}, {Rel: "R", Alias: "y"}}, "x.B = y.A && x.A < 6",
-			[]schema.Attribute{"x.A", "y.B"}},
+			[]schema.Attribute{"x.A", "y.B"}, false},
 		// Non-equi link: no index serves it.
-		{ops("R", "S"), "R.B < S.B && S.C > 2", []schema.Attribute{"R.A", "S.C"}},
+		{ops("R", "S"), "R.B < S.B && S.C > 2", []schema.Attribute{"R.A", "S.C"}, true},
 		// Cross product.
-		{ops("R", "T"), "R.A < 3 && T.D >= 4", nil},
+		{ops("R", "T"), "R.A < 3 && T.D >= 4", nil, true},
 		// Three operands projecting five attributes, with constants.
 		{ops("R", "S", "T"), "R.B = S.B && S.C = T.C && R.A >= 2 && T.D < 6",
-			[]schema.Attribute{"R.A", "R.B", "S.C", "T.C", "T.D"}},
+			[]schema.Attribute{"R.A", "R.B", "S.C", "T.C", "T.D"}, false},
 	}
 	rng := rand.New(rand.NewSource(123))
 	for trial := 0; trial < 200; trial++ {
@@ -861,18 +911,16 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 		// holey has no index on R's first column nor S's second.
 		holey := partialProvider{p: prov, skip: map[string]int{"R": 0, "S": 1}}
 		for _, c := range []struct {
-			opt  Options
-			prov IndexProvider
+			opt     Options
+			prov    IndexProvider
+			indexed bool // prov has every index
 		}{
-			{Options{Strategy: StrategyPrefixShare}, nil},
-			{Options{Strategy: StrategyRowByRow}, nil},
-			{Options{Strategy: StrategyRowByRowGreedy}, nil},
-			{Options{Strategy: StrategyPrefixShare, Filter: true}, nil},
-			{Options{Strategy: StrategyIndexedDelta}, prov},
-			{Options{Strategy: StrategyIndexedDelta, Filter: true}, prov},
-			{Options{Strategy: StrategyIndexedDelta}, holey},
-			{Options{Strategy: StrategyIndexedDelta}, noProvider{}},
-			{Options{Strategy: StrategyAuto}, prov},
+			{Options{}, nil, false},
+			{Options{Filter: true}, nil, false},
+			{Options{}, prov, true},
+			{Options{Filter: true}, prov, true},
+			{Options{}, holey, false},
+			{Options{}, noProvider{}, false},
 		} {
 			m, err := NewMaintainer(b, c.opt)
 			if err != nil {
@@ -888,6 +936,28 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 			}
 			if !got.Equal(want) {
 				t.Fatalf("trial %d cond %q opts %+v provider %T:\n got %v\nwant %v", trial, spec.cond, c.opt, c.prov, got, want)
+			}
+			if c.indexed && !spec.scans && d.Stats.BaseRowsScanned != 0 {
+				t.Fatalf("trial %d cond %q: every link is indexed, yet %d base rows were scanned",
+					trial, spec.cond, d.Stats.BaseRowsScanned)
+			}
+		}
+		m, err := NewMaintainer(b, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		postByName := maps.Clone(instByName)
+		for i, n := range opRels {
+			postByName[n] = post[i]
+		}
+		postProv := buildAllIndexes(t, names, postByName)
+		for _, p := range []IndexProvider{nil, postProv, partialProvider{p: postProv, skip: map[string]int{"R": 0, "S": 1}}} {
+			d, err := m.Materialize(post, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !d.Inserts.Equal(want) || d.Deletes.Len() != 0 {
+				t.Fatalf("trial %d cond %q provider %T: Materialize = %v, want %v", trial, spec.cond, p, d.Inserts, want)
 			}
 		}
 	}
@@ -933,7 +1003,7 @@ func TestIndexedStatsHandComputed(t *testing.T) {
 		{Rel: "R", Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(5, 2))},
 		{Rel: "T", Inserts: relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(9, 9))},
 	}
-	m, err := NewMaintainer(b, Options{Strategy: StrategyIndexedDelta})
+	m, err := NewMaintainer(b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -948,5 +1018,52 @@ func TestIndexedStatsHandComputed(t *testing.T) {
 	}
 	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(5, 2, 3, 4)) || d.Deletes.Len() != 0 {
 		t.Errorf("delta = +%v −%v, want +{(5, 2, 3, 4)}", d.Inserts, d.Deletes)
+	}
+}
+
+// TestMaterializeSingleDeltaRow pins Materialize's counters by hand.
+// V = R ⋈ S over R = {(1,2), (3,4)} and S = {(2,10), (2,20), (4,30)}:
+// R is the smaller operand, so its two tuples are the row's delta slot
+// and S is old. Each R tuple reaches S (one step) and finds its
+// partners, giving three view tuples in one completed row. With S's
+// index on B that is two probes and only R's two rows read; without
+// it, S's three rows are read into a transient table as well.
+func TestMaterializeSingleDeltaRow(t *testing.T) {
+	db := testDB(t)
+	b := joinView(t, db, "R", "S")
+	insts := map[string]*relation.Relation{
+		"R": relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2), tuple.New(3, 4)),
+		"S": relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 10), tuple.New(2, 20), tuple.New(4, 30)),
+	}
+	ops := []*relation.Relation{insts["R"], insts["S"]}
+	want, err := eval.Materialize(b, ops, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewMaintainer(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		prov  IndexProvider
+		stats Stats
+	}{
+		{buildAllIndexes(t, []string{"R", "S"}, insts),
+			Stats{ModifiedOperands: 1, RowsEvaluated: 1, JoinSteps: 1, IndexProbes: 2, BaseRowsScanned: 2, DeltaInserts: 3}},
+		{nil, Stats{ModifiedOperands: 1, RowsEvaluated: 1, JoinSteps: 1, BaseRowsScanned: 5, DeltaInserts: 3}},
+	} {
+		d, err := m.Materialize(ops, c.prov)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !d.Inserts.Equal(want) || d.Deletes.Len() != 0 {
+			t.Errorf("provider %T: view = +%v −%v, want +%v", c.prov, d.Inserts, d.Deletes, want)
+		}
+		if d.Stats != c.stats {
+			t.Errorf("provider %T: stats = %+v, want %+v", c.prov, d.Stats, c.stats)
+		}
+	}
+	if _, err := m.Materialize(ops[:1], nil); err == nil {
+		t.Error("instance count mismatch must fail")
 	}
 }

@@ -1,6 +1,6 @@
 package diffeval
 
-// This file implements StrategyIndexedDelta: one probe pipeline per
+// This file implements the §5 evaluator: one probe pipeline per
 // (conjunct, truth-table row). Each tuple of the row's first delta slot
 // walks the remaining operands one tuple at a time: an old operand is
 // reached by probing a persistent base index where one serves the link,
@@ -100,7 +100,7 @@ type step struct {
 	reached bool            // some tuple reached the step
 }
 
-// pipeline is one ComputeDelta call's scratch for the indexed strategy:
+// pipeline is one ComputeDelta or Materialize call's scratch:
 // the current row's steps, the joint tuple being bound, and the ⊎/⊖
 // outputs every completed joint tuple is counted into.
 type pipeline struct {
@@ -280,10 +280,15 @@ func (p *pipeline) run() {
 }
 
 // each calls f for every tuple of step s's slot: the delta slot's
-// inserts and deletes, or the old slot's surviving tuples.
+// inserts and deletes, or the old slot's surviving tuples. Reading an
+// old slot, or a whole instance standing as a delta slot, reads base
+// rows.
 func (p *pipeline) each(s *step, f func(tuple.Tuple, tuple.Tag)) {
 	sl := p.sl[s.op]
 	if s.delta {
+		if sl.whole {
+			p.stats.BaseRowsScanned += sl.ins.Len()
+		}
 		if sl.ins != nil {
 			sl.ins.Each(func(t tuple.Tuple) { f(t, tuple.TagInsert) })
 		}
@@ -292,6 +297,7 @@ func (p *pipeline) each(s *step, f func(tuple.Tuple, tuple.Tag)) {
 		}
 		return
 	}
+	p.stats.BaseRowsScanned += sl.inst.Len()
 	sl.inst.Each(func(t tuple.Tuple) {
 		if sl.del == nil || !sl.del.Has(t) {
 			f(t, tuple.TagOld)

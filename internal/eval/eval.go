@@ -1,24 +1,17 @@
-// Package eval evaluates bound SPJ view expressions over relation
-// instances. It serves two masters:
+// Package eval is the reference evaluator: it computes a bound SPJ view
+// from scratch over plain relation instances — the paper's "complete
+// re-evaluation" — as directly as it can be written, so the engine's §5
+// evaluator (internal/diffeval) can be checked against code it shares
+// nothing with. Tests and the benchmark harness use it; the engine
+// never does.
 //
-//   - complete re-evaluation of a view (the paper's baseline, and the
-//     initial materialization), via Materialize; and
-//   - evaluation of individual truth-table rows during differential
-//     re-evaluation (§5.3–5.4), via Plan, whose step-at-a-time API lets
-//     the differential evaluator reuse partial joins across rows.
-//
-// Evaluation works over tagged relations throughout, so a single engine
-// covers both cases: full evaluation tags everything "old", while
-// differential rows mix old and delta slots and rely on the §5.3 tag
-// algebra inside the joins.
-//
-// Each conjunct of the (DNF) selection condition is planned separately:
-// single-operand atoms are pushed down to scans, cross-operand
-// equalities become hash-join keys, and everything else is applied as
-// soon as its variables are available. A greedy smallest-first,
-// connected-next heuristic chooses the join order (the paper's §5.3
-// remark that "a good order for execution of the joins" further reduces
-// cost).
+// Each conjunct of the (DNF) selection condition is evaluated on its
+// own, binding the operands in the order the view lists them. An
+// operand with an equality atom linking one of its columns to an
+// earlier operand is reached through a hash table on that column, any
+// other by a scan. The conjunct is then checked on the whole joint
+// tuple, and a joint tuple is counted (§5.2) under the first conjunct
+// it satisfies, so one satisfying several conjuncts counts once.
 package eval
 
 import (
@@ -31,337 +24,113 @@ import (
 	"mview/internal/tuple"
 )
 
-// Plan is a compiled left-deep evaluation pipeline for one conjunct of
-// a view's selection condition, over a fixed operand order.
-type Plan struct {
-	bound *expr.Bound
-	order []int
-	steps []step
-	// jointIdentity is true when the final intermediate scheme already
-	// equals the bound view's joint scheme, making Finish a no-op.
-	jointIdentity bool
-}
-
-type step struct {
-	opIdx      int
-	scanFilter func(tuple.Tuple) bool // on the operand's qualified scheme; may be nil
-	lpos, rpos []int                  // hash-join positions; empty means cross product
-	postFilter func(tuple.Tuple) bool // on the intermediate scheme after the join; may be nil
-	scheme     *schema.Scheme         // intermediate scheme after this step
-}
-
-// BuildPlan compiles one conjunct over the bound view using the given
-// operand order (a permutation of operand indexes; nil means the order
-// the view was written in).
-func BuildPlan(b *expr.Bound, conj pred.Conjunction, order []int) (*Plan, error) {
-	n := len(b.Operands)
-	if order == nil {
-		order = identityOrder(n)
-	}
-	if err := checkPermutation(order, n); err != nil {
-		return nil, err
-	}
-	p := &Plan{bound: b, order: order}
-
-	used := make([]bool, len(conj.Atoms))
-	varsIn := func(s *schema.Scheme, a pred.Atom) bool {
-		if !s.Has(schema.Attribute(a.Left)) {
-			return false
-		}
-		return !a.HasRightVar() || s.Has(schema.Attribute(a.Right))
-	}
-	compileSubset := func(s *schema.Scheme, pick func(pred.Atom) bool) (func(tuple.Tuple) bool, error) {
-		var atoms []pred.Atom
-		for i, a := range conj.Atoms {
-			if !used[i] && pick(a) {
-				atoms = append(atoms, a)
-				used[i] = true
-			}
-		}
-		if len(atoms) == 0 {
-			return nil, nil
-		}
-		return pred.Or(pred.And(atoms...)).Compile(s)
-	}
-
-	// Step 0: scan of the first operand.
-	first := b.Operands[order[0]]
-	scan0, err := compileSubset(first.QScheme, func(a pred.Atom) bool { return varsIn(first.QScheme, a) })
-	if err != nil {
-		return nil, err
-	}
-	cur := first.QScheme
-	p.steps = append(p.steps, step{opIdx: order[0], scanFilter: scan0, scheme: cur})
-
-	for _, oi := range order[1:] {
-		op := b.Operands[oi]
-		st := step{opIdx: oi}
-
-		st.scanFilter, err = compileSubset(op.QScheme, func(a pred.Atom) bool { return varsIn(op.QScheme, a) })
-		if err != nil {
-			return nil, err
-		}
-
-		// Equality atoms linking the current intermediate to this
-		// operand become hash-join keys.
-		for i, a := range conj.Atoms {
-			if used[i] || a.Op != pred.OpEQ || !a.HasRightVar() || a.C != 0 {
-				continue
-			}
-			l, r := schema.Attribute(a.Left), schema.Attribute(a.Right)
-			var lp, rp int
-			var ok bool
-			switch {
-			case cur.Has(l) && op.QScheme.Has(r):
-				lp, _ = cur.Pos(l)
-				rp, _ = op.QScheme.Pos(r)
-				ok = true
-			case cur.Has(r) && op.QScheme.Has(l):
-				lp, _ = cur.Pos(r)
-				rp, _ = op.QScheme.Pos(l)
-				ok = true
-			}
-			if ok {
-				st.lpos = append(st.lpos, lp)
-				st.rpos = append(st.rpos, rp)
-				used[i] = true
-			}
-		}
-
-		next, err := cur.Concat(op.QScheme)
-		if err != nil {
-			return nil, fmt.Errorf("eval: plan for view %q: %w", b.Name, err)
-		}
-		st.postFilter, err = compileSubset(next, func(a pred.Atom) bool { return varsIn(next, a) })
-		if err != nil {
-			return nil, err
-		}
-		st.scheme = next
-		cur = next
-		p.steps = append(p.steps, st)
-	}
-
-	for i, u := range used {
-		if !u {
-			return nil, fmt.Errorf("eval: plan for view %q: atom %q never became evaluable", b.Name, conj.Atoms[i])
-		}
-	}
-	p.jointIdentity = cur.Equal(b.Joint)
-	return p, nil
-}
-
-func identityOrder(n int) []int {
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
-
-func checkPermutation(order []int, n int) error {
-	if len(order) != n {
-		return fmt.Errorf("eval: order has %d entries for %d operands", len(order), n)
-	}
-	seen := make([]bool, n)
-	for _, i := range order {
-		if i < 0 || i >= n || seen[i] {
-			return fmt.Errorf("eval: order %v is not a permutation of 0..%d", order, n-1)
-		}
-		seen[i] = true
-	}
-	return nil
-}
-
-// Steps returns the number of pipeline steps (= number of operands).
-func (p *Plan) Steps() int { return len(p.steps) }
-
-// OperandAt returns the operand index consumed at step i.
-func (p *Plan) OperandAt(i int) int { return p.steps[i].opIdx }
-
-// Scan produces the step-0 intermediate from the first operand's
-// instance (applying its pushed-down filter).
-func (p *Plan) Scan(inst *relation.Tagged) *relation.Tagged {
-	if f := p.steps[0].scanFilter; f != nil {
-		return relation.SelectTagged(inst, f)
-	}
-	return inst
-}
-
-// RunStep joins the intermediate cur (the result of steps 0..i-1) with
-// the instance of the operand at step i ≥ 1.
-func (p *Plan) RunStep(cur *relation.Tagged, i int, inst *relation.Tagged) (*relation.Tagged, error) {
-	st := p.steps[i]
-	rhs := inst
-	if st.scanFilter != nil {
-		rhs = relation.SelectTagged(rhs, st.scanFilter)
-	}
-	next, err := relation.JoinOn(cur, rhs, st.lpos, st.rpos)
-	if err != nil {
-		return nil, err
-	}
-	if st.postFilter != nil {
-		next = relation.SelectTagged(next, st.postFilter)
-	}
-	return next, nil
-}
-
-// Finish reorders the final intermediate into the bound view's joint
-// scheme order.
-func (p *Plan) Finish(cur *relation.Tagged) (*relation.Tagged, error) {
-	if p.jointIdentity {
-		return cur, nil
-	}
-	return cur.Reorder(p.bound.Joint.Attributes())
-}
-
-// Run evaluates the whole pipeline over the given operand instances
-// (indexed by operand position in the bound view), returning the
-// σ-filtered full-width result in joint scheme order.
-func (p *Plan) Run(insts []*relation.Tagged) (*relation.Tagged, error) {
-	if len(insts) != len(p.bound.Operands) {
-		return nil, fmt.Errorf("eval: %d instances for %d operands", len(insts), len(p.bound.Operands))
-	}
-	cur := p.Scan(insts[p.steps[0].opIdx])
-	for i := 1; i < len(p.steps); i++ {
-		var err error
-		cur, err = p.RunStep(cur, i, insts[p.steps[i].opIdx])
-		if err != nil {
-			return nil, err
-		}
-	}
-	return p.Finish(cur)
-}
-
-// GreedyOrder chooses an operand order for one conjunct: start with
-// the smallest instance, then repeatedly take the smallest operand
-// connected to the chosen set by an equality atom, falling back to the
-// smallest unconnected operand (a cross product) when none is.
-func GreedyOrder(b *expr.Bound, conj pred.Conjunction, sizes []int) []int {
-	n := len(b.Operands)
-	if n == 1 {
-		return []int{0}
-	}
-	// adj[i][j] reports an equality atom links operands i and j.
-	adj := make([][]bool, n)
-	for i := range adj {
-		adj[i] = make([]bool, n)
-	}
-	opOf := func(v pred.Var) int {
-		ops := b.OperandsOf(v)
-		if len(ops) == 1 {
-			return ops[0]
-		}
-		return -1
-	}
-	for _, a := range conj.Atoms {
-		if a.Op != pred.OpEQ || !a.HasRightVar() || a.C != 0 {
-			continue
-		}
-		i, j := opOf(a.Left), opOf(a.Right)
-		if i >= 0 && j >= 0 && i != j {
-			adj[i][j], adj[j][i] = true, true
-		}
-	}
-
-	chosen := make([]bool, n)
-	order := make([]int, 0, n)
-	pick := func(connectedOnly bool) int {
-		best := -1
-		for i := 0; i < n; i++ {
-			if chosen[i] {
-				continue
-			}
-			if connectedOnly {
-				conn := false
-				for _, j := range order {
-					if adj[i][j] {
-						conn = true
-						break
-					}
-				}
-				if !conn {
-					continue
-				}
-			}
-			if best < 0 || sizes[i] < sizes[best] {
-				best = i
-			}
-		}
-		return best
-	}
-	first := pick(false)
-	chosen[first] = true
-	order = append(order, first)
-	for len(order) < n {
-		next := pick(true)
-		if next < 0 {
-			next = pick(false)
-		}
-		chosen[next] = true
-		order = append(order, next)
-	}
-	return order
-}
-
-// Options tunes evaluation.
+// Options is accepted for callers that set it; it changes nothing.
 type Options struct {
-	// Greedy enables the smallest-first connected join-order heuristic;
-	// otherwise operands are joined in the order the view lists them.
+	// Greedy is a no-op: the reference evaluator always joins the
+	// operands in the order the view was written.
 	Greedy bool
 }
 
-// Evaluate computes the σ-filtered full-width tagged result of the
-// view over the given instances (one per operand, in operand order).
-// Each DNF conjunct is planned and run separately; results merge
-// set-wise (a tuple satisfying several conjuncts appears once).
-func Evaluate(b *expr.Bound, insts []*relation.Tagged, opts Options) (*relation.Tagged, error) {
+// Materialize evaluates the view over base relation instances (one per
+// operand, in operand order), returning the counted view
+// π_X(σ_C(r1 × … × rp)) with §5.2 multiplicity counters.
+func Materialize(b *expr.Bound, insts []*relation.Relation, _ Options) (*relation.Counted, error) {
 	if len(insts) != len(b.Operands) {
 		return nil, fmt.Errorf("eval: %d instances for %d operands", len(insts), len(b.Operands))
 	}
-	out := relation.NewTagged(b.Joint)
-	for _, conj := range b.Where.Conjuncts {
-		var order []int
-		if opts.Greedy {
-			sizes := make([]int, len(insts))
-			for i, r := range insts {
-				sizes[i] = r.Len()
-			}
-			order = GreedyOrder(b, conj, sizes)
-		}
-		p, err := BuildPlan(b, conj, order)
-		if err != nil {
-			return nil, err
-		}
-		res, err := p.Run(insts)
-		if err != nil {
-			return nil, err
-		}
-		if err := out.Merge(res); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// Materialize evaluates the view from scratch over base relation
-// instances — the paper's "complete re-evaluation" — returning the
-// counted view π_X(σ_C(r1 × … × rp)) with §5.2 multiplicity counters.
-func Materialize(b *expr.Bound, insts []*relation.Relation, opts Options) (*relation.Counted, error) {
-	tagged := make([]*relation.Tagged, len(insts))
 	for i, r := range insts {
 		if !r.Scheme().Equal(b.Operands[i].Scheme) {
 			return nil, fmt.Errorf("eval: instance %d has scheme %s, operand %q wants %s",
 				i, r.Scheme(), b.Operands[i].Alias, b.Operands[i].Scheme)
 		}
-		g, err := relation.TagRelationAs(r, b.Operands[i].QScheme, tuple.TagOld)
-		if err != nil {
-			return nil, err
-		}
-		tagged[i] = g
 	}
-	full, err := Evaluate(b, tagged, opts)
+	where, err := b.Where.CompileProgram(b.Joint)
 	if err != nil {
 		return nil, err
 	}
-	return full.CountAll(b.Project)
+	out, err := b.OutScheme()
+	if err != nil {
+		return nil, err
+	}
+	view := relation.NewCounted(out)
+	joint := make(tuple.Tuple, b.Joint.Arity())
+	proj := make(tuple.Tuple, len(b.ProjPos))
+	for ci, conj := range b.Where.Conjuncts {
+		// tables[i] maps operand i's linking column to its tuples;
+		// bound[i] is the joint position of the earlier column it links to.
+		tables := make([]map[tuple.Value][]tuple.Tuple, len(insts))
+		bound := make([]int, len(insts))
+		for i := range insts {
+			col, at, ok := linkToEarlier(b, conj, i)
+			if !ok {
+				continue
+			}
+			tables[i], bound[i] = make(map[tuple.Value][]tuple.Tuple), at
+			insts[i].Each(func(t tuple.Tuple) { tables[i][t[col]] = append(tables[i][t[col]], t) })
+		}
+		var bind func(i int) error
+		bind = func(i int) error {
+			if i == len(insts) {
+				if !where.EvalConjunct(ci, joint) {
+					return nil
+				}
+				for cj := 0; cj < ci; cj++ {
+					if where.EvalConjunct(cj, joint) {
+						return nil
+					}
+				}
+				for k, pos := range b.ProjPos {
+					proj[k] = joint[pos]
+				}
+				return view.Add(proj, 1)
+			}
+			var err error
+			visit := func(t tuple.Tuple) {
+				if err == nil {
+					copy(joint[b.Operands[i].Offset:], t)
+					err = bind(i + 1)
+				}
+			}
+			if tables[i] != nil {
+				for _, t := range tables[i][joint[bound[i]]] {
+					visit(t)
+				}
+			} else {
+				insts[i].Each(visit)
+			}
+			return err
+		}
+		if err := bind(0); err != nil {
+			return nil, err
+		}
+	}
+	return view, nil
+}
+
+// linkToEarlier finds an equality atom of conj (x = y, no offset)
+// between a column of operand i and a column of an earlier operand. It
+// returns i's column and the joint position of the earlier one.
+func linkToEarlier(b *expr.Bound, conj pred.Conjunction, i int) (col, at int, ok bool) {
+	owner := func(v pred.Var) (op, pos int) {
+		ops := b.OperandsOf(v)
+		if len(ops) != 1 {
+			return -1, 0
+		}
+		pos, _ = b.Operands[ops[0]].QScheme.Pos(schema.Attribute(v))
+		return ops[0], pos
+	}
+	for _, a := range conj.Atoms {
+		if a.Op != pred.OpEQ || !a.HasRightVar() || a.C != 0 {
+			continue
+		}
+		lo, lp := owner(a.Left)
+		ro, rp := owner(a.Right)
+		if lo == i && ro >= 0 && ro < i {
+			return lp, b.Operands[ro].Offset + rp, true
+		}
+		if ro == i && lo >= 0 && lo < i {
+			return rp, b.Operands[lo].Offset + lp, true
+		}
+	}
+	return 0, 0, false
 }

@@ -37,12 +37,22 @@ func bindView(t *testing.T, db *schema.Database, v expr.View) *expr.Bound {
 // evaluation via the interpreter, counted projection.
 func naiveMaterialize(t *testing.T, b *expr.Bound, insts []*relation.Relation) *relation.Counted {
 	t.Helper()
-	cross := relation.NewTagged(b.Joint)
+	out, err := b.OutScheme()
+	if err != nil {
+		t.Fatal(err)
+	}
+	view := relation.NewCounted(out)
 	var rec func(prefix tuple.Tuple, i int)
 	rec = func(prefix tuple.Tuple, i int) {
 		if i == len(insts) {
-			if err := cross.Set(prefix, tuple.TagOld); err != nil {
+			ok, err := b.Where.Eval(pred.BindTuple(b.Joint, prefix))
+			if err != nil {
 				t.Fatal(err)
+			}
+			if ok {
+				if err := view.Add(prefix.Project(b.ProjPos), 1); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return
 		}
@@ -51,18 +61,7 @@ func naiveMaterialize(t *testing.T, b *expr.Bound, insts []*relation.Relation) *
 		})
 	}
 	rec(tuple.New(), 0)
-	filtered := relation.SelectTagged(cross, func(tu tuple.Tuple) bool {
-		ok, err := b.Where.Eval(pred.BindTuple(b.Joint, tu))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ok
-	})
-	out, err := filtered.CountAll(b.Project)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return view
 }
 
 // TestMaterializeExample41 evaluates the paper's Example 4.1 view:
@@ -201,30 +200,9 @@ func TestMaterializeThreeWayJoin(t *testing.T) {
 	}
 }
 
-func TestBuildPlanBadOrder(t *testing.T) {
-	db := testDB(t)
-	b := bindView(t, db, expr.View{
-		Name:     "v",
-		Operands: []expr.Operand{{Rel: "R"}, {Rel: "S"}},
-	})
-	conj := b.Where.Conjuncts[0]
-	if _, err := BuildPlan(b, conj, []int{0}); err == nil {
-		t.Error("short order must fail")
-	}
-	if _, err := BuildPlan(b, conj, []int{0, 0}); err == nil {
-		t.Error("non-permutation must fail")
-	}
-	if _, err := BuildPlan(b, conj, []int{0, 2}); err == nil {
-		t.Error("out-of-range order must fail")
-	}
-}
-
 func TestEvaluateInstanceCountMismatch(t *testing.T) {
 	db := testDB(t)
 	b := bindView(t, db, expr.View{Name: "v", Operands: []expr.Operand{{Rel: "R"}}})
-	if _, err := Evaluate(b, nil, Options{}); err == nil {
-		t.Error("missing instances must fail")
-	}
 	if _, err := Materialize(b, nil, Options{}); err == nil {
 		t.Error("missing instances must fail")
 	}
@@ -239,33 +217,9 @@ func TestMaterializeSchemeMismatch(t *testing.T) {
 	}
 }
 
-func TestGreedyOrderPrefersSmallConnected(t *testing.T) {
-	db := testDB(t)
-	b := bindView(t, db, expr.View{
-		Name:     "v",
-		Operands: []expr.Operand{{Rel: "R"}, {Rel: "S"}, {Rel: "T"}},
-		Where:    pred.MustParse("B = C && D = E"),
-	})
-	conj := b.Where.Conjuncts[0]
-	// S is smallest; R connects to S; T connects to S.
-	order := GreedyOrder(b, conj, []int{100, 1, 50})
-	if order[0] != 1 {
-		t.Errorf("order = %v, want S first", order)
-	}
-	// All three must appear.
-	if len(order) != 3 {
-		t.Errorf("order = %v", order)
-	}
-	// Single operand short-circuits.
-	b1 := bindView(t, db, expr.View{Name: "v1", Operands: []expr.Operand{{Rel: "R"}}})
-	if got := GreedyOrder(b1, b1.Where.Conjuncts[0], []int{5}); len(got) != 1 || got[0] != 0 {
-		t.Errorf("single-operand order = %v", got)
-	}
-}
-
 // TestMaterializeAgainstOracleRandom fuzzes random instances and
-// conditions, comparing the planned evaluator with the brute-force
-// oracle — with and without the greedy join order.
+// conditions, comparing the reference evaluator with the brute-force
+// oracle; Greedy must change nothing.
 func TestMaterializeAgainstOracleRandom(t *testing.T) {
 	db := testDB(t)
 	rng := rand.New(rand.NewSource(2026))
@@ -311,6 +265,48 @@ func TestMaterializeAgainstOracleRandom(t *testing.T) {
 			if !got.Equal(want) {
 				t.Fatalf("cond %q greedy=%v:\n got %v\nwant %v\nr=%v s=%v", cond, greedy, got, want, r, s)
 			}
+		}
+	}
+}
+
+// TestMaterializeSelfJoinThreeOperandsRandom covers what the 2-operand
+// fuzz cannot: a self-join, a hash link to an operand other than the
+// one just before, an operand linked to nothing earlier (a scan), and a
+// DNF whose conjuncts link different operand pairs.
+func TestMaterializeSelfJoinThreeOperandsRandom(t *testing.T) {
+	db := testDB(t)
+	rng := rand.New(rand.NewSource(7))
+	conds := []string{
+		"x.B = C && y.A = x.A",
+		"y.A = C && x.B < D",
+		"x.B = y.A && D = x.A",
+		"(x.B = C && y.B = D) || (x.A = y.B && C < 4)",
+		"x.A != y.A && x.B = C + 1",
+	}
+	for trial := 0; trial < 40; trial++ {
+		cond := conds[trial%len(conds)]
+		b := bindView(t, db, expr.View{
+			Name:     "v",
+			Operands: []expr.Operand{{Rel: "R", Alias: "x"}, {Rel: "S"}, {Rel: "R", Alias: "y"}},
+			Where:    pred.MustParse(cond),
+			Project:  []schema.Attribute{"x.A", "D", "y.B"},
+		})
+		mk := func(s *schema.Scheme, n int) *relation.Relation {
+			r := relation.New(s)
+			for i := 0; i < n; i++ {
+				_ = r.Insert(tuple.New(int64(rng.Intn(6)), int64(rng.Intn(6))))
+			}
+			return r
+		}
+		r, s := mk(schema.MustScheme("A", "B"), rng.Intn(10)), mk(schema.MustScheme("C", "D"), rng.Intn(10))
+		insts := []*relation.Relation{r, s, r}
+		want := naiveMaterialize(t, b, insts)
+		got, err := Materialize(b, insts, Options{})
+		if err != nil {
+			t.Fatalf("cond %q: %v", cond, err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("cond %q:\n got %v\nwant %v\nr=%v s=%v", cond, got, want, r, s)
 		}
 	}
 }

@@ -2,15 +2,14 @@ package relation
 
 import "mview/internal/tuple"
 
-// rowArena is the flat storage unit shared by all three relation
+// rowArena is the flat storage unit shared by both relation
 // representations: tuple values live back-to-back in pages of int64
 // rows addressed by small-int handles (rows.go), and the only per-tuple
 // index state is one packed hash|handle word in a persistent hash trie
 // (trie.go). Compared to the seed's map[string]tuple.Tuple, a full scan
 // walks contiguous pages instead of chasing a boxed allocation per
-// tuple, no key is ever encoded or stored, and the per-tuple containers
-// (Counted counts, Tagged tags) become dense side columns indexed by
-// handle.
+// tuple, no key is ever encoded or stored, and Counted's per-tuple
+// counts become a dense side column indexed by handle.
 //
 // Two invariants make zero-copy reads safe:
 //
@@ -20,10 +19,10 @@ import "mview/internal/tuple"
 //     the old pages, and any outstanding alias into them, stay intact).
 //     Row slices handed out by each/row therefore behave like the
 //     immutable tuples they replace, and may be retained by indexes,
-//     tagged lifts, or snapshot readers.
+//     transient join tables, or snapshot readers.
 //   - Handles are never reused. The next handle is always rows.n, so
-//     side columns (counts, tags) indexed by handle stay aligned by
-//     plain appends.
+//     the counts column indexed by handle stays aligned by plain
+//     appends.
 //
 // Cost model. Rows, trie and counts are all copy-on-write by
 // generation: whatever an arena allocates carries the arena's
@@ -61,17 +60,10 @@ func (a *rowArena) len() int { return int(a.live) }
 // row returns handle h's values.
 func (a *rowArena) row(h int32) tuple.Tuple { return a.rows.row(h) }
 
-// rowIs reports whether handle h's row equals the concatenation of p
-// and q.
-func (a *rowArena) rowIs(h int32, p, q []int64) bool {
+// rowIs reports whether handle h's row equals t.
+func (a *rowArena) rowIs(h int32, t []int64) bool {
 	r := a.rows.row(h)
-	for i, v := range p {
-		if r[i] != v {
-			return false
-		}
-	}
-	r = r[len(p):]
-	for i, v := range q {
+	for i, v := range t {
 		if r[i] != v {
 			return false
 		}
@@ -79,17 +71,17 @@ func (a *rowArena) rowIs(h int32, p, q []int64) bool {
 	return true
 }
 
-// find looks the concatenation of p and q up, without allocating. It
-// also returns the row hash, which add and remove take.
-func (a *rowArena) find(p, q []int64) (h int32, hash uint32, ok bool) {
-	hash = hashRow(p, q)
+// find looks t up, without allocating. It also returns the row hash,
+// which add and remove take.
+func (a *rowArena) find(t []int64) (h int32, hash uint32, ok bool) {
+	hash = hashRow(t)
 	n := a.root
 	for shift := uint(0); n != nil && n.kids != nil; shift += trieBits {
 		n = n.kids[hash>>shift&(trieFan-1)]
 	}
 	if n != nil {
 		for _, e := range n.ents {
-			if uint32(e>>32) == hash && a.rowIs(entryHandle(e), p, q) {
+			if uint32(e>>32) == hash && a.rowIs(entryHandle(e), t) {
 				return entryHandle(e), hash, true
 			}
 		}
@@ -97,18 +89,18 @@ func (a *rowArena) find(p, q []int64) (h int32, hash uint32, ok bool) {
 	return 0, hash, false
 }
 
-// add appends the concatenation of p and q as a new live row under its
-// hash and returns the handle. The caller has checked absence.
-func (a *rowArena) add(hash uint32, p, q []int64) int32 {
+// add appends t as a new live row under its hash and returns the
+// handle. The caller has checked absence.
+func (a *rowArena) add(hash uint32, t []int64) int32 {
 	h := a.rows.n
-	a.rows.add(a.gen, p, q)
+	a.rows.add(a.gen, t)
 	a.live++
 	a.root = a.trieInsert(a.root, 0, entry(hash, h))
 	return h
 }
 
 // addNew is add for a row known to be absent whose hash is not at hand.
-func (a *rowArena) addNew(p, q []int64) int32 { return a.add(hashRow(p, q), p, q) }
+func (a *rowArena) addNew(t []int64) int32 { return a.add(hashRow(t), t) }
 
 // remove unlinks live handle h, found under hash, and marks its row
 // dead.
@@ -145,7 +137,7 @@ func (a *rowArena) clone(moved func(old int32)) *rowArena {
 	out := newRowArenaCap(a.rows.width, a.len())
 	a.root.walk(func(e uint64) {
 		h := entryHandle(e)
-		out.add(uint32(e>>32), a.rows.row(h), nil)
+		out.add(uint32(e>>32), a.rows.row(h))
 		if moved != nil {
 			moved(h)
 		}

@@ -52,7 +52,7 @@ func NewCountedCap(s *schema.Scheme, n int) *Counted {
 func FromRelation(r *Relation) *Counted {
 	c := NewCountedCap(r.scheme, r.Len())
 	r.Each(func(t tuple.Tuple) {
-		c.a.addNew(t, nil)
+		c.a.addNew(t)
 		c.counts.push(1, 0)
 	})
 	c.total = int64(r.Len())
@@ -74,7 +74,7 @@ func (c *Counted) Count(t tuple.Tuple) int64 {
 	if len(t) != c.scheme.Arity() {
 		return 0
 	}
-	h, _, ok := c.a.find(t, nil)
+	h, _, ok := c.a.find(t)
 	if !ok {
 		return 0
 	}
@@ -96,7 +96,7 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 	if n == 0 {
 		return nil
 	}
-	h, hash, ok := c.a.find(t, nil)
+	h, hash, ok := c.a.find(t)
 	var cur int64
 	if ok {
 		cur = c.counts.get(h)
@@ -117,7 +117,7 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 	case ok:
 		c.counts.set(h, next, c.a.gen)
 	default:
-		c.a.add(hash, t, nil)
+		c.a.add(hash, t)
 		c.counts.push(next, c.a.gen)
 	}
 	c.total += n
@@ -127,10 +127,10 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 // bump adds n (> 0) to t's counter without the error path, for
 // operators that only ever accumulate positive counts.
 func (c *Counted) bump(t tuple.Tuple, n int64) {
-	if h, hash, ok := c.a.find(t, nil); ok {
+	if h, hash, ok := c.a.find(t); ok {
 		*c.counts.slot(h, c.a.gen) += n
 	} else {
-		c.a.add(hash, t, nil)
+		c.a.add(hash, t)
 		c.counts.push(n, c.a.gen)
 	}
 	c.total += n

@@ -244,3 +244,17 @@ func TestCountedString(t *testing.T) {
 		t.Errorf("String = %q", got)
 	}
 }
+
+func TestCountedAccessors(t *testing.T) {
+	c := NewCounted(ts("A"))
+	if !c.Scheme().Equal(ts("A")) {
+		t.Error("Scheme accessor broken")
+	}
+	_ = c.Add(tuple.New(1), 2)
+	_ = c.Add(tuple.New(2), 1)
+	sum := int64(0)
+	c.Each(func(_ tuple.Tuple, n int64) { sum += n })
+	if sum != 3 {
+		t.Errorf("Each sum = %d", sum)
+	}
+}

@@ -156,34 +156,6 @@ func TestCountedMergeSubtractInverse(t *testing.T) {
 	}
 }
 
-// TestTaggedJoinMatchesSetJoin: with all-old tags, the tagged join
-// computes exactly the set natural join.
-func TestTaggedJoinMatchesSetJoin(t *testing.T) {
-	f := func(a, b []byte) bool {
-		ra, rb := relGen(a, abScheme), relGen(b, bcScheme)
-		want, _ := NaturalJoin(ra, rb)
-		ta := TagRelation(ra, tuple.TagOld)
-		tb := TagRelation(rb, tuple.TagOld)
-		got, err := NaturalJoinTagged(ta, tb)
-		if err != nil {
-			return false
-		}
-		if got.Len() != want.Len() {
-			return false
-		}
-		ok := true
-		got.Each(func(tu tuple.Tuple, tag tuple.Tag) {
-			if tag != tuple.TagOld || !want.Has(tu) {
-				ok = false
-			}
-		})
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestIndexMatchesScan: probing an index returns exactly the matching
 // tuples, under arbitrary add/remove interleavings.
 func TestIndexMatchesScan(t *testing.T) {

@@ -1,18 +1,16 @@
-// Package relation implements the three relation representations used
-// by the mview engine and the relational operators over them:
+// Package relation implements the two relation representations used by
+// the mview engine and the relational operators over them:
 //
 //   - Relation: a set of tuples (the paper's model for base relations).
 //   - Counted: a relation whose tuples carry the multiplicity counter
 //     introduced in §5.2 to make projection distribute over difference.
 //     Materialized views are Counted relations.
-//   - Tagged: a relation whose tuples carry the old/insert/delete tags
-//     of §5.3, used while differentially re-evaluating join views.
 //
-// All three store their tuples in flat row arenas (arena.go): values
-// live back-to-back in pages of []int64 rows (rows.go), a persistent
-// hash trie (trie.go) indexes them by int32 handle, and per-tuple
-// payloads (counts, tags) are dense side columns indexed by handle. The
-// representation is invisible behind the package-level ops.
+// Both store their tuples in flat row arenas (arena.go): values live
+// back-to-back in pages of []int64 rows (rows.go), a persistent hash
+// trie (trie.go) indexes them by int32 handle, and Counted's counts are
+// a dense side column indexed by handle. The representation is
+// invisible behind the package-level ops.
 //
 // All operators are pure: they allocate fresh results and never mutate
 // their operands, except for the explicitly mutating methods (Insert,
@@ -82,7 +80,7 @@ func (r *Relation) Has(t tuple.Tuple) bool {
 	if len(t) != r.scheme.Arity() {
 		return false
 	}
-	_, _, ok := r.a.find(t, nil)
+	_, _, ok := r.a.find(t)
 	return ok
 }
 
@@ -108,8 +106,8 @@ func (r *Relation) Insert(t tuple.Tuple) error {
 // so callers may pass scratch tuples. Present tuples are left
 // untouched (set semantics).
 func (r *Relation) put(t tuple.Tuple) {
-	if _, hash, ok := r.a.find(t, nil); !ok {
-		r.a.add(hash, t, nil)
+	if _, hash, ok := r.a.find(t); !ok {
+		r.a.add(hash, t)
 	}
 }
 
@@ -118,7 +116,7 @@ func (r *Relation) Delete(t tuple.Tuple) {
 	if len(t) != r.scheme.Arity() {
 		return
 	}
-	h, hash, ok := r.a.find(t, nil)
+	h, hash, ok := r.a.find(t)
 	if !ok {
 		return
 	}

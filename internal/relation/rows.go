@@ -45,9 +45,8 @@ func (r *rowStore) row(h int32) tuple.Tuple {
 	return page[off : off+r.width : off+r.width]
 }
 
-// add appends the concatenation of p and q as row r.n, on behalf of
-// generation gen.
-func (r *rowStore) add(gen uint64, p, q []int64) {
+// add appends t as row r.n, on behalf of generation gen.
+func (r *rowStore) add(gen uint64, t []int64) {
 	r.n++
 	if r.width == 0 {
 		return
@@ -58,7 +57,7 @@ func (r *rowStore) add(gen uint64, p, q []int64) {
 		// Another generation's backing: clamp so that append copies.
 		r.tail, r.tailGen = r.tail[:len(r.tail):len(r.tail)], gen
 	}
-	r.tail = append(append(r.tail, p...), q...)
+	r.tail = append(r.tail, t...)
 	if len(r.tail) == pageRows*r.width {
 		*r.full.slot(r.pages, gen) = r.tail
 		r.pages++

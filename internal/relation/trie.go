@@ -73,16 +73,12 @@ func entryHandle(e uint64) int32 { return int32(uint32(e)) }
 // force deep paths and full collisions; it is nil otherwise.
 var hashMangle func(uint32) uint32
 
-// hashRow hashes the concatenation of p and q: one folded 64×64→128
-// multiply per value, the high and low halves folded to 32 bits.
-func hashRow(p, q []int64) uint32 {
+// hashRow hashes t: one folded 64×64→128 multiply per value, the high
+// and low halves folded to 32 bits.
+func hashRow(t []int64) uint32 {
 	const k = 0x9e3779b97f4a7c15
 	h := uint64(k)
-	for _, v := range p {
-		hi, lo := bits.Mul64(h^uint64(v), k)
-		h = hi ^ lo
-	}
-	for _, v := range q {
+	for _, v := range t {
 		hi, lo := bits.Mul64(h^uint64(v), k)
 		h = hi ^ lo
 	}

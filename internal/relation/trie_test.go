@@ -37,7 +37,7 @@ func TestTrieStaysShallowOnRegularKeys(t *testing.T) {
 	for name, row := range patterns {
 		a := newRowArena(2)
 		for i := int64(0); i < n; i++ {
-			a.addNew(row(i), nil)
+			a.addNew(row(i))
 		}
 		depth, leaves := trieShape(a.root, 0)
 		if depth > 4 || leaves > n/16+n/160 {
@@ -45,7 +45,7 @@ func TestTrieStaysShallowOnRegularKeys(t *testing.T) {
 				name, n, leaves, depth, n/16)
 		}
 		for i := int64(0); i < n; i += 997 {
-			if h, _, ok := a.find(row(i), nil); !ok || int64(h) != i {
+			if h, _, ok := a.find(row(i)); !ok || int64(h) != i {
 				t.Fatalf("%s: find(row %d) = %d, %v", name, i, h, ok)
 			}
 		}
@@ -63,19 +63,19 @@ func TestTrieFullCollisions(t *testing.T) {
 	const n = 3 * leafCap
 	a := newRowArena(1)
 	for i := int64(0); i < n; i++ {
-		a.addNew(tuple.Tuple{i}, nil)
+		a.addNew(tuple.Tuple{i})
 	}
 	if depth, leaves := trieShape(a.root, 0); depth != hashBits/trieBits || leaves != 1 {
 		t.Fatalf("shape: %d leaves, deepest at level %d; want one leaf at level %d", leaves, depth, hashBits/trieBits)
 	}
 	frozen := a.cloneShared()
 	for i := int64(0); i < n; i++ {
-		h, hash, ok := a.find(tuple.Tuple{i}, nil)
+		h, hash, ok := a.find(tuple.Tuple{i})
 		if !ok || int64(h) != i {
 			t.Fatalf("find(%d) = %d, %v", i, h, ok)
 		}
 		a.remove(hash, h)
-		if _, _, ok := a.find(tuple.Tuple{i}, nil); ok {
+		if _, _, ok := a.find(tuple.Tuple{i}); ok {
 			t.Fatalf("row %d still found after remove", i)
 		}
 	}
@@ -83,7 +83,7 @@ func TestTrieFullCollisions(t *testing.T) {
 		t.Fatalf("emptied arena keeps root %v, len %d", a.root, a.len())
 	}
 	for i := int64(0); i < n; i++ {
-		if h, _, ok := frozen.find(tuple.Tuple{i}, nil); !ok || int64(h) != i {
+		if h, _, ok := frozen.find(tuple.Tuple{i}); !ok || int64(h) != i {
 			t.Fatalf("clone lost row %d to the source's removes", i)
 		}
 	}
@@ -164,12 +164,12 @@ func TestRowStoreAcrossGenerations(t *testing.T) {
 	for gen := uint64(0); gen < 40; gen++ {
 		held = append(held, frozen{r, r.n})
 		for i := 0; i < 3+int(gen)*5%(pageRows+9); i++ {
-			r.add(gen, tuple.Tuple{int64(r.n)}, tuple.Tuple{-int64(r.n)})
+			r.add(gen, tuple.Tuple{int64(r.n), -int64(r.n)})
 		}
 		// A sibling appending to the same header under its own
 		// generation must not show through either.
 		sibling := r
-		sibling.add(gen+1000, tuple.Tuple{-1}, tuple.Tuple{-1})
+		sibling.add(gen+1000, tuple.Tuple{-1, -1})
 		check("head", &r, r.n)
 	}
 	if r.pages < 3 {

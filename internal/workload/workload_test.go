@@ -142,7 +142,7 @@ func TestChainJoinEvaluates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := eval.Materialize(b, c.Insts, eval.Options{Greedy: true})
+	v, err := eval.Materialize(b, c.Insts, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestOrdersScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j, err := eval.Materialize(b, []*relation.Relation{w.Orders, w.Items}, eval.Options{Greedy: true})
+	j, err := eval.Materialize(b, []*relation.Relation{w.Orders, w.Items}, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

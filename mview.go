@@ -12,8 +12,6 @@ import (
 
 	"mview/internal/db"
 	"mview/internal/delta"
-	"mview/internal/diffeval"
-	"mview/internal/eval"
 	"mview/internal/expr"
 	"mview/internal/jsonenc"
 	"mview/internal/obs"
@@ -192,8 +190,7 @@ func (s ViewSpec) build(name string) (expr.View, error) {
 // The family covers three orthogonal axes: WHEN the view refreshes
 // (the policy constructors in policy.go — OnCommit, Every, OnDemand,
 // MaxStaleness, AdaptivePolicy), HOW a refresh runs (WithRecompute,
-// WithAdaptiveMaint), and maintenance tuning (WithFilter,
-// WithoutPrefixSharing).
+// WithAdaptiveMaint), and maintenance tuning (WithFilter).
 type ViewOption struct {
 	name  string
 	apply func(*db.ViewConfig)
@@ -226,13 +223,6 @@ func WithAdaptiveMaint() ViewOption {
 // view's differential maintenance.
 func WithFilter() ViewOption {
 	return ViewOption{name: "filtered", apply: func(c *db.ViewConfig) { c.Maint.Filter = true }}
-}
-
-// WithoutPrefixSharing evaluates truth-table rows independently
-// instead of sharing join prefixes. Exposed for experimentation; the
-// default (sharing) is faster.
-func WithoutPrefixSharing() ViewOption {
-	return ViewOption{name: "rowbyrow", apply: func(c *db.ViewConfig) { c.Maint.Strategy = diffeval.StrategyRowByRow }}
 }
 
 // CreateView defines and materializes a view.
@@ -282,7 +272,6 @@ func optionNames(opts []ViewOption) []string {
 
 func buildConfig(opts []ViewOption) db.ViewConfig {
 	var cfg db.ViewConfig
-	cfg.EvalOpt.Greedy = true
 	// Adaptive satisfiability: the paper's Floyd for small conjunctions,
 	// Bellman–Ford once the variable count makes O(n³) dominate
 	// (C-SAT-N3). Options may still pin a concrete method.
@@ -625,7 +614,7 @@ func (d *DB) QueryContext(ctx context.Context, spec ViewSpec) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := d.engine().Query(v, eval.Options{Greedy: true})
+	c, err := d.engine().Query(v)
 	if err != nil {
 		return nil, err
 	}

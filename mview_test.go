@@ -295,11 +295,18 @@ func TestAdaptiveOption(t *testing.T) {
 	}
 }
 
-func TestWithoutPrefixSharing(t *testing.T) {
+// TestRowByRowOptionIsParseOnly: rowbyrow chose a row strategy of a
+// retired evaluator. Logs may still name it, so it parses, changes
+// nothing, and is no longer taught.
+func TestRowByRowOptionIsParseOnly(t *testing.T) {
 	db := Open()
 	_ = db.CreateRelation("r", "A", "B")
 	_ = db.CreateRelation("s", "B", "C")
-	if err := db.CreateJoinView("j", []string{"r", "s"}, WithoutPrefixSharing()); err != nil {
+	opt, err := ParseViewOption("rowbyrow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateJoinView("j", []string{"r", "s"}, opt); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Exec(Insert("r", 1, 2), Insert("s", 2, 3)); err != nil {
@@ -308,5 +315,8 @@ func TestWithoutPrefixSharing(t *testing.T) {
 	rows, _ := db.View("j")
 	if len(rows) != 1 {
 		t.Errorf("rows = %+v", rows)
+	}
+	if _, err := ParseViewOption("nope"); err == nil || strings.Contains(err.Error(), "rowbyrow") {
+		t.Errorf("unknown-option error = %v; want one that no longer teaches rowbyrow", err)
 	}
 }

@@ -134,9 +134,11 @@ func ParseViewOption(name string) (ViewOption, error) {
 	case "filtered":
 		return WithFilter(), nil
 	case "rowbyrow":
-		return WithoutPrefixSharing(), nil
+		// rowbyrow is parse-only: it chose a row strategy of an
+		// evaluator since retired, and logs may still name it.
+		return ViewOption{name: name, apply: func(*db.ViewConfig) {}}, nil
 	default:
-		return ViewOption{}, fmt.Errorf("mview: unknown view option %q (known: oncommit, ondemand, every=<dur>, maxstale=<dur>, autopolicy, recompute, adaptive, filtered, rowbyrow)", name)
+		return ViewOption{}, fmt.Errorf("mview: unknown view option %q (known: oncommit, ondemand, every=<dur>, maxstale=<dur>, autopolicy, recompute, adaptive, filtered)", name)
 	}
 }
 

@@ -9,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"mview/internal/eval"
+	"mview/internal/expr"
+	"mview/internal/relation"
 	"mview/internal/repl"
 )
 
@@ -67,9 +70,9 @@ func TestViewResultIsCallerOwned(t *testing.T) {
 }
 
 // TestViewJSONEqualsMaterialize: after commits that touch the view, the
-// memoised rendering is the encoding of a from-scratch evaluation
-// (Query runs eval.Materialize over the same snapshot), and the count
-// and policy come with it.
+// memoised rendering is the encoding of a from-scratch evaluation by
+// the reference evaluator (eval.Materialize over the same relations),
+// and the count and policy come with it.
 func TestViewJSONEqualsMaterialize(t *testing.T) {
 	d := Open()
 	if err := d.CreateRelation("r", "A", "B"); err != nil {
@@ -105,11 +108,7 @@ func TestViewJSONEqualsMaterialize(t *testing.T) {
 		if i%4 != 0 {
 			continue
 		}
-		fresh, err := d.Query(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := encodedView(t, fresh, []string{"r.B"}); !bytes.Equal(got, want) {
+		if want := encodedView(t, referenceRows(t, d, spec), []string{"r.B"}); !bytes.Equal(got, want) {
 			t.Fatalf("tx %d: refreshed ViewJSON = %s, eval.Materialize %s", i, got, want)
 		}
 	}
@@ -186,4 +185,31 @@ func TestFollowerViewJSONMatchesLeader(t *testing.T) {
 	if fst, _ := follower.FollowerStatus(); fst.Resyncs == 0 {
 		t.Fatalf("expected a gap-forced re-sync; status %+v", fst)
 	}
+}
+
+// referenceRows evaluates spec with the reference evaluator
+// (internal/eval) over d's current relations: an oracle that shares no
+// code with the engine's own evaluator.
+func referenceRows(t *testing.T, d *DB, spec ViewSpec) []Row {
+	t.Helper()
+	v, err := spec.build("(reference)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := d.engine()
+	b, err := expr.Bind(v, e.Scheme())
+	if err != nil {
+		t.Fatal(err)
+	}
+	insts := make([]*relation.Relation, len(b.Operands))
+	for i, op := range b.Operands {
+		if insts[i], err = e.Relation(op.Rel); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c, err := eval.Materialize(b, insts, eval.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rowsOf(c.Tuples())
 }
