@@ -15,10 +15,14 @@ test:
 # group-vs-serial oracle) are exercised concurrently, as are the
 # per-version read memos under view GETs racing group-committed writers
 # and the routing oracles, whose fleets hold every consumer of the
-# relevance index (commits, deferred refreshes, subscribers), and the
-# group-commit and differential-maintenance oracles, repeated.
+# relevance index (commits, deferred refreshes, subscribers), the
+# group-commit and differential-maintenance oracles, and the pin
+# tests — readers pinning snapshots while commits write the unpinned
+# versions in place, and a reader caught in the retire window —
+# repeated.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=3 -run 'TestPinnedSnapshotsStayFrozen|TestRetireWindowReaderWaits|TestPinnedSnapshotSurvivesWrites' ./internal/db
 	$(GO) test -race -count=2 -run 'Group' ./internal/db .
 	$(GO) test -race -count=2 -run 'TestRouteEngineMatchesMaterialize|TestRouteCountContract' ./internal/db
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
@@ -118,11 +122,17 @@ repl-smoke:
 	scripts/repl-smoke.sh
 
 # internal/eval is the reference evaluator the oracles check the engine
-# against; lint fails if the server or the library ever links it.
+# against; lint fails if the server or the library ever links it. The
+# engine's published snapshot is loaded and stored only in
+# internal/db/snapshot.go, whose currentSnapshot pins what a reader
+# loads: a load anywhere else could read a version an install is
+# writing in place.
 lint:
 	$(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 	! $(GO) list -deps ./cmd/mviewd . | grep -qx 'mview/internal/eval'
+	! grep -rnE --include='*.go' --exclude='*_test.go' '\.snap\.(Load|Store|Swap|CompareAndSwap)\(' . \
+		| grep -v '^./internal/db/snapshot.go:' | tee /dev/stderr | grep -q .
 
 # The exported Go surface of the root package, pinned. apicheck fails
 # on any drift from docs/api.lock; after an intentional API change,

@@ -167,11 +167,12 @@ type viewState struct {
 	// routing candidates, 0 outside routing (route.go).
 	away      *routedAway
 	routeSlot int
-	// dataShared marks data as referenced by a published snapshot:
-	// maintenance must clone it before the next in-place mutation
-	// (copy-on-write). snapDirty marks any change — data, stats, or
-	// backlog — since the last publish; a clean view's snapView is
-	// carried into the next snapshot as a single pointer.
+	// dataShared marks data as referenced by a published snapshot that
+	// a reader may hold: maintenance must clone it before the next
+	// in-place mutation (copy-on-write; snapshot.go). snapDirty marks
+	// any change — data, stats, or backlog — since the last publish; a
+	// clean view's snapView is carried into the next snapshot as a
+	// single pointer.
 	dataShared bool
 	snapDirty  bool
 	// pendingSince is when the view's oldest unapplied change was
@@ -273,11 +274,22 @@ type Engine struct {
 	// nil means instrumentation is off and costs one pointer load.
 	o atomic.Pointer[engineObs]
 	// snap is the published read snapshot (never nil after New);
-	// baseShared marks base relations referenced by it, which phase 2
-	// must clone before applying updates in place. Guarded by mu for
-	// writes; snap is loaded lock-free by every read path.
+	// baseShared marks base relations a snapshot references, which the
+	// install stage must clone before applying updates in place, and
+	// fresh records what the latest publish newly marked, for
+	// retireLocked to hand back (snapshot.go). Guarded by mu for
+	// writes; snap is loaded lock-free by every read path, through
+	// currentSnapshot.
 	snap       atomic.Pointer[Snapshot]
 	baseShared map[string]bool
+	fresh      struct {
+		bases []string
+		views []*viewState
+	}
+	// retireHook, when set, runs in retireLocked once the published
+	// snapshot is retired and before its publish: the retire window.
+	// Same-package tests set it before first use; nil otherwise.
+	retireHook func()
 	// group is the group-commit scheduler (group.go); nil means every
 	// Execute commits solo. Atomic so the Execute hot path routes
 	// without taking the engine lock.
@@ -925,23 +937,12 @@ func (e *Engine) installPending(st *viewState, updates []delta.Update) {
 	for _, u := range updates {
 		prev, ok := st.pending[u.Rel]
 		if !ok {
-			st.pending[u.Rel] = cloneUpdate(u)
+			st.pending[u.Rel] = u.Clone()
 			continue
 		}
 		delta.ComposeInPlace(&prev, u)
 		st.pending[u.Rel] = prev
 	}
-}
-
-func cloneUpdate(u delta.Update) delta.Update {
-	out := delta.Update{Rel: u.Rel}
-	if u.Inserts != nil {
-		out.Inserts = u.Inserts.Clone()
-	}
-	if u.Deletes != nil {
-		out.Deletes = u.Deletes.Clone()
-	}
-	return out
 }
 
 // RefreshView brings a deferred view up to date with a single

@@ -89,8 +89,11 @@ type maintRun struct {
 	cands   []routeCand  // filtered differential views, routed by the maint stage
 	// A commit's composed delta and its members; both nil for a
 	// refresh, whose views each route their own backlog (routeCand.in).
-	composed  []delta.Update
-	live      []*groupReq
+	composed []delta.Update
+	live     []*groupReq
+	// work holds post-state clones of the relations a commit writes,
+	// for the computations that read them (postState); nil otherwise.
+	work      map[string]*relation.Relation
 	wentStale bool // install started a deferred view's backlog
 }
 
@@ -138,20 +141,21 @@ func reads(st *viewState, us []delta.Update) bool {
 // durably logged.
 //
 // Phases:
-//  1. net effects: each transaction's delta.Tx.Net runs against an
-//     overlay of cloned base relations that accumulates the earlier
-//     members' effects, so later members see their predecessors.
-//  2. composition (§6): delta.ComposeTxs folds the per-tx nets into
-//     one net delta per relation; intra-group churn cancels here and
-//     never reaches maintenance.
+//  1. net effects: each transaction's delta.Tx.NetOf runs against the
+//     base as the earlier members left it, read through the group's
+//     running composed delta (delta.Fold) rather than a copy.
+//  2. composition (§6): the fold is the group's one net delta per
+//     relation; intra-group churn cancelled in it and never reaches
+//     maintenance.
 //  3. maintenance: classify the touched views, then the maint and
-//     validate stages; recomputes materialize from the overlay
-//     post-state.
+//     validate stages, against the pre-group base; recomputes
+//     materialize from a post-state clone (postState).
 //  4. log: all payloads appended with a single fsync (logBatch, or the
 //     engine's own log for a solo commit).
-//  5. install + publish: bases swap to the overlay clones, indexes
-//     advance by the composed delta, view states install, ONE COW
-//     snapshot publishes. Nothing in this phase can fail.
+//  5. install + publish: the composed delta applies to the bases — in
+//     place unless a reader pinned them — and the indexes, view states
+//     install, ONE COW snapshot publishes. Nothing in this phase can
+//     fail.
 //
 // ct (nil when obs is detached) times every phase as a pipeline stage
 // and, with a tracer attached, emits the stage and per-view task spans that
@@ -164,24 +168,28 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	}
 	batchMode := len(reqs) > 1
 
-	// Phase 1: per-tx net effects against the evolving overlay. e.base
-	// stays frozen at the pre-group state B0 — maintenance deltas and
-	// the persistent indexes are defined against it.
+	// Phase 1: per-tx net effects against the base as changed by the
+	// earlier members. e.base stays at the pre-group state B0 until
+	// install — maintenance deltas and the persistent indexes are
+	// defined against it. Per-transaction subscriber deltas read each
+	// member's own pre-state, so only they keep an overlay of clones.
 	run := &maintRun{ct: ct}
-	work := make(map[string]*relation.Relation)
-	lookup := func(name string) (*relation.Relation, bool) {
-		if r, ok := work[name]; ok {
-			return r, true
+	var fold delta.Fold
+	if batchMode && e.anyPerTxView() {
+		run.work = make(map[string]*relation.Relation)
+	}
+	lookup := func(name string) (delta.Instance, bool) {
+		if r, ok := e.base[name]; ok {
+			return fold.Over(name, r), true
 		}
-		r, ok := e.base[name]
-		return r, ok
+		return nil, false
 	}
 
 	se := ct.begin(stageNet)
 	run.live = make([]*groupReq, 0, len(reqs))
-	nets := make([][]delta.Update, 0, len(reqs))
+	wrote := false
 	for _, r := range reqs {
-		updates, err := r.tx.Net(lookup)
+		updates, err := r.tx.NetOf(lookup)
 		if err != nil {
 			r.err = err
 			continue
@@ -191,28 +199,29 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 		for _, u := range updates {
 			r.touched[u.Rel] = true
 		}
-		// Per-tx view deltas for subscribed views (batch only): each
-		// subscriber sees one alert per transaction, not one per group.
-		if batchMode {
-			if err := e.perTxViewDeltas(r, updates, work); err != nil {
+		if run.work != nil {
+			// Per-tx view deltas for subscribed views: each subscriber
+			// sees one alert per transaction, not one per group.
+			if err := e.perTxViewDeltas(r, updates, run.work); err != nil {
 				r.err = err
 				continue
 			}
-		}
-		for _, u := range updates {
-			if _, ok := work[u.Rel]; !ok {
-				work[u.Rel] = e.base[u.Rel].Clone()
+			for _, u := range updates {
+				if _, ok := run.work[u.Rel]; !ok {
+					run.work[u.Rel] = e.base[u.Rel].Clone()
+				}
+				if err := u.Apply(run.work[u.Rel]); err != nil {
+					// Unreachable: Net guarantees disjointness against the
+					// very state the update applies to. Poison the batch
+					// rather than risk a torn overlay.
+					se.end(obs.KV{K: "err", V: true})
+					return nil, fmt.Errorf("db: internal: overlay apply failed: %w", err)
+				}
 			}
-			if err := u.Apply(work[u.Rel]); err != nil {
-				// Unreachable: Net guarantees disjointness against the
-				// very state the update applies to. Poison the batch
-				// rather than risk a torn overlay.
-				se.end(obs.KV{K: "err", V: true})
-				return nil, fmt.Errorf("db: internal: overlay apply failed: %w", err)
-			}
 		}
+		fold.Add(updates)
+		wrote = wrote || len(updates) > 0
 		run.live = append(run.live, r)
-		nets = append(nets, updates)
 	}
 	if se.span != nil {
 		se.end(obs.KV{K: "txs", V: len(reqs)}, obs.KV{K: "live", V: len(run.live)})
@@ -223,22 +232,18 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 		return nil, nil
 	}
 
-	// Phase 2: §6 composition of the group's net effects.
+	// Phase 2: §6 composition of the group's net effects, folded as the
+	// members ran.
 	se = ct.begin(stageCompose)
-	composed, err := delta.ComposeTxs(nets)
-	if err != nil {
-		se.end(obs.KV{K: "err", V: true})
-		return nil, err
-	}
+	run.composed = fold.Updates()
 	if se.span != nil {
-		se.end(obs.KV{K: "relations", V: len(composed)})
+		se.end(obs.KV{K: "relations", V: len(run.composed)})
 	} else {
 		se.end()
 	}
-	run.composed = composed
 
 	// Phase 3: classify, maintain, validate.
-	e.classify(run, batchMode, work)
+	e.classify(run, batchMode)
 	defer clear(run.cands) // drop the commit's pointers from the scratch
 	if err := e.maintStage(run); err != nil {
 		return nil, err
@@ -271,13 +276,14 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 		ct.note(stageFsync, 0) // in-memory batch: keep stage counts aligned
 	}
 
-	// Phase 5: install and publish.
-	ns, err := e.installStage(run, work)
+	// Phase 5: install and publish. An install that retired the
+	// published snapshot always publishes its successor.
+	ns, err := e.installStage(run)
+	if wrote || len(run.ws) > 0 {
+		e.publishStage(ct)
+	}
 	if err != nil {
 		return nil, err
-	}
-	if len(work) > 0 || len(run.ws) > 0 {
-		e.publishStage(ct)
 	}
 	if run.wentStale {
 		// A deferred view just started a backlog: wake the scheduler so
@@ -287,11 +293,39 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 	return ns, nil
 }
 
+// anyPerTxView reports whether some view takes per-transaction deltas
+// inside a group (perTxView). Callers hold the engine lock.
+func (e *Engine) anyPerTxView() bool {
+	for _, st := range e.views {
+		if perTxView(st) {
+			return true
+		}
+	}
+	return false
+}
+
+// postState returns the commit's post-state instances of the relations
+// its composed delta writes: clones with the delta applied, since
+// e.base stays at the pre-state until install. They are built on first
+// use — only recompute shadows read them — or already are the overlay
+// the per-transaction deltas built. Callers hold the engine lock.
+func (e *Engine) postState(run *maintRun) map[string]*relation.Relation {
+	if run.work == nil {
+		run.work = make(map[string]*relation.Relation, len(run.composed))
+		for _, u := range run.composed {
+			r := e.base[u.Rel].Clone()
+			_ = u.Apply(r) // cannot fail: Net checked every arity
+			run.work[u.Rel] = r
+		}
+	}
+	return run.work
+}
+
 // classify sorts the views the commit touched into the run, in view
 // order. Counters follow the per-tx touch union, so
 // ViewStats.Transactions and PendingTx match the serial path even when
 // composition cancels the data change.
-func (e *Engine) classify(run *maintRun, batchMode bool, work map[string]*relation.Relation) {
+func (e *Engine) classify(run *maintRun, batchMode bool) {
 	unionTouched := make(map[string]bool)
 	for _, r := range run.live {
 		for rel := range r.touched {
@@ -322,7 +356,7 @@ func (e *Engine) classify(run *maintRun, batchMode bool, work map[string]*relati
 			// data change, but the touch counters still advance.
 			run.ws = append(run.ws, &refreshed{st: st, noop: true, touchCount: touchCount})
 		default:
-			e.plan(run, st, touchCount, run.composed, work)
+			e.plan(run, st, touchCount, run.composed)
 		}
 	}
 	e.routeCands = run.cands
@@ -330,16 +364,20 @@ func (e *Engine) classify(run *maintRun, batchMode bool, work map[string]*relati
 
 // plan adds a view the maint stage must bring up to date over updates —
 // a commit's composed delta or a refresh's backlog: as a recompute
-// shadow of the post-state (over the commit's overlay work), as a
-// routing candidate when the view filters, or as a differential
-// computation. Callers hold the engine lock.
-func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []delta.Update, work map[string]*relation.Relation) {
+// shadow of the post-state (a commit's postState; a refresh's is the
+// base), as a routing candidate when the view filters, or as a
+// differential computation. Callers hold the engine lock.
+func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []delta.Update) {
 	policy := st.cfg.Policy
 	if policy == PolicyAdaptive {
 		policy = e.chooseAdaptive(st, updates)
 	}
 	switch {
 	case policy == PolicyRecompute:
+		var work map[string]*relation.Relation
+		if !run.refresh {
+			work = e.postState(run)
+		}
 		run.ws = append(run.ws, &refreshed{st: st, task: recomputeTask, touchCount: touchCount, refresh: run.refresh,
 			insts: operandInstances(st.bound, work, e.base), prov: blankingProvider{provider{e}, inMap(work)},
 			decision: decisionLabel(st.cfg, PolicyRecompute)})
@@ -515,20 +553,31 @@ func (e *Engine) validateStage(run *maintRun) error {
 	return first
 }
 
-// installStage is the install stage: a commit's bases swap to the
-// overlay and its indexes advance, then every view of the run takes its
-// next state. Nothing here can fail.
-func (e *Engine) installStage(run *maintRun, work map[string]*relation.Relation) ([]notification, error) {
+// installStage is the install stage, the one stage that writes
+// published objects: it retires the published snapshot unless a reader
+// pinned it (retireLocked), so what no reader holds is written in
+// place. A commit's composed delta applies to its bases — cloned first
+// only while a pinned snapshot shares them — and to their indexes, then
+// every view of the run takes its next state. Nothing here can fail; a
+// run that writes anything publishes next.
+func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 	se := run.ct.begin(stageInstall)
-	for rel, r := range work {
-		e.base[rel] = r
-		e.baseShared[rel] = false
+	if len(run.composed) > 0 || len(run.ws) > 0 {
+		e.retireLocked()
 	}
 	for _, u := range run.composed {
-		e.applyToIndexes(u)
-		if !u.IsEmpty() {
-			e.ckptDirty[u.Rel] = true
+		r := e.base[u.Rel]
+		if e.baseShared[u.Rel] {
+			r = r.Clone()
+			e.base[u.Rel] = r
+			e.baseShared[u.Rel] = false
 		}
+		if err := u.Apply(r); err != nil {
+			// Unreachable: Net checked every arity.
+			return nil, fmt.Errorf("db: internal: composed delta failed to install on %q: %w", u.Rel, err)
+		}
+		e.applyToIndexes(u)
+		e.ckptDirty[u.Rel] = true
 	}
 	var ns []notification
 	for _, w := range run.ws {
@@ -694,7 +743,7 @@ func (e *Engine) refreshLocked(root string, sts []*viewState, then func()) ([]no
 		for _, u := range st.pending {
 			backlog = append(backlog, u)
 		}
-		e.plan(run, st, 0, backlog, nil)
+		e.plan(run, st, 0, backlog)
 	}
 	var ns []notification
 	var err error
@@ -717,7 +766,7 @@ func (e *Engine) refreshLocked(root string, sts []*viewState, then func()) ([]no
 			}
 			run.ws = run.ws[:n]
 			var ierr error
-			if ns, ierr = e.installStage(run, nil); ierr != nil {
+			if ns, ierr = e.installStage(run); ierr != nil {
 				err = ierr
 			}
 		}

@@ -6,19 +6,31 @@ package db
 // relation contents, and every view's materialization and counters —
 // at the end of each commit, refresh, and DDL statement, via a single
 // atomic pointer swap. Read paths (View, Relation, Query, Relevant,
-// Explain, ViewStats) load the pointer and never take the engine
-// lock, so read traffic cannot throttle the commit pipeline and a
-// reader iterating a result can never observe a concurrent commit.
+// Explain, ViewStats) load the pointer through currentSnapshot and do
+// not take the engine lock, so read traffic cannot throttle the commit
+// pipeline and a reader iterating a result can never observe a
+// concurrent commit.
 //
-// Publishing is copy-on-write with structural sharing: the snapshot
-// references the engine's live objects instead of copying them, and
-// the shared flags (Engine.baseShared, viewState.dataShared) make the
-// next writer clone an object before mutating it in place. A commit
-// that touches two of a hundred views therefore pays two clones; the
-// other ninety-eight cost one carried-over pointer each.
+// Publishing is copy-on-write with structural sharing, and only what a
+// reader pinned is copied. The snapshot references the engine's live
+// objects instead of copying them, and the shared flags
+// (Engine.baseShared, viewState.dataShared) make the next writer clone
+// an object before mutating it in place. A snapshot starts open; the
+// first reader to load it pins it (currentSnapshot), and the next
+// install retires it if no reader did (retireLocked). Retiring hands
+// back to the writer exactly the objects that snapshot's publish newly
+// marked shared, so a commit no reader observed writes its bases and
+// views in place, while a pinned snapshot keeps every object it
+// references marked until a clone replaces it: no reader's version is
+// ever written, and an object is copied at most once per pinned
+// snapshot. A commit that touches two of a hundred views pays at most
+// two clones; the other ninety-eight cost one carried-over pointer
+// each.
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -30,9 +42,13 @@ import (
 
 // Snapshot is one immutable, consistent cut of the database: the
 // state exactly as of some committed transaction (plus any refreshes
-// and DDL). All contained objects are frozen — writers copy before
-// mutating — so a Snapshot may be read from any goroutine forever.
+// and DDL). Once a reader holds it (every accessor pins it), all
+// contained objects are frozen — writers copy before mutating — so it
+// may be read from any goroutine forever.
 type Snapshot struct {
+	// state is snapOpen until a reader pins it or an install retires
+	// it; the two are exclusive and final.
+	state     atomic.Uint32
 	seq       uint64
 	created   time.Time
 	scheme    *schema.Database
@@ -42,6 +58,30 @@ type Snapshot struct {
 	// indexed records which base columns carried a persistent hash
 	// index at publish time ("rel" → position set), for Explain.
 	indexed map[string]map[int]bool
+}
+
+// Snapshot states. Readers move a snapshot from open to pinned, the
+// writer (under the engine lock) from open to retired.
+const (
+	snapOpen    uint32 = iota // published; no reader holds it yet
+	snapPinned                // a reader holds it: its objects stay frozen
+	snapRetired               // superseded unread: an install writes it in place
+)
+
+// pin marks s as held by a reader, and reports false when s was
+// retired first.
+func (s *Snapshot) pin() bool {
+	for {
+		switch s.state.Load() {
+		case snapPinned:
+			return true
+		case snapRetired:
+			return false
+		}
+		if s.state.CompareAndSwap(snapOpen, snapPinned) {
+			return true
+		}
+	}
 }
 
 // Seq returns the snapshot's publish sequence number (0 for the empty
@@ -85,10 +125,14 @@ type snapView struct {
 //
 // The snapshot shares the live objects (no deep copy); marking every
 // base relation shared and every view's data shared makes the next
-// in-place mutation clone first, which is what freezes this snapshot.
-// A view whose data, stats, and backlog did not change since the last
-// publish (snapDirty unset) reuses its previous snapView wholesale; one
-// whose data pointer did not change keeps its previous read memo.
+// in-place mutation clone first, which is what freezes this snapshot
+// once a reader pins it. The objects this publish newly marks are
+// recorded (e.fresh) for retireLocked to hand back if none does. A view
+// whose data, stats, and backlog did not change since the last publish
+// (snapDirty unset) reuses its previous snapView wholesale; one whose
+// data pointer did not change keeps its previous read memo, which only
+// a reader of a pinned snapshot can have filled — a data object written
+// in place since was never pinned, so its memo is still empty.
 func (e *Engine) publishLocked() {
 	o := e.o.Load()
 	var t0 time.Time
@@ -97,18 +141,39 @@ func (e *Engine) publishLocked() {
 	}
 	prev := e.snap.Load()
 	s := &Snapshot{
-		created:   time.Now(),
-		scheme:    e.scheme,
-		base:      make(map[string]*relation.Relation, len(e.base)),
-		views:     make(map[string]*snapView, len(e.views)),
-		viewOrder: append([]string(nil), e.viewOrder...),
+		created: time.Now(),
+		scheme:  e.scheme,
+		views:   make(map[string]*snapView, len(e.views)),
 	}
+	// The base map, view order and index set are carried over from the
+	// previous snapshot while they are unchanged, as they are across
+	// commits that write in place.
 	if prev != nil {
 		s.seq = prev.seq + 1
+		s.base, s.viewOrder, s.indexed = prev.base, prev.viewOrder, prev.indexed
 	}
-	for name, r := range e.base {
-		s.base[name] = r
-		e.baseShared[name] = true
+	if !maps.Equal(s.base, e.base) {
+		s.base = maps.Clone(e.base)
+	}
+	if !slices.Equal(s.viewOrder, e.viewOrder) {
+		s.viewOrder = slices.Clone(e.viewOrder)
+	}
+	if !sameIndexSet(s.indexed, e.indexes) {
+		s.indexed = make(map[string]map[int]bool, len(e.indexes))
+		for rel, m := range e.indexes {
+			pm := make(map[int]bool, len(m))
+			for pos := range m {
+				pm[pos] = true
+			}
+			s.indexed[rel] = pm
+		}
+	}
+	e.fresh.bases, e.fresh.views = e.fresh.bases[:0], e.fresh.views[:0]
+	for name := range e.base {
+		if !e.baseShared[name] {
+			e.baseShared[name] = true
+			e.fresh.bases = append(e.fresh.bases, name)
+		}
 	}
 	for _, name := range e.viewOrder {
 		st := e.views[name]
@@ -141,19 +206,12 @@ func (e *Engine) publishLocked() {
 				memo:         memo,
 			}
 		}
-		st.dataShared = true
+		if !st.dataShared {
+			st.dataShared = true
+			e.fresh.views = append(e.fresh.views, st)
+		}
 		st.snapDirty = false
 		s.views[name] = sv
-	}
-	if len(e.indexes) > 0 {
-		s.indexed = make(map[string]map[int]bool, len(e.indexes))
-		for rel, m := range e.indexes {
-			pm := make(map[int]bool, len(m))
-			for pos := range m {
-				pm[pos] = true
-			}
-			s.indexed[rel] = pm
-		}
 	}
 	e.snap.Store(s)
 	if o != nil {
@@ -162,16 +220,70 @@ func (e *Engine) publishLocked() {
 	}
 }
 
-// currentSnapshot returns the published snapshot, counting the read
-// and refreshing the staleness gauge. Never nil: New publishes an
-// initial empty snapshot before the engine escapes its constructor.
+// sameIndexSet reports whether indexed records every index of indexes.
+// Indexes are only ever added, so equal counts mean equal sets.
+func sameIndexSet(indexed map[string]map[int]bool, indexes map[string]map[int]*relation.Index) bool {
+	n := 0
+	for _, m := range indexes {
+		n += len(m)
+	}
+	for _, pm := range indexed {
+		n -= len(pm)
+	}
+	return n == 0
+}
+
+// retireLocked retires the published snapshot unless a reader has
+// pinned it, and on success un-marks exactly the objects its publish
+// newly marked shared, so the caller writes them in place. Only an
+// install calls it — after validate and the log, where nothing can fail
+// — and its publish follows under the same hold of the write lock,
+// which bounds how long a reader that loads the retired snapshot waits
+// (currentSnapshot). Callers hold the write lock.
+func (e *Engine) retireLocked() {
+	if !e.snap.Load().state.CompareAndSwap(snapOpen, snapRetired) {
+		return
+	}
+	if e.retireHook != nil {
+		e.retireHook()
+	}
+	for _, name := range e.fresh.bases {
+		e.baseShared[name] = false
+	}
+	for _, st := range e.fresh.views {
+		st.dataShared = false
+	}
+	e.fresh.bases, e.fresh.views = e.fresh.bases[:0], e.fresh.views[:0]
+}
+
+// currentSnapshot returns the published snapshot, pinned, counting the
+// read and refreshing the staleness gauge. It is the one load of e.snap
+// every reader goes through. A reader that loads a snapshot an install
+// has just retired waits on the engine lock for the publish that
+// follows and pins that one, so callers must not hold the engine lock
+// (none does: writers read their own live state, not a snapshot).
+// Never nil: New publishes an initial empty snapshot before the engine
+// escapes its constructor.
 func (e *Engine) currentSnapshot() *Snapshot {
 	s := e.snap.Load()
+	if !s.pin() {
+		e.mu.RLock()
+		s = e.snap.Load()
+		s.pin() // cannot fail: only the write lock's holder retires
+		e.mu.RUnlock()
+	}
 	if o := e.o.Load(); o != nil {
 		o.snapReads.Inc()
 		o.snapAge.Set(time.Since(s.created).Seconds())
 	}
 	return s
+}
+
+// SnapshotAge reports the age of the published read snapshot — how
+// long ago the last commit, refresh, or DDL statement published. It
+// reads only the publish time, so it does not pin.
+func (e *Engine) SnapshotAge() time.Duration {
+	return time.Since(e.snap.Load().created)
 }
 
 // CurrentSnapshot returns the engine's published read snapshot. All

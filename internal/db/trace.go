@@ -313,12 +313,6 @@ func (e *Engine) Staleness() map[string]float64 {
 	return out
 }
 
-// SnapshotAge reports the age of the published read snapshot — how
-// long ago the last commit, refresh, or DDL statement published.
-func (e *Engine) SnapshotAge() time.Duration {
-	return time.Since(e.snap.Load().created)
-}
-
 // ExplainAnalyze is Explain plus an "analyze" section with actual
 // numbers: lifetime maintenance counters, current staleness, and the
 // stage timings of the view's most recent maintenance (queue wait,

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"mview/internal/relation"
+	"mview/internal/schema"
 	"mview/internal/tuple"
 )
 
@@ -39,6 +40,19 @@ func (u Update) Size() int {
 		n += u.Deletes.Len()
 	}
 	return n
+}
+
+// Clone returns a copy of u whose relations are O(1) copy-on-write
+// clones of u's, so either side may be composed in place.
+func (u Update) Clone() Update {
+	out := Update{Rel: u.Rel}
+	if u.Inserts != nil {
+		out.Inserts = u.Inserts.Clone()
+	}
+	if u.Deletes != nil {
+		out.Deletes = u.Deletes.Clone()
+	}
+	return out
 }
 
 // Apply mutates r into τ(r) = r ∪ i_r − d_r.
@@ -180,32 +194,108 @@ func ComposeInPlace(base *Update, next Update) {
 //
 // Updates touched by only one transaction are returned as-is (not
 // cloned); callers must treat the result as frozen, the same contract
-// the serial commit path already has with Tx.Net output.
+// the serial commit path already has with Tx.Net output. ComposeTxs is
+// a Fold over txs; the error is always nil.
 func ComposeTxs(txs [][]Update) ([]Update, error) {
-	acc := make(map[string]Update)
-	order := make([]string, 0, 4)
+	var f Fold
 	for _, tx := range txs {
-		for _, u := range tx {
-			prev, seen := acc[u.Rel]
-			if !seen {
-				acc[u.Rel] = u
-				order = append(order, u.Rel)
-				continue
-			}
-			c, err := Compose(prev, u)
-			if err != nil {
-				return nil, err
-			}
-			acc[u.Rel] = c
-		}
+		f.Add(tx)
 	}
-	out := make([]Update, 0, len(order))
-	for _, rel := range order {
-		if u := acc[rel]; !u.IsEmpty() {
+	return f.Updates(), nil
+}
+
+// Fold composes an ordered group's per-transaction net updates into one
+// net update per relation against the pre-group state (§6) as they
+// arrive, one ComposeInPlace per update, so the group's running net
+// effect is always at hand: Over reads a relation as the earlier
+// members left it without copying the relation. The zero value is an
+// empty fold.
+type Fold struct {
+	us []Update
+	// owned marks the updates whose relations the fold allocated. The
+	// others are a member's own Net output, passed through until a
+	// second member touches the relation, which clones them before
+	// composing in place.
+	owned []bool
+}
+
+// Add folds the next member's net updates, computed against the state
+// Over describes.
+func (f *Fold) Add(tx []Update) {
+	for _, u := range tx {
+		i := f.find(u.Rel)
+		if i < 0 {
+			f.us = append(f.us, u)
+			f.owned = append(f.owned, false)
+			continue
+		}
+		if !f.owned[i] {
+			f.us[i] = f.us[i].Clone()
+			f.owned[i] = true
+		}
+		ComposeInPlace(&f.us[i], u)
+	}
+}
+
+// Over returns rel's state after the folded updates, read through base,
+// rel's pre-group state: base itself while the fold has not touched
+// rel.
+func (f *Fold) Over(rel string, base Instance) Instance {
+	if i := f.find(rel); i >= 0 {
+		return After{Base: base, U: f.us[i]}
+	}
+	return base
+}
+
+// Updates returns the composed net update of every relation whose
+// composition did not cancel to empty, in first-touch order.
+func (f *Fold) Updates() []Update {
+	out := make([]Update, 0, len(f.us))
+	for _, u := range f.us {
+		if !u.IsEmpty() {
 			out = append(out, u)
 		}
 	}
-	return out, nil
+	return out
+}
+
+func (f *Fold) find(rel string) int {
+	for i := range f.us {
+		if f.us[i].Rel == rel {
+			return i
+		}
+	}
+	return -1
+}
+
+// Instance is what Net reads of a relation's pre-transaction state: its
+// scheme and membership. *relation.Relation is one; After is another.
+type Instance interface {
+	Scheme() *schema.Scheme
+	Has(t tuple.Tuple) bool
+}
+
+// After is Base as changed by the net update U — (Base ∪ U.Inserts) −
+// U.Deletes — read in place, without applying U to a copy of Base. U
+// must be a net effect against Base (U.Inserts ∩ Base = ∅, U.Deletes ⊆
+// Base).
+type After struct {
+	Base Instance
+	U    Update
+}
+
+// Scheme returns Base's scheme.
+func (a After) Scheme() *schema.Scheme { return a.Base.Scheme() }
+
+// Has reports whether t is in the changed state.
+func (a After) Has(t tuple.Tuple) bool {
+	if a.U.Inserts != nil && a.U.Inserts.Has(t) {
+		return true
+	}
+	if a.U.Deletes != nil && a.U.Deletes.Has(t) {
+		return false
+	}
+	return a.Base.Has(t)
 }
 
 // orEmpty substitutes an empty relation (with a scheme borrowed from
@@ -336,12 +426,25 @@ func (tx *Tx) Relations() []string {
 // returned updates satisfy the disjointness invariant: i_r ∩ r = ∅,
 // d_r ⊆ r, i_r ∩ d_r = ∅.
 func (tx *Tx) Net(lookup func(string) (*relation.Relation, bool)) ([]Update, error) {
+	return tx.NetOf(func(name string) (Instance, bool) {
+		if r, ok := lookup(name); ok {
+			return r, true
+		}
+		return nil, false
+	})
+}
+
+// NetOf is Net over read-only instances: lookup returns what Net reads
+// of each relation's pre-transaction state, such as a group's running
+// Fold over the base (Fold.Over), so nothing needs to be applied to a
+// copy of the base first.
+func (tx *Tx) NetOf(lookup func(string) (Instance, bool)) ([]Update, error) {
 	// The running net effect is kept in the update relations
 	// themselves: an op that undoes an earlier one takes the tuple back
 	// out, and an op that restates the pre-transaction state (insert of
 	// a present tuple, delete of an absent one) changes nothing.
 	type state struct {
-		rel *relation.Relation
+		rel Instance
 		u   Update
 	}
 	states := make(map[string]*state)

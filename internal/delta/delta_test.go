@@ -1,6 +1,8 @@
 package delta
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"mview/internal/relation"
@@ -525,5 +527,83 @@ func TestComposeTxsEmpty(t *testing.T) {
 	net, err := ComposeTxs(nil)
 	if err != nil || len(net) != 0 {
 		t.Errorf("ComposeTxs(nil) = %v, %v", net, err)
+	}
+}
+
+// TestFoldOverMatchesOverlay: a group member's net effect read through
+// the running fold (NetOf over Fold.Over) equals its net effect against
+// a copy of the base with the earlier members applied, the fold's
+// composed updates carry the base to the same final state, and folding
+// never writes a member's own Net output.
+func TestFoldOverMatchesOverlay(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	rels := []string{"R", "S"}
+	for round := range 200 {
+		base := map[string]*relation.Relation{}
+		for _, rel := range rels {
+			base[rel] = relation.New(schema.MustScheme("A", "B"))
+			for range 6 {
+				_ = base[rel].Insert(tuple.New(rng.Int63n(4), rng.Int63n(3)))
+			}
+		}
+		overlay := map[string]*relation.Relation{}
+		for rel, r := range base {
+			overlay[rel] = r.Clone()
+		}
+		var fold Fold
+		var members [][]Update
+		var frozen []string
+		for range 1 + rng.Intn(4) {
+			var tx Tx
+			for range 1 + rng.Intn(5) {
+				rel, tu := rels[rng.Intn(2)], tuple.New(rng.Int63n(4), rng.Int63n(3))
+				if rng.Intn(2) == 0 {
+					tx.Insert(rel, tu)
+				} else {
+					tx.Delete(rel, tu)
+				}
+			}
+			want, err := tx.Net(func(rel string) (*relation.Relation, bool) { r, ok := overlay[rel]; return r, ok })
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := tx.NetOf(func(rel string) (Instance, bool) { return fold.Over(rel, base[rel]), true })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("round %d: NetOf over the fold = %v, Net over the overlay = %v", round, got, want)
+			}
+			for _, u := range want {
+				if err := u.Apply(overlay[u.Rel]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fold.Add(got)
+			members = append(members, got)
+			frozen = append(frozen, fmt.Sprint(got))
+		}
+		for i, m := range members {
+			if fmt.Sprint(m) != frozen[i] {
+				t.Fatalf("round %d: folding changed member %d's updates to %v, was %s", round, i, m, frozen[i])
+			}
+		}
+		final := map[string]*relation.Relation{}
+		for rel, r := range base {
+			final[rel] = r.Clone()
+		}
+		for _, u := range fold.Updates() {
+			if u.IsEmpty() {
+				t.Fatalf("round %d: Updates kept an empty update for %s", round, u.Rel)
+			}
+			if err := u.Apply(final[u.Rel]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, rel := range rels {
+			if !final[rel].Equal(overlay[rel]) {
+				t.Fatalf("round %d: %s composed = %v, sequential = %v", round, rel, final[rel], overlay[rel])
+			}
+		}
 	}
 }

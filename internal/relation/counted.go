@@ -2,7 +2,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mview/internal/schema"
 	"mview/internal/tuple"
@@ -162,7 +162,7 @@ func (c *Counted) Tuples() []CountedTuple {
 	c.Each(func(t tuple.Tuple, n int64) {
 		out = append(out, CountedTuple{Tuple: t, Count: n})
 	})
-	sort.Slice(out, func(i, j int) bool { return out[i].Tuple.Less(out[j].Tuple) })
+	slices.SortFunc(out, func(a, b CountedTuple) int { return tuple.Compare(a.Tuple, b.Tuple) })
 	return out
 }
 

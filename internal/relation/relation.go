@@ -19,7 +19,7 @@ package relation
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"mview/internal/schema"
 	"mview/internal/tuple"
@@ -138,7 +138,7 @@ func (r *Relation) Each(f func(tuple.Tuple)) {
 func (r *Relation) Tuples() []tuple.Tuple {
 	out := make([]tuple.Tuple, 0, r.Len())
 	r.Each(func(t tuple.Tuple) { out = append(out, t) })
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
+	slices.SortFunc(out, tuple.Compare)
 	return out
 }
 

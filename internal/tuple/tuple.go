@@ -10,6 +10,7 @@ package tuple
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -46,18 +47,11 @@ func (t Tuple) Equal(u Tuple) bool {
 
 // Less orders tuples lexicographically; it is used for deterministic
 // iteration and output.
-func (t Tuple) Less(u Tuple) bool {
-	n := len(t)
-	if len(u) < n {
-		n = len(u)
-	}
-	for i := 0; i < n; i++ {
-		if t[i] != u[i] {
-			return t[i] < u[i]
-		}
-	}
-	return len(t) < len(u)
-}
+func (t Tuple) Less(u Tuple) bool { return Compare(t, u) < 0 }
+
+// Compare is the three-way form of Less, for slices.SortFunc: -1, 0 or
+// +1 as t sorts before, with or after u. A proper prefix sorts first.
+func Compare(t, u Tuple) int { return slices.Compare(t, u) }
 
 // The key codec: tuples map to strings injectively (for tuples of the
 // same arity) as fixed 8-byte big-endian two's complement per value.

@@ -48,6 +48,20 @@ func TestLess(t *testing.T) {
 	}
 }
 
+// TestCompareAgreesWithLess: Compare is Less's three-way form, and
+// antisymmetric.
+func TestCompareAgreesWithLess(t *testing.T) {
+	ts := []Tuple{New(), New(-5), New(1), New(1, 0), New(1, 2), New(1, 3), New(3)}
+	for _, a := range ts {
+		for _, b := range ts {
+			c := Compare(a, b)
+			if (c < 0) != a.Less(b) || (c > 0) != b.Less(a) || (c == 0) != a.Equal(b) {
+				t.Errorf("Compare(%v, %v) = %d, Less %v/%v", a, b, c, a.Less(b), b.Less(a))
+			}
+		}
+	}
+}
+
 func TestKeyRoundTrip(t *testing.T) {
 	cases := []Tuple{
 		New(),

@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
 # allocguard: run the gated benchmarks with -benchmem and fail if
 # allocs/op regresses past the checked-in budget. The gates are the
-# C-FLAT eval benchmarks (root package) and BenchmarkExecRequest, the
+# C-FLAT eval benchmarks (root package), BenchmarkExecRequest, the
 # POST /v1/exec handler's parse, commit, log and response path
-# (internal/httpapi).
+# (internal/httpapi), and BenchmarkCommitInPlace, a commit into a
+# 50k-row join view with no reader (written in place) and with a
+# reader pinning every version (copied first) (internal/db).
 #
 # allocs/op is deterministic for a fixed workload (unlike ns/op, which
 # drifts with machine load), so it is the one benchmark axis a CI box
@@ -14,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 budget=scripts/allocguard.budget
-out=$(go test -run=NONE -bench='^Benchmark(FlatEval|ExecRequest)$' -benchmem -count=1 . ./internal/httpapi)
+out=$(go test -run=NONE -bench='^Benchmark(FlatEval|ExecRequest|CommitInPlace)$' -benchmem -count=1 . ./internal/httpapi ./internal/db)
 echo "$out"
 
 fail=0
