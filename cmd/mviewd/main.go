@@ -84,6 +84,11 @@
 // The server shuts down gracefully on SIGINT/SIGTERM: in-flight
 // requests get a grace period, SSE watchers are disconnected, and the
 // commit log is closed so every acknowledged transaction is on disk.
+//
+// The daemon logs structured records (log/slog, key=value text on
+// stderr) at startup, recovery, follow, checkpoint failure and
+// shutdown, then one "final stat" record per metric series. -slowlog
+// lines are plain log lines on the same stream.
 package main
 
 import (
@@ -91,11 +96,13 @@ import (
 	"errors"
 	"flag"
 	"log"
+	"log/slog"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -147,9 +154,13 @@ func main() {
 	flag.Parse()
 
 	if err := run(c); err != nil {
-		log.Fatal(err)
+		logger.Error("mviewd failed", "err", err)
+		os.Exit(1)
 	}
 }
+
+// logger writes the daemon's structured log records to stderr.
+var logger = slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 func run(c config) error {
 	var reg *obs.Registry
@@ -206,13 +217,13 @@ func run(c config) error {
 		if db, err = mview.OpenFollower(c.follow, id, dbOpts...); err != nil {
 			return err
 		}
-		log.Printf("mviewd: following %s as %q", c.follow, id)
+		logger.Info("following leader", "leader", c.follow, "follower_id", id)
 	case c.data != "":
 		var err error
 		if db, err = mview.OpenDurable(c.data, dbOpts...); err != nil {
 			return err
 		}
-		log.Printf("mviewd: recovered durable database in %s", c.data)
+		logger.Info("recovered durable database", "data", c.data)
 	default:
 		db = mview.Open(dbOpts...)
 	}
@@ -275,7 +286,7 @@ func run(c config) error {
 					return
 				case <-tick.C:
 					if err := db.Checkpoint(); err != nil {
-						log.Printf("mviewd: checkpoint: %v", err)
+						logger.Error("checkpoint failed", "err", err)
 					}
 				}
 			}
@@ -294,8 +305,9 @@ func run(c config) error {
 			errc <- err
 		}
 	}()
-	log.Printf("mviewd listening on %s (data=%q metrics=%v slowlog=%v trace-ring=%d pprof=%v group-commit=%v)",
-		c.addr, c.data, c.metrics, c.slowlog, c.traceRing, c.pprof, db.GroupCommitEnabled())
+	logger.Info("listening", "addr", c.addr, "data", c.data, "metrics", c.metrics,
+		"slowlog", c.slowlog, "trace_ring", c.traceRing, "pprof", c.pprof,
+		"group_commit", db.GroupCommitEnabled())
 
 	select {
 	case err := <-errc:
@@ -303,19 +315,46 @@ func run(c config) error {
 	case <-ctx.Done():
 	}
 	stop() // a second signal now kills the process immediately
-	log.Printf("mviewd: shutting down")
+	logger.Info("shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil {
-		log.Printf("mviewd: shutdown: %v", err)
+		logger.Error("shutdown", "err", err)
 	}
 	ckptWG.Wait()
 	if err := db.Close(); err != nil {
 		return err
 	}
 	if reg != nil {
-		log.Printf("mviewd: final stats\n%s", reg.Dump())
+		logFinalStats(reg)
 	}
-	log.Printf("mviewd: bye")
+	logger.Info("bye")
 	return nil
+}
+
+// logFinalStats logs one "final stat" record per metric series: its
+// name, its labels as a group, and its value (a histogram's count and
+// sum).
+func logFinalStats(reg *obs.Registry) {
+	for _, s := range reg.Snapshot() {
+		args := []any{"metric", s.Name}
+		if len(s.Labels) > 0 {
+			keys := make([]string, 0, len(s.Labels))
+			for k := range s.Labels {
+				keys = append(keys, k)
+			}
+			slices.Sort(keys)
+			var labels []any
+			for _, k := range keys {
+				labels = append(labels, k, s.Labels[k])
+			}
+			args = append(args, slog.Group("labels", labels...))
+		}
+		if s.Type == "histogram" {
+			args = append(args, "count", s.Count, "sum", s.Sum)
+		} else {
+			args = append(args, "value", s.Value)
+		}
+		logger.Info("final stat", args...)
+	}
 }

@@ -175,6 +175,14 @@ type viewState struct {
 	// single pointer.
 	dataShared bool
 	snapDirty  bool
+	// written marks an install that changed data since the last
+	// publish; folded is the last such install's differential delta
+	// and foldedOnto the version it folded onto (both nil for a
+	// recompute or a per-transaction chain). publishLocked builds the
+	// next version's read memo from them (nextMemo, memo.go).
+	written    bool
+	folded     *diffeval.ViewDelta
+	foldedOnto *relation.Counted
 	// pendingSince is when the view's oldest unapplied change was
 	// staged: set on the 0→nonzero backlog transition, cleared by
 	// refresh. Its age is the view's staleness (Staleness, trace.go).
@@ -198,7 +206,8 @@ type viewState struct {
 }
 
 // Subscriber receives a view's change sets after a refresh touches the
-// view. Inserts and deletes are owned by the subscriber. Callbacks run
+// view. Inserts and deletes are shared with the view's next read memo
+// (memo.go) and must not be modified. Callbacks run
 // synchronously after the commit or refresh completes, with no engine
 // lock held, so they may read the engine; they should not write to it.
 type Subscriber func(view string, inserts, deletes *relation.Counted)

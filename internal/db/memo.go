@@ -3,24 +3,34 @@ package db
 // Per-version read memo.
 //
 // A published view version — the *relation.Counted behind a snapView —
-// is never written again (copy-on-write, snapshot.go), so what readers
-// make of it is computed once per version instead of once per read: the
-// rows in sorted order, the output schema, and a slot for the rendered
-// JSON body. publishLocked hands a snapView its predecessor's memo when
-// the data pointer did not change (a commit that did not touch the
-// view, a deferred view whose only change is its backlog) and a fresh,
-// empty one when it did; the first reader that needs each part builds
-// it under a sync.Once, and publishLocked never does. A memo becomes
-// garbage with the last snapshot that references its version, so there
-// is nothing to size, evict or switch off.
+// is never written again once a reader holds it (copy-on-write,
+// snapshot.go), so what readers make of it is computed once per version
+// instead of once per read: the rows in sorted order, the output
+// schema, and a slot for the rendered JSON body. publishLocked asks
+// nextMemo for each new snapView's memo. A view whose data was not
+// written since the last publish keeps its memo. Otherwise the memo is
+// new; when the install folded exactly one differential delta onto a
+// version whose memo already has its sorted rows, the new memo keeps
+// those rows and the delta and builds its own rows by merging the two
+// (mergeRows) instead of sorting the whole view. It links only to a
+// predecessor that is already built, so a chain is at most one deep
+// and an unread version is never retained, and it drops the link once
+// it is built. The first reader that needs each part builds it under a
+// sync.Once, and publishLocked never does. A memo becomes garbage with
+// the last snapshot that references its version, so there is nothing
+// to size, evict or switch off.
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"mview/internal/diffeval"
 	"mview/internal/expr"
 	"mview/internal/relation"
+	"mview/internal/tuple"
 )
 
 const viewReadsHelp = "View reads by how their version was served: result=memo from an already-built memo, result=render by building (sorting or rendering) part of it."
@@ -30,8 +40,14 @@ const viewReadsHelp = "View reads by how their version was served: result=memo f
 type viewMemo struct {
 	data  *relation.Counted
 	bound *expr.Bound
+	// prev and delta, until the rows are built: the predecessor
+	// version's sorted rows and the one delta folded onto it to give
+	// data (nextMemo).
+	prev  []relation.CountedTuple
+	delta *diffeval.ViewDelta
 
 	rowsOnce sync.Once
+	built    atomic.Bool             // rows, schema and err are set
 	rows     []relation.CountedTuple // sorted
 	schema   []string
 	err      error
@@ -40,12 +56,46 @@ type viewMemo struct {
 	json     []byte
 }
 
+// nextMemo returns the read memo of the version publishLocked is
+// publishing for st, whose previous snapView is old (nil for a new
+// view): old's memo while data is the same object; a memo that merges
+// old's rows with the one delta folded since, when old's rows are
+// built; otherwise an empty one. Callers hold the engine's write lock.
+func (st *viewState) nextMemo(old *snapView) *viewMemo {
+	if old != nil && old.data == st.data {
+		if st.written {
+			// Written in place: every snapshot that held data was
+			// retired unread, so the memo is empty and no reader's,
+			// and only its link is stale.
+			old.memo.prev, old.memo.delta = nil, nil
+		}
+		return old.memo
+	}
+	m := &viewMemo{data: st.data, bound: st.bound}
+	// A second install before this publish folds onto the first one's
+	// result, not onto old.data, so it cannot link.
+	if old != nil && st.folded != nil && st.foldedOnto == old.data {
+		if pm := old.memo; pm.built.Load() && pm.err == nil {
+			m.prev, m.delta = pm.rows, st.folded
+		}
+	}
+	return m
+}
+
 // load builds the sorted rows and the schema on first use and reports
 // whether this call was the one that built them.
 func (m *viewMemo) load() (built bool) {
 	m.rowsOnce.Do(func() {
 		built = true
-		m.rows = m.data.Tuples()
+		defer m.built.Store(true)
+		ok := false
+		if m.prev != nil {
+			m.rows, ok = mergeRows(m.prev, m.delta, m.data.Len())
+			m.prev, m.delta = nil, nil
+		}
+		if !ok {
+			m.rows = m.data.Tuples()
+		}
 		out, err := m.bound.OutScheme()
 		if err != nil {
 			m.err = err
@@ -59,6 +109,57 @@ func (m *viewMemo) load() (built bool) {
 	})
 	return built
 }
+
+// mergeRows returns the sorted rows of prev ⊎ d.Inserts ⊖ d.Deletes,
+// prev being the sorted rows of the version d was folded onto: one
+// binary search per changed tuple and one copy of the unchanged runs
+// between them. Counts add up, and a row whose count reaches zero is
+// dropped. The rows share prev's tuples and copy the delta's new ones.
+// It reports false, and the caller sorts instead, when the result is
+// not want rows long or a count would go negative.
+func mergeRows(prev []relation.CountedTuple, d *diffeval.ViewDelta, want int) ([]relation.CountedTuple, bool) {
+	changes := make([]relation.CountedTuple, 0, d.Inserts.Len()+d.Deletes.Len())
+	d.Inserts.Each(func(t tuple.Tuple, n int64) {
+		changes = append(changes, relation.CountedTuple{Tuple: t, Count: n})
+	})
+	d.Deletes.Each(func(t tuple.Tuple, n int64) {
+		changes = append(changes, relation.CountedTuple{Tuple: t, Count: -n})
+	})
+	slices.SortFunc(changes, compareRows)
+	vals := make([]tuple.Value, 0, d.Inserts.Len()*d.Inserts.Scheme().Arity())
+	out := make([]relation.CountedTuple, 0, want)
+	i := 0
+	for k := 0; k < len(changes); {
+		t, n := changes[k].Tuple, changes[k].Count
+		for k++; k < len(changes) && tuple.Compare(changes[k].Tuple, t) == 0; k++ {
+			n += changes[k].Count
+		}
+		at, found := slices.BinarySearchFunc(prev[i:], t, func(r relation.CountedTuple, t tuple.Tuple) int {
+			return tuple.Compare(r.Tuple, t)
+		})
+		out = append(out, prev[i:i+at]...)
+		i += at
+		if found {
+			n += prev[i].Count
+			t = prev[i].Tuple
+			i++
+		} else if n > 0 {
+			start := len(vals)
+			vals = append(vals, t...)
+			t = vals[start:len(vals):len(vals)]
+		}
+		switch {
+		case n < 0:
+			return nil, false
+		case n > 0:
+			out = append(out, relation.CountedTuple{Tuple: t, Count: n})
+		}
+	}
+	out = append(out, prev[i:]...)
+	return out, len(out) == want
+}
+
+func compareRows(a, b relation.CountedTuple) int { return tuple.Compare(a.Tuple, b.Tuple) }
 
 // ViewVersion is one view as of one published snapshot. Every accessor
 // answers from that same snapshot, so a caller needing rows, schema and

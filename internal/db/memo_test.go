@@ -3,6 +3,7 @@ package db
 import (
 	"fmt"
 	"maps"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"mview/internal/obs"
 	"mview/internal/pred"
 	"mview/internal/relation"
+	"mview/internal/schema"
 	"mview/internal/tuple"
 )
 
@@ -188,4 +190,123 @@ func TestViewVersionRowsSortedAndShared(t *testing.T) {
 	if names, err := v.Schema(); err != nil || !slices.Equal(names, []string{"R.A", "R.B"}) {
 		t.Errorf("schema = %v, %v", names, err)
 	}
+}
+
+// TestViewMemoMergeMatchesSort is the oracle for merged read memos.
+// Random commits change R — counts rise and fall, a projection folds
+// several rows into one, and now and then every row is deleted — and
+// a reader reads every k-th version. A version whose predecessor was
+// read must link to it and merge; its merged rows and JSON must equal
+// a fresh sort and render of the same version. A version whose
+// predecessor was never read must not link, and falls back to the sort.
+func TestViewMemoMergeMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	e := New()
+	if err := e.CreateRelation("R", "A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	views := []expr.View{
+		{Name: "proj", Operands: []expr.Operand{{Rel: "R"}}, Project: []schema.Attribute{"A"}},
+		{Name: "sel", Operands: []expr.Operand{{Rel: "R"}}, Where: pred.MustParse("B < 6")},
+	}
+	for _, v := range views {
+		if err := e.CreateView(v, ViewConfig{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	render := func(rows []relation.CountedTuple, schema []string) []byte {
+		return []byte(fmt.Sprint(rows, schema))
+	}
+	have := map[[2]int64]bool{}
+	prevMemo := map[string]*viewMemo{}
+	merges, sorts := 0, 0
+	k := 1
+	for version := 1; version <= 600; version++ {
+		var tx delta.Tx
+		if rng.Intn(40) == 0 {
+			for ab := range have {
+				tx.Delete("R", tuple.New(ab[0], ab[1]))
+			}
+			clear(have)
+		} else {
+			for range 1 + rng.Intn(4) {
+				ab := [2]int64{rng.Int63n(12), rng.Int63n(8)}
+				if have[ab] {
+					tx.Delete("R", tuple.New(ab[0], ab[1]))
+				} else {
+					tx.Insert("R", tuple.New(ab[0], ab[1]))
+				}
+				have[ab] = !have[ab]
+			}
+		}
+		if _, err := e.Execute(&tx); err != nil {
+			t.Fatal(err)
+		}
+		// Inspect the published snapshot without pinning it.
+		s := e.snap.Load()
+		read := version%k == 0
+		for _, v := range views {
+			sv := s.views[v.Name]
+			m, old := sv.memo, prevMemo[v.Name]
+			prevMemo[v.Name] = m
+			if m == old {
+				continue // the commit did not change this view
+			}
+			linked := m.prev != nil
+			if want := old != nil && old.built.Load(); linked != want {
+				t.Fatalf("version %d, view %s: linked %v, want %v (predecessor built: %v)",
+					version, v.Name, linked, want, want)
+			}
+			if !read {
+				continue
+			}
+			if linked {
+				got, ok := mergeRows(m.prev, m.delta, m.data.Len())
+				if !ok || !slices.EqualFunc(got, m.data.Tuples(), equalRows) {
+					t.Fatalf("version %d, view %s: merged rows (ok %v) %v, want %v",
+						version, v.Name, ok, got, m.data.Tuples())
+				}
+				merges++
+			} else {
+				sorts++
+			}
+		}
+		if !read {
+			continue
+		}
+		for _, v := range views {
+			vv, err := e.ReadView(v.Name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := vv.Rows()
+			want := vv.sv.data.Tuples()
+			if !slices.EqualFunc(rows, want, equalRows) {
+				t.Fatalf("version %d, view %s: rows %v, want %v", version, v.Name, rows, want)
+			}
+			schema, err := vv.Schema()
+			if err != nil {
+				t.Fatal(err)
+			}
+			js, err := vv.JSON(render)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(js) != string(render(want, schema)) {
+				t.Fatalf("version %d, view %s: JSON %s, want %s", version, v.Name, js, render(want, schema))
+			}
+			if m := vv.sv.memo; m.prev != nil || m.delta != nil {
+				t.Fatalf("version %d, view %s: a built memo still links its predecessor", version, v.Name)
+			}
+		}
+		k = 1 + rng.Intn(3)
+	}
+	t.Logf("read versions: %d merged, %d sorted", merges, sorts)
+	if merges == 0 || sorts == 0 {
+		t.Fatalf("read versions: %d merged, %d sorted; want both paths exercised", merges, sorts)
+	}
+}
+
+func equalRows(a, b relation.CountedTuple) bool {
+	return a.Count == b.Count && slices.Equal(a.Tuple, b.Tuple)
 }

@@ -519,10 +519,11 @@ func (e *Engine) routeRun(run *maintRun, rs *routeStats) error {
 }
 
 // validateStage checks every delta against its view before anything
-// becomes visible. Per-tx delta chains fold onto a private clone, each
-// step re-validated by diffeval.Apply; the clone becomes the view's
-// next state. A failing view keeps its error on w.err; the run's first
-// failure, maint or validate, in install order, is returned.
+// becomes visible, once: install folds it with diffeval.Fold. Per-tx
+// delta chains fold onto a private clone, each step validated by
+// diffeval.Apply; the clone becomes the view's next state. A failing
+// view keeps its error on w.err; the run's first failure, maint or
+// validate, in install order, is returned.
 func (e *Engine) validateStage(run *maintRun) error {
 	se := run.ct.begin(stageValidate)
 	var first error
@@ -602,6 +603,8 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 			continue
 		}
 		t0 := time.Now()
+		st.written = true
+		st.folded, st.foldedOnto = nil, nil
 		switch {
 		case w.perTx:
 			st.data = w.cow
@@ -612,14 +615,14 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 				}
 			}
 		case w.d != nil:
+			st.folded, st.foldedOnto = w.d, st.data
 			if st.dataShared {
 				st.data = st.data.Clone()
 				st.dataShared = false
 			}
-			if err := diffeval.Apply(st.data, w.d); err != nil {
-				// Unreachable: validated above and Apply re-validates
-				// before mutating, so the view is intact.
-				return nil, fmt.Errorf("db: internal: staged delta failed to install on %q: %w", st.name, err)
+			// validateStage checked w.d against this very state.
+			if err := diffeval.Fold(st.data, w.d); err != nil {
+				return nil, fmt.Errorf("db: internal: validated delta failed to install on %q: %w", st.name, err)
 			}
 			st.noteDelta(w.d)
 			ns = append(ns, st.notifications(st.name, w.d.Inserts, w.d.Deletes)...)

@@ -129,10 +129,8 @@ type snapView struct {
 // once a reader pins it. The objects this publish newly marks are
 // recorded (e.fresh) for retireLocked to hand back if none does. A view
 // whose data, stats, and backlog did not change since the last publish
-// (snapDirty unset) reuses its previous snapView wholesale; one whose
-// data pointer did not change keeps its previous read memo, which only
-// a reader of a pinned snapshot can have filled — a data object written
-// in place since was never pinned, so its memo is still empty.
+// (snapDirty unset) reuses its previous snapView wholesale; the others
+// get their read memo from nextMemo.
 func (e *Engine) publishLocked() {
 	o := e.o.Load()
 	var t0 time.Time
@@ -185,12 +183,6 @@ func (e *Engine) publishLocked() {
 			sv = old
 		}
 		if sv == nil {
-			var memo *viewMemo
-			if old != nil && old.data == st.data {
-				memo = old.memo
-			} else {
-				memo = &viewMemo{data: st.data, bound: st.bound}
-			}
 			sv = &snapView{
 				name:         name,
 				bound:        st.bound,
@@ -203,9 +195,10 @@ func (e *Engine) publishLocked() {
 				pendingSince: st.pendingSince,
 				lastMaint:    st.lastMaint,
 				reads:        st.reads,
-				memo:         memo,
+				memo:         st.nextMemo(old),
 			}
 		}
+		st.written, st.folded, st.foldedOnto = false, nil, nil
 		if !st.dataShared {
 			st.dataShared = true
 			e.fresh.views = append(e.fresh.views, st)

@@ -410,8 +410,14 @@ func Apply(view *relation.Counted, d *ViewDelta) error {
 	if err := Validate(view, d); err != nil {
 		return err
 	}
-	// Validate proved both folds succeed: schemes match and no counter
-	// can go negative.
+	return Fold(view, d)
+}
+
+// Fold is Apply for a delta Validate already accepted against this very
+// view state: it folds v' = v ⊎ inserts ⊖ deletes with one lookup per
+// tuple and no re-check. An error means the delta was not validated
+// against the view, which may then be half-folded.
+func Fold(view *relation.Counted, d *ViewDelta) error {
 	if err := view.Merge(d.Inserts); err != nil {
 		return err
 	}

@@ -577,30 +577,40 @@ func (h *Handler) createView(w http.ResponseWriter, r *http.Request) {
 // {"count":N,"policy":…,"rows":[…],"schema":[…],"staleness_seconds":…}
 // — the keys in the order encoding/json gives a map — where the middle
 // two come verbatim from the version's memoised rendering (DB.ViewJSON)
-// and only the envelope around them is encoded per request.
+// and only the envelope around them is encoded per request. The
+// envelope and the body are assembled in one pooled buffer and leave in
+// one Write, so the response's tail does not cost a write(2) of its own.
 func (h *Handler) getView(w http.ResponseWriter, r *http.Request) {
 	obj, count, p, err := h.db.ViewJSON(r.PathValue("name"))
 	if err != nil {
 		writeErr(w, http.StatusNotFound, err)
 		return
 	}
-	inner := obj[1 : len(obj)-1] // "rows":[…],"schema":[…]
-	env := append(make([]byte, 0, 112), `{"count":`...)
-	env = strconv.AppendInt(env, int64(count), 10)
-	env = append(env, `,"policy":`...)
-	env = jsonenc.AppendString(env, p.Spec)
-	env = append(env, ',')
-	split := len(env) // inner goes here
-	env = append(env, `,"staleness_seconds":`...)
-	env = jsonenc.AppendFloat(env, p.Staleness.Seconds())
-	env = append(env, "}\n"...)
+	bp := viewBufs.Get().(*[]byte)
+	b := append((*bp)[:0], `{"count":`...)
+	b = strconv.AppendInt(b, int64(count), 10)
+	b = append(b, `,"policy":`...)
+	b = jsonenc.AppendString(b, p.Spec)
+	b = append(b, ',')
+	b = append(b, obj[1:len(obj)-1]...) // "rows":[…],"schema":[…]
+	b = append(b, `,"staleness_seconds":`...)
+	b = jsonenc.AppendFloat(b, p.Staleness.Seconds())
+	b = append(b, "}\n"...)
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Length", strconv.Itoa(len(env)+len(inner)))
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(env[:split])
-	_, _ = w.Write(inner)
-	_, _ = w.Write(env[split:])
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledView {
+		*bp = b
+		viewBufs.Put(bp)
+	}
 }
+
+// viewBufs pools getView's response buffers; one past maxPooledView
+// bytes is left to the collector rather than kept.
+var viewBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledView = 256 << 10
 
 // policyBody renders one view's policy the way both policy routes
 // answer: the stable spec string, the effective commit-time mode, and

@@ -346,3 +346,54 @@ func TestViewGetMemoStress(t *testing.T) {
 	done.Store(true)
 	rg.Wait()
 }
+
+// writeCounter counts the Write calls a handler makes.
+type writeCounter struct {
+	*httptest.ResponseRecorder
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.ResponseRecorder.Write(p)
+}
+
+// TestViewGetOneWrite: a view GET hands its whole response to one
+// ResponseWriter.Write, envelope and memoised body together, twice in a
+// row (the second from a pooled buffer) with the same bytes.
+func TestViewGetOneWrite(t *testing.T) {
+	db := mview.Open()
+	defer db.Close()
+	if err := db.CreateRelation("r", "A", "B"); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CreateView("v", mview.ViewSpec{From: []string{"r"}}); err != nil {
+		t.Fatal(err)
+	}
+	var ops []mview.Op
+	for i := range 500 {
+		ops = append(ops, mview.Insert("r", int64(i), int64(i*7)))
+	}
+	if _, err := db.Exec(ops...); err != nil {
+		t.Fatal(err)
+	}
+	h := NewWith(db)
+	var bodies []string
+	for range 2 {
+		w := &writeCounter{ResponseRecorder: httptest.NewRecorder()}
+		h.ServeHTTP(w, httptest.NewRequest("GET", "/v1/views/v", nil))
+		if w.Code != http.StatusOK {
+			t.Fatalf("GET: %d %s", w.Code, w.Body)
+		}
+		if w.writes != 1 {
+			t.Fatalf("a %d-byte view GET made %d Writes, want 1", w.Body.Len(), w.writes)
+		}
+		if cl := w.Header().Get("Content-Length"); cl != fmt.Sprint(w.Body.Len()) {
+			t.Fatalf("Content-Length %q, body %d bytes", cl, w.Body.Len())
+		}
+		bodies = append(bodies, w.Body.String())
+	}
+	if bodies[0] != bodies[1] {
+		t.Fatalf("the pooled buffer changed the body:\n%s\n%s", bodies[0], bodies[1])
+	}
+}

@@ -9,6 +9,7 @@ import (
 	"net/url"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mview/internal/wal"
@@ -64,12 +65,10 @@ type Client struct {
 	t  Transport
 	a  Applier
 
-	// RetryMin/RetryMax bound the reconnect backoff. AckEvery caps how
-	// many applied records may pass between acks (a heartbeat always
-	// acks). Zero values select defaults.
+	// RetryMin/RetryMax bound the reconnect backoff. Zero values
+	// select defaults.
 	RetryMin time.Duration
 	RetryMax time.Duration
-	AckEvery int
 
 	mu          sync.Mutex
 	state       string
@@ -90,7 +89,6 @@ func NewClient(id string, t Transport, a Applier) *Client {
 		a:        a,
 		RetryMin: 50 * time.Millisecond,
 		RetryMax: 2 * time.Second,
-		AckEvery: 1,
 	}
 }
 
@@ -217,9 +215,69 @@ func (c *Client) bootstrap(ctx context.Context) error {
 	return nil
 }
 
+// ackWindow is the least time between the starts of two acks one
+// stream posts. The leader's view of a follower (ack_lsn, the lag
+// gauges) is therefore up to one window stale.
+const ackWindow = 10 * time.Millisecond
+
+// acker posts one stream's applied position to the leader off the apply
+// loop. note records the latest position and wakes the sender, which
+// posts it and then waits out the rest of ackWindow; positions noted
+// meanwhile coalesce into its next post, so a quiet stream's last
+// position is acked within one window.
+type acker struct {
+	lsn  atomic.Uint64
+	wake chan struct{} // capacity 1: one pending post
+	done chan struct{} // closed when the sender exits
+}
+
+// note asks for lsn to be acked.
+func (a *acker) note(lsn uint64) {
+	a.lsn.Store(lsn)
+	select {
+	case a.wake <- struct{}{}:
+	default:
+	}
+}
+
+// startAcks runs a stream's ack sender until ctx is cancelled.
+func (c *Client) startAcks(ctx context.Context) *acker {
+	a := &acker{wake: make(chan struct{}, 1), done: make(chan struct{})}
+	go func() {
+		defer close(a.done)
+		var window *time.Timer
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-a.wake:
+			}
+			start := time.Now()
+			_ = c.t.Ack(ctx, c.id, a.lsn.Load())
+			wait := ackWindow - time.Since(start)
+			if wait <= 0 {
+				continue
+			}
+			if window == nil {
+				window = time.NewTimer(wait)
+			} else {
+				window.Reset(wait)
+			}
+			select {
+			case <-ctx.Done():
+				window.Stop()
+				return
+			case <-window.C:
+			}
+		}
+	}()
+	return a
+}
+
 // stream consumes one frame stream until it drops (returns the
 // transport error), the context cancels (returns nil), or the leader
-// reports a gap / apply diverges (returns errResync).
+// reports a gap / apply diverges (returns errResync). Acks go through
+// the stream's own sender, which stops with the stream.
 func (c *Client) stream(ctx context.Context) error {
 	from := c.a.AppliedLSN()
 	rc, err := c.t.Stream(ctx, c.id, from)
@@ -227,7 +285,12 @@ func (c *Client) stream(ctx context.Context) error {
 		return err
 	}
 	defer rc.Close()
-	sinceAck := 0
+	actx, cancel := context.WithCancel(ctx)
+	acks := c.startAcks(actx)
+	defer func() {
+		cancel()
+		<-acks.done
+	}()
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
@@ -264,19 +327,14 @@ func (c *Client) stream(ctx context.Context) error {
 				return fmt.Errorf("repl: apply after %d: %v: %w", from, err, errResync)
 			}
 			c.noteContact(c.a.AppliedLSN())
-			sinceAck += len(fresh)
-			if sinceAck >= c.AckEvery {
-				_ = c.t.Ack(ctx, c.id, c.a.AppliedLSN())
-				sinceAck = 0
-			}
+			acks.note(c.a.AppliedLSN())
 		case frameHeartbeat:
 			hb, err := decodeHeartbeat(payload)
 			if err != nil {
 				return err
 			}
 			c.noteContact(hb.LastLSN)
-			_ = c.t.Ack(ctx, c.id, c.a.AppliedLSN())
-			sinceAck = 0
+			acks.note(c.a.AppliedLSN())
 		case frameGap:
 			gap, err := decodeGap(payload)
 			if err != nil {

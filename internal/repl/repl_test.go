@@ -8,6 +8,7 @@ import (
 	"io"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -454,4 +455,66 @@ func TestLagMetricsAndForget(t *testing.T) {
 	if bytes.Contains(buf.Bytes(), []byte(`follower="f1"`)) {
 		t.Fatalf("forgotten follower still in exposition:\n%s", buf.String())
 	}
+}
+
+// countingTransport counts the acks a client posts.
+type countingTransport struct {
+	LocalTransport
+	acks atomic.Int64
+}
+
+func (ct *countingTransport) Ack(ctx context.Context, id string, lsn uint64) error {
+	ct.acks.Add(1)
+	return ct.LocalTransport.Ack(ctx, id, lsn)
+}
+
+// TestAcksCoalescePerWindow: a stream of 1 000 one-record frames posts
+// at most one ack per ackWindow (plus the bootstrap's and a first one),
+// not one per frame, and the leader still learns the last LSN within
+// 50 ms of the last frame.
+func TestAcksCoalescePerWindow(t *testing.T) {
+	const n = 1000
+	src := newWalSource(t)
+	for i := 1; i <= n; i++ {
+		if _, err := src.l.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := fastServer(src)
+	srv.BatchMax = 1
+	srv.Heartbeat = time.Hour
+	app := &memApplier{}
+	tr := &countingTransport{LocalTransport: LocalTransport{S: srv}}
+	cl := NewClient("f1", tr, app)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan struct{})
+	start := time.Now()
+	go func() { defer close(done); cl.Run(ctx) }()
+
+	deadline := start.Add(30 * time.Second)
+	for app.AppliedLSN() < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("applied %d of %d records", app.AppliedLSN(), n)
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	lastFrame := time.Now()
+	for {
+		if sts := srv.Status(); len(sts) == 1 && sts[0].AckLSN == n {
+			break
+		}
+		if time.Since(lastFrame) > 50*time.Millisecond {
+			t.Fatalf("leader's ack_lsn still %+v 50ms after the last frame", srv.Status())
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	elapsed := time.Since(start)
+	acks := tr.acks.Load()
+	if limit := int64(elapsed/ackWindow) + 2; acks > limit {
+		t.Fatalf("%d frames over %v posted %d acks, want at most %d", n, elapsed, acks, limit)
+	}
+	t.Logf("%d frames over %v: %d acks", n, elapsed, acks)
+	cancel()
+	<-done
 }

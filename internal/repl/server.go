@@ -118,9 +118,11 @@ const (
 	ackLSNHelp = "Last LSN each follower acknowledged as applied."
 )
 
-// Ack records a follower's applied position. Followers post it after
-// every applied batch and on every heartbeat, so an idle-but-alive
-// follower keeps its lag at zero.
+// Ack records a follower's applied position. A follower posts it after
+// applying batches and on every heartbeat, at most once per 10 ms per
+// stream (the positions in between coalesce into the next post), so an
+// idle-but-alive follower keeps its lag at zero and the leader's view
+// of a busy one is at most that window stale.
 func (s *Server) Ack(id string, lsn uint64) {
 	now := time.Now()
 	s.mu.Lock()
@@ -312,6 +314,14 @@ func (s *Server) StreamTo(ctx context.Context, id string, from uint64, w io.Writ
 	}()
 
 	lastSent := time.Now()
+	// One timer serves every idle wait; each wait drains it or ends
+	// the stream.
+	var poll *time.Timer
+	defer func() {
+		if poll != nil {
+			poll.Stop()
+		}
+	}()
 	idle := func() error {
 		if time.Since(lastSent) >= s.Heartbeat {
 			hb := Heartbeat{LastLSN: s.src.LastLSN(), UnixNano: time.Now().UnixNano()}
@@ -320,9 +330,14 @@ func (s *Server) StreamTo(ctx context.Context, id string, from uint64, w io.Writ
 			}
 			lastSent = time.Now()
 		}
+		if poll == nil {
+			poll = time.NewTimer(s.Poll)
+		} else {
+			poll.Reset(s.Poll)
+		}
 		select {
 		case <-ctx.Done():
-		case <-time.After(s.Poll):
+		case <-poll.C:
 		}
 		return nil
 	}

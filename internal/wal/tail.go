@@ -36,6 +36,12 @@ func (e *GapError) Error() string {
 // A Tail observes the chain only through the filesystem, so it works
 // both in-process (the stream server) and against a closed log (tests,
 // offline inspection). It is not safe for concurrent use.
+//
+// Reads are chunked: one ReadAt fetches every byte the current file
+// holds past the cursor (up to tailChunk, or the whole of a larger
+// record), and the records Next returns alias that chunk. A caught-up
+// Next touches no file at all, and the chain is re-listed only when
+// the current file ended below the limit, which is a rotation.
 type Tail struct {
 	path string
 	from uint64
@@ -44,13 +50,26 @@ type Tail struct {
 	// cap, then stops.
 	MaxBytes int
 
-	cur      *os.File
-	curPath  string
-	off      int64
-	size     int64  // current file's size when last checked
+	cur     *os.File
+	curPath string
+	off     int64 // file offset of the next record
+	// buf holds the file's bytes from bufOff on, as one ReadAt returned
+	// them when the caller's limit was bufLimit: records in it up to
+	// bufLimit were durable then, and bytes past them may be an append
+	// in flight or one since rolled back, so they are read again.
+	buf      []byte
+	bufOff   int64
+	bufLimit uint64
 	fileLast uint64 // last LSN read from the current file (0 = none yet)
 	last     uint64 // last LSN read overall, including filtered ones
+
+	// lists and reads count chain listings and file reads (tests).
+	lists, reads int
 }
+
+// tailChunk caps one chunked read; a record larger than it is read
+// whole.
+const tailChunk = 256 << 10
 
 // OpenTail opens a tail positioned after LSN from (records with
 // LSN <= from are skipped). It returns *GapError when the record at
@@ -128,15 +147,20 @@ func peekFirstLSN(path string) uint64 {
 // An empty batch with nil error means the tail is caught up for now.
 // A *GapError means records the subscriber needs were reclaimed.
 //
+// A tail already at limitLSN returns at once, without touching a file.
+// The payloads alias a chunk the tail read and never writes again.
+//
 // Gap detection here is a disk-level backstop and can lag reclamation
 // by one call when racing a concurrent Truncate; an in-process server
 // should additionally consult Log.Bounds() before each poll.
 func (t *Tail) Next(maxRecords int, limitLSN uint64) ([]Record, error) {
 	var out []Record
 	bytes := 0
-	for len(out) < maxRecords {
+	for len(out) < maxRecords && max(t.last, t.from) < limitLSN {
 		rec, ok := t.readRecord(limitLSN)
 		if !ok {
+			// The current file ended below the limit: the records
+			// the limit promises are in a later segment.
 			advanced, err := t.advance()
 			if err != nil {
 				return out, err
@@ -159,19 +183,33 @@ func (t *Tail) Next(maxRecords int, limitLSN uint64) ([]Record, error) {
 
 // readRecord reads and validates one record at the cursor. ok == false
 // means no record was consumed: end of this file, a torn or in-flight
-// write, or the next record is beyond limitLSN.
+// write, or the next record is beyond limitLSN. A parse that fails on
+// an earlier chunk, whose bytes past its limit may be stale, is retried
+// once on a fresh read.
 func (t *Tail) readRecord(limitLSN uint64) (Record, bool) {
 	if t.cur == nil {
 		return Record{}, false
 	}
-	var header [headerLen]byte
-	if _, err := t.cur.ReadAt(header[:], t.off); err != nil {
+	if t.buf != nil {
+		if rec, ok := t.parse(limitLSN); ok {
+			return rec, true
+		}
+		t.buf = nil
+	}
+	return t.parse(limitLSN)
+}
+
+// parse decodes the record at the cursor from buf, reading the file
+// only when buf does not hold it.
+func (t *Tail) parse(limitLSN uint64) (Record, bool) {
+	header, ok := t.window(headerLen, limitLSN)
+	if !ok {
 		return Record{}, false
 	}
 	lsn := binary.BigEndian.Uint64(header[0:8])
 	kind := header[8]
 	plen := binary.BigEndian.Uint32(header[9:13])
-	if plen > MaxPayload || lsn == 0 {
+	if plen > MaxPayload || lsn == 0 || lsn > t.bufLimit {
 		return Record{}, false
 	}
 	if t.fileLast != 0 && lsn != t.fileLast+1 {
@@ -180,31 +218,51 @@ func (t *Tail) readRecord(limitLSN uint64) (Record, bool) {
 	if lsn > limitLSN {
 		return Record{}, false
 	}
-	// Allocate the body only once the file holds it: a torn header may
-	// claim up to MaxPayload. The file may have grown since the size was
-	// last checked, so a record past it rechecks.
-	end := t.off + int64(headerLen) + int64(plen) + crcLen
-	if end > t.size {
-		info, err := t.cur.Stat()
-		if err != nil || end > info.Size() {
-			return Record{}, false
-		}
-		t.size = info.Size()
-	}
-	body := make([]byte, int(plen)+crcLen)
-	if _, err := t.cur.ReadAt(body, t.off+int64(headerLen)); err != nil {
+	n := headerLen + int(plen) + crcLen
+	b, ok := t.window(n, limitLSN)
+	if !ok {
 		return Record{}, false
 	}
-	crc := crc32.NewIEEE()
-	crc.Write(header[:])
-	crc.Write(body[:plen])
-	if crc.Sum32() != binary.BigEndian.Uint32(body[plen:]) {
+	body := headerLen + int(plen)
+	if crc32.ChecksumIEEE(b[:body]) != binary.BigEndian.Uint32(b[body:]) {
 		return Record{}, false
 	}
-	t.off += int64(headerLen) + int64(plen) + crcLen
+	t.off += int64(n)
 	t.fileLast = lsn
 	t.last = lsn
-	return Record{LSN: lsn, Kind: kind, Payload: body[:plen]}, true
+	return Record{LSN: lsn, Kind: kind, Payload: b[headerLen:body:body]}, true
+}
+
+// window returns the n bytes at the cursor, from buf when it holds
+// them and otherwise from a fresh chunk.
+func (t *Tail) window(n int, limitLSN uint64) ([]byte, bool) {
+	if lo := t.off - t.bufOff; t.buf != nil && lo >= 0 && lo+int64(n) <= int64(len(t.buf)) {
+		return t.buf[lo : lo+int64(n)], true
+	}
+	return t.fill(n, limitLSN)
+}
+
+// fill reads the current file from the cursor into a new buf: every
+// byte it holds up to tailChunk, and at least n. It allocates only
+// once the file holds n bytes past the cursor — a torn header may
+// claim up to MaxPayload — and never more than the file holds.
+func (t *Tail) fill(n int, limitLSN uint64) ([]byte, bool) {
+	t.buf = nil
+	info, err := t.cur.Stat()
+	if err != nil {
+		return nil, false
+	}
+	avail := info.Size() - t.off
+	if avail < int64(n) {
+		return nil, false
+	}
+	buf := make([]byte, max(int64(n), min(avail, tailChunk)))
+	t.reads++
+	if _, err := t.cur.ReadAt(buf, t.off); err != nil {
+		return nil, false
+	}
+	t.buf, t.bufOff, t.bufLimit = buf, t.off, limitLSN
+	return buf[:n], true
 }
 
 // advance moves the cursor to the segment holding LSN last+1, if one
@@ -212,6 +270,7 @@ func (t *Tail) readRecord(limitLSN uint64) (Record, bool) {
 // reclamation all happen behind the tail's back. Returns false when
 // the tail is (for now) caught up.
 func (t *Tail) advance() (bool, error) {
+	t.lists++
 	files, err := SegmentFiles(t.path)
 	if err != nil {
 		return false, err
@@ -235,7 +294,7 @@ func (t *Tail) advance() (bool, error) {
 			if t.cur != nil {
 				t.cur.Close()
 			}
-			t.cur, t.curPath, t.off, t.size, t.fileLast = f, p, 0, 0, 0
+			t.cur, t.curPath, t.off, t.buf, t.fileLast = f, p, 0, nil, 0
 			return true, nil
 		}
 		if first > want && (oldestAhead == 0 || first < oldestAhead) {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"testing"
 )
 
@@ -373,5 +374,97 @@ func TestTailMaxBytes(t *testing.T) {
 	want := fmt.Sprint([]uint64{1, 2, 3, 4})
 	if fmt.Sprint(got) != want {
 		t.Fatalf("capped drain LSNs = %v, want %s", got, want)
+	}
+}
+
+// TestTailCaughtUpNextTouchesNoFile: once the tail has read up to the
+// limit, Next returns without listing the chain or reading a file, a
+// batch of appends costs one read, and a rotation is still followed
+// with one listing.
+func TestTailCaughtUpNextTouchesNoFile(t *testing.T) {
+	path := tempLog(t)
+	l := buildChain(t, path, 3, 0)
+	defer l.Close()
+	tl, err := OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	if recs := tailAll(t, tl, l.LastLSN()); len(recs) != 3 {
+		t.Fatalf("initial drain = %d records, want 3", len(recs))
+	}
+	lists, reads := tl.IOCounts()
+	for range 100 {
+		if recs, err := tl.Next(16, l.LastLSN()); err != nil || len(recs) != 0 {
+			t.Fatalf("caught-up Next = (%d, %v), want (0, nil)", len(recs), err)
+		}
+	}
+	if l2, r2 := tl.IOCounts(); l2 != lists || r2 != reads {
+		t.Fatalf("100 caught-up Nexts listed the chain %d times and read %d times, want 0 and 0",
+			l2-lists, r2-reads)
+	}
+
+	for i := 4; i <= 8; i++ {
+		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := tl.Next(16, l.LastLSN())
+	if err != nil || len(recs) != 5 || recs[0].LSN != 4 || recs[4].LSN != 8 {
+		t.Fatalf("batch Next = (%+v, %v), want LSNs 4-8", recs, err)
+	}
+	if l2, r2 := tl.IOCounts(); l2 != lists || r2 != reads+1 {
+		t.Fatalf("a five-record batch listed the chain %d times and read %d times, want 0 and 1",
+			l2-lists, r2-reads)
+	}
+
+	if err := l.Rotate(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 9; i <= 10; i++ {
+		if _, err := l.Append(1, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lists, _ = tl.IOCounts()
+	recs = tailAll(t, tl, l.LastLSN())
+	if len(recs) != 2 || recs[0].LSN != 9 || recs[1].LSN != 10 {
+		t.Fatalf("post-rotation drain = %+v, want LSNs 9-10", recs)
+	}
+	if l2, _ := tl.IOCounts(); l2 != lists+1 {
+		t.Fatalf("following one rotation listed the chain %d times, want 1", l2-lists)
+	}
+}
+
+// TestTailRereadsBytesReadBeforeTheyWereDurable: a chunk read while
+// record 4 was beyond the limit must not serve record 4 from those
+// bytes once the limit covers it — the append may have been rolled
+// back and its LSN rewritten with other contents.
+func TestTailRereadsBytesReadBeforeTheyWereDurable(t *testing.T) {
+	path := tempLog(t)
+	l := buildChain(t, path, 4, 0)
+	defer l.Close()
+	tl, err := OpenTail(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.Close()
+	if recs := tailAll(t, tl, 3); len(recs) != 3 {
+		t.Fatalf("drain to 3 = %d records, want 3", len(recs))
+	}
+	// Roll record 4 back and write another record 4 in its place.
+	seg := path + ".1"
+	data, err := os.ReadFile(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec4 := len(frame(nil, 4, 5, []byte{4}))
+	data = frame(data[:len(data)-rec4], 4, 9, []byte("rewritten"))
+	if err := os.WriteFile(seg, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs := tailAll(t, tl, 4)
+	if len(recs) != 1 || recs[0].Kind != 9 || string(recs[0].Payload) != "rewritten" {
+		t.Fatalf("record 4 after rollback = %+v, want the rewritten one", recs)
 	}
 }

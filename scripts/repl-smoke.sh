@@ -86,9 +86,11 @@ if [ "$CODE" != "403" ]; then
 fi
 
 # Policy DDL replicates: change v's refresh policy on the leader and
-# the follower must converge to the same spec on its policy route.
+# the follower must converge to the same spec on its policy route. This
+# is the leader's last write.
 curl -fsS -X PUT "$LEADER/v1/views/v/policy" \
 	-d '{"policy":"maxstale=500ms"}' >/dev/null
+LAST_WRITE_MS=$(($(date +%s%N) / 1000000))
 i=0
 while :; do
 	FPOL="$(curl -fsS "$FOLLOWER/v1/views/v/policy" 2>/dev/null || true)"
@@ -130,6 +132,20 @@ case "$METRICS" in
 	;;
 esac
 
+# Coalesced acks catch up: within 1 s of the leader's last write its
+# status route must show smoke-f1 acked at the leader's LSN, lag 0.
+while :; do
+	STATUS="$(curl -fsS "$LEADER/v1/replication/status")"
+	LLSN="$(printf '%s' "$STATUS" | sed -n 's/.*"leader_lsn":\([0-9]*\).*/\1/p')"
+	ACKLAG="$(printf '%s' "$STATUS" | sed -n 's/.*"id":"smoke-f1","ack_lsn":\([0-9]*\),"lag_lsn":\([0-9]*\).*/\1 \2/p')"
+	[ -n "$LLSN" ] && [ "$ACKLAG" = "$LLSN 0" ] && break
+	if [ $(($(date +%s%N) / 1000000 - LAST_WRITE_MS)) -gt 1000 ]; then
+		echo "repl-smoke: smoke-f1 not acked at leader LSN $LLSN with lag 0 within 1 s of the last write: $STATUS" >&2
+		exit 1
+	fi
+	sleep 0.05
+done
+
 # Follower-side observability: its /debug/stats reports the client
 # streaming with zero lag.
 FSTATS="$(curl -fsS "$FOLLOWER/debug/stats")"
@@ -141,4 +157,4 @@ case "$FSTATS" in
 	;;
 esac
 
-echo "repl-smoke: OK (follower converged, writes and policy changes refused with 403, policy DDL replicated, lag gauges live)"
+echo "repl-smoke: OK (follower converged, writes and policy changes refused with 403, policy DDL replicated, lag gauges live, acks caught up)"
