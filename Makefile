@@ -16,10 +16,12 @@ test:
 # per-version read memos under view GETs racing group-committed writers
 # and the routing oracles, whose fleets hold every consumer of the
 # relevance index (commits, deferred refreshes, subscribers), the
-# group-commit and differential-maintenance oracles, and the pin
+# group-commit and differential-maintenance oracles, the pin
 # tests — readers pinning snapshots while commits write the unpinned
-# versions in place, and a reader caught in the retire window —
-# repeated.
+# versions in place, and a reader caught in the retire window — and the
+# storage kernel's oracles: arenas and their indexes against maps,
+# snapshots of every generation under concurrent readers, index cost at
+# any fan-out, repeated.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestPinnedSnapshotsStayFrozen|TestRetireWindowReaderWaits|TestPinnedSnapshotSurvivesWrites' ./internal/db
@@ -28,6 +30,7 @@ race:
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
 	$(GO) test -race -count=3 -run 'TestGroupCommitMatchesSerialOracle' ./internal/db
 	$(GO) test -race -count=3 -run TestDifferentialMatchesFullReevaluation ./internal/diffeval
+	$(GO) test -race -count=2 -run 'ArenaMatchesOracle|SnapshotIsolationAcrossGenerations|TestIndex' ./internal/relation
 
 # The quantitative-shape benchmarks behind bench_results.txt. Narrow
 # with BENCH, e.g. `make bench BENCH=GroupCommit` for the C-GROUP
@@ -126,13 +129,17 @@ repl-smoke:
 # engine's published snapshot is loaded and stored only in
 # internal/db/snapshot.go, whose currentSnapshot pins what a reader
 # loads: a load anywhere else could read a version an install is
-# writing in place.
+# writing in place. Base relations carry their own indexes, so no
+# non-test file of the engine or the root package may build an index
+# beside one (relation.BuildIndex); benchmark/ keeps its own.
 lint:
 	$(GO) vet ./...
 	gofmt -l . | tee /dev/stderr | wc -l | grep -q '^0$$'
 	! $(GO) list -deps ./cmd/mviewd . | grep -qx 'mview/internal/eval'
 	! grep -rnE --include='*.go' --exclude='*_test.go' '\.snap\.(Load|Store|Swap|CompareAndSwap)\(' . \
 		| grep -v '^./internal/db/snapshot.go:' | tee /dev/stderr | grep -q .
+	! grep -nE --include='*.go' --exclude='*_test.go' 'relation\.(BuildIndex|NewIndex)\(' ./*.go ./internal/db/*.go \
+		| tee /dev/stderr | grep -q .
 
 # The exported Go surface of the root package, pinned. apicheck fails
 # on any drift from docs/api.lock; after an intentional API change,

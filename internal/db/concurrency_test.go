@@ -57,8 +57,9 @@ func TestConcurrentReadersAndWriter(t *testing.T) {
 					_ = e.Views()
 				case 4:
 					// Query runs the engine's evaluator lock-free on a
-					// snapshot: under -race this catches a provider that
-					// lets it read the live indexes.
+					// snapshot, probing the snapshot relations' own
+					// indexes: under -race this catches a commit that
+					// writes an index a reader still holds.
 					if _, err := e.Query(q); err != nil {
 						t.Errorf("Query: %v", err)
 						return

@@ -273,11 +273,6 @@ type Engine struct {
 	base      map[string]*relation.Relation
 	views     map[string]*viewState
 	viewOrder []string
-	// indexes holds persistent single-column hash indexes over base
-	// relations, created on the equi-join columns of each view and
-	// maintained incrementally at commit. Differential maintenance
-	// probes them so per-transaction work scales with the delta.
-	indexes map[string]map[int]*relation.Index
 	// o carries the attached observability sinks (SetObs). Atomic so
 	// the commit hot path can check it without taking the engine lock;
 	// nil means instrumentation is off and costs one pointer load.
@@ -492,7 +487,6 @@ func New() *Engine {
 		scheme:     db,
 		base:       make(map[string]*relation.Relation),
 		views:      make(map[string]*viewState),
-		indexes:    make(map[string]map[int]*relation.Index),
 		baseShared: make(map[string]bool),
 		ckptDirty:  make(map[string]bool),
 		now:        time.Now,
@@ -502,17 +496,12 @@ func New() *Engine {
 	return e
 }
 
-// provider adapts the engine's index map to diffeval.IndexProvider.
-// Methods are called with the engine lock already held.
-type provider struct{ e *Engine }
-
-// Index returns the persistent index of rel on base column pos.
-func (p provider) Index(rel string, pos int) *relation.Index {
-	return p.e.indexes[rel][pos]
-}
-
-// ensureIndexes creates any missing indexes on the equi-join columns
-// of the bound view's condition. Callers hold the engine lock.
+// ensureIndexes adds any missing index on the equi-join columns of the
+// bound view's condition to the base relation itself, so every later
+// instance of it — the live base, snapshots, the clones computations
+// read — carries the index. Adding one writes the relation, so a base a
+// published snapshot shares is cloned first. Callers hold the engine
+// lock.
 func (e *Engine) ensureIndexes(b *expr.Bound) error {
 	ensure := func(v pred.Var) error {
 		ops := b.OperandsOf(v)
@@ -524,18 +513,16 @@ func (e *Engine) ensureIndexes(b *expr.Bound) error {
 		if !ok {
 			return nil
 		}
-		if e.indexes[op.Rel] == nil {
-			e.indexes[op.Rel] = make(map[int]*relation.Index)
-		}
-		if e.indexes[op.Rel][pos] != nil {
+		r := e.base[op.Rel]
+		if r.Index(pos) != nil {
 			return nil
 		}
-		ix, err := relation.BuildIndex(e.base[op.Rel], pos)
-		if err != nil {
-			return err
+		if e.baseShared[op.Rel] {
+			r = r.Clone()
+			e.base[op.Rel] = r
+			e.baseShared[op.Rel] = false
 		}
-		e.indexes[op.Rel][pos] = ix
-		return nil
+		return r.AddIndex(pos)
 	}
 	for _, conj := range b.Where.Conjuncts {
 		for _, a := range conj.Atoms {
@@ -551,21 +538,6 @@ func (e *Engine) ensureIndexes(b *expr.Bound) error {
 		}
 	}
 	return nil
-}
-
-// applyToIndexes folds one base update into the relation's indexes.
-// Callers hold the engine lock.
-func (e *Engine) applyToIndexes(u delta.Update) {
-	for _, ix := range e.indexes[u.Rel] {
-		if u.Deletes != nil {
-			u.Deletes.Each(ix.Remove)
-		}
-		if u.Inserts != nil {
-			// Tuples handed out by Each are arena rows, immutable once
-			// stored, so the index may retain them directly.
-			u.Inserts.Each(ix.Add)
-		}
-	}
 }
 
 // CreateRelation adds a base relation with the given attributes.
@@ -665,7 +637,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	if err := e.ensureIndexes(bound); err != nil {
 		return err
 	}
-	d, err := maint.Materialize(operandInstances(bound, nil, e.base), provider{e})
+	d, err := maint.Materialize(operandInstances(bound, nil, e.base), nil)
 	if err != nil {
 		return err
 	}
@@ -1097,7 +1069,7 @@ func (e *Engine) Explain(name string) (string, error) {
 	var idx []string
 	for _, op := range b.Operands {
 		for pos := 0; pos < op.Scheme.Arity(); pos++ {
-			if s.indexed[op.Rel][pos] {
+			if s.base[op.Rel].Index(pos) != nil {
 				idx = append(idx, fmt.Sprintf("%s.%s", op.Rel, op.Scheme.Attr(pos)))
 			}
 		}
@@ -1218,10 +1190,9 @@ func (e *Engine) StopScheduler() { e.sched.stop() }
 // Query evaluates an ad-hoc SPJ expression against the current read
 // snapshot without materializing it. Binding and evaluation run
 // lock-free over one consistent cut of the base relations, so a long
-// query neither blocks nor is torn by concurrent commits. It runs the
-// §5 evaluator with no index provider: the persistent indexes track
-// the live state under the engine lock, not the snapshot, so every
-// join step goes through a transient hash table.
+// query neither blocks nor is torn by concurrent commits. Its join
+// steps probe the snapshot relations' own indexes where the query's
+// equi-join columns have one.
 func (e *Engine) Query(v expr.View) (*relation.Counted, error) {
 	s := e.currentSnapshot()
 	bound, err := expr.Bind(v, s.scheme)

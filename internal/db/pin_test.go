@@ -147,13 +147,17 @@ func freeze(s *Snapshot) frozenModel {
 }
 
 // verify re-reads the pinned snapshot and compares it with the copy
-// taken when it was pinned, and checks the §5.2 counts of every view
+// taken when it was pinned, checks that every base relation's indexes
+// match a scan of its rows, and checks the §5.2 counts of every view
 // against the reference evaluator over the snapshot's own bases.
 func (m frozenModel) verify(t *testing.T) {
 	now := freeze(m.snap)
 	for name, want := range m.base {
 		if got := now.base[name]; fmt.Sprint(got) != fmt.Sprint(want) {
 			t.Errorf("snapshot %d: base %s changed after it was pinned: %v, was %v", m.snap.seq, name, got, want)
+		}
+		if _, err := indexesMatchScan(m.snap.base[name]); err != nil {
+			t.Errorf("snapshot %d: base %s: %v", m.snap.seq, name, err)
 		}
 	}
 	for name, want := range m.views {
@@ -175,13 +179,47 @@ func (m frozenModel) verify(t *testing.T) {
 	}
 }
 
+// indexesMatchScan checks every index of r against a scan of its rows:
+// each row's value matches exactly the rows carrying it, and a value no
+// row holds matches none. It returns how many indexes r has.
+func indexesMatchScan(r *relation.Relation) (int, error) {
+	n := 0
+	for pos := range r.Scheme().Arity() {
+		ix := r.Index(pos)
+		if ix == nil {
+			continue
+		}
+		n++
+		want := map[tuple.Value]int{}
+		r.Each(func(t tuple.Tuple) { want[t[pos]]++ })
+		want[-1<<40] = 0
+		for v, rows := range want {
+			got := 0
+			var err error
+			ix.EachMatch(v, func(t tuple.Tuple) {
+				if got++; t[pos] != v || !r.Has(t) {
+					err = fmt.Errorf("index on column %d matches %v to %d", pos, t, v)
+				}
+			})
+			if err == nil && got != rows {
+				err = fmt.Errorf("index on column %d matches %d rows to %d, a scan finds %d", pos, got, v, rows)
+			}
+			if err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, nil
+}
+
 // TestPinnedSnapshotsStayFrozen races readers that pin random
 // snapshots against group-committing writers (run with -race). Each
 // reader freezes a deep copy of what it pinned and, after many later
 // commits have written the unpinned versions in place, re-verifies the
 // snapshot's bases, views and §5.2 counts against that copy and the
-// reference evaluator. An install that wrote in place without checking
-// the pin would change a pinned version under its reader.
+// reference evaluator, and the bases' indexes against scans of their
+// rows. An install that wrote in place without checking the pin would
+// change a pinned version, or its indexes, under its reader.
 func TestPinnedSnapshotsStayFrozen(t *testing.T) {
 	e := newEngine(t)
 	if err := e.CreateRelation("T", "E", "F"); err != nil {
@@ -196,6 +234,14 @@ func TestPinnedSnapshotsStayFrozen(t *testing.T) {
 		if err := e.CreateView(v, ViewConfig{}); err != nil {
 			t.Fatal(err)
 		}
+	}
+	indexes := 0
+	for _, r := range e.CurrentSnapshot().base {
+		n, _ := indexesMatchScan(r)
+		indexes += n
+	}
+	if indexes < 3 {
+		t.Fatalf("the snapshot's bases carry %d indexes; the joins need at least 3", indexes)
 	}
 	e.EnableGroupCommit(4, 200*time.Microsecond, nil)
 	defer e.DisableGroupCommit()

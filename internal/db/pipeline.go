@@ -19,12 +19,13 @@ package db
 // since its last refresh — and computes against the pre-refresh state
 // rebuilt from that backlog.
 //
-// Every computation is diffeval's one evaluator, fed the persistent
-// indexes of the relations still at the state it reads: a commit's
-// differential deltas read the pre-commit base, whose indexes are all
-// current; a refresh reads its backlog's relations as rebuilt copies,
-// which no index describes; a recompute reads the commit's post-state,
-// whose written relations no index describes yet (blankingProvider).
+// Every computation is diffeval's one evaluator, and each probes the
+// persistent indexes of the very instances it reads: base relations
+// carry their indexes in their own copy-on-write storage, so the
+// pre-commit base a commit's deltas read, the clones a group's
+// per-transaction deltas and a recompute's post-state read, and the
+// pre-refresh state a refresh rebuilds from its backlog all come with
+// indexes that describe their rows.
 
 import (
 	"fmt"
@@ -44,20 +45,19 @@ import (
 // so a failed commit queues nothing.
 type refreshed struct {
 	st         *viewState
-	task       maintTask              // what the maint stage computes
-	deferred   bool                   // backlog staging only; no computation
-	pend       []delta.Update         // staged updates, composed into the backlog at install
-	insts      []*relation.Relation   // operand instances for the computation
-	perOp      []delta.Update         // differential input: each operand's net update
-	routed     bool                   // perOp came filtered out of the relevance index (route.go)
-	d          *diffeval.ViewDelta    // differential result
-	vc         *diffeval.ViewDelta    // recompute shadow (PolicyRecompute): Inserts is the view
-	prov       diffeval.IndexProvider // recompute: the indexes that describe insts
-	cow        *relation.Counted      // per-tx fold's private clone, installed as the view's next state
-	err        error                  // compute/validate failure
-	decision   string                 // metrics label
-	computeDur time.Duration          // delta or recompute computation time
-	wait       time.Duration          // from the maint stage's start to this view's task
+	task       maintTask            // what the maint stage computes
+	deferred   bool                 // backlog staging only; no computation
+	pend       []delta.Update       // staged updates, composed into the backlog at install
+	insts      []*relation.Relation // operand instances for the computation
+	perOp      []delta.Update       // differential input: each operand's net update
+	routed     bool                 // perOp came filtered out of the relevance index (route.go)
+	d          *diffeval.ViewDelta  // differential result
+	vc         *diffeval.ViewDelta  // recompute shadow (PolicyRecompute): Inserts is the view
+	cow        *relation.Counted    // per-tx fold's private clone, installed as the view's next state
+	err        error                // compute/validate failure
+	decision   string               // metrics label
+	computeDur time.Duration        // delta or recompute computation time
+	wait       time.Duration        // from the maint stage's start to this view's task
 	// refresh marks a deferred view's refresh: computed against the state
 	// rebuilt from its backlog; install clears the backlog.
 	refresh bool
@@ -153,9 +153,9 @@ func reads(st *viewState, us []delta.Update) bool {
 //  4. log: all payloads appended with a single fsync (logBatch, or the
 //     engine's own log for a solo commit).
 //  5. install + publish: the composed delta applies to the bases — in
-//     place unless a reader pinned them — and the indexes, view states
-//     install, ONE COW snapshot publishes. Nothing in this phase can
-//     fail.
+//     place unless a reader pinned them, their indexes with them —
+//     view states install, ONE COW snapshot publishes. Nothing in this
+//     phase can fail.
 //
 // ct (nil when obs is detached) times every phase as a pipeline stage
 // and, with a tracer attached, emits the stage and per-view task spans that
@@ -170,9 +170,9 @@ func (e *Engine) executeBatchLocked(reqs []*groupReq, logBatch func([][]byte) er
 
 	// Phase 1: per-tx net effects against the base as changed by the
 	// earlier members. e.base stays at the pre-group state B0 until
-	// install — maintenance deltas and the persistent indexes are
-	// defined against it. Per-transaction subscriber deltas read each
-	// member's own pre-state, so only they keep an overlay of clones.
+	// install — maintenance deltas are defined against it.
+	// Per-transaction subscriber deltas read each member's own
+	// pre-state, so only they keep an overlay of clones.
 	run := &maintRun{ct: ct}
 	var fold delta.Fold
 	if batchMode && e.anyPerTxView() {
@@ -379,7 +379,7 @@ func (e *Engine) plan(run *maintRun, st *viewState, touchCount int, updates []de
 			work = e.postState(run)
 		}
 		run.ws = append(run.ws, &refreshed{st: st, task: recomputeTask, touchCount: touchCount, refresh: run.refresh,
-			insts: operandInstances(st.bound, work, e.base), prov: blankingProvider{provider{e}, inMap(work)},
+			insts:    operandInstances(st.bound, work, e.base),
 			decision: decisionLabel(st.cfg, PolicyRecompute)})
 	case st.cfg.Maint.Filter:
 		// The view's slot in ws is held (nil) to keep view order; routing
@@ -445,18 +445,15 @@ func (e *Engine) maintStage(run *maintRun) error {
 		w.wait = start.Sub(stageStart)
 		switch {
 		case recompute:
-			w.vc, w.err = w.st.maint.Materialize(w.insts, w.prov)
+			w.vc, w.err = w.st.maint.Materialize(w.insts, nil)
 		case w.refresh:
-			// The base and its persistent indexes are the current state;
-			// a refresh computes against the state its backlog started
-			// from, probing the indexes of the relations the backlog did
-			// not touch.
+			// The base is the current state; a refresh computes against
+			// the state its backlog started from.
 			if w.insts, w.err = e.preRefreshInstances(w.st); w.err == nil {
-				w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp,
-					blankingProvider{provider{e}, inMap(w.st.pending)})
+				w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp)
 			}
 		default:
-			w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp, provider{e: e})
+			w.d, w.err = w.st.maint.ComputeDeltaPerOperand(w.insts, w.perOp)
 		}
 		w.computeDur = time.Since(start)
 		if sp != nil {
@@ -558,9 +555,9 @@ func (e *Engine) validateStage(run *maintRun) error {
 // published objects: it retires the published snapshot unless a reader
 // pinned it (retireLocked), so what no reader holds is written in
 // place. A commit's composed delta applies to its bases — cloned first
-// only while a pinned snapshot shares them — and to their indexes, then
-// every view of the run takes its next state. Nothing here can fail; a
-// run that writes anything publishes next.
+// only while a pinned snapshot shares them — which keep their own
+// indexes current, then every view of the run takes its next state.
+// Nothing here can fail; a run that writes anything publishes next.
 func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 	se := run.ct.begin(stageInstall)
 	if len(run.composed) > 0 || len(run.ws) > 0 {
@@ -577,7 +574,6 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 			// Unreachable: Net checked every arity.
 			return nil, fmt.Errorf("db: internal: composed delta failed to install on %q: %w", u.Rel, err)
 		}
-		e.applyToIndexes(u)
 		e.ckptDirty[u.Rel] = true
 	}
 	var ns []notification
@@ -831,8 +827,8 @@ func perTxView(st *viewState) bool {
 // view it touches, against the overlay state BEFORE r applies. A
 // filtered view gets r's updates through the relevance index like any
 // other consumer; one nothing reached gets an empty delta carrying the
-// verdicts. Indexes reflect the pre-group state, so the provider blanks
-// them for relations already dirtied by earlier group members.
+// verdicts. A relation an earlier group member wrote is read as its
+// overlay clone, whose indexes carry that write.
 func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[string]*relation.Relation) error {
 	var ws []*refreshed
 	var cands []routeCand
@@ -859,9 +855,8 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 			r.viewDeltas[c.st.name] = c.st.maint.EmptyDelta()
 		}
 	}
-	prov := blankingProvider{provider{e}, inMap(work)}
 	for _, w := range ws {
-		d, err := w.st.maint.ComputeDeltaPerOperand(operandInstances(w.st.bound, work, e.base), w.perOp, prov)
+		d, err := w.st.maint.ComputeDeltaPerOperand(operandInstances(w.st.bound, work, e.base), w.perOp)
 		if err != nil {
 			return err
 		}
@@ -871,29 +866,4 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 		cands[i].verdicts(r.viewDeltas[cands[i].st.name])
 	}
 	return nil
-}
-
-// blankingProvider serves the persistent indexes, which describe the
-// live base, only for relations dirty does not report: those a
-// computation reads at another state — written by an earlier group
-// member or by the commit itself, or rebuilt from a refresh's backlog —
-// return nil, and diffeval reaches them through a transient hash table.
-type blankingProvider struct {
-	provider
-	dirty func(rel string) bool
-}
-
-func (p blankingProvider) Index(rel string, pos int) *relation.Index {
-	if p.dirty(rel) {
-		return nil
-	}
-	return p.provider.Index(rel, pos)
-}
-
-// inMap reports whether a relation is a key of m.
-func inMap[V any](m map[string]V) func(string) bool {
-	return func(rel string) bool {
-		_, ok := m[rel]
-		return ok
-	}
 }

@@ -50,8 +50,11 @@ func backlogR(tb testing.TB, e *Engine, n, from int) {
 }
 
 // TestOneSidedRefreshReadsNoBaseRow: a deferred view's backlog that
-// touched only R is refreshed by probing S's live index, so the refresh
-// reads no base row however large S is — work ∝ change.
+// touched only R is refreshed by probing S's index, so the refresh
+// reads no base row however large S is — work ∝ change. A backlog that
+// touched both sides reads none either: the refresh rebuilds the state
+// the backlog started from as clones of the bases, which carry their
+// indexes.
 func TestOneSidedRefreshReadsNoBaseRow(t *testing.T) {
 	const n = 2_000
 	e, def := oneSidedFixture(t, n)
@@ -69,6 +72,31 @@ func TestOneSidedRefreshReadsNoBaseRow(t *testing.T) {
 	got, _ := e.View("j")
 	if want := referenceView(t, e, def); !got.Equal(want) {
 		t.Errorf("refreshed view diverged from the reference evaluator")
+	}
+
+	// Two-sided: ten more R rows, and ten S rows that each join one old
+	// and one new R row.
+	backlogR(t, e, n, n+10)
+	var tx delta.Tx
+	for j := int64(0); j < 10; j++ {
+		tx.Insert("S", tuple.New((n+10+j)%n, 1000+j)).Delete("S", tuple.New(j+100, -(j+100)))
+	}
+	if _, err := e.Execute(&tx); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RefreshView("j"); err != nil {
+		t.Fatal(err)
+	}
+	two, err := e.ViewStats("j")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if two.BaseRowsScanned != 0 || two.JoinSteps <= st.JoinSteps || two.DeltaDeletes == 0 {
+		t.Errorf("two-sided refresh stats = %+v after %+v, want join steps, deletes and no base row read", two, st)
+	}
+	got, _ = e.View("j")
+	if want := referenceView(t, e, def); !got.Equal(want) {
+		t.Errorf("two-sided refresh diverged from the reference evaluator")
 	}
 }
 

@@ -55,9 +55,6 @@ type Snapshot struct {
 	base      map[string]*relation.Relation
 	views     map[string]*snapView
 	viewOrder []string
-	// indexed records which base columns carried a persistent hash
-	// index at publish time ("rel" → position set), for Explain.
-	indexed map[string]map[int]bool
 }
 
 // Snapshot states. Readers move a snapshot from open to pinned, the
@@ -143,28 +140,18 @@ func (e *Engine) publishLocked() {
 		scheme:  e.scheme,
 		views:   make(map[string]*snapView, len(e.views)),
 	}
-	// The base map, view order and index set are carried over from the
-	// previous snapshot while they are unchanged, as they are across
-	// commits that write in place.
+	// The base map and view order are carried over from the previous
+	// snapshot while they are unchanged, as they are across commits
+	// that write in place.
 	if prev != nil {
 		s.seq = prev.seq + 1
-		s.base, s.viewOrder, s.indexed = prev.base, prev.viewOrder, prev.indexed
+		s.base, s.viewOrder = prev.base, prev.viewOrder
 	}
 	if !maps.Equal(s.base, e.base) {
 		s.base = maps.Clone(e.base)
 	}
 	if !slices.Equal(s.viewOrder, e.viewOrder) {
 		s.viewOrder = slices.Clone(e.viewOrder)
-	}
-	if !sameIndexSet(s.indexed, e.indexes) {
-		s.indexed = make(map[string]map[int]bool, len(e.indexes))
-		for rel, m := range e.indexes {
-			pm := make(map[int]bool, len(m))
-			for pos := range m {
-				pm[pos] = true
-			}
-			s.indexed[rel] = pm
-		}
 	}
 	e.fresh.bases, e.fresh.views = e.fresh.bases[:0], e.fresh.views[:0]
 	for name := range e.base {
@@ -211,19 +198,6 @@ func (e *Engine) publishLocked() {
 		o.snapPublish.ObserveDuration(time.Since(t0))
 		o.snapAge.Set(0)
 	}
-}
-
-// sameIndexSet reports whether indexed records every index of indexes.
-// Indexes are only ever added, so equal counts mean equal sets.
-func sameIndexSet(indexed map[string]map[int]bool, indexes map[string]map[int]*relation.Index) bool {
-	n := 0
-	for _, m := range indexes {
-		n += len(m)
-	}
-	for _, pm := range indexed {
-		n -= len(pm)
-	}
-	return n == 0
 }
 
 // retireLocked retires the published snapshot unless a reader has

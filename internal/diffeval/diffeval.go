@@ -21,12 +21,20 @@
 //  3. Each row is a probe pipeline (indexed.go): every tuple of the
 //     row's smallest delta slot walks the other operands one tuple at
 //     a time, reaching an old slot through a persistent index where
-//     the IndexProvider has one, else a transient hash table, and
-//     combining tags by the §5.3 algebra (insert ⋈ delete → ignore).
-//     A row whose tuples all fall out early is pruned.
+//     one serves the link, else a transient hash table, and combining
+//     tags by the §5.3 algebra (insert ⋈ delete → ignore). A row whose
+//     tuples all fall out early is pruned.
 //  4. Every surviving joint tuple is projected with §5.2 counting into
 //     insert and delete multisets, which Apply folds into the stored
 //     view: v' = v ⊎ ins ⊖ del.
+//
+// The persistent indexes are the operand instances' own
+// (relation.Relation.Index): every instance carries indexes that
+// describe exactly its rows, so whatever state a computation reads —
+// the pre-commit base, a clone a group member rewrote, the state a
+// refresh rebuilt from its backlog, a snapshot — its old slots are
+// probed, not rescanned. An IndexProvider, where a caller passes one,
+// supplies the indexes instead.
 //
 // The same pipeline materializes a view (Materialize): §5.3's row in
 // which one operand's whole instance is the delta, inserted into an
@@ -54,9 +62,11 @@ import (
 	"mview/internal/tuple"
 )
 
-// IndexProvider supplies persistent single-column hash indexes over
-// base relations (pre-transaction state). Index returns the index of
-// relation rel on base-scheme column pos, or nil when none exists.
+// IndexProvider supplies persistent single-column hash indexes in
+// place of the operand instances' own, for callers that keep indexes
+// beside their relations (relation.BuildIndex). Index returns the index
+// of relation rel on base-scheme column pos, or nil when none exists;
+// it must describe the instance the computation reads.
 type IndexProvider interface {
 	Index(rel string, pos int) *relation.Index
 }
@@ -227,20 +237,21 @@ func (m *Maintainer) slots(insts []*relation.Relation) ([]*slot, error) {
 	if len(insts) != len(b.Operands) {
 		return nil, fmt.Errorf("diffeval: %d instances for %d operands", len(insts), len(b.Operands))
 	}
-	sl := make([]*slot, len(b.Operands))
+	sl, slots := make([]*slot, len(b.Operands)), make([]slot, len(b.Operands))
 	for i := range b.Operands {
 		op := &b.Operands[i]
 		if !insts[i].Scheme().Equal(op.Scheme) {
 			return nil, fmt.Errorf("diffeval: instance %d has scheme %s, operand %q wants %s",
 				i, insts[i].Scheme(), op.Alias, op.Scheme)
 		}
-		sl[i] = &slot{op: op, inst: insts[i]}
+		slots[i] = slot{op: op, inst: insts[i]}
+		sl[i] = &slots[i]
 	}
 	return sl, nil
 }
 
-// ComputeDelta computes the view delta for a transaction without
-// persistent indexes. See ComputeDeltaWith.
+// ComputeDelta computes the view delta for a transaction, probing the
+// instances' own indexes. See ComputeDeltaWith.
 func (m *Maintainer) ComputeDelta(insts []*relation.Relation, updates []delta.Update) (*ViewDelta, error) {
 	return m.ComputeDeltaWith(insts, updates, nil)
 }
@@ -252,8 +263,8 @@ func (m *Maintainer) ComputeDelta(insts []*relation.Relation, updates []delta.Up
 // effects keyed by base relation name (an update applies to every
 // operand referencing that relation, so self-joins work). provider,
 // when non-nil, supplies persistent indexes over the PRE-transaction
-// base relations; an operand it has none for is reached through a
-// transient hash table.
+// base relations in place of the instances' own; an operand with no
+// index is reached through a transient hash table.
 func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delta.Update, provider IndexProvider) (*ViewDelta, error) {
 	byRel := make(map[string]delta.Update, len(updates))
 	for _, u := range updates {
@@ -291,23 +302,26 @@ func (m *Maintainer) ComputeDeltaWith(insts []*relation.Relation, updates []delt
 // i's net update (Rel empty when the operand is untouched) and is
 // taken as given — the §4 pre-filter neither runs nor counts here, so
 // a caller that routed the update through a relevance index reports
-// the filter verdicts itself.
-func (m *Maintainer) ComputeDeltaPerOperand(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider) (*ViewDelta, error) {
+// the filter verdicts itself. The old slots are probed through the
+// instances' own indexes.
+func (m *Maintainer) ComputeDeltaPerOperand(insts []*relation.Relation, perOp []delta.Update) (*ViewDelta, error) {
 	if len(perOp) != len(m.bound.Operands) {
 		return nil, fmt.Errorf("diffeval: %d operand updates for %d operands", len(perOp), len(m.bound.Operands))
 	}
-	return m.computeDelta(insts, perOp, provider, Stats{})
+	return m.computeDelta(insts, perOp, nil, Stats{})
 }
 
 // computeDelta is the core both entries share: perOp holds each
-// operand's net update after any filtering, stats what the filtering
-// counted.
-func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider, stats Stats) (*ViewDelta, error) {
+// operand's net update after any filtering, filtered what the
+// filtering counted.
+func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Update, provider IndexProvider, filtered Stats) (*ViewDelta, error) {
 	b := m.bound
 	sl, err := m.slots(insts)
 	if err != nil {
 		return nil, err
 	}
+	d := &ViewDelta{Stats: filtered}
+	stats := &d.Stats
 	if m.Tracer != nil {
 		span := m.Tracer.Start("diffeval.compute", obs.KV{K: "view", V: b.Name})
 		defer func() {
@@ -338,15 +352,15 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 				obs.KV{K: "rel", V: s.op.Rel}, obs.KV{K: "size", V: s.deltaSize()})
 		}
 	}
-	ins, del := relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
+	d.Inserts, d.Deletes = relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
 	if stats.ModifiedOperands > 0 {
-		if err := m.streamRows(sl, &stats, provider, ins, del); err != nil {
+		if err := m.streamRows(sl, stats, provider, d.Inserts, d.Deletes); err != nil {
 			return nil, err
 		}
 	}
-	stats.DeltaInserts = ins.Len()
-	stats.DeltaDeletes = del.Len()
-	return &ViewDelta{Inserts: ins, Deletes: del, Stats: stats}, nil
+	stats.DeltaInserts = d.Inserts.Len()
+	stats.DeltaDeletes = d.Deletes.Len()
+	return d, nil
 }
 
 // Materialize computes the view from scratch over insts (one instance
@@ -355,7 +369,7 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 // every other operand is old, so the row's inserts are the whole view
 // with its §5.2 counts. It returns that row as a delta from the empty
 // view: Inserts is the view, Deletes is empty. provider, when non-nil,
-// supplies persistent indexes over insts themselves.
+// supplies persistent indexes over insts in place of their own.
 func (m *Maintainer) Materialize(insts []*relation.Relation, provider IndexProvider) (*ViewDelta, error) {
 	sl, err := m.slots(insts)
 	if err != nil {

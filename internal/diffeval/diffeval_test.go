@@ -1021,6 +1021,60 @@ func TestIndexedStatsHandComputed(t *testing.T) {
 	}
 }
 
+// TestInstanceIndexesServeWithoutProvider: with no provider, the
+// pipeline probes the instances' own indexes and does the very work a
+// provider serving the same indexes does; a provider that has none
+// overrides them.
+func TestInstanceIndexesServeWithoutProvider(t *testing.T) {
+	db := testDB(t)
+	b := joinView(t, db, "R", "S", "T")
+	names := []string{"R", "S", "T"}
+	insts := map[string]*relation.Relation{
+		"R": relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 2), tuple.New(7, 2)),
+		"S": relation.MustFromTuples(schema.MustScheme("B", "C"), tuple.New(2, 3), tuple.New(2, 8)),
+		"T": relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(3, 4), tuple.New(8, 1)),
+	}
+	ups := []delta.Update{
+		{Rel: "R", Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(5, 2))},
+		{Rel: "T", Deletes: relation.MustFromTuples(schema.MustScheme("C", "D"), tuple.New(8, 1))},
+	}
+	m, err := NewMaintainer(b, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain, own := make([]*relation.Relation, len(names)), make([]*relation.Relation, len(names))
+	for i, n := range names {
+		plain[i], own[i] = insts[n], insts[n].Clone()
+		for pos := 0; pos < own[i].Scheme().Arity(); pos++ {
+			if err := own[i].AddIndex(pos); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	want, err := m.ComputeDeltaWith(plain, ups, buildAllIndexes(t, names, insts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := m.ComputeDelta(own, ups)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want.Stats || !got.Inserts.Equal(want.Inserts) || !got.Deletes.Equal(want.Deletes) {
+		t.Errorf("own indexes: %+v +%v −%v, provider: %+v +%v −%v",
+			got.Stats, got.Inserts, got.Deletes, want.Stats, want.Inserts, want.Deletes)
+	}
+	if got.Stats.IndexProbes == 0 || got.Stats.BaseRowsScanned != 0 {
+		t.Errorf("own indexes: stats %+v, want probes and no base row read", got.Stats)
+	}
+	none, err := m.ComputeDeltaWith(own, ups, noProvider{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if none.Stats.IndexProbes != 0 || none.Stats.BaseRowsScanned == 0 || !none.Inserts.Equal(want.Inserts) {
+		t.Errorf("provider without indexes: stats %+v, want transient tables over base rows", none.Stats)
+	}
+}
+
 // TestMaterializeSingleDeltaRow pins Materialize's counters by hand.
 // V = R ⋈ S over R = {(1,2), (3,4)} and S = {(2,10), (2,20), (4,30)}:
 // R is the smaller operand, so its two tuples are the row's delta slot

@@ -3,9 +3,9 @@ package diffeval
 // This file implements the §5 evaluator: one probe pipeline per
 // (conjunct, truth-table row). Each tuple of the row's first delta slot
 // walks the remaining operands one tuple at a time: an old operand is
-// reached by probing a persistent base index where one serves the link,
-// otherwise through a transient hash table over the slot, or by a scan
-// for a cross product. A residual atom applies as soon as its variables
+// reached by probing a persistent index of its instance where one serves
+// the link, otherwise through a transient hash table over the slot, or
+// by a scan for a cross product. A residual atom applies as soon as its variables
 // are bound, and each surviving joint tuple is projected and counted
 // straight into the view delta, so the per-transaction cost scales with
 // the delta and what it joins rather than with the base relations.
@@ -239,8 +239,8 @@ func (p *pipeline) choose(s *step, atoms []atomInfo) {
 			if jKey < 0 {
 				jKey, jPos, jBound = ai, pos, bound
 			}
-			if !p.isDelta[j] && p.provider != nil {
-				if ix = p.provider.Index(p.sl[j].op.Rel, pos); ix != nil {
+			if !p.isDelta[j] {
+				if ix = p.index(j, pos); ix != nil {
 					jKey, jPos, jBound = ai, pos, bound
 					break
 				}
@@ -269,6 +269,15 @@ func (p *pipeline) choose(s *step, atoms []atomInfo) {
 		}
 	}
 	s.op = next
+}
+
+// index returns the persistent index on column pos of operand j's
+// instance: the provider's when there is one, else the instance's own.
+func (p *pipeline) index(j, pos int) *relation.Index {
+	if p.provider != nil {
+		return p.provider.Index(p.sl[j].op.Rel, pos)
+	}
+	return p.sl[j].inst.Index(pos)
 }
 
 // run streams the row's first delta slot through the pipeline.

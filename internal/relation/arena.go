@@ -18,8 +18,8 @@ import "mview/internal/tuple"
 //     reclaimed by the next compaction, which builds a fresh arena —
 //     the old pages, and any outstanding alias into them, stay intact).
 //     Row slices handed out by each/row therefore behave like the
-//     immutable tuples they replace, and may be retained by indexes,
-//     transient join tables, or snapshot readers.
+//     immutable tuples they replace, and may be retained by transient
+//     join tables or snapshot readers.
 //   - Handles are never reused. The next handle is always rows.n, so
 //     the counts column indexed by handle stays aligned by plain
 //     appends.
@@ -48,10 +48,10 @@ type rowArena struct {
 	gen  uint64
 }
 
-func newRowArena(arity int) *rowArena { return newRowArenaCap(arity, 0) }
+func newRowArena(arity int) rowArena { return newRowArenaCap(arity, 0) }
 
-func newRowArenaCap(arity, n int) *rowArena {
-	return &rowArena{rows: newRowStore(arity, n)}
+func newRowArenaCap(arity, n int) rowArena {
+	return rowArena{rows: newRowStore(arity, n)}
 }
 
 // len returns the number of live rows.
@@ -75,18 +75,24 @@ func (a *rowArena) rowIs(h int32, t []int64) bool {
 // which add and remove take.
 func (a *rowArena) find(t []int64) (h int32, hash uint32, ok bool) {
 	hash = hashRow(t)
-	n := a.root
-	for shift := uint(0); n != nil && n.kids != nil; shift += trieBits {
-		n = n.kids[hash>>shift&(trieFan-1)]
-	}
-	if n != nil {
-		for _, e := range n.ents {
-			if uint32(e>>32) == hash && a.rowIs(entryHandle(e), t) {
-				return entryHandle(e), hash, true
+	n := a.root.under(hash)
+	if n == nil || n.kids == nil {
+		if n != nil {
+			for _, e := range n.ents {
+				if uint32(e>>32) == hash && a.rowIs(entryHandle(e), t) {
+					return entryHandle(e), hash, true
+				}
 			}
 		}
+		return 0, hash, false
 	}
-	return 0, hash, false
+	// A value fork: rows whose hashes collide outright.
+	n.walk(func(e uint64) {
+		if !ok && a.rowIs(entryHandle(e), t) {
+			h, ok = entryHandle(e), true
+		}
+	})
+	return h, hash, ok
 }
 
 // add appends t as a new live row under its hash and returns the
@@ -105,7 +111,7 @@ func (a *rowArena) addNew(t []int64) int32 { return a.add(hashRow(t), t) }
 // remove unlinks live handle h, found under hash, and marks its row
 // dead.
 func (a *rowArena) remove(hash uint32, h int32) {
-	a.root = a.trieRemove(a.root, 0, hash, h)
+	a.root = a.trieRemove(a.root, 0, entry(hash, h))
 	a.dead++
 	a.live--
 }
@@ -133,7 +139,7 @@ func (a *rowArena) tooManyDead() bool {
 // arena, handles renumbered from zero. moved, when non-nil, is called
 // with each live row's old handle, in new-handle order, so callers can
 // carry a side column over by pushing.
-func (a *rowArena) clone(moved func(old int32)) *rowArena {
+func (a *rowArena) clone(moved func(old int32)) rowArena {
 	out := newRowArenaCap(a.rows.width, a.len())
 	a.root.walk(func(e uint64) {
 		h := entryHandle(e)
@@ -150,65 +156,9 @@ func (a *rowArena) clone(moved func(old int32)) *rowArena {
 // generations so that whichever writes next copies what it touches.
 // Nothing a reader of the source can see is written, so clones are
 // race-free against concurrent snapshot readers of the source.
-func (a *rowArena) cloneShared() *rowArena {
+func (a *rowArena) cloneShared() rowArena {
 	c := *a
 	c.gen = lastGen.Add(1)
 	a.gen = lastGen.Add(1)
-	return &c
-}
-
-// handleIndex buckets row handles by a projection key for hash joins.
-// Buckets are singly-linked lists threaded through one pooled node
-// slice, so building the index costs two
-// amortized slice appends per row plus one key-string allocation per
-// distinct join key — never a per-bucket slice. The map is assigned
-// only for first-seen keys (map assignment, unlike lookup, cannot
-// elide the string([]byte) conversion); list heads live in a dense
-// side slice so repeat keys touch no map state.
-type handleIndex struct {
-	slots map[string]int32 // key → slot, assigned once per distinct key
-	heads []int32          // slot → index of newest node in pool, -1 none
-	pool  []refNode
-}
-
-type refNode struct {
-	h    int32
-	next int32 // pool index of the next handle with this key, -1 ends
-}
-
-func newHandleIndex(sizeHint int) *handleIndex {
-	if sizeHint == 0 {
-		return &handleIndex{}
-	}
-	return &handleIndex{
-		slots: make(map[string]int32, sizeHint),
-		heads: make([]int32, 0, sizeHint),
-		pool:  make([]refNode, 0, sizeHint),
-	}
-}
-
-func (ix *handleIndex) add(k []byte, h int32) {
-	s, ok := ix.slots[string(k)]
-	if !ok {
-		if ix.slots == nil {
-			ix.slots = make(map[string]int32, 8)
-		}
-		s = int32(len(ix.heads))
-		ix.heads = append(ix.heads, -1)
-		ix.slots[string(k)] = s
-	}
-	ix.pool = append(ix.pool, refNode{h: h, next: ix.heads[s]})
-	ix.heads[s] = int32(len(ix.pool) - 1)
-}
-
-// eachRef calls f for every handle stored under k (in reverse
-// insertion order, which joins don't care about).
-func (ix *handleIndex) eachRef(k []byte, f func(int32)) {
-	s, ok := ix.slots[string(k)]
-	if !ok {
-		return
-	}
-	for n := ix.heads[s]; n >= 0; n = ix.pool[n].next {
-		f(ix.pool[n].h)
-	}
+	return c
 }

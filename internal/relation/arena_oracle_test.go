@@ -253,6 +253,11 @@ func (s cowRelation) check(m cowModel) error {
 	if err == nil && !(s.r.Equal(fresh) && fresh.Equal(s.r)) {
 		err = fmt.Errorf("not Equal to a relation rebuilt from the model")
 	}
+	for i := range s.r.ixs {
+		if err == nil {
+			err = indexMatchesScan(s.r, &s.r.ixs[i])
+		}
+	}
 	return err
 }
 
@@ -318,7 +323,7 @@ func (s cowCounted) check(m cowModel) error {
 // degenerateHash makes every row hash agree in its low 16 bits, so the
 // trie is four single-child forks deep before it branches at all, and
 // maps one hash in 37 to a single value, so a handful of rows collide
-// outright and share a bucket no split can separate.
+// outright and only their handles split them.
 func degenerateHash(h uint32) uint32 {
 	if h>>16%37 == 0 {
 		return 0x12345a5a
@@ -332,14 +337,20 @@ func degenerateHash(h uint32) uint32 {
 // are held, each with the model it had when it was published. While a
 // batch mutates the head, reader goroutines scan and probe the held
 // generations; after the batch every held generation is verified again
-// in full (Len, Has/Count, Each, Equal). Path copying that wrote to a
+// in full (Len, Has/Count, Each, Equal, and an indexed relation's
+// indexes against a scan). Path copying that wrote to a
 // shared node, or a clone that kept ownership of one, shows up as a
 // held generation drifting from its model — or as a data race under
 // -race. The second pass repeats everything under degenerateHash.
 func TestSnapshotIsolationAcrossGenerations(t *testing.T) {
 	subjects := map[string]func() cowSubject{
 		"Relation": func() cowSubject { return cowRelation{New(cowScheme)} },
-		"Counted":  func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
+		"Indexed": func() cowSubject {
+			r := New(cowScheme)
+			_, _ = r.AddIndex(0), r.AddIndex(1)
+			return cowRelation{r}
+		},
+		"Counted": func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
 	}
 	for _, hash := range []string{"real", "degenerate"} {
 		for name, fresh := range subjects {

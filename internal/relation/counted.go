@@ -23,7 +23,7 @@ import (
 // dead-row marker and Each can walk the arena linearly.
 type Counted struct {
 	scheme *schema.Scheme
-	a      *rowArena
+	a      rowArena
 	counts column // by handle; 0 marks a dead (removed) row
 	total  int64  // sum of all counts, maintained incrementally
 }
@@ -184,13 +184,6 @@ func (c *Counted) Equal(o *Counted) bool {
 	return eq
 }
 
-// ToRelation collapses multiplicities, returning the underlying set.
-func (c *Counted) ToRelation() *Relation {
-	out := New(c.scheme)
-	c.Each(func(t tuple.Tuple, _ int64) { out.put(t) })
-	return out
-}
-
 // String renders the relation as "{(1, 2)×3, (4, 5)×1}" in sorted
 // order.
 func (c *Counted) String() string {
@@ -231,18 +224,6 @@ func (c *Counted) Subtract(o *Counted) error {
 	return firstErr
 }
 
-// SelectCounted returns σ_pred(c); selection leaves counters untouched
-// (§5.2: "the select operation is not affected").
-func SelectCounted(c *Counted, pred func(tuple.Tuple) bool) *Counted {
-	out := NewCountedCap(c.scheme, c.Len())
-	c.Each(func(t tuple.Tuple, n int64) {
-		if pred(t) {
-			out.bump(t, n)
-		}
-	})
-	return out
-}
-
 // ProjectCounted returns π_attrs(c) under the §5.2 redefinition: the
 // counter of an output tuple is the sum of the counters of the operand
 // tuples that project onto it.
@@ -262,58 +243,6 @@ func ProjectCounted(c *Counted, attrs []schema.Attribute) (*Counted, error) {
 			buf[i] = t[p]
 		}
 		out.bump(buf, n)
-	})
-	return out, nil
-}
-
-// CrossCounted returns the cross product with counters multiplied
-// (the §5.2 redefinition of join specialized to an empty join set).
-func CrossCounted(a, b *Counted) (*Counted, error) {
-	cs, err := a.scheme.Concat(b.scheme)
-	if err != nil {
-		return nil, err
-	}
-	out := NewCounted(cs)
-	buf := make(tuple.Tuple, 0, cs.Arity())
-	a.Each(func(ta tuple.Tuple, na int64) {
-		b.Each(func(tb tuple.Tuple, nb int64) {
-			buf = append(append(buf[:0], ta...), tb...)
-			out.bump(buf, na*nb)
-		})
-	})
-	return out, nil
-}
-
-// NaturalJoinCounted returns a ⋈ b under the §5.2 redefinition: the
-// counter of a joined tuple is the product u(N) * v(N) of the operand
-// counters.
-func NaturalJoinCounted(a, b *Counted) (*Counted, error) {
-	p, err := planNaturalJoin(a.scheme, b.scheme)
-	if err != nil {
-		return nil, err
-	}
-	out := NewCountedCap(p.out, a.Len())
-	ix := newHandleIndex(b.a.len())
-	var kb []byte
-	pbuf := make(tuple.Tuple, len(p.rightPos))
-	b.eachHandle(func(h int32, t tuple.Tuple, _ int64) {
-		for i, pos := range p.rightPos {
-			pbuf[i] = t[pos]
-		}
-		kb = tuple.AppendKey(kb[:0], pbuf)
-		ix.add(kb, h)
-	})
-	lbuf := make(tuple.Tuple, len(p.leftPos))
-	obuf := make(tuple.Tuple, 0, p.out.Arity())
-	a.Each(func(ta tuple.Tuple, na int64) {
-		for i, pos := range p.leftPos {
-			lbuf[i] = ta[pos]
-		}
-		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(h int32) {
-			obuf = p.appendCombine(obuf[:0], ta, b.a.row(h))
-			out.bump(obuf, na*b.counts.get(h))
-		})
 	})
 	return out, nil
 }

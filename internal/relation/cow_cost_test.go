@@ -12,7 +12,8 @@ import (
 )
 
 // agedContainer is what the copy-on-write cost tests and
-// BenchmarkCloneWrite drive: a Relation or a Counted of n rows that
+// BenchmarkCloneWrite drive: a Relation (with or without an index on
+// its second column) or a Counted of n rows that
 // generation() takes through one commit-shaped cycle — clone, replace
 // some random rows on the clone by new ones (a delete and an insert
 // each), drop the source — keeping the row count at n.
@@ -46,10 +47,13 @@ func newAged(kind string, n, replacements int) agedContainer {
 		}
 	}
 	switch kind {
-	case "Relation":
+	case "Relation", "Indexed":
 		r := NewCap(s, n)
 		for _, id := range live {
 			r.put(row(id))
+		}
+		if kind == "Indexed" {
+			_ = r.AddIndex(1)
 		}
 		return agedContainer{
 			generation: func() {
@@ -57,7 +61,7 @@ func newAged(kind string, n, replacements int) agedContainer {
 				churn(c.Delete, c.put)
 				r = c
 			},
-			arena: func() *rowArena { return r.a },
+			arena: func() *rowArena { return &r.a },
 		}
 	case "Counted":
 		v := NewCountedCap(s, n)
@@ -70,7 +74,7 @@ func newAged(kind string, n, replacements int) agedContainer {
 				churn(func(t tuple.Tuple) { _ = c.Add(t, -2) }, func(t tuple.Tuple) { c.bump(t, 2) })
 				v = c
 			},
-			arena: func() *rowArena { return v.a },
+			arena: func() *rowArena { return &v.a },
 		}
 	}
 	panic("unknown container kind " + kind)
@@ -90,7 +94,7 @@ func newAged(kind string, n, replacements int) agedContainer {
 // writes per generation: 1.4x at two, 1.9x at eight).
 func TestCloneWriteCostIsSizeIndependent(t *testing.T) {
 	const generations = 2000
-	for _, kind := range []string{"Relation", "Counted"} {
+	for _, kind := range []string{"Relation", "Indexed", "Counted"} {
 		t.Run(kind, func(t *testing.T) {
 			median := map[int]float64{}
 			for _, n := range []int{1 << 10, 128 << 10} {
@@ -136,7 +140,7 @@ func TestCloneWriteCostIsSizeIndependent(t *testing.T) {
 // freeze generation on aged containers of three sizes. The curve should
 // be flat in n up to the trie's log factor; run with -benchmem.
 func BenchmarkCloneWrite(b *testing.B) {
-	for _, kind := range []string{"Relation", "Counted"} {
+	for _, kind := range []string{"Relation", "Indexed", "Counted"} {
 		for _, n := range []int{1 << 10, 32 << 10, 256 << 10} {
 			b.Run(fmt.Sprintf("%s/n=%dk", kind, n>>10), func(b *testing.B) {
 				c := newAged(kind, n, 4)

@@ -1,7 +1,8 @@
 // Package relation implements the two relation representations used by
-// the mview engine and the relational operators over them:
+// the mview engine:
 //
-//   - Relation: a set of tuples (the paper's model for base relations).
+//   - Relation: a set of tuples (the paper's model for base relations),
+//     optionally carrying single-column indexes (index.go).
 //   - Counted: a relation whose tuples carry the multiplicity counter
 //     introduced in §5.2 to make projection distribute over difference.
 //     Materialized views are Counted relations.
@@ -9,12 +10,12 @@
 // Both store their tuples in flat row arenas (arena.go): values live
 // back-to-back in pages of []int64 rows (rows.go), a persistent hash
 // trie (trie.go) indexes them by int32 handle, and Counted's counts are
-// a dense side column indexed by handle. The representation is
-// invisible behind the package-level ops.
+// a dense side column indexed by handle. A Relation's indexes are
+// further tries over the same handles, so rows, trie, counts and indexes
+// are one copy-on-write store that Clone shares in O(1).
 //
-// All operators are pure: they allocate fresh results and never mutate
-// their operands, except for the explicitly mutating methods (Insert,
-// Delete, Add, Apply).
+// The few operators (Union, Diff, ProjectCounted, Merge, Subtract)
+// allocate fresh results or mutate only their receiver.
 package relation
 
 import (
@@ -26,13 +27,14 @@ import (
 )
 
 // Relation is a set of tuples over a fixed scheme, stored in one row
-// arena. Clone shares the arena copy-on-write; concurrent readers of a
-// published relation are safe as long as all mutation happens on
-// clones under the engine's write lock (the snapshot discipline in
-// internal/db).
+// arena, with its single-column indexes. Clone shares the arena and the
+// indexes copy-on-write; concurrent readers of a published relation are
+// safe as long as all mutation happens on clones under the engine's
+// write lock (the snapshot discipline in internal/db).
 type Relation struct {
 	scheme *schema.Scheme
-	a      *rowArena
+	a      rowArena
+	ixs    []Index // in the order AddIndex added them
 }
 
 // New returns an empty relation over the given scheme.
@@ -107,7 +109,10 @@ func (r *Relation) Insert(t tuple.Tuple) error {
 // untouched (set semantics).
 func (r *Relation) put(t tuple.Tuple) {
 	if _, hash, ok := r.a.find(t); !ok {
-		r.a.add(hash, t)
+		h := r.a.add(hash, t)
+		for i := range r.ixs {
+			r.ixs[i].insert(h, t)
+		}
 	}
 }
 
@@ -121,8 +126,16 @@ func (r *Relation) Delete(t tuple.Tuple) {
 		return
 	}
 	r.a.remove(hash, h)
+	for i := range r.ixs {
+		r.ixs[i].remove(h, t)
+	}
 	if r.a.tooManyDead() {
+		// Compaction renumbers the handles, so the indexes are rebuilt
+		// over the new ones.
 		r.a = r.a.clone(nil)
+		for i := range r.ixs {
+			r.ixs[i].build()
+		}
 	}
 }
 
@@ -142,12 +155,19 @@ func (r *Relation) Tuples() []tuple.Tuple {
 	return out
 }
 
-// Clone returns a copy in O(1), sharing the arena copy-on-write: a
-// subsequent mutation of either side copies only the trie paths and
-// the page it writes. Callers must serialize Clone with other
-// mutations of r (it restamps r's arena generation).
+// Clone returns a copy in O(1) per index, sharing the arena and the
+// indexes copy-on-write: a subsequent mutation of either side copies
+// only the trie paths and the page it writes. Callers must serialize
+// Clone with other mutations of r (it restamps r's arena generation).
 func (r *Relation) Clone() *Relation {
-	return &Relation{scheme: r.scheme, a: r.a.cloneShared()}
+	c := &Relation{scheme: r.scheme, a: r.a.cloneShared()}
+	if len(r.ixs) > 0 {
+		c.ixs = slices.Clone(r.ixs)
+		for i := range c.ixs {
+			c.ixs[i].r = c
+		}
+	}
+	return c
 }
 
 // Equal reports whether two relations have equal schemes and tuple
@@ -201,152 +221,6 @@ func Diff(r, o *Relation) (*Relation, error) {
 		if !o.Has(t) {
 			out.put(t)
 		}
-	})
-	return out, nil
-}
-
-// Intersect returns r ∩ o. The schemes must be equal.
-func Intersect(r, o *Relation) (*Relation, error) {
-	if err := sameScheme("intersection", r.scheme, o.scheme); err != nil {
-		return nil, err
-	}
-	out := New(r.scheme)
-	r.Each(func(t tuple.Tuple) {
-		if o.Has(t) {
-			out.put(t)
-		}
-	})
-	return out, nil
-}
-
-// Select returns σ_pred(r).
-func Select(r *Relation, pred func(tuple.Tuple) bool) *Relation {
-	out := New(r.scheme)
-	r.Each(func(t tuple.Tuple) {
-		if pred(t) {
-			out.put(t)
-		}
-	})
-	return out
-}
-
-// Project returns the set projection π_attrs(r) (duplicates collapse).
-// Use ProjectCounted when multiplicities matter (§5.2).
-func Project(r *Relation, attrs []schema.Attribute) (*Relation, error) {
-	pos, err := r.scheme.Positions(attrs)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := r.scheme.Project(attrs)
-	if err != nil {
-		return nil, err
-	}
-	out := New(ps)
-	buf := make(tuple.Tuple, len(pos))
-	r.Each(func(t tuple.Tuple) {
-		for i, p := range pos {
-			buf[i] = t[p]
-		}
-		out.put(buf)
-	})
-	return out, nil
-}
-
-// Cross returns the cross product r × o. The schemes must be disjoint;
-// qualify them first if they are not (schema.Scheme.Qualify).
-func Cross(r, o *Relation) (*Relation, error) {
-	cs, err := r.scheme.Concat(o.scheme)
-	if err != nil {
-		return nil, err
-	}
-	out := New(cs)
-	buf := make(tuple.Tuple, 0, cs.Arity())
-	r.Each(func(a tuple.Tuple) {
-		o.Each(func(b tuple.Tuple) {
-			buf = append(append(buf[:0], a...), b...)
-			out.put(buf)
-		})
-	})
-	return out, nil
-}
-
-// joinPlan precomputes the shapes of a natural join between two
-// schemes: positions of the shared attributes on both sides, positions
-// of the right-side attributes that are not shared, and the output
-// scheme (left attributes followed by right-only attributes).
-type joinPlan struct {
-	leftPos, rightPos []int // shared attributes, aligned
-	rightRest         []int // right positions excluded from output
-	out               *schema.Scheme
-}
-
-func planNaturalJoin(l, r *schema.Scheme) (*joinPlan, error) {
-	common := l.Common(r)
-	p := &joinPlan{}
-	for _, a := range common {
-		lp, _ := l.Pos(a)
-		rp, _ := r.Pos(a)
-		p.leftPos = append(p.leftPos, lp)
-		p.rightPos = append(p.rightPos, rp)
-	}
-	attrs := append([]schema.Attribute{}, l.Attributes()...)
-	for i, a := range r.Attributes() {
-		if !l.Has(a) {
-			attrs = append(attrs, a)
-			p.rightRest = append(p.rightRest, i)
-		}
-	}
-	out, err := schema.NewScheme(attrs...)
-	if err != nil {
-		return nil, fmt.Errorf("relation: natural join scheme: %w", err)
-	}
-	p.out = out
-	return p, nil
-}
-
-// appendCombine appends the join of a and b (a followed by b's
-// non-shared columns) to dst and returns it, so callers can reuse one
-// scratch tuple across rows.
-func (p *joinPlan) appendCombine(dst, a, b tuple.Tuple) tuple.Tuple {
-	dst = append(dst, a...)
-	for _, i := range p.rightRest {
-		dst = append(dst, b[i])
-	}
-	return dst
-}
-
-// NaturalJoin returns l ⋈ r: tuples agreeing on all shared attributes,
-// with shared columns emitted once. With no shared attributes it
-// degenerates to the cross product, per the standard definition.
-func NaturalJoin(l, r *Relation) (*Relation, error) {
-	p, err := planNaturalJoin(l.scheme, r.scheme)
-	if err != nil {
-		return nil, err
-	}
-	out := New(p.out)
-	// Hash join: build a handle index on r, probe with l's rows.
-	ix := newHandleIndex(r.Len())
-	var kb []byte
-	pbuf := make(tuple.Tuple, len(p.rightPos))
-	r.a.each(func(h int32, b tuple.Tuple) {
-		for i, pos := range p.rightPos {
-			pbuf[i] = b[pos]
-		}
-		kb = tuple.AppendKey(kb[:0], pbuf)
-		ix.add(kb, h)
-	})
-	lbuf := make(tuple.Tuple, len(p.leftPos))
-	obuf := make(tuple.Tuple, 0, p.out.Arity())
-	l.Each(func(a tuple.Tuple) {
-		for i, pos := range p.leftPos {
-			lbuf[i] = a[pos]
-		}
-		kb = tuple.AppendKey(kb[:0], lbuf)
-		ix.eachRef(kb, func(h int32) {
-			b := r.a.row(h)
-			obuf = p.appendCombine(obuf[:0], a, b)
-			out.put(obuf)
-		})
 	})
 	return out, nil
 }

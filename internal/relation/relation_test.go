@@ -96,12 +96,9 @@ func TestUnionDiffIntersect(t *testing.T) {
 		t.Errorf("Diff = %v", d)
 	}
 
-	i, err := Intersect(a, b)
-	if err != nil {
-		t.Fatalf("Intersect: %v", err)
-	}
-	if i.Len() != 1 || !i.Has(tuple.New(2)) {
-		t.Errorf("Intersect = %v", i)
+	// a ∩ b = a − (a − b)
+	if i, _ := Diff(a, d); i.Len() != 1 || !i.Has(tuple.New(2)) {
+		t.Errorf("a − (a − b) = %v", i)
 	}
 
 	if _, err := Union(a, MustFromTuples(ts("Z"), tuple.New(1))); err == nil {
@@ -110,70 +107,22 @@ func TestUnionDiffIntersect(t *testing.T) {
 	if _, err := Diff(a, New(ts("A", "B"))); err == nil {
 		t.Error("Diff across schemes should fail")
 	}
-	if _, err := Intersect(a, New(ts("Q"))); err == nil {
-		t.Error("Intersect across schemes should fail")
-	}
 }
 
-func TestSelect(t *testing.T) {
-	r := MustFromTuples(ts("A"), tuple.New(1), tuple.New(5), tuple.New(10))
-	got := Select(r, func(t tuple.Tuple) bool { return t[0] >= 5 })
-	if got.Len() != 2 || got.Has(tuple.New(1)) {
-		t.Errorf("Select = %v", got)
-	}
-}
-
+// TestProjectSetCollapsesDuplicates: projecting a set relation
+// collapses the tuples that agree on the kept attributes into one, whose
+// §5.2 counter says how many there were.
 func TestProjectSetCollapsesDuplicates(t *testing.T) {
 	r := MustFromTuples(ts("A", "B"), tuple.New(1, 10), tuple.New(2, 10), tuple.New(3, 20))
-	got, err := Project(r, []schema.Attribute{"B"})
+	got, err := ProjectCounted(FromRelation(r), []schema.Attribute{"B"})
 	if err != nil {
-		t.Fatalf("Project: %v", err)
+		t.Fatalf("ProjectCounted: %v", err)
 	}
-	if got.Len() != 2 {
-		t.Errorf("Project Len = %d, want 2", got.Len())
+	if got.Len() != 2 || got.Count(tuple.New(10)) != 2 || got.Count(tuple.New(20)) != 1 {
+		t.Errorf("π_B = %v, want {(10)×2, (20)×1}", got)
 	}
-	if _, err := Project(r, []schema.Attribute{"Z"}); err == nil {
+	if _, err := ProjectCounted(FromRelation(r), []schema.Attribute{"Z"}); err == nil {
 		t.Error("Project on unknown attribute should fail")
-	}
-}
-
-func TestCross(t *testing.T) {
-	a := MustFromTuples(ts("A"), tuple.New(1), tuple.New(2))
-	b := MustFromTuples(ts("B"), tuple.New(10))
-	got, err := Cross(a, b)
-	if err != nil {
-		t.Fatalf("Cross: %v", err)
-	}
-	if got.Len() != 2 || !got.Has(tuple.New(1, 10)) || !got.Has(tuple.New(2, 10)) {
-		t.Errorf("Cross = %v", got)
-	}
-	if _, err := Cross(a, MustFromTuples(ts("A"), tuple.New(1))); err == nil {
-		t.Error("Cross with shared attribute should fail")
-	}
-}
-
-func TestNaturalJoin(t *testing.T) {
-	r := MustFromTuples(ts("A", "B"), tuple.New(1, 2), tuple.New(2, 10))
-	s := MustFromTuples(ts("B", "C"), tuple.New(2, 10), tuple.New(10, 20), tuple.New(12, 15))
-	got, err := NaturalJoin(r, s)
-	if err != nil {
-		t.Fatalf("NaturalJoin: %v", err)
-	}
-	want := MustFromTuples(ts("A", "B", "C"), tuple.New(1, 2, 10), tuple.New(2, 10, 20))
-	if !got.Equal(want) {
-		t.Errorf("NaturalJoin = %v, want %v", got, want)
-	}
-}
-
-func TestNaturalJoinNoCommonIsCross(t *testing.T) {
-	a := MustFromTuples(ts("A"), tuple.New(1))
-	b := MustFromTuples(ts("B"), tuple.New(2), tuple.New(3))
-	got, err := NaturalJoin(a, b)
-	if err != nil {
-		t.Fatalf("NaturalJoin: %v", err)
-	}
-	if got.Len() != 2 {
-		t.Errorf("degenerate join Len = %d, want 2", got.Len())
 	}
 }
 

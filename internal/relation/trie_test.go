@@ -52,10 +52,10 @@ func TestTrieStaysShallowOnRegularKeys(t *testing.T) {
 	}
 }
 
-// TestTrieFullCollisions drives every row onto one hash: the trie
-// degenerates to a chain of single-child forks over one unsplittable
-// bucket, which must still find, remove and re-add rows by comparing
-// them.
+// TestTrieFullCollisions drives every row onto one hash: the first full
+// leaf becomes a value fork at the root, the rows split by handle into
+// leaves no larger than an ordinary one one level down, and find,
+// remove and re-add still work by comparing rows.
 func TestTrieFullCollisions(t *testing.T) {
 	hashMangle = func(uint32) uint32 { return 0xdeadbeef }
 	defer func() { hashMangle = nil }()
@@ -65,8 +65,9 @@ func TestTrieFullCollisions(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		a.addNew(tuple.Tuple{i})
 	}
-	if depth, leaves := trieShape(a.root, 0); depth != hashBits/trieBits || leaves != 1 {
-		t.Fatalf("shape: %d leaves, deepest at level %d; want one leaf at level %d", leaves, depth, hashBits/trieBits)
+	if depth, leaves := trieShape(a.root, 0); depth != 1 || leaves < n/leafCap || a.root.ents == nil {
+		t.Fatalf("shape: %d leaves, deepest at level %d, value fork at the root %v; want one, over at least %d leaves at level 1",
+			leaves, depth, a.root.ents != nil, n/leafCap)
 	}
 	frozen := a.cloneShared()
 	for i := int64(0); i < n; i++ {
@@ -86,6 +87,61 @@ func TestTrieFullCollisions(t *testing.T) {
 		if h, _, ok := frozen.find(tuple.Tuple{i}); !ok || int64(h) != i {
 			t.Fatalf("clone lost row %d to the source's removes", i)
 		}
+	}
+}
+
+// TestTrieValueForkMovesDown: a value fork that another hash reaches
+// moves down behind hash forks until the two hashes part. Two groups of
+// rows hash to 0x00000001 and 0x10000001, which agree on every nibble
+// but the last the trie routes on; the first group fills a leaf and
+// becomes a value fork at the root, the second then pushes it down to
+// level 7, and both stay findable and removable, while a clone taken
+// before the second group keeps its own shape.
+func TestTrieValueForkMovesDown(t *testing.T) {
+	hashMangle = func(h uint32) uint32 { return 0x00000001 | h&1<<28 }
+	defer func() { hashMangle = nil }()
+
+	var groups [2][]int64
+	for i := int64(0); len(groups[0]) < 2*leafCap || len(groups[1]) < 2*leafCap; i++ {
+		g := hashRow(tuple.Tuple{i}) >> 28
+		groups[g] = append(groups[g], i)
+	}
+	a := newRowArena(1)
+	for _, i := range groups[0][:2*leafCap] {
+		a.addNew(tuple.Tuple{i})
+	}
+	if a.root.ents == nil {
+		t.Fatal("a full leaf of one hash did not become a value fork")
+	}
+	frozen := a.cloneShared()
+	for _, i := range groups[1][:2*leafCap] {
+		a.addNew(tuple.Tuple{i})
+	}
+	if depth, _ := trieShape(a.root, 0); depth != hashBits/trieBits+1 {
+		t.Fatalf("deepest leaf at level %d, want %d: value forks at level %d", depth, hashBits/trieBits+1, hashBits/trieBits)
+	}
+	for g, rows := range groups {
+		for _, i := range rows[:2*leafCap] {
+			h, hash, ok := a.find(tuple.Tuple{i})
+			if !ok {
+				t.Fatalf("group %d: row %d not found", g, i)
+			}
+			a.remove(hash, h)
+			if _, _, ok := a.find(tuple.Tuple{i}); ok {
+				t.Fatalf("group %d: row %d still found after remove", g, i)
+			}
+		}
+	}
+	if a.root != nil || a.len() != 0 {
+		t.Fatalf("emptied arena keeps root %v, len %d", a.root, a.len())
+	}
+	for _, i := range groups[0][:2*leafCap] {
+		if _, _, ok := frozen.find(tuple.Tuple{i}); !ok {
+			t.Fatalf("clone lost row %d to the source's writes", i)
+		}
+	}
+	if depth, _ := trieShape(frozen.root, 0); depth != 1 || frozen.root.ents == nil {
+		t.Fatalf("clone's shape changed: deepest leaf at level %d", depth)
 	}
 }
 
