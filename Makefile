@@ -11,7 +11,8 @@ test:
 	$(GO) test ./...
 
 # Full suite under the race detector; the obs registry, the engine's
-# notification fan-out, and the group-commit scheduler (including the
+# notification fan-out (with the net-change subscriber cases on every
+# maintenance path), and the group-commit scheduler (including the
 # group-vs-serial oracle) are exercised concurrently, as are the
 # per-version read memos under view GETs racing group-committed writers
 # and the routing oracles, whose fleets hold every consumer of the
@@ -25,7 +26,7 @@ test:
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestPinnedSnapshotsStayFrozen|TestRetireWindowReaderWaits|TestPinnedSnapshotSurvivesWrites' ./internal/db
-	$(GO) test -race -count=2 -run 'Group' ./internal/db .
+	$(GO) test -race -count=2 -run 'Group|TestSubscribe' ./internal/db .
 	$(GO) test -race -count=2 -run 'TestRouteEngineMatchesMaterialize|TestRouteCountContract' ./internal/db
 	$(GO) test -race -count=3 -run 'ViewGet|ViewMemo|ViewJSON' ./internal/httpapi ./internal/db .
 	$(GO) test -race -count=3 -run 'TestGroupCommitMatchesSerialOracle' ./internal/db
@@ -51,22 +52,26 @@ bench-json:
 bench-selftest:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
-# Short filter-fanout, read-replica and durable-oltp runs of the real
-# benchmark, traced and untraced, which must end correct with no failed
-# operation. The traced filter-fanout pass compares the engine's filter
-# counters with the generator's own count of (tuple, filtered view)
-# verdicts, so it catches a commit path that stops counting the
-# verdicts the relevance index reaches without running a view's test.
+# Short filter-fanout, read-replica, durable-oltp and join-maint runs of
+# the real benchmark, traced and untraced, which must end correct with
+# no failed operation. The traced filter-fanout pass compares the
+# engine's filter counters with the generator's own count of (tuple,
+# filtered view) verdicts, so it catches a commit path that stops
+# counting the verdicts the relevance index reaches without running a
+# view's test.
 # read-replica is the only workload whose measured phase GETs a view
 # (on the follower), and its output check decodes those bodies, so it
 # catches a view GET that stops rendering what the check expects.
 # durable-oltp is the only one that kills the leader under load and
 # replays its WAL, and its check proves every acknowledged transaction
 # survived, so it catches a commit-log codec that loses or garbles one.
-# Every pass catches a broken internal API the root build cannot see
-# (benchmark/ is its own module).
+# join-maint is the only one with a projection view (jproj), and with
+# three views over one 3-way join; its check compares every view with a
+# reference evaluation, so it catches a view delta that folds wrong
+# counts. Every pass catches a broken internal API the root build
+# cannot see (benchmark/ is its own module).
 bench-smoke:
-	@for wl in filter-fanout read-replica durable-oltp; do for trace in 1 0; do \
+	@for wl in filter-fanout read-replica durable-oltp join-maint; do for trace in 1 0; do \
 		out=$$(bash benchmark/run.sh --workload $$wl --seed 1 --seconds 4 --trace $$trace | tail -n 1); \
 		case "$$out" in \
 		*'"correct":true,"failed":0'*) echo "bench-smoke: ok   $$wl --trace $$trace" ;; \

@@ -235,7 +235,7 @@ func BenchmarkSelectView(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("delta=%d/recompute", deltaN), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Materialize(post, nil); err != nil {
+				if _, _, err := m.Materialize(post, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -378,7 +378,7 @@ func benchJoin(b *testing.B, fx joinFixture, scan, recompute bool) {
 	if recompute {
 		b.Run("recompute", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := m.Materialize(fx.post, nil); err != nil {
+				if _, _, err := m.Materialize(fx.post, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -510,7 +510,7 @@ func BenchmarkSPJMaintain(b *testing.B) {
 	})
 	b.Run("recompute", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := mp.Materialize(post, nil); err != nil {
+			if _, _, err := mp.Materialize(post, nil); err != nil {
 				b.Fatal(err)
 			}
 		}

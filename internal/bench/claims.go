@@ -288,7 +288,7 @@ func runCSel(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := m.Materialize([]*relation.Relation{post}, nil)
+			_, _, err := m.Materialize([]*relation.Relation{post}, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -349,7 +349,7 @@ func runCProj(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := m.Materialize([]*relation.Relation{post}, nil)
+			_, _, err := m.Materialize([]*relation.Relation{post}, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -476,7 +476,7 @@ func runCJoin(w io.Writer, quick bool) error {
 			return err
 		}
 		tf, err := timeOp(func() error {
-			_, err := m.Materialize(fx.post, nil)
+			_, _, err := m.Materialize(fx.post, nil)
 			return err
 		}, quick)
 		if err != nil {
@@ -581,7 +581,7 @@ func runCSPJ(w io.Writer, quick bool) error {
 	}
 	t.Row("differential (scans)", tabular.Dur(d2))
 	d3, err := timeOp(func() error {
-		_, err := ms.Materialize(post, nil)
+		_, _, err := ms.Materialize(post, nil)
 		return err
 	}, quick)
 	if err != nil {
@@ -798,7 +798,7 @@ func runCAdapt(w io.Writer, quick bool) error {
 			return err
 		}
 		full, err := timeOp(func() error {
-			_, err := m.Materialize(fx.post, nil)
+			_, _, err := m.Materialize(fx.post, nil)
 			return err
 		}, quick)
 		if err != nil {

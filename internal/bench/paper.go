@@ -119,16 +119,24 @@ func runP51(w io.Writer, _ bool) error {
 	}
 	fmt.Fprintf(w, "r = %v\nπ_B(r) with counters = %v\n", r, v)
 
+	// del subtracts π_B of the deleted tuple's counters from the view's:
+	// π(r1 − r2) = π(r1) ⊖ π(r2).
+	del := func(t tuple.Tuple) (err error) {
+		d, _ := relation.ProjectCounted(relation.FromRelation(
+			relation.MustFromTuples(schema.MustScheme("A", "B"), t)), []schema.Attribute{"B"})
+		d.Each(func(t tuple.Tuple, n int64) {
+			if err == nil {
+				err = v.Add(t, -n)
+			}
+		})
+		return err
+	}
 	t := tabular.New("operation", "view after", "note")
-	d1, _ := relation.ProjectCounted(relation.FromRelation(
-		relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(3, 20))), []schema.Attribute{"B"})
-	if err := v.Subtract(d1); err != nil {
+	if err := del(tuple.New(3, 20)); err != nil {
 		return err
 	}
 	t.Row("delete r(3,20)", v.String(), "counter 1→0: 20 leaves the view")
-	d2, _ := relation.ProjectCounted(relation.FromRelation(
-		relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(1, 10))), []schema.Attribute{"B"})
-	if err := v.Subtract(d2); err != nil {
+	if err := del(tuple.New(1, 10)); err != nil {
 		return err
 	}
 	t.Row("delete r(1,10)", v.String(), "counter 2→1: 10 SURVIVES (naive set delete would drop it)")
@@ -177,7 +185,7 @@ func runP52(w io.Writer, _ bool) error {
 		return err
 	}
 	fmt.Fprintf(w, "insert i_r = %v\nΔv = i_r ⋈ s = %v (computed WITHOUT re-joining r)\nv' = v ∪ Δv = %v\n",
-		ir, d.Inserts, view)
+		ir, runString(d), view)
 	return nil
 }
 
@@ -201,8 +209,8 @@ func runP53(w io.Writer, _ bool) error {
 	if err := diffeval.Apply(view, d); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "delete d_r = %v\nΔv = d_r ⋈ s = %v (to delete)\nv' = v − Δv = %v\n",
-		dr, d.Deletes, view)
+	fmt.Fprintf(w, "delete d_r = %v\nΔv = d_r ⋈ s = %v (negative: to delete)\nv' = v − Δv = %v\n",
+		dr, runString(d), view)
 	return nil
 }
 
@@ -265,7 +273,7 @@ func runP55(w io.Writer, _ bool) error {
 	if err := diffeval.Apply(view, d); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "insert i_r = %v\nΔv = π_A(σ_{C>10}(i_r ⋈ s)) = %v\n", ir, d.Inserts)
+	fmt.Fprintf(w, "insert i_r = %v\nΔv = π_A(σ_{C>10}(i_r ⋈ s)) = %v\n", ir, runString(d))
 	fmt.Fprintf(w, "v' = %v   (tuple (9) carries counter 2: two derivations)\n", view)
 	return nil
 }
@@ -332,9 +340,22 @@ func runPTT3(w io.Writer, _ bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "engine: ModifiedOperands=%d RowsEvaluated=%d (≤ 2^2−1 = 3: a row whose tuples all fall out midway is pruned) Δinserts=%v\n",
-		d.Stats.ModifiedOperands, d.Stats.RowsEvaluated, d.Inserts)
+	fmt.Fprintf(w, "engine: ModifiedOperands=%d RowsEvaluated=%d (≤ 2^2−1 = 3: a row whose tuples all fall out midway is pruned) Δv=%v\n",
+		d.Stats.ModifiedOperands, d.Stats.RowsEvaluated, runString(d))
 	return nil
+}
+
+// runString renders a view delta's run of signed counts as
+// "{(9)+2, (3, 5, 20)-1}".
+func runString(d *diffeval.ViewDelta) string {
+	s := "{"
+	for i, r := range d.Rows {
+		if i > 0 {
+			s += ", "
+		}
+		s += fmt.Sprintf("%s%+d", r.Tuple, r.Count)
+	}
+	return s + "}"
 }
 
 // materialize evaluates b from scratch over insts with the engine's
@@ -344,9 +365,9 @@ func materialize(b *expr.Bound, insts ...*relation.Relation) (*diffeval.Maintain
 	if err != nil {
 		return nil, nil, err
 	}
-	d, err := m.Materialize(insts, nil)
+	view, _, err := m.Materialize(insts, nil)
 	if err != nil {
 		return nil, nil, err
 	}
-	return m, d.Inserts, nil
+	return m, view, nil
 }

@@ -14,6 +14,7 @@ package db
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,8 +144,8 @@ type ViewStats struct {
 	// counts every row it reads.
 	BaseRowsScanned int
 	FilteredOut     int // update tuples discarded by the §4 filter
-	DeltaInserts    int // view tuples inserted by deltas
-	DeltaDeletes    int // view tuples deleted by deltas
+	DeltaInserts    int // distinct view tuples whose count a delta raised
+	DeltaDeletes    int // distinct view tuples whose count a delta lowered
 	PendingTx       int // transactions awaiting a deferred refresh
 }
 
@@ -205,23 +206,25 @@ type viewState struct {
 	nextSubID   int
 }
 
-// Subscriber receives a view's change sets after a refresh touches the
-// view. Inserts and deletes are shared with the view's next read memo
+// Subscriber receives a view's net change after a refresh changes the
+// view: a diffeval.ViewDelta run, sorted by tuple, of each changed view
+// tuple with the signed change of its count. A change that cancels out
+// fires nothing. The run is shared with the view's next read memo
 // (memo.go) and must not be modified. Callbacks run
 // synchronously after the commit or refresh completes, with no engine
 // lock held, so they may read the engine; they should not write to it.
-type Subscriber func(view string, inserts, deletes *relation.Counted)
+type Subscriber func(view string, run []relation.CountedTuple)
 
 // notification is a queued subscriber callback, fired after the engine
 // lock is released.
 type notification struct {
-	sub      Subscriber
-	view     string
-	ins, del *relation.Counted
+	sub  Subscriber
+	view string
+	run  []relation.CountedTuple
 }
 
-func (st *viewState) notifications(view string, ins, del *relation.Counted) []notification {
-	if len(st.subscribers) == 0 || (ins.Len() == 0 && del.Len() == 0) {
+func (st *viewState) notifications(view string, run []relation.CountedTuple) []notification {
+	if len(st.subscribers) == 0 || len(run) == 0 {
 		return nil
 	}
 	ids := make([]int, 0, len(st.subscribers))
@@ -231,7 +234,7 @@ func (st *viewState) notifications(view string, ins, del *relation.Counted) []no
 	sort.Ints(ids)
 	out := make([]notification, 0, len(ids))
 	for _, id := range ids {
-		out = append(out, notification{sub: st.subscribers[id], view: view, ins: ins, del: del})
+		out = append(out, notification{sub: st.subscribers[id], view: view, run: run})
 	}
 	if st.vo != nil {
 		st.vo.notifications.Add(int64(len(out)))
@@ -241,26 +244,27 @@ func (st *viewState) notifications(view string, ins, del *relation.Counted) []no
 
 func fire(ns []notification) {
 	for _, n := range ns {
-		n.sub(n.view, n.ins, n.del)
+		n.sub(n.view, n.run)
 	}
 }
 
-// countedDiff computes the insert and delete sets between two view
-// states (used to notify subscribers when a refresh recomputed the
-// view instead of producing a differential delta).
-func countedDiff(old, new *relation.Counted) (ins, del *relation.Counted) {
-	ins, del = relation.NewCounted(new.Scheme()), relation.NewCounted(old.Scheme())
+// countedDiff returns the run that takes view state old to new (used
+// to notify subscribers when a refresh recomputed the view instead of
+// producing a differential delta).
+func countedDiff(old, new *relation.Counted) []relation.CountedTuple {
+	var run []relation.CountedTuple
 	new.Each(func(t tuple.Tuple, n int64) {
-		if diff := n - old.Count(t); diff > 0 {
-			_ = ins.Add(t, diff)
+		if diff := n - old.Count(t); diff != 0 {
+			run = append(run, relation.CountedTuple{Tuple: t, Count: diff})
 		}
 	})
 	old.Each(func(t tuple.Tuple, n int64) {
-		if diff := n - new.Count(t); diff > 0 {
-			_ = del.Add(t, diff)
+		if !new.Has(t) {
+			run = append(run, relation.CountedTuple{Tuple: t, Count: -n})
 		}
 	})
-	return ins, del
+	slices.SortFunc(run, relation.ByTuple)
+	return run
 }
 
 // Engine is a main-memory database with materialized views. All
@@ -637,7 +641,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 	if err := e.ensureIndexes(bound); err != nil {
 		return err
 	}
-	d, err := maint.Materialize(operandInstances(bound, nil, e.base), nil)
+	data, _, err := maint.Materialize(operandInstances(bound, nil, e.base), nil)
 	if err != nil {
 		return err
 	}
@@ -646,7 +650,7 @@ func (e *Engine) CreateView(v expr.View, cfg ViewConfig) error {
 		bound:    bound,
 		cfg:      cfg,
 		maint:    maint,
-		data:     d.Inserts,
+		data:     data,
 		pending:  make(map[string]delta.Update),
 		deferred: cfg.When.defers(),
 		away:     new(routedAway),
@@ -1103,8 +1107,9 @@ func dedupeSorted(in []string) []string {
 
 // Subscribe registers an alerter on a view (the Buneman–Clemons
 // application of §1–2): after every commit or refresh that changes the
-// view, the subscriber receives the insert and delete sets. It returns
-// a subscription id for Unsubscribe.
+// view, the subscriber receives the net change as a sorted run of
+// signed counts (Subscriber). It returns a subscription id for
+// Unsubscribe.
 func (e *Engine) Subscribe(view string, s Subscriber) (int, error) {
 	if s == nil {
 		return 0, fmt.Errorf("db: nil subscriber")
@@ -1203,9 +1208,6 @@ func (e *Engine) Query(v expr.View) (*relation.Counted, error) {
 	if err != nil {
 		return nil, err
 	}
-	d, err := m.Materialize(operandInstances(bound, nil, s.base), nil)
-	if err != nil {
-		return nil, err
-	}
-	return d.Inserts, nil
+	c, _, err := m.Materialize(operandInstances(bound, nil, s.base), nil)
+	return c, err
 }

@@ -281,10 +281,12 @@ func TestGroupCommitPerTxNotifications(t *testing.T) {
 	var mu sync.Mutex
 	var alerts int
 	total := 0
-	if _, err := e.Subscribe("v", func(view string, ins, del *relation.Counted) {
+	if _, err := e.Subscribe("v", func(view string, run []relation.CountedTuple) {
 		mu.Lock()
 		alerts++
-		total += ins.Len() - del.Len()
+		for _, r := range run {
+			total += int(r.Count)
+		}
 		mu.Unlock()
 	}); err != nil {
 		t.Fatal(err)

@@ -30,7 +30,6 @@ import (
 	"mview/internal/diffeval"
 	"mview/internal/expr"
 	"mview/internal/relation"
-	"mview/internal/tuple"
 )
 
 const viewReadsHelp = "View reads by how their version was served: result=memo from an already-built memo, result=render by building (sorting or rendering) part of it."
@@ -90,7 +89,7 @@ func (m *viewMemo) load() (built bool) {
 		defer m.built.Store(true)
 		ok := false
 		if m.prev != nil {
-			m.rows, ok = mergeRows(m.prev, m.delta, m.data.Len())
+			m.rows, ok = mergeRows(m.prev, m.delta.Rows, m.data.Len())
 			m.prev, m.delta = nil, nil
 		}
 		if !ok {
@@ -110,56 +109,35 @@ func (m *viewMemo) load() (built bool) {
 	return built
 }
 
-// mergeRows returns the sorted rows of prev ⊎ d.Inserts ⊖ d.Deletes,
-// prev being the sorted rows of the version d was folded onto: one
-// binary search per changed tuple and one copy of the unchanged runs
-// between them. Counts add up, and a row whose count reaches zero is
-// dropped. The rows share prev's tuples and copy the delta's new ones.
-// It reports false, and the caller sorts instead, when the result is
-// not want rows long or a count would go negative.
-func mergeRows(prev []relation.CountedTuple, d *diffeval.ViewDelta, want int) ([]relation.CountedTuple, bool) {
-	changes := make([]relation.CountedTuple, 0, d.Inserts.Len()+d.Deletes.Len())
-	d.Inserts.Each(func(t tuple.Tuple, n int64) {
-		changes = append(changes, relation.CountedTuple{Tuple: t, Count: n})
-	})
-	d.Deletes.Each(func(t tuple.Tuple, n int64) {
-		changes = append(changes, relation.CountedTuple{Tuple: t, Count: -n})
-	})
-	slices.SortFunc(changes, compareRows)
-	vals := make([]tuple.Value, 0, d.Inserts.Len()*d.Inserts.Scheme().Arity())
+// mergeRows returns the sorted rows of prev with run's signed counts
+// added, prev being the sorted rows of the version the run was folded
+// onto: one binary search per changed tuple and one copy of the
+// unchanged rows between them. A row whose count reaches zero is
+// dropped. The rows share prev's tuples and the run's. It reports
+// false, and the caller sorts instead, when the result is not want rows
+// long or a count would go negative.
+func mergeRows(prev, run []relation.CountedTuple, want int) ([]relation.CountedTuple, bool) {
 	out := make([]relation.CountedTuple, 0, want)
 	i := 0
-	for k := 0; k < len(changes); {
-		t, n := changes[k].Tuple, changes[k].Count
-		for k++; k < len(changes) && tuple.Compare(changes[k].Tuple, t) == 0; k++ {
-			n += changes[k].Count
-		}
-		at, found := slices.BinarySearchFunc(prev[i:], t, func(r relation.CountedTuple, t tuple.Tuple) int {
-			return tuple.Compare(r.Tuple, t)
-		})
+	for _, c := range run {
+		at, found := slices.BinarySearchFunc(prev[i:], c, relation.ByTuple)
 		out = append(out, prev[i:i+at]...)
 		i += at
 		if found {
-			n += prev[i].Count
-			t = prev[i].Tuple
+			c.Count += prev[i].Count
+			c.Tuple = prev[i].Tuple
 			i++
-		} else if n > 0 {
-			start := len(vals)
-			vals = append(vals, t...)
-			t = vals[start:len(vals):len(vals)]
 		}
 		switch {
-		case n < 0:
+		case c.Count < 0:
 			return nil, false
-		case n > 0:
-			out = append(out, relation.CountedTuple{Tuple: t, Count: n})
+		case c.Count > 0:
+			out = append(out, c)
 		}
 	}
 	out = append(out, prev[i:]...)
 	return out, len(out) == want
 }
-
-func compareRows(a, b relation.CountedTuple) int { return tuple.Compare(a.Tuple, b.Tuple) }
 
 // ViewVersion is one view as of one published snapshot. Every accessor
 // answers from that same snapshot, so a caller needing rows, schema and

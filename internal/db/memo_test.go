@@ -261,7 +261,7 @@ func TestViewMemoMergeMatchesSort(t *testing.T) {
 				continue
 			}
 			if linked {
-				got, ok := mergeRows(m.prev, m.delta, m.data.Len())
+				got, ok := mergeRows(m.prev, m.delta.Rows, m.data.Len())
 				if !ok || !slices.EqualFunc(got, m.data.Tuples(), equalRows) {
 					t.Fatalf("version %d, view %s: merged rows (ok %v) %v, want %v",
 						version, v.Name, ok, got, m.data.Tuples())

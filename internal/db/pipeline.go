@@ -40,7 +40,7 @@ import (
 )
 
 // refreshed carries one view through the pipeline: the maint stage fills
-// d (differential) or vc (recompute shadow), validate checks it, and
+// d (differential) or vc (recompute shadow), validate checks d, and
 // install folds it in — including a commit's staged deferred backlogs,
 // so a failed commit queues nothing.
 type refreshed struct {
@@ -52,7 +52,8 @@ type refreshed struct {
 	perOp      []delta.Update       // differential input: each operand's net update
 	routed     bool                 // perOp came filtered out of the relevance index (route.go)
 	d          *diffeval.ViewDelta  // differential result
-	vc         *diffeval.ViewDelta  // recompute shadow (PolicyRecompute): Inserts is the view
+	vc         *relation.Counted    // recompute shadow (PolicyRecompute): the view's next state
+	vcScanned  int                  // base rows the recompute read
 	cow        *relation.Counted    // per-tx fold's private clone, installed as the view's next state
 	err        error                // compute/validate failure
 	decision   string               // metrics label
@@ -445,7 +446,9 @@ func (e *Engine) maintStage(run *maintRun) error {
 		w.wait = start.Sub(stageStart)
 		switch {
 		case recompute:
-			w.vc, w.err = w.st.maint.Materialize(w.insts, nil)
+			var vs diffeval.Stats
+			w.vc, vs, w.err = w.st.maint.Materialize(w.insts, nil)
+			w.vcScanned = vs.BaseRowsScanned
 		case w.refresh:
 			// The base is the current state; a refresh computes against
 			// the state its backlog started from.
@@ -508,7 +511,7 @@ func (e *Engine) routeRun(run *maintRun, rs *routeStats) error {
 		case run.refresh:
 			c.w = e.newDifferential(c.st, 0, nil)
 			c.w.refresh = true
-			c.w.d = c.st.maint.EmptyDelta()
+			c.w.d = &diffeval.ViewDelta{}
 			run.ws[c.at] = c.w
 		}
 	}
@@ -598,7 +601,7 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 		if w.noop {
 			continue
 		}
-		t0 := time.Now()
+		t0, before := time.Now(), st.stats
 		st.written = true
 		st.folded, st.foldedOnto = nil, nil
 		switch {
@@ -621,16 +624,15 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 				return nil, fmt.Errorf("db: internal: validated delta failed to install on %q: %w", st.name, err)
 			}
 			st.noteDelta(w.d)
-			ns = append(ns, st.notifications(st.name, w.d.Inserts, w.d.Deletes)...)
+			ns = append(ns, st.notifications(st.name, w.d.Rows)...)
 		default:
 			if len(st.subscribers) > 0 {
-				ins, del := countedDiff(st.data, w.vc.Inserts)
-				ns = append(ns, st.notifications(st.name, ins, del)...)
+				ns = append(ns, st.notifications(st.name, countedDiff(st.data, w.vc))...)
 			}
-			st.data = w.vc.Inserts
+			st.data = w.vc
 			st.dataShared = false
 			st.stats.Recomputes++
-			st.stats.BaseRowsScanned += w.vc.Stats.BaseRowsScanned
+			st.stats.BaseRowsScanned += w.vcScanned
 		}
 		if w.refresh {
 			st.pending = make(map[string]delta.Update)
@@ -648,17 +650,8 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 			Compute:  w.computeDur,
 			Install:  time.Since(t0),
 			Trace:    run.ct.traceID(),
-		}
-		if w.d != nil {
-			st.lastMaint.Inserts = w.d.Stats.DeltaInserts
-			st.lastMaint.Deletes = w.d.Stats.DeltaDeletes
-		} else if w.perTx {
-			for _, r := range run.live {
-				if d := r.viewDeltas[st.name]; d != nil {
-					st.lastMaint.Inserts += d.Stats.DeltaInserts
-					st.lastMaint.Deletes += d.Stats.DeltaDeletes
-				}
-			}
+			Inserts:  st.stats.DeltaInserts - before.DeltaInserts,
+			Deletes:  st.stats.DeltaDeletes - before.DeltaDeletes,
 		}
 		if st.vo != nil {
 			st.vo.refreshHist(w.decision).ObserveDuration(w.computeDur + time.Since(t0))
@@ -679,7 +672,7 @@ func (e *Engine) installStage(run *maintRun) ([]notification, error) {
 					continue
 				}
 				if d := r.viewDeltas[w.st.name]; d != nil {
-					ns = append(ns, w.st.notifications(w.st.name, d.Inserts, d.Deletes)...)
+					ns = append(ns, w.st.notifications(w.st.name, d.Rows)...)
 				}
 			}
 		}
@@ -852,7 +845,7 @@ func (e *Engine) perTxViewDeltas(r *groupReq, updates []delta.Update, work map[s
 		if c := &cands[i]; c.w != nil {
 			ws = append(ws, c.w)
 		} else {
-			r.viewDeltas[c.st.name] = c.st.maint.EmptyDelta()
+			r.viewDeltas[c.st.name] = &diffeval.ViewDelta{}
 		}
 	}
 	for _, w := range ws {

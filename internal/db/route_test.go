@@ -2,6 +2,7 @@ package db
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -205,13 +206,10 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 						t.Fatal(err)
 					}
 					alerts[v.Name] = relation.NewCounted(data.Scheme())
-					if _, err := e.Subscribe(v.Name, func(view string, ins, del *relation.Counted) {
+					if _, err := e.Subscribe(v.Name, func(view string, run []relation.CountedTuple) {
 						alertMu.Lock()
 						defer alertMu.Unlock()
-						if err := alerts[view].Merge(ins); err != nil {
-							t.Error(err)
-						}
-						if err := alerts[view].Subtract(del); err != nil {
+						if err := diffeval.Apply(alerts[view], &diffeval.ViewDelta{Rows: run}); err != nil {
 							t.Error(err)
 						}
 					}); err != nil {
@@ -312,6 +310,79 @@ func TestRouteEngineMatchesMaterialize(t *testing.T) {
 	}
 }
 
+// TestFilterDiscardMeansEmptyRun is §4's soundness at the engine: a
+// commit the relevance index keeps wholly away from a filtered view
+// (every verdict it owes the view is a discard) must leave the same
+// view, maintained without the filter, an empty delta run: no
+// notification and no changed view tuple.
+func TestFilterDiscardMeansEmptyRun(t *testing.T) {
+	discards := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := New()
+		if err := e.CreateRelation("R", "A", "B", "C"); err != nil {
+			t.Fatal(err)
+		}
+		if err := e.CreateRelation("S", "D", "E"); err != nil {
+			t.Fatal(err)
+		}
+		var defs []expr.View
+		fired := map[string]int{}
+		for i := 0; i < 8; i++ {
+			v := routeView(rng, fmt.Sprintf("v%d", i))
+			for _, filter := range []bool{true, false} {
+				w := v
+				if w.Name += "u"; filter {
+					w.Name = v.Name + "f"
+				}
+				if err := e.CreateView(w, ViewConfig{Maint: diffeval.Options{Filter: filter}}); err != nil {
+					t.Fatalf("%s (%s): %v", w.Name, w.Where, err)
+				}
+				if _, err := e.Subscribe(w.Name, func(view string, run []relation.CountedTuple) { fired[view]++ }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defs = append(defs, v)
+		}
+		live := map[string]map[string]tuple.Tuple{"R": {}, "S": {}}
+		for round := 0; round < 40; round++ {
+			tx := routeRound(rng, live, 1)[0]
+			before := map[string]ViewStats{}
+			for _, v := range defs {
+				before[v.Name+"f"], _ = e.ViewStats(v.Name + "f")
+				before[v.Name+"u"], _ = e.ViewStats(v.Name + "u")
+			}
+			firedBefore := maps.Clone(fired)
+			res, err := e.Execute(tx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range defs {
+				checked := 0
+				for _, op := range v.Operands {
+					checked += updateOf(res.Updates, op.Rel).Size()
+				}
+				f, _ := e.ViewStats(v.Name + "f")
+				if checked == 0 || f.FilteredOut-before[v.Name+"f"].FilteredOut != checked {
+					continue // some tuple reached the view, or none was routed to it
+				}
+				discards++
+				u, _ := e.ViewStats(v.Name + "u")
+				bu := before[v.Name+"u"]
+				if fired[v.Name+"u"] != firedBefore[v.Name+"u"] || u.DeltaInserts != bu.DeltaInserts || u.DeltaDeletes != bu.DeltaDeletes {
+					t.Errorf("seed %d round %d: %s (%s) discarded all %d verdicts of %v, yet its unfiltered twin changed (+%d/-%d)",
+						seed, round, v.Name, v.Where, checked, res.Updates,
+						u.DeltaInserts-bu.DeltaInserts, u.DeltaDeletes-bu.DeltaDeletes)
+				}
+			}
+		}
+	}
+	if discards == 0 {
+		t.Fatal("no commit was discarded for a whole view: the check is vacuous")
+	}
+	t.Logf("%d (commit, view) pairs discarded whole", discards)
+}
+
 // lazyProvider serves diffeval an index on every equi-join column it
 // asks for, built on demand over the instances the computation reads,
 // as the engine's relations carry theirs.
@@ -389,7 +460,7 @@ func routeCountContract(t *testing.T, mode string) {
 			t.Fatal(err)
 		}
 		if mode == "subscribed" {
-			if _, err := e.Subscribe(def.Name, func(string, *relation.Counted, *relation.Counted) {}); err != nil {
+			if _, err := e.Subscribe(def.Name, func(string, []relation.CountedTuple) {}); err != nil {
 				t.Fatal(err)
 			}
 		}

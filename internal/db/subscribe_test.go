@@ -1,9 +1,11 @@
 package db
 
 import (
+	"fmt"
 	"testing"
 
 	"mview/internal/delta"
+	"mview/internal/expr"
 	"mview/internal/relation"
 	"mview/internal/schema"
 	"mview/internal/tuple"
@@ -11,14 +13,24 @@ import (
 
 type capture struct {
 	calls int
-	ins   []*relation.Counted
-	dels  []*relation.Counted
+	runs  [][]relation.CountedTuple
 }
 
-func (c *capture) sub(_ string, ins, del *relation.Counted) {
+func (c *capture) sub(_ string, run []relation.CountedTuple) {
 	c.calls++
-	c.ins = append(c.ins, ins)
-	c.dels = append(c.dels, del)
+	c.runs = append(c.runs, run)
+}
+
+// runString renders a run as "{(1)-1, (2)+1}".
+func runString(run []relation.CountedTuple) string {
+	s := "{"
+	for i, r := range run {
+		if i > 0 {
+			s += ", "
+		}
+		s += fmt.Sprintf("%s%+d", r.Tuple, r.Count)
+	}
+	return s + "}"
 }
 
 func TestSubscribeImmediateView(t *testing.T) {
@@ -39,11 +51,8 @@ func TestSubscribeImmediateView(t *testing.T) {
 	if c.calls != 1 {
 		t.Fatalf("calls = %d", c.calls)
 	}
-	if c.ins[0].Len() != 1 || !c.ins[0].Has(tuple.New(1, 2, 3)) {
-		t.Errorf("inserts = %v", c.ins[0])
-	}
-	if c.dels[0].Len() != 0 {
-		t.Errorf("deletes = %v", c.dels[0])
+	if got := runString(c.runs[0]); got != "{(1, 2, 3)+1}" {
+		t.Errorf("run = %s", got)
 	}
 
 	// A base change that does not affect the view must not wake the
@@ -55,12 +64,12 @@ func TestSubscribeImmediateView(t *testing.T) {
 		t.Errorf("no-op change woke the subscriber: calls = %d", c.calls)
 	}
 
-	// Deletions arrive on the delete side.
+	// Deletions arrive with negative counts.
 	var tx3 delta.Tx
 	tx3.Delete("S", tuple.New(2, 3))
 	exec(t, e, &tx3)
-	if c.calls != 2 || c.dels[1].Len() != 1 {
-		t.Errorf("calls = %d dels = %v", c.calls, c.dels)
+	if c.calls != 2 || runString(c.runs[1]) != "{(1, 2, 3)-1}" {
+		t.Errorf("calls = %d runs = %v", c.calls, c.runs)
 	}
 
 	// After unsubscribe, silence.
@@ -96,8 +105,8 @@ func TestSubscribeDeferredAndRecompute(t *testing.T) {
 	exec(t, e, &tx)
 
 	// Recompute views notify with the diff of old vs new contents.
-	if cr.calls != 1 || cr.ins[0].Len() != 1 {
-		t.Errorf("recompute notification: calls=%d ins=%v", cr.calls, cr.ins)
+	if cr.calls != 1 || runString(cr.runs[0]) != "{(1, 2, 3)+1}" {
+		t.Errorf("recompute notification: calls=%d runs=%v", cr.calls, cr.runs)
 	}
 	// Deferred views notify at refresh time, not commit time.
 	if cs.calls != 0 {
@@ -106,7 +115,7 @@ func TestSubscribeDeferredAndRecompute(t *testing.T) {
 	if err := e.RefreshView("snap"); err != nil {
 		t.Fatal(err)
 	}
-	if cs.calls != 1 || cs.ins[0].Len() != 1 {
+	if cs.calls != 1 || runString(cs.runs[0]) != "{(1, 2, 3)+1}" {
 		t.Errorf("deferred notification: calls=%d", cs.calls)
 	}
 	// Refresh with nothing pending stays silent.
@@ -116,6 +125,78 @@ func TestSubscribeDeferredAndRecompute(t *testing.T) {
 	if cs.calls != 1 {
 		t.Errorf("idle refresh woke subscriber")
 	}
+
+	// A notification carries the view's net change, on every path: a
+	// differential commit, a recompute, an on-demand refresh, and a
+	// group-commit batch (per-transaction deltas). v = π_A R hides a
+	// replace that keeps A, so such a replace fires nothing; a replace
+	// that moves A fires the same run everywhere.
+	paths := []struct {
+		name string
+		cfg  ViewConfig
+	}{
+		{"pdiff", ViewConfig{}},
+		{"prec", ViewConfig{Policy: PolicyRecompute}},
+		{"psnap", ViewConfig{When: RefreshSpec{Kind: RefreshOnDemand}}},
+	}
+	caps := make([]capture, len(paths))
+	for i, p := range paths {
+		def := expr.View{Name: p.name, Operands: []expr.Operand{{Rel: "R"}}, Project: []schema.Attribute{"A"}}
+		if err := e.CreateView(def, p.cfg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := e.Subscribe(p.name, caps[i].sub); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace := func(from, to tuple.Tuple) *delta.Tx {
+		tx := &delta.Tx{}
+		tx.Delete("R", from).Insert("R", to)
+		return tx
+	}
+	// commit runs txs as one group-commit batch when there are several,
+	// then refreshes the on-demand view, and checks every path fired
+	// want (nothing when want is empty).
+	commit := func(step, want string, txs ...*delta.Tx) {
+		t.Helper()
+		before := make([]int, len(caps))
+		for i := range caps {
+			before[i] = caps[i].calls
+		}
+		if len(txs) == 1 {
+			exec(t, e, txs[0])
+		} else {
+			reqs := make([]*groupReq, len(txs))
+			for i, tx := range txs {
+				reqs[i] = &groupReq{tx: tx, done: make(chan struct{})}
+			}
+			(&group{e: e, maxBatch: len(txs)}).run(reqs, 0)
+			for _, r := range reqs {
+				if r.err != nil {
+					t.Fatalf("%s: %v", step, r.err)
+				}
+			}
+		}
+		if err := e.RefreshView("psnap"); err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range paths {
+			c := &caps[i]
+			switch fired := c.calls - before[i]; {
+			case want == "" && fired != 0:
+				t.Errorf("%s: %s fired %v for a change that cancels out", step, p.name, c.runs[before[i]:])
+			case want != "" && (fired != 1 || runString(c.runs[len(c.runs)-1]) != want):
+				t.Errorf("%s: %s fired %d runs %v, want one %s", step, p.name, fired, c.runs[before[i]:], want)
+			}
+		}
+	}
+	commit("replace", "{(1)-1, (7)+1}", replace(tuple.New(1, 2), tuple.New(7, 2)))
+	commit("serial net-zero replace", "", replace(tuple.New(7, 2), tuple.New(7, 3)))
+	commit("serial replace", "{(7)-1, (8)+1}", replace(tuple.New(7, 3), tuple.New(8, 3)))
+	commit("batched net-zero replaces", "",
+		replace(tuple.New(8, 3), tuple.New(8, 4)), replace(tuple.New(8, 4), tuple.New(8, 5)))
+	commit("batched replace", "{(8)-1, (9)+1}",
+		replace(tuple.New(8, 5), tuple.New(9, 5)), replace(tuple.New(9, 5), tuple.New(9, 6)))
 }
 
 func TestSubscribeReadBackDuringCallback(t *testing.T) {
@@ -126,7 +207,7 @@ func TestSubscribeReadBackDuringCallback(t *testing.T) {
 		t.Fatal(err)
 	}
 	read := 0
-	if _, err := e.Subscribe("v", func(string, *relation.Counted, *relation.Counted) {
+	if _, err := e.Subscribe("v", func(string, []relation.CountedTuple) {
 		if _, err := e.View("v"); err != nil {
 			t.Errorf("View inside callback: %v", err)
 		}
@@ -144,7 +225,7 @@ func TestSubscribeReadBackDuringCallback(t *testing.T) {
 
 func TestSubscribeErrors(t *testing.T) {
 	e := newEngine(t)
-	if _, err := e.Subscribe("zzz", func(string, *relation.Counted, *relation.Counted) {}); err == nil {
+	if _, err := e.Subscribe("zzz", func(string, []relation.CountedTuple) {}); err == nil {
 		t.Error("unknown view must fail")
 	}
 	if err := e.Unsubscribe("zzz", 0); err == nil {
@@ -169,11 +250,7 @@ func TestCountedDiff(t *testing.T) {
 	newC := relation.NewCounted(s)
 	_ = newC.Add(tuple.New(1), 3) // +1
 	_ = newC.Add(tuple.New(3), 1) // new
-	ins, del := countedDiff(old, newC)
-	if ins.Count(tuple.New(1)) != 1 || ins.Count(tuple.New(3)) != 1 || ins.Len() != 2 {
-		t.Errorf("ins = %v", ins)
-	}
-	if del.Count(tuple.New(2)) != 1 || del.Len() != 1 {
-		t.Errorf("del = %v", del)
+	if got := runString(countedDiff(old, newC)); got != "{(1)+1, (2)-1, (3)+1}" {
+		t.Errorf("run = %s", got)
 	}
 }

@@ -1,6 +1,7 @@
 package diffeval
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -54,9 +55,8 @@ func TestMaintainerConcurrentComputeDelta(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !d.Inserts.Equal(ref.Inserts) || !d.Deletes.Equal(ref.Deletes) {
-					t.Errorf("concurrent delta diverged: %v/%v vs %v/%v",
-						d.Inserts, d.Deletes, ref.Inserts, ref.Deletes)
+				if !slices.EqualFunc(d.Rows, ref.Rows, sameRow) {
+					t.Errorf("concurrent delta diverged: %v vs %v", d, ref)
 					return
 				}
 			}
@@ -84,14 +84,14 @@ func TestValidateAndAtomicApply(t *testing.T) {
 	out := view.Scheme()
 
 	mk := func(ins, del []tuple.Tuple) *ViewDelta {
-		d := &ViewDelta{Inserts: relation.NewCounted(out), Deletes: relation.NewCounted(out)}
+		b := runBuilder{arity: out.Arity()}
 		for _, t := range ins {
-			_ = d.Inserts.Add(t, 1)
+			b.add(t, 1)
 		}
 		for _, t := range del {
-			_ = d.Deletes.Add(t, 1)
+			b.add(t, -1)
 		}
-		return d
+		return &ViewDelta{Rows: b.sorted()}
 	}
 
 	// A delta matching the view state validates and applies.
@@ -99,7 +99,8 @@ func TestValidateAndAtomicApply(t *testing.T) {
 	if err := Validate(view, ok); err != nil {
 		t.Fatalf("Validate(ok) = %v", err)
 	}
-	// An insert in the same delta funds a delete of the same tuple.
+	// An insert in the same delta funds a delete of the same tuple: the
+	// two cancel in the run.
 	funded := mk([]tuple.Tuple{tuple.New(5, 5, 5)}, []tuple.Tuple{tuple.New(5, 5, 5)})
 	if err := Validate(view, funded); err != nil {
 		t.Fatalf("Validate(insert-funded delete) = %v", err)
@@ -121,13 +122,10 @@ func TestValidateAndAtomicApply(t *testing.T) {
 		t.Errorf("failed Apply mutated the view: %v vs %v", view, before)
 	}
 
-	// Scheme mismatch is caught before any fold.
-	wrong := &ViewDelta{
-		Inserts: relation.NewCounted(schema.MustScheme("X")),
-		Deletes: relation.NewCounted(schema.MustScheme("X")),
-	}
+	// A tuple of another arity is caught before any fold.
+	wrong := &ViewDelta{Rows: []relation.CountedTuple{{Tuple: tuple.New(1), Count: -1}}}
 	if err := Validate(view, wrong); err == nil {
-		t.Fatal("Validate(wrong scheme) = nil, want error")
+		t.Fatal("Validate(wrong arity) = nil, want error")
 	}
 
 	// The good delta still applies after the failures.

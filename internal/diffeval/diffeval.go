@@ -24,9 +24,10 @@
 //     one serves the link, else a transient hash table, and combining
 //     tags by the §5.3 algebra (insert ⋈ delete → ignore). A row whose
 //     tuples all fall out early is pruned.
-//  4. Every surviving joint tuple is projected with §5.2 counting into
-//     insert and delete multisets, which Apply folds into the stored
-//     view: v' = v ⊎ ins ⊖ del.
+//  4. Every surviving joint tuple is projected onto the view with its
+//     §5.3 tag as a §5.2 count change: +1 for an insert, −1 for a
+//     delete. Summed per tuple, these make the delta one sorted run of
+//     signed counts, which Apply folds into the stored view's counters.
 //
 // The persistent indexes are the operand instances' own
 // (relation.Relation.Index): every instance carries indexes that
@@ -59,7 +60,6 @@ import (
 	"mview/internal/pred"
 	"mview/internal/relation"
 	"mview/internal/schema"
-	"mview/internal/tuple"
 )
 
 // IndexProvider supplies persistent single-column hash indexes in
@@ -94,15 +94,19 @@ type Stats struct {
 	BaseRowsScanned int
 	FilterChecked   int // delta tuples examined by the irrelevance filter
 	FilteredOut     int // delta tuples removed by the irrelevance filter
-	DeltaInserts    int // distinct inserted view tuples
-	DeltaDeletes    int // distinct deleted view tuples
+	DeltaInserts    int // distinct view tuples whose count rose
+	DeltaDeletes    int // distinct view tuples whose count fell
 }
 
-// ViewDelta is the computed change to a materialized view.
+// ViewDelta is the computed change to a materialized view: one run of
+// view tuples sorted by tuple (relation.ByTuple), each with the signed
+// change of its §5.2 counter — positive when the transaction gained
+// derivations, negative when it lost them, never zero. A tuple whose
+// gains and losses cancel is not in the run, so the run is the view's
+// net change. A zero ViewDelta is empty.
 type ViewDelta struct {
-	Inserts *relation.Counted
-	Deletes *relation.Counted
-	Stats   Stats
+	Rows  []relation.CountedTuple
+	Stats Stats
 }
 
 // Maintainer differentially maintains one bound view.
@@ -198,15 +202,6 @@ func (m *Maintainer) Checker(opIdx int) (*irrelevance.Checker, error) {
 
 // Bound returns the maintained view definition.
 func (m *Maintainer) Bound() *expr.Bound { return m.bound }
-
-// EmptyDelta returns a zero-change ViewDelta for the maintained view,
-// for a refresh whose backlog the §4 routing emptied.
-func (m *Maintainer) EmptyDelta() *ViewDelta {
-	return &ViewDelta{
-		Inserts: relation.NewCounted(m.deltaPS),
-		Deletes: relation.NewCounted(m.deltaPS),
-	}
-}
 
 // slot holds one operand's partition for the current call: the old
 // slot is inst minus del, the delta slot ins plus del.
@@ -331,9 +326,9 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 				obs.KV{K: "deletes", V: stats.DeltaDeletes})
 		}()
 	}
-	// Presize the outputs by the total delta size: the number of result
-	// rows is usually on the order of the touched tuples, and a close
-	// guess turns the per-row map growth into one allocation.
+	// Presize the run by the total delta size: the number of emitted
+	// tuples is usually on the order of the touched tuples, and a close
+	// guess turns the run's growth into one allocation.
 	sizeHint := 0
 	for i, s := range sl {
 		u := perOp[i]
@@ -352,14 +347,18 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 				obs.KV{K: "rel", V: s.op.Rel}, obs.KV{K: "size", V: s.deltaSize()})
 		}
 	}
-	d.Inserts, d.Deletes = relation.NewCountedCap(m.deltaPS, sizeHint), relation.NewCountedCap(m.deltaPS, sizeHint)
 	if stats.ModifiedOperands > 0 {
-		if err := m.streamRows(sl, stats, provider, d.Inserts, d.Deletes); err != nil {
+		if d.Rows, err = m.streamRows(sl, stats, provider, nil, sizeHint); err != nil {
 			return nil, err
 		}
 	}
-	stats.DeltaInserts = d.Inserts.Len()
-	stats.DeltaDeletes = d.Deletes.Len()
+	for _, r := range d.Rows {
+		if r.Count > 0 {
+			stats.DeltaInserts++
+		} else {
+			stats.DeltaDeletes++
+		}
+	}
 	return d, nil
 }
 
@@ -367,13 +366,13 @@ func (m *Maintainer) computeDelta(insts []*relation.Relation, perOp []delta.Upda
 // per operand, in operand order) as §5.3's single-delta truth-table
 // row: the smallest operand supplies all of its tuples as inserts and
 // every other operand is old, so the row's inserts are the whole view
-// with its §5.2 counts. It returns that row as a delta from the empty
-// view: Inserts is the view, Deletes is empty. provider, when non-nil,
-// supplies persistent indexes over insts in place of their own.
-func (m *Maintainer) Materialize(insts []*relation.Relation, provider IndexProvider) (*ViewDelta, error) {
+// with its §5.2 counts, counted straight into the returned view.
+// provider, when non-nil, supplies persistent indexes over insts in
+// place of their own.
+func (m *Maintainer) Materialize(insts []*relation.Relation, provider IndexProvider) (*relation.Counted, Stats, error) {
 	sl, err := m.slots(insts)
 	if err != nil {
-		return nil, err
+		return nil, Stats{}, err
 	}
 	first := sl[0]
 	for _, s := range sl[1:] {
@@ -383,42 +382,38 @@ func (m *Maintainer) Materialize(insts []*relation.Relation, provider IndexProvi
 	}
 	first.ins, first.modified, first.whole = first.inst, true, true
 	stats := Stats{ModifiedOperands: 1}
-	ins, del := relation.NewCountedCap(m.deltaPS, first.inst.Len()), relation.NewCounted(m.deltaPS)
-	if err := m.streamRows(sl, &stats, provider, ins, del); err != nil {
-		return nil, err
+	view := relation.NewCountedCap(m.deltaPS, first.inst.Len())
+	if _, err := m.streamRows(sl, &stats, provider, view, 0); err != nil {
+		return nil, stats, err
 	}
-	stats.DeltaInserts = ins.Len()
-	return &ViewDelta{Inserts: ins, Deletes: del, Stats: stats}, nil
+	stats.DeltaInserts = view.Len()
+	return view, stats, nil
 }
 
 // Validate reports whether Apply(view, d) would succeed, without
-// mutating the view. A delta folds cleanly iff the schemes line up and
-// every deleted derivation is covered by the view's current counter
-// plus the delta's own inserts (Merge runs before Subtract, so inserts
-// may fund deletes of the same tuple). An error indicates the delta
-// was computed against a different view state — the §5.2 counters
-// would go negative.
+// mutating the view: every tuple of the run has the view's arity, and
+// every negative count is covered by the view's current counter. An
+// error indicates the delta was computed against a different view
+// state — the §5.2 counters would go negative.
 func Validate(view *relation.Counted, d *ViewDelta) error {
-	if !view.Scheme().Equal(d.Inserts.Scheme()) || !view.Scheme().Equal(d.Deletes.Scheme()) {
-		return fmt.Errorf("diffeval: delta schemes (%s ⊎ / %s ⊖) do not match view scheme %s",
-			d.Inserts.Scheme(), d.Deletes.Scheme(), view.Scheme())
+	arity := view.Scheme().Arity()
+	for _, r := range d.Rows {
+		if len(r.Tuple) != arity {
+			return fmt.Errorf("diffeval: delta tuple %v does not match view scheme %s", r.Tuple, view.Scheme())
+		}
+		if r.Count < 0 {
+			if have := view.Count(r.Tuple); have < -r.Count {
+				return fmt.Errorf("diffeval: delta deletes %d × %v but only %d derivations exist", -r.Count, r.Tuple, have)
+			}
+		}
 	}
-	var err error
-	d.Deletes.Each(func(t tuple.Tuple, n int64) {
-		if err != nil {
-			return
-		}
-		if avail := view.Count(t) + d.Inserts.Count(t); avail < n {
-			err = fmt.Errorf("diffeval: delta deletes %d × %v but only %d derivations exist", n, t, avail)
-		}
-	})
-	return err
+	return nil
 }
 
-// Apply folds a computed delta into the stored view:
-// v' = v ⊎ inserts ⊖ deletes. The delta is validated first (see
-// Validate), so on error the view is unchanged — Apply is atomic per
-// view. An error indicates the delta does not match the view state
+// Apply folds a computed delta into the stored view, adding each
+// tuple's signed count to its counter. The delta is validated first
+// (see Validate), so on error the view is unchanged — Apply is atomic
+// per view. An error indicates the delta does not match the view state
 // (for example, deleting a derivation the view does not hold).
 func Apply(view *relation.Counted, d *ViewDelta) error {
 	if err := Validate(view, d); err != nil {
@@ -428,12 +423,14 @@ func Apply(view *relation.Counted, d *ViewDelta) error {
 }
 
 // Fold is Apply for a delta Validate already accepted against this very
-// view state: it folds v' = v ⊎ inserts ⊖ deletes with one lookup per
-// tuple and no re-check. An error means the delta was not validated
-// against the view, which may then be half-folded.
+// view state: one counter update per tuple of the run and no re-check.
+// An error means the delta was not validated against the view, which
+// may then be half-folded.
 func Fold(view *relation.Counted, d *ViewDelta) error {
-	if err := view.Merge(d.Inserts); err != nil {
-		return err
+	for _, r := range d.Rows {
+		if err := view.Add(r.Tuple, r.Count); err != nil {
+			return err
+		}
 	}
-	return view.Subtract(d.Deletes)
+	return nil
 }

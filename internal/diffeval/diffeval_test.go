@@ -42,6 +42,18 @@ func joinView(t *testing.T, db *schema.Database, rels ...string) *expr.Bound {
 	return b
 }
 
+// count returns t's signed count in the delta's run (0 when absent).
+func (d *ViewDelta) count(t tuple.Tuple) int64 {
+	if i, ok := slices.BinarySearchFunc(d.Rows, relation.CountedTuple{Tuple: t}, relation.ByTuple); ok {
+		return d.Rows[i].Count
+	}
+	return 0
+}
+
+func sameRow(a, b relation.CountedTuple) bool {
+	return a.Count == b.Count && tuple.Compare(a.Tuple, b.Tuple) == 0
+}
+
 func maintain(t *testing.T, m *Maintainer, view *relation.Counted,
 	insts []*relation.Relation, ups []delta.Update) *ViewDelta {
 	t.Helper()
@@ -94,11 +106,8 @@ func TestExample52(t *testing.T) {
 	d := maintain(t, m, view, []*relation.Relation{r, s}, []delta.Update{{Rel: "R", Inserts: ir}})
 
 	// (7,5) joins (5,20); (8,99) matches nothing.
-	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(7, 5, 20)) {
-		t.Errorf("delta inserts = %v", d.Inserts)
-	}
-	if d.Deletes.Len() != 0 {
-		t.Errorf("delta deletes = %v", d.Deletes)
+	if len(d.Rows) != 1 || d.count(tuple.New(7, 5, 20)) != 1 {
+		t.Errorf("delta = %v", d)
 	}
 	if view.Len() != 2 || !view.Has(tuple.New(7, 5, 20)) {
 		t.Errorf("view after = %v", view)
@@ -129,8 +138,8 @@ func TestExample53(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := maintain(t, m, view, []*relation.Relation{r, s}, []delta.Update{{Rel: "R", Deletes: dr}})
-	if d.Deletes.Len() != 1 || !d.Deletes.Has(tuple.New(3, 5, 20)) {
-		t.Errorf("delta deletes = %v", d.Deletes)
+	if len(d.Rows) != 1 || d.count(tuple.New(3, 5, 20)) != -1 {
+		t.Errorf("delta = %v", d)
 	}
 	if view.Len() != 1 || view.Has(tuple.New(3, 5, 20)) {
 		t.Errorf("view after = %v", view)
@@ -175,8 +184,8 @@ func TestExample55(t *testing.T) {
 
 	// (9,3)⋈(3,20) and (9,4)⋈(4,30) both pass C>10 and project to A=9:
 	// the view tuple (9) gains TWO derivations. (7,2)⋈(2,5) fails C>10.
-	if d.Inserts.Count(tuple.New(9)) != 2 {
-		t.Errorf("delta inserts = %v, want (9)×2", d.Inserts)
+	if d.count(tuple.New(9)) != 2 {
+		t.Errorf("delta = %v, want (9)+2", d)
 	}
 	if view.Count(tuple.New(9)) != 2 {
 		t.Errorf("view = %v", view)
@@ -242,15 +251,15 @@ func TestExample54Cases(t *testing.T) {
 					t.Fatal(err)
 				}
 				joint := tuple.New(1, 2, 3)
-				ins, del := d.Inserts.Count(joint), d.Deletes.Count(joint)
+				n := d.count(joint)
 				switch {
-				case c.want == tuple.TagInsert && (ins != 1 || del != 0),
-					c.want == tuple.TagDelete && (ins != 0 || del != 1),
-					c.want == tuple.TagOld && (ins != 0 || del != 0):
-					t.Errorf("provider %T: delta = +%v −%v, want the joint tuple tagged %v", prov, d.Inserts, d.Deletes, c.want)
+				case c.want == tuple.TagInsert && n != 1,
+					c.want == tuple.TagDelete && n != -1,
+					c.want == tuple.TagOld && n != 0:
+					t.Errorf("provider %T: delta = %v, want the joint tuple tagged %v", prov, d, c.want)
 				}
-				if d.Inserts.Len()+d.Deletes.Len() > 1 {
-					t.Errorf("provider %T: delta = +%v −%v, want at most the one joint tuple", prov, d.Inserts, d.Deletes)
+				if len(d.Rows) > 1 {
+					t.Errorf("provider %T: delta = %v, want at most the one joint tuple", prov, d)
 				}
 			}
 		})
@@ -316,8 +325,8 @@ func TestDeleteBothSides(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := maintain(t, m, view, []*relation.Relation{r, s}, ups)
-	if d.Deletes.Count(tuple.New(1, 2, 10)) != 1 {
-		t.Errorf("delta deletes = %v, want (1,2,10)×1", d.Deletes)
+	if d.count(tuple.New(1, 2, 10)) != -1 {
+		t.Errorf("delta = %v, want (1,2,10)-1", d)
 	}
 	if view.Len() != 0 {
 		t.Errorf("view after = %v", view)
@@ -344,8 +353,8 @@ func TestInsertMeetsDeleteIgnored(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := maintain(t, m, view, []*relation.Relation{r, s}, ups)
-	if d.Inserts.Len() != 0 || d.Deletes.Len() != 0 || view.Len() != 0 {
-		t.Errorf("ins=%v del=%v view=%v, want all empty", d.Inserts, d.Deletes, view)
+	if len(d.Rows) != 0 || view.Len() != 0 {
+		t.Errorf("delta=%v view=%v, want both empty", d, view)
 	}
 }
 
@@ -362,8 +371,14 @@ func selectDelta(t *testing.T, b *expr.Bound, r *relation.Relation, u delta.Upda
 	if err != nil {
 		t.Fatal(err)
 	}
+	ins := 0
+	for _, r := range d.Rows {
+		if r.Count > 0 {
+			ins++
+		}
+	}
 	if want := (Stats{ModifiedOperands: 1, RowsEvaluated: d.Stats.RowsEvaluated,
-		DeltaInserts: d.Inserts.Len(), DeltaDeletes: d.Deletes.Len()}); d.Stats != want {
+		DeltaInserts: ins, DeltaDeletes: len(d.Rows) - ins}); d.Stats != want {
 		t.Errorf("stats = %+v: a select view's delta joins nothing and reads no base row", d.Stats)
 	}
 	return d
@@ -388,11 +403,8 @@ func TestSelectViewDelta(t *testing.T) {
 	}
 	r := relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(20, 0), tuple.New(1, 1))
 	d := selectDelta(t, b, r, u)
-	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(11, 0)) {
-		t.Errorf("inserts = %v", d.Inserts)
-	}
-	if d.Deletes.Len() != 1 || !d.Deletes.Has(tuple.New(20, 0)) {
-		t.Errorf("deletes = %v", d.Deletes)
+	if len(d.Rows) != 2 || d.count(tuple.New(11, 0)) != 1 || d.count(tuple.New(20, 0)) != -1 {
+		t.Errorf("delta = %v", d)
 	}
 	if d.Stats.RowsEvaluated != 1 {
 		t.Errorf("rows = %d, want 1", d.Stats.RowsEvaluated)
@@ -537,19 +549,14 @@ func TestApplyRejectsMismatchedDelta(t *testing.T) {
 		t.Fatal(err)
 	}
 	view := relation.NewCounted(out)
-	del := relation.NewCounted(out)
-	_ = del.Add(tuple.New(1, 2, 3), 1)
-	d := &ViewDelta{Inserts: relation.NewCounted(out), Deletes: del}
+	d := &ViewDelta{Rows: []relation.CountedTuple{{Tuple: tuple.New(1, 2, 3), Count: -1}}}
 	if err := Apply(view, d); err == nil {
 		t.Error("deleting a missing derivation must fail")
 	}
-	// Mismatched schemes fail on the insert side too.
-	bad := &ViewDelta{
-		Inserts: relation.NewCounted(schema.MustScheme("Z")),
-		Deletes: relation.NewCounted(out),
-	}
+	// A tuple of another arity fails on the insert side too.
+	bad := &ViewDelta{Rows: []relation.CountedTuple{{Tuple: tuple.New(7), Count: 1}}}
 	if err := Apply(view, bad); err == nil {
-		t.Error("mismatched insert scheme must fail")
+		t.Error("an inserted tuple of the wrong arity must fail")
 	}
 }
 
@@ -570,11 +577,8 @@ func TestSelectViewDeltaNilSides(t *testing.T) {
 	u := delta.Update{Rel: "R",
 		Inserts: relation.MustFromTuples(schema.MustScheme("A", "B"), tuple.New(11, 5))}
 	d := selectDelta(t, b, relation.New(schema.MustScheme("A", "B")), u)
-	if d.Inserts.Count(tuple.New(5)) != 1 || d.Deletes.Len() != 0 {
-		t.Errorf("delta = %v / %v", d.Inserts, d.Deletes)
-	}
-	if !d.Deletes.Scheme().Equal(schema.MustScheme("R.B")) {
-		t.Errorf("deletes scheme = %s, want (R.B)", d.Deletes.Scheme())
+	if len(d.Rows) != 1 || d.count(tuple.New(5)) != 1 {
+		t.Errorf("delta = %v, want {(5)+1} over (R.B)", d)
 	}
 }
 
@@ -783,11 +787,8 @@ func TestIndexedProbeSkipsDeletedTuples(t *testing.T) {
 	// i_r must join only the surviving S tuple (2,20); the deleted
 	// (2,10) must be skipped by the probe (it would otherwise appear
 	// as a bogus insert). The old view tuple (1,2,10) must be deleted.
-	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(9, 2, 20)) {
-		t.Errorf("inserts = %v", d.Inserts)
-	}
-	if d.Deletes.Len() != 1 || !d.Deletes.Has(tuple.New(1, 2, 10)) {
-		t.Errorf("deletes = %v", d.Deletes)
+	if len(d.Rows) != 2 || d.count(tuple.New(9, 2, 20)) != 1 || d.count(tuple.New(1, 2, 10)) != -1 {
+		t.Errorf("delta = %v", d)
 	}
 	if d.Stats.IndexProbes == 0 {
 		t.Error("expected index probes to be used")
@@ -952,12 +953,12 @@ func TestDifferentialMatchesFullReevaluation(t *testing.T) {
 		}
 		postProv := buildAllIndexes(t, names, postByName)
 		for _, p := range []IndexProvider{nil, postProv, partialProvider{p: postProv, skip: map[string]int{"R": 0, "S": 1}}} {
-			d, err := m.Materialize(post, p)
+			view, _, err := m.Materialize(post, p)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !d.Inserts.Equal(want) || d.Deletes.Len() != 0 {
-				t.Fatalf("trial %d cond %q provider %T: Materialize = %v, want %v", trial, spec.cond, p, d.Inserts, want)
+			if !view.Equal(want) {
+				t.Fatalf("trial %d cond %q provider %T: Materialize = %v, want %v", trial, spec.cond, p, view, want)
 			}
 		}
 	}
@@ -1016,8 +1017,8 @@ func TestIndexedStatsHandComputed(t *testing.T) {
 	if d.Stats != want {
 		t.Errorf("stats = %+v, want %+v", d.Stats, want)
 	}
-	if d.Inserts.Len() != 1 || !d.Inserts.Has(tuple.New(5, 2, 3, 4)) || d.Deletes.Len() != 0 {
-		t.Errorf("delta = +%v −%v, want +{(5, 2, 3, 4)}", d.Inserts, d.Deletes)
+	if len(d.Rows) != 1 || d.count(tuple.New(5, 2, 3, 4)) != 1 {
+		t.Errorf("delta = %v, want {(5, 2, 3, 4)+1}", d)
 	}
 }
 
@@ -1059,9 +1060,8 @@ func TestInstanceIndexesServeWithoutProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats != want.Stats || !got.Inserts.Equal(want.Inserts) || !got.Deletes.Equal(want.Deletes) {
-		t.Errorf("own indexes: %+v +%v −%v, provider: %+v +%v −%v",
-			got.Stats, got.Inserts, got.Deletes, want.Stats, want.Inserts, want.Deletes)
+	if got.Stats != want.Stats || !slices.EqualFunc(got.Rows, want.Rows, sameRow) {
+		t.Errorf("own indexes: %+v %v, provider: %+v %v", got.Stats, got, want.Stats, want)
 	}
 	if got.Stats.IndexProbes == 0 || got.Stats.BaseRowsScanned != 0 {
 		t.Errorf("own indexes: stats %+v, want probes and no base row read", got.Stats)
@@ -1070,7 +1070,7 @@ func TestInstanceIndexesServeWithoutProvider(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if none.Stats.IndexProbes != 0 || none.Stats.BaseRowsScanned == 0 || !none.Inserts.Equal(want.Inserts) {
+	if none.Stats.IndexProbes != 0 || none.Stats.BaseRowsScanned == 0 || !slices.EqualFunc(none.Rows, want.Rows, sameRow) {
 		t.Errorf("provider without indexes: stats %+v, want transient tables over base rows", none.Stats)
 	}
 }
@@ -1106,18 +1106,18 @@ func TestMaterializeSingleDeltaRow(t *testing.T) {
 			Stats{ModifiedOperands: 1, RowsEvaluated: 1, JoinSteps: 1, IndexProbes: 2, BaseRowsScanned: 2, DeltaInserts: 3}},
 		{nil, Stats{ModifiedOperands: 1, RowsEvaluated: 1, JoinSteps: 1, BaseRowsScanned: 5, DeltaInserts: 3}},
 	} {
-		d, err := m.Materialize(ops, c.prov)
+		view, stats, err := m.Materialize(ops, c.prov)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !d.Inserts.Equal(want) || d.Deletes.Len() != 0 {
-			t.Errorf("provider %T: view = +%v −%v, want +%v", c.prov, d.Inserts, d.Deletes, want)
+		if !view.Equal(want) {
+			t.Errorf("provider %T: view = %v, want %v", c.prov, view, want)
 		}
-		if d.Stats != c.stats {
-			t.Errorf("provider %T: stats = %+v, want %+v", c.prov, d.Stats, c.stats)
+		if stats != c.stats {
+			t.Errorf("provider %T: stats = %+v, want %+v", c.prov, stats, c.stats)
 		}
 	}
-	if _, err := m.Materialize(ops[:1], nil); err == nil {
+	if _, _, err := m.Materialize(ops[:1], nil); err == nil {
 		t.Error("instance count mismatch must fail")
 	}
 }

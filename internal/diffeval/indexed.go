@@ -7,11 +7,13 @@ package diffeval
 // the link, otherwise through a transient hash table over the slot, or
 // by a scan for a cross product. A residual atom applies as soon as its variables
 // are bound, and each surviving joint tuple is projected and counted
-// straight into the view delta, so the per-transaction cost scales with
+// straight into the output the caller chose (a delta's run, or the
+// view being materialized), so the per-transaction cost scales with
 // the delta and what it joins rather than with the base relations.
 
 import (
 	"fmt"
+	"slices"
 
 	"mview/internal/expr"
 	"mview/internal/pred"
@@ -101,14 +103,16 @@ type step struct {
 }
 
 // pipeline is one ComputeDelta or Materialize call's scratch:
-// the current row's steps, the joint tuple being bound, and the ⊎/⊖
-// outputs every completed joint tuple is counted into.
+// the current row's steps, the joint tuple being bound, and the output
+// every completed joint tuple is counted into: the view Materialize
+// builds, or else the delta's run.
 type pipeline struct {
 	m        *Maintainer
 	sl       []*slot
 	provider IndexProvider
 	stats    *Stats
-	ins, del *relation.Counted
+	view     *relation.Counted
+	run      runBuilder
 
 	ci       int // conjunct of the current row
 	steps    []step
@@ -122,9 +126,10 @@ type pipeline struct {
 }
 
 // streamRows evaluates every non-all-old truth-table row of every
-// conjunct through its probe pipeline, counting the view delta into
-// ins and del.
-func (m *Maintainer) streamRows(sl []*slot, stats *Stats, provider IndexProvider, ins, del *relation.Counted) error {
+// conjunct through its probe pipeline, counting its output into view
+// when one is given, and otherwise into the returned run, presized for
+// hint tuples.
+func (m *Maintainer) streamRows(sl []*slot, stats *Stats, provider IndexProvider, view *relation.Counted, hint int) ([]relation.CountedTuple, error) {
 	var modifiedBuf [8]int
 	modified := modifiedBuf[:0]
 	for i := range sl {
@@ -135,7 +140,8 @@ func (m *Maintainer) streamRows(sl []*slot, stats *Stats, provider IndexProvider
 	n := len(sl)
 	flags := make([]bool, 2*n)
 	p := &pipeline{
-		m: m, sl: sl, provider: provider, stats: stats, ins: ins, del: del,
+		m: m, sl: sl, provider: provider, stats: stats, view: view,
+		run:      runBuilder{arity: len(m.deltaPos), hint: hint},
 		steps:    make([]step, n),
 		joint:    make(tuple.Tuple, m.bound.Joint.Arity()),
 		proj:     make(tuple.Tuple, len(m.deltaPos)),
@@ -145,13 +151,13 @@ func (m *Maintainer) streamRows(sl []*slot, stats *Stats, provider IndexProvider
 	for ci := range m.conjs {
 		for mask := 1; mask < 1<<len(modified); mask++ {
 			p.plan(ci, modified, mask)
-			p.run()
+			p.runRow()
 			if p.err != nil {
-				return p.err
+				return nil, p.err
 			}
 		}
 	}
-	return nil
+	return p.run.sorted(), nil
 }
 
 // size is operand i's slot size in the current row.
@@ -280,8 +286,8 @@ func (p *pipeline) index(j, pos int) *relation.Index {
 	return p.sl[j].inst.Index(pos)
 }
 
-// run streams the row's first delta slot through the pipeline.
-func (p *pipeline) run() {
+// runRow streams the row's first delta slot through the pipeline.
+func (p *pipeline) runRow() {
 	p.each(&p.steps[0], func(t tuple.Tuple, tag tuple.Tag) { p.enter(0, t, tag) })
 	if p.done {
 		p.stats.RowsEvaluated++
@@ -378,8 +384,9 @@ func (p *pipeline) advance(d int, tag tuple.Tag) {
 	}
 }
 
-// emit counts a completed joint tuple into the delta. Under a DNF, a
-// tuple satisfying an earlier conjunct was already counted there.
+// emit counts a completed joint tuple into the output: §5.3's insert
+// tag as +1, its delete tag as −1. Under a DNF, a tuple satisfying an
+// earlier conjunct was already counted there.
 func (p *pipeline) emit(tag tuple.Tag) {
 	p.done = true
 	for cj := 0; cj < p.ci; cj++ {
@@ -387,19 +394,57 @@ func (p *pipeline) emit(tag tuple.Tag) {
 			return
 		}
 	}
-	var target *relation.Counted
-	switch tag {
-	case tuple.TagInsert:
-		target = p.ins
-	case tuple.TagDelete:
-		target = p.del
-	default: // unreachable: every row starts from a delta slot
-		return
+	n := int64(1) // every row starts from a delta slot: the tag is insert or delete
+	if tag == tuple.TagDelete {
+		n = -1
 	}
 	for i, pos := range p.m.deltaPos {
 		p.proj[i] = p.joint[pos]
 	}
-	if err := target.Add(p.proj, 1); err != nil {
+	if p.view == nil {
+		p.run.add(p.proj, n)
+	} else if err := p.view.Add(p.proj, n); err != nil {
 		p.err = err
 	}
+}
+
+// runBuilder collects a delta's emitted tuples, their values in one
+// flat arena, until sorted sums them into the delta's run.
+type runBuilder struct {
+	arity, hint int
+	vals        []tuple.Value
+	rows        []relation.CountedTuple
+}
+
+// add appends a copy of t with count n.
+func (b *runBuilder) add(t tuple.Tuple, n int64) {
+	if b.rows == nil {
+		b.vals = make([]tuple.Value, 0, b.hint*b.arity)
+		b.rows = make([]relation.CountedTuple, 0, b.hint)
+	}
+	b.vals = append(b.vals, t...)
+	b.rows = append(b.rows, relation.CountedTuple{Count: n})
+}
+
+// sorted sorts the emitted tuples once and sums equal ones, dropping
+// the tuples whose derivations cancelled out.
+func (b *runBuilder) sorted() []relation.CountedTuple {
+	rows := b.rows
+	for i := range rows {
+		off := i * b.arity
+		rows[i].Tuple = b.vals[off : off+b.arity : off+b.arity]
+	}
+	slices.SortFunc(rows, relation.ByTuple)
+	n := 0
+	for i := 0; i < len(rows); {
+		r := rows[i]
+		for i++; i < len(rows) && tuple.Compare(rows[i].Tuple, r.Tuple) == 0; i++ {
+			r.Count += rows[i].Count
+		}
+		if r.Count != 0 {
+			rows[n] = r
+			n++
+		}
+	}
+	return rows[:n]
 }

@@ -685,8 +685,10 @@ func (h *Handler) explain(w http.ResponseWriter, r *http.Request) {
 // both in the initial rows and as a change event, i.e. delivery is
 // at-least-once). After that, one `data:
 // {"View":…,"Inserts":…,"Deletes":…}` event follows per refresh that
-// changed the view. Slow consumers are tolerated by dropping events
-// past a small buffer rather than stalling commits.
+// changed the view, carrying its net change: a commit whose changes to
+// the view cancel out (a replace that a projection hides) sends none.
+// Slow consumers are tolerated by dropping events past a small buffer
+// rather than stalling commits.
 func (h *Handler) watch(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	flusher, ok := w.(http.Flusher)

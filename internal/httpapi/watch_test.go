@@ -82,6 +82,39 @@ func TestWatchStreamsChanges(t *testing.T) {
 	if !strings.Contains(data, `"View":"low"`) || !strings.Contains(data, `"Values":[3,30]`) {
 		t.Errorf("event payload = %s", data)
 	}
+
+	// An event is the view's net change: on π_A r, a replace that keeps
+	// A sends nothing, so the next event is the insert that follows it.
+	if err := db.CreateView("pa", mview.ViewSpec{From: []string{"r"}, Select: []string{"A"}}); err != nil {
+		t.Fatal(err)
+	}
+	presp, err := http.Get(srv.URL + "/v1/views/pa/watch")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer presp.Body.Close()
+	preader := bufio.NewReader(presp.Body)
+	if line, err := preader.ReadString('\n'); err != nil || !strings.HasPrefix(line, "event: ready") {
+		t.Fatalf("pa handshake = %q, %v", line, err)
+	}
+	if _, err := db.Exec(mview.Delete("r", 1, 10), mview.Insert("r", 1, 11)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.Exec(mview.Insert("r", 2, 20)); err != nil {
+		t.Fatal(err)
+	}
+	for data = ""; data == ""; {
+		line, err := preader.ReadString('\n')
+		if err != nil {
+			t.Fatalf("pa stream read: %v", err)
+		}
+		if strings.HasPrefix(line, "data: {\"View\"") {
+			data = strings.TrimSpace(strings.TrimPrefix(line, "data: "))
+		}
+	}
+	if want := `{"View":"pa","Inserts":[{"Values":[2],"Count":1}],"Deletes":[]}`; data != want {
+		t.Errorf("first pa event = %s, want %s", data, want)
+	}
 }
 
 // TestWatchSlowConsumerDropsEvents: a watcher that stays connected but

@@ -25,15 +25,18 @@ type Counted struct {
 	scheme *schema.Scheme
 	a      rowArena
 	counts column // by handle; 0 marks a dead (removed) row
-	total  int64  // sum of all counts, maintained incrementally
 }
 
 // CountedTuple pairs a tuple with its multiplicity, for iteration in
-// deterministic order.
+// deterministic order, or with a signed change of it in a view delta.
 type CountedTuple struct {
 	Tuple tuple.Tuple
 	Count int64
 }
+
+// ByTuple orders counted tuples by tuple (tuple.Compare), the order of
+// Tuples and of a view delta's run.
+func ByTuple(a, b CountedTuple) int { return tuple.Compare(a.Tuple, b.Tuple) }
 
 // NewCounted returns an empty counted relation over the given scheme.
 func NewCounted(s *schema.Scheme) *Counted {
@@ -55,7 +58,6 @@ func FromRelation(r *Relation) *Counted {
 		c.a.addNew(t)
 		c.counts.push(1, 0)
 	})
-	c.total = int64(r.Len())
 	return c
 }
 
@@ -64,9 +66,6 @@ func (c *Counted) Scheme() *schema.Scheme { return c.scheme }
 
 // Len returns the number of distinct tuples.
 func (c *Counted) Len() int { return c.a.len() }
-
-// Total returns the sum of all multiplicities.
-func (c *Counted) Total() int64 { return c.total }
 
 // Count returns the multiplicity of t (zero when absent). Safe for
 // concurrent readers of a published view.
@@ -120,12 +119,11 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 		c.a.add(hash, t)
 		c.counts.push(next, c.a.gen)
 	}
-	c.total += n
 	return nil
 }
 
 // bump adds n (> 0) to t's counter without the error path, for
-// operators that only ever accumulate positive counts.
+// ProjectCounted, which only ever accumulates positive counts.
 func (c *Counted) bump(t tuple.Tuple, n int64) {
 	if h, hash, ok := c.a.find(t); ok {
 		*c.counts.slot(h, c.a.gen) += n
@@ -133,25 +131,19 @@ func (c *Counted) bump(t tuple.Tuple, n int64) {
 		c.a.add(hash, t)
 		c.counts.push(n, c.a.gen)
 	}
-	c.total += n
 }
 
 // Each calls f for every (tuple, count) pair in unspecified order. The
 // walk is linear over the arena; dead rows are skipped by their zero
 // count.
 func (c *Counted) Each(f func(tuple.Tuple, int64)) {
-	c.eachHandle(func(_ int32, t tuple.Tuple, n int64) { f(t, n) })
-}
-
-// eachHandle is Each with the row's handle.
-func (c *Counted) eachHandle(f func(h int32, t tuple.Tuple, n int64)) {
 	var leaf *columnLeaf
 	c.a.rows.each(func(h int32, t tuple.Tuple) {
 		if h&(spineFan-1) == 0 {
 			leaf = c.counts.leaves.get(h >> spineBits)
 		}
 		if n := leaf.vals[h&(spineFan-1)]; n != 0 {
-			f(h, t, n)
+			f(t, n)
 		}
 	})
 }
@@ -162,14 +154,14 @@ func (c *Counted) Tuples() []CountedTuple {
 	c.Each(func(t tuple.Tuple, n int64) {
 		out = append(out, CountedTuple{Tuple: t, Count: n})
 	})
-	slices.SortFunc(out, func(a, b CountedTuple) int { return tuple.Compare(a.Tuple, b.Tuple) })
+	slices.SortFunc(out, ByTuple)
 	return out
 }
 
 // Clone returns an independent copy in O(1): rows, trie and counts are
 // shared, and either side copies only the paths it later writes.
 func (c *Counted) Clone() *Counted {
-	return &Counted{scheme: c.scheme, a: c.a.cloneShared(), counts: c.counts, total: c.total}
+	return &Counted{scheme: c.scheme, a: c.a.cloneShared(), counts: c.counts}
 }
 
 // Equal reports whether two counted relations have equal schemes,
@@ -195,33 +187,6 @@ func (c *Counted) String() string {
 		s += fmt.Sprintf("%s×%d", ct.Tuple, ct.Count)
 	}
 	return s + "}"
-}
-
-// Merge adds every counted tuple of o into c (the ⊎ operator). It
-// mutates c and returns an error on scheme mismatch.
-func (c *Counted) Merge(o *Counted) error {
-	if err := sameScheme("counted merge", c.scheme, o.scheme); err != nil {
-		return err
-	}
-	// Counts are positive on both sides, so no counter can go negative.
-	o.Each(c.bump)
-	return nil
-}
-
-// Subtract removes every counted tuple of o from c (the ⊖ operator),
-// erroring if any counter would go negative.
-func (c *Counted) Subtract(o *Counted) error {
-	if err := sameScheme("counted subtract", c.scheme, o.scheme); err != nil {
-		return err
-	}
-	var firstErr error
-	o.Each(func(t tuple.Tuple, n int64) {
-		if firstErr != nil {
-			return
-		}
-		firstErr = c.Add(t, -n)
-	})
-	return firstErr
 }
 
 // ProjectCounted returns π_attrs(c) under the §5.2 redefinition: the

@@ -14,8 +14,8 @@
 // further tries over the same handles, so rows, trie, counts and indexes
 // are one copy-on-write store that Clone shares in O(1).
 //
-// The few operators (Union, Diff, ProjectCounted, Merge, Subtract)
-// allocate fresh results or mutate only their receiver.
+// The few operators (Union, Diff, ProjectCounted) allocate fresh
+// results.
 package relation
 
 import (

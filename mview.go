@@ -573,8 +573,8 @@ type Stats struct {
 	RowsEvaluated int // truth-table rows completed
 	JoinSteps     int // join pipeline steps executed
 	FilteredOut   int // update tuples discarded as irrelevant (§4)
-	DeltaInserts  int // view tuples inserted by deltas
-	DeltaDeletes  int // view tuples deleted by deltas
+	DeltaInserts  int // distinct view tuples whose count a delta raised
+	DeltaDeletes  int // distinct view tuples whose count a delta lowered
 	PendingTx     int // transactions awaiting a deferred refresh
 }
 
@@ -621,7 +621,10 @@ func (d *DB) QueryContext(ctx context.Context, spec ViewSpec) ([]Row, error) {
 	return rowsOf(c.Tuples()), nil
 }
 
-// Change is one view-change notification delivered to a subscriber.
+// Change is one view-change notification delivered to a subscriber:
+// the view's net change. Inserts holds the rows whose count rose, by
+// how much; Deletes the rows whose count fell, by how much. Both are
+// sorted, and a row is in at most one of them.
 type Change struct {
 	View    string
 	Inserts []Row
@@ -630,14 +633,23 @@ type Change struct {
 
 // Subscribe registers an alerter on a view — the Buneman–Clemons
 // application the paper cites: after every transaction or refresh that
-// changes the view, the callback receives the exact insert and delete
-// sets (which differential maintenance computed anyway). The callback
-// runs synchronously after commit with no engine lock held; it may
-// read the database but must not write to it. The returned cancel
-// function removes the subscription.
+// changes the view, the callback receives the net change (which
+// differential maintenance computed anyway). A transaction whose
+// changes to the view cancel out, such as a replace that a projection
+// hides, fires nothing. The callback runs synchronously after commit
+// with no engine lock held; it may read the database but must not
+// write to it. The returned cancel function removes the subscription.
 func (d *DB) Subscribe(view string, fn func(Change)) (cancel func(), err error) {
-	id, err := d.engine().Subscribe(view, func(name string, ins, del *relation.Counted) {
-		fn(Change{View: name, Inserts: rowsOf(ins.Tuples()), Deletes: rowsOf(del.Tuples())})
+	id, err := d.engine().Subscribe(view, func(name string, run []relation.CountedTuple) {
+		c := Change{View: name, Inserts: []Row{}, Deletes: []Row{}}
+		for _, r := range run {
+			if r.Count > 0 {
+				c.Inserts = append(c.Inserts, Row{Values: r.Tuple, Count: r.Count})
+			} else {
+				c.Deletes = append(c.Deletes, Row{Values: r.Tuple, Count: -r.Count})
+			}
+		}
+		fn(c)
 	})
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package mview
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -277,6 +278,42 @@ func TestSubscribe(t *testing.T) {
 	}
 	if _, err := db.Subscribe("zzz", func(Change) {}); err == nil {
 		t.Error("unknown view must fail")
+	}
+
+	// A Change is the view's net change, whichever way the view is
+	// maintained: a replace that π_A hides fires nothing, and one that
+	// moves A fires the same Change on every view.
+	paths := map[string]ViewOption{"pdiff": OnCommit(), "prec": WithRecompute(), "psnap": OnDemand()}
+	got := map[string][]string{}
+	for name, opt := range paths {
+		if err := db.CreateView(name, ViewSpec{From: []string{"r"}, Select: []string{"A"}}, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.Subscribe(name, func(c Change) { got[c.View] = append(got[c.View], fmt.Sprintf("%+v", c)) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace := func(from, to [2]int64) {
+		t.Helper()
+		if _, err := db.Exec(Delete("r", from[0], from[1]), Insert("r", to[0], to[1])); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Refresh("psnap"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replace([2]int64{9, 10}, [2]int64{9, 12})
+	for name := range paths {
+		if len(got[name]) != 0 {
+			t.Errorf("%s: a replace π_A hides fired %v", name, got[name])
+		}
+	}
+	replace([2]int64{9, 12}, [2]int64{4, 12})
+	want := "{View:%s Inserts:[{Values:[4] Count:1}] Deletes:[{Values:[9] Count:1}]}"
+	for name := range paths {
+		if len(got[name]) != 1 || got[name][0] != fmt.Sprintf(want, name) {
+			t.Errorf("%s: changes %v, want one %s", name, got[name], fmt.Sprintf(want, name))
+		}
 	}
 }
 
