@@ -250,12 +250,14 @@ func fire(ns []notification) {
 
 // countedDiff returns the run that takes view state old to new (used
 // to notify subscribers when a refresh recomputed the view instead of
-// producing a differential delta).
+// producing a differential delta). new becomes the live view, which
+// later commits write in place, so the run copies new's tuples; old is
+// never written again.
 func countedDiff(old, new *relation.Counted) []relation.CountedTuple {
 	var run []relation.CountedTuple
 	new.Each(func(t tuple.Tuple, n int64) {
 		if diff := n - old.Count(t); diff != 0 {
-			run = append(run, relation.CountedTuple{Tuple: t, Count: diff})
+			run = append(run, relation.CountedTuple{Tuple: t.Clone(), Count: diff})
 		}
 	})
 	old.Each(func(t tuple.Tuple, n int64) {

@@ -55,8 +55,13 @@ func (u Update) Clone() Update {
 	return out
 }
 
-// Apply mutates r into τ(r) = r ∪ i_r − d_r.
+// Apply mutates r into τ(r) = r ∪ i_r − d_r. The deletes go first, so
+// that the inserts refill the slots they free (the sets are disjoint,
+// so the order does not change the result).
 func (u Update) Apply(r *relation.Relation) error {
+	if u.Deletes != nil {
+		u.Deletes.Each(func(t tuple.Tuple) { r.Delete(t) })
+	}
 	if u.Inserts != nil {
 		var err error
 		u.Inserts.Each(func(t tuple.Tuple) {
@@ -64,12 +69,7 @@ func (u Update) Apply(r *relation.Relation) error {
 				err = e
 			}
 		})
-		if err != nil {
-			return err
-		}
-	}
-	if u.Deletes != nil {
-		u.Deletes.Each(func(t tuple.Tuple) { r.Delete(t) })
+		return err
 	}
 	return nil
 }

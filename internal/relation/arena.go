@@ -11,35 +11,41 @@ import "mview/internal/tuple"
 // tuple, no key is ever encoded or stored, and Counted's per-tuple
 // counts become a dense side column indexed by handle.
 //
-// Two invariants make zero-copy reads safe:
+// A removed row's handle goes on a free list, and the next add reuses
+// the most recently freed handle before it appends one, so an arena
+// holds no dead rows: its pages hold exactly the live rows plus the
+// slots that net deletes freed and no insert has refilled yet. A
+// reused handle is written in place, which gives zero-copy reads one
+// rule:
 //
-//   - Rows are append-only: a stored row is never overwritten in
-//     place. Deletion only unlinks the handle from the trie (the row is
-//     reclaimed by the next compaction, which builds a fresh arena —
-//     the old pages, and any outstanding alias into them, stay intact).
-//     Row slices handed out by each/row therefore behave like the
-//     immutable tuples they replace, and may be retained by transient
-//     join tables or snapshot readers.
-//   - Handles are never reused. The next handle is always rows.n, so
-//     the counts column indexed by handle stays aligned by plain
-//     appends.
+//   - A row slice handed out by each/row stays valid until the next
+//     write to its arena by the generation that owns its page. A page
+//     that another generation can still read is copied before it is
+//     written, so a Clone or a pinned snapshot of the arena keeps
+//     every row it can reach; anything else that keeps rows across a
+//     write to the arena they came from must copy them, or hold such a
+//     clone.
 //
-// Cost model. Rows, trie and counts are all copy-on-write by
+// Cost model. Rows, free list, trie and counts are all copy-on-write by
 // generation: whatever an arena allocates carries the arena's
 // generation, an arena writes in place only what carries its own, and
 // cloneShared — O(1), a header copy — moves both sides to fresh
-// generations. A write after that is O(log n): it copies one trie path,
-// and an append copies the page being filled. A scan is O(n): linear
-// over the pages while nothing is dead, otherwise a walk of the trie.
-// Compaction (clone) is the one O(n) step a write can trigger, once
-// dead rows outnumber live ones, so it amortizes to O(1) per delete. A
-// commit therefore pays for the tuples it touches and never for the
-// size of the container — the difference between O(|delta|) and
-// O(|view|) maintenance that §5's differential re-evaluation is about.
+// generations. A write after that is O(log n): it copies one trie path
+// and, for a row it stores, one page and the spine path to it. A delete
+// is O(log n) and frees the slot; nothing a write triggers is O(n). A
+// scan is O(n): linear over the pages while no slot is free, otherwise
+// a walk of the trie. A commit therefore pays for the tuples it touches
+// and never for the size of the container — the difference between
+// O(|delta|) and O(|view|) maintenance that §5's differential
+// re-evaluation is about.
 type rowArena struct {
 	rows rowStore
 	live int32 // rows currently live
-	dead int32 // stored rows no longer live
+
+	// free holds the handles of the removed rows that no add has reused
+	// yet, nfree of them: a stack that add pops from the top.
+	free  spine[int32]
+	nfree int32
 
 	// root indexes the live rows by hash. Only mutators read gen, so
 	// cloneShared may restamp a source that snapshot readers are still
@@ -95,11 +101,19 @@ func (a *rowArena) find(t []int64) (h int32, hash uint32, ok bool) {
 	return h, hash, ok
 }
 
-// add appends t as a new live row under its hash and returns the
-// handle. The caller has checked absence.
+// add stores t as a new live row under its hash and returns the
+// handle: the most recently freed one if any, else the next appended.
+// The caller has checked absence.
 func (a *rowArena) add(hash uint32, t []int64) int32 {
-	h := a.rows.n
-	a.rows.add(a.gen, t)
+	var h int32
+	if a.nfree > 0 {
+		a.nfree--
+		h = a.free.get(a.nfree)
+		a.rows.set(h, a.gen, t)
+	} else {
+		h = a.rows.n
+		a.rows.add(a.gen, t)
+	}
 	a.live++
 	a.root = a.trieInsert(a.root, 0, entry(hash, h))
 	return h
@@ -108,51 +122,29 @@ func (a *rowArena) add(hash uint32, t []int64) int32 {
 // addNew is add for a row known to be absent whose hash is not at hand.
 func (a *rowArena) addNew(t []int64) int32 { return a.add(hashRow(t), t) }
 
-// remove unlinks live handle h, found under hash, and marks its row
-// dead.
+// remove unlinks live handle h, found under hash, and frees its slot
+// for the next add.
 func (a *rowArena) remove(hash uint32, h int32) {
 	a.root = a.trieRemove(a.root, 0, entry(hash, h))
-	a.dead++
+	*a.free.slot(a.nfree, a.gen) = h
+	a.nfree++
 	a.live--
 }
 
 // each calls f for every live row and its handle: a straight pass over
-// the pages while no row is dead, otherwise in trie order. The callback
-// must not mutate the row (retaining is safe — rows are immutable once
-// stored).
+// the pages while no slot is free, otherwise in trie order. The
+// callback must not mutate the row; it may retain it under the rule in
+// the type comment.
 func (a *rowArena) each(f func(h int32, t tuple.Tuple)) {
-	if a.dead == 0 {
+	if a.nfree == 0 {
 		a.rows.each(f)
 		return
 	}
 	a.root.walk(func(e uint64) { f(entryHandle(e), a.rows.row(entryHandle(e))) })
 }
 
-// tooManyDead reports whether dead rows dominate the arena enough to
-// warrant compaction; the slack keeps small relations from compacting
-// on every delete.
-func (a *rowArena) tooManyDead() bool {
-	return a.dead > 64 && a.dead > a.live
-}
-
-// clone returns a compacted deep copy: live rows packed into a fresh
-// arena, handles renumbered from zero. moved, when non-nil, is called
-// with each live row's old handle, in new-handle order, so callers can
-// carry a side column over by pushing.
-func (a *rowArena) clone(moved func(old int32)) rowArena {
-	out := newRowArenaCap(a.rows.width, a.len())
-	a.root.walk(func(e uint64) {
-		h := entryHandle(e)
-		out.add(uint32(e>>32), a.rows.row(h))
-		if moved != nil {
-			moved(h)
-		}
-	})
-	return out
-}
-
-// cloneShared returns a copy preserving handle numbering in O(1): rows
-// and trie are shared outright, and both arenas move to fresh
+// cloneShared returns a copy preserving handle numbering in O(1): rows,
+// free list and trie are shared outright, and both arenas move to fresh
 // generations so that whichever writes next copies what it touches.
 // Nothing a reader of the source can see is written, so clones are
 // race-free against concurrent snapshot readers of the source.

@@ -72,9 +72,21 @@ func saveLoad(t *testing.T, r *Relation) *Relation {
 // four seeds, checking it against the map-backed oracle after every
 // phase. Inserts repeat keys (overwrite)
 // and deletes target both present and absent tuples, so the arena's
-// dead-handle and liveness paths are exercised, not just the happy
-// path.
+// free-slot and liveness paths are exercised, not just the happy
+// path. The reuse input (testReuseAliasing) interleaves deletes and
+// inserts across clones of every representation.
 func TestArenaMatchesOracle(t *testing.T) {
+	for name, fresh := range map[string]func() cowSubject{
+		"Relation": func() cowSubject { return cowRelation{New(cowScheme)} },
+		"Indexed": func() cowSubject {
+			r := New(cowScheme)
+			_, _ = r.AddIndex(0), r.AddIndex(1)
+			return cowRelation{r}
+		},
+		"Counted": func() cowSubject { return cowCounted{NewCounted(cowScheme)} },
+	} {
+		t.Run("reuse/"+name, func(t *testing.T) { testReuseAliasing(t, fresh()) })
+	}
 	s := schema.MustScheme("A", "B", "C")
 	for _, seed := range []int64{7919, 2 * 7919, 4 * 7919, 8 * 7919} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -177,6 +189,71 @@ func TestArenaMatchesOracle(t *testing.T) {
 	}
 }
 
+// testReuseAliasing is TestArenaMatchesOracle's reuse input. Every
+// generation clones the head, takes every row slice of one side —
+// alternately the clone it keeps and the head that goes on — and then
+// mutates the head, whose deletes free slots that its inserts refill,
+// in pages the held side shares. Afterwards each held side still
+// matches its model (an indexed relation's probes match its scans),
+// and every row slice taken from it is byte-identical to what it was,
+// though the head reused many of those slots for other rows.
+func testReuseAliasing(t *testing.T, head cowSubject) {
+	type alias struct {
+		h    int32
+		row  tuple.Tuple
+		want [2]int64
+	}
+	type held struct {
+		s    cowSubject
+		m    cowModel
+		rows []alias
+	}
+	rng := rand.New(rand.NewSource(7919))
+	model := cowModel{}
+	var ring []held
+	overwritten := 0 // aliased slots the head now fills with another row
+	for g := 0; g < 300; g++ {
+		keep := head.clone()
+		if g%2 == 1 {
+			keep, head = head, keep
+		}
+		h := held{s: keep, m: model.clone()}
+		keep.arena().each(func(hd int32, row tuple.Tuple) {
+			h.rows = append(h.rows, alias{hd, row, [2]int64(row)})
+		})
+		if ring = append(ring, h); len(ring) > 8 {
+			ring = ring[1:]
+		}
+		head.mutate(rng, model)
+		if err := head.check(model); err != nil {
+			t.Fatalf("generation %d: head: %v", g, err)
+		}
+		a := head.arena()
+		for _, r := range h.rows {
+			if r.h < a.rows.n && [2]int64(a.rows.row(r.h)) != r.want {
+				overwritten++
+			}
+		}
+		for i, old := range ring {
+			for _, r := range old.rows {
+				if [2]int64(r.row) != r.want {
+					t.Fatalf("generation %d: held generation %d: row slice of handle %d reads %v, was %v",
+						g, i, r.h, r.row, r.want)
+				}
+			}
+			if err := old.s.check(old.m); err != nil {
+				t.Fatalf("generation %d: held generation %d: %v", g, i, err)
+			}
+		}
+	}
+	// 480 tuples in the domain: without reuse the head would have
+	// appended a slot for each of its thousands of inserts.
+	if a := head.arena(); a.rows.n > 24*20 || overwritten == 0 {
+		t.Fatalf("%d slots stored for at most 480 live rows, %d aliased slots reused: the reuse path was not exercised",
+			a.rows.n, overwritten)
+	}
+}
+
 // cowModel is the oracle of the snapshot-isolation test: tuple → count
 // (always 1 for a set relation), keyed by value so that checking it
 // allocates nothing.
@@ -197,6 +274,7 @@ type cowSubject interface {
 	clone() cowSubject
 	mutate(rng *rand.Rand, m cowModel)
 	check(m cowModel) error
+	arena() *rowArena
 }
 
 var cowScheme = schema.MustScheme("A", "B")
@@ -211,6 +289,8 @@ func cowTuple(rng *rand.Rand) [2]int64 {
 type cowRelation struct{ r *Relation }
 
 func (s cowRelation) clone() cowSubject { return cowRelation{s.r.Clone()} }
+
+func (s cowRelation) arena() *rowArena { return &s.r.a }
 
 func (s cowRelation) mutate(rng *rand.Rand, m cowModel) {
 	for i := 0; i < 16; i++ {
@@ -264,6 +344,8 @@ func (s cowRelation) check(m cowModel) error {
 type cowCounted struct{ c *Counted }
 
 func (s cowCounted) clone() cowSubject { return cowCounted{s.c.Clone()} }
+
+func (s cowCounted) arena() *rowArena { return &s.c.a }
 
 func (s cowCounted) mutate(rng *rand.Rand, m cowModel) {
 	for i := 0; i < 16; i++ {

@@ -7,7 +7,6 @@ package relation
 // and a container that is never cloned writes in place throughout.
 type column struct {
 	leaves spine[*columnLeaf]
-	n      int32
 }
 
 type columnLeaf struct {
@@ -16,7 +15,7 @@ type columnLeaf struct {
 }
 
 // slot returns a pointer generation gen may write handle h's value
-// through; h is at most c.n.
+// through; h is at most one past the highest handle set so far.
 func (c *column) slot(h int32, gen uint64) *int64 {
 	p := c.leaves.slot(h>>spineBits, gen)
 	if l := *p; l == nil {
@@ -28,12 +27,6 @@ func (c *column) slot(h int32, gen uint64) *int64 {
 }
 
 func (c *column) set(h int32, v int64, gen uint64) { *c.slot(h, gen) = v }
-
-// push appends v as the value of handle c.n.
-func (c *column) push(v int64, gen uint64) {
-	*c.slot(c.n, gen) = v
-	c.n++
-}
 
 func (c *column) get(h int32) int64 {
 	return c.leaves.get(h >> spineBits).vals[h&(spineFan-1)]

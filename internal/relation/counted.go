@@ -20,11 +20,11 @@ import (
 // Storage is one flat row arena plus a paged counts column indexed by
 // handle (column.go), written under the arena's generation. Live
 // entries always have a positive count, so a zero count doubles as the
-// dead-row marker and Each can walk the arena linearly.
+// free-slot marker and Each can walk the arena linearly.
 type Counted struct {
 	scheme *schema.Scheme
 	a      rowArena
-	counts column // by handle; 0 marks a dead (removed) row
+	counts column // by handle; 0 marks a free slot
 }
 
 // CountedTuple pairs a tuple with its multiplicity, for iteration in
@@ -54,10 +54,7 @@ func NewCountedCap(s *schema.Scheme, n int) *Counted {
 // count equal to one.
 func FromRelation(r *Relation) *Counted {
 	c := NewCountedCap(r.scheme, r.Len())
-	r.Each(func(t tuple.Tuple) {
-		c.a.addNew(t)
-		c.counts.push(1, 0)
-	})
+	r.Each(func(t tuple.Tuple) { c.counts.set(c.a.addNew(t), 1, c.a.gen) })
 	return c
 }
 
@@ -107,17 +104,10 @@ func (c *Counted) Add(t tuple.Tuple, n int64) error {
 	case next == 0:
 		c.a.remove(hash, h)
 		c.counts.set(h, 0, c.a.gen)
-		if c.a.tooManyDead() {
-			// Carry the counts over to the compacted arena's handles.
-			var counts column
-			c.a = c.a.clone(func(old int32) { counts.push(c.counts.get(old), 0) })
-			c.counts = counts
-		}
 	case ok:
 		c.counts.set(h, next, c.a.gen)
 	default:
-		c.a.add(hash, t)
-		c.counts.push(next, c.a.gen)
+		c.counts.set(c.a.add(hash, t), next, c.a.gen)
 	}
 	return nil
 }
@@ -128,14 +118,14 @@ func (c *Counted) bump(t tuple.Tuple, n int64) {
 	if h, hash, ok := c.a.find(t); ok {
 		*c.counts.slot(h, c.a.gen) += n
 	} else {
-		c.a.add(hash, t)
-		c.counts.push(n, c.a.gen)
+		c.counts.set(c.a.add(hash, t), n, c.a.gen)
 	}
 }
 
 // Each calls f for every (tuple, count) pair in unspecified order. The
-// walk is linear over the arena; dead rows are skipped by their zero
-// count.
+// walk is linear over the arena; free slots are skipped by their zero
+// count. A retained tuple stays valid until the next write to c
+// (arena.go).
 func (c *Counted) Each(f func(tuple.Tuple, int64)) {
 	var leaf *columnLeaf
 	c.a.rows.each(func(h int32, t tuple.Tuple) {

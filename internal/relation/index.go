@@ -15,10 +15,10 @@ import (
 //
 // It is a trie of the arena's kind (trie.go) whose entries pair the hash
 // of a row's indexed value with the row's handle. The relation keeps it
-// current — Insert and Delete write it, compaction rebuilds it over the
-// renumbered handles — and Clone shares it like the rows, so every
-// instance carries indexes that describe exactly its own rows: a
-// pinned snapshot, a clone a computation rewrote, the live base.
+// current — Insert and Delete write it, and a reused handle's entry
+// names the row that now fills the slot — and Clone shares it like the
+// rows, so every instance carries indexes that describe exactly its own
+// rows: a pinned snapshot, a clone a computation rewrote, the live base.
 // Entries that share a value share its hash; past a leaf's worth they
 // sit under a value fork (trie.go) that splits them by handle, so Insert
 // and Delete are O(log n) at any fan-out.

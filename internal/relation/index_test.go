@@ -147,8 +147,8 @@ func TestIndexRemoveCostIsFanOutIndependent(t *testing.T) {
 
 // TestIndexMatchesOracleUnderCollisions drives random inserts and
 // deletes on an indexed relation against a map oracle — values whose
-// fan-out grows into the thousands and shrinks back, through
-// compactions — with real hashes and with every hash collapsed to one
+// fan-out grows into the thousands and shrinks back, freeing slots that
+// later inserts reuse — with real hashes and with every hash collapsed to one
 // value (rows and values then all split by handle alone). A clone taken
 // at each check must keep matching its own rows while the head moves
 // on.

@@ -129,19 +129,12 @@ func (r *Relation) Delete(t tuple.Tuple) {
 	for i := range r.ixs {
 		r.ixs[i].remove(h, t)
 	}
-	if r.a.tooManyDead() {
-		// Compaction renumbers the handles, so the indexes are rebuilt
-		// over the new ones.
-		r.a = r.a.clone(nil)
-		for i := range r.ixs {
-			r.ixs[i].build()
-		}
-	}
 }
 
 // Each calls f for every tuple in unspecified order. The callback must
-// not mutate the tuple; retaining it is safe (arena rows are immutable
-// once stored).
+// not mutate the tuple. A retained tuple stays valid until the next
+// write to r (arena.go); keep a Clone of r, or copy the tuple, to hold
+// it longer.
 func (r *Relation) Each(f func(tuple.Tuple)) {
 	r.a.each(func(_ int32, t tuple.Tuple) { f(t) })
 }

@@ -152,7 +152,7 @@ func TestColumnAcrossLevels(t *testing.T) {
 	const n = spineFan*spineFan*spineFan*spineFan + 5*spineFan + 3
 	var c column
 	for i := int32(0); i < n; i++ {
-		c.push(int64(i)*3, 0)
+		c.set(i, int64(i)*3, 0)
 	}
 	root := c.leaves.root
 	c.set(77, -1, 0)
@@ -164,7 +164,7 @@ func TestColumnAcrossLevels(t *testing.T) {
 	// Generations 1 and 2 share everything generation 0 built.
 	a, b := c, c
 	a.set(n-1, -5, 1)
-	a.push(-6, 1)
+	a.set(n, -6, 1)
 	b.set(0, -7, 2)
 	for i := int32(0); i < n; i++ {
 		want := int64(i) * 3
@@ -180,8 +180,8 @@ func TestColumnAcrossLevels(t *testing.T) {
 				i, c.get(i), want, a.get(i), wa, b.get(i), wb)
 		}
 	}
-	if a.n != n+1 || a.get(n) != -6 || b.n != n || c.n != n {
-		t.Fatalf("lengths after push: a %d, b %d, original %d", a.n, b.n, c.n)
+	if a.get(n) != -6 {
+		t.Fatalf("handle %d past the shared ones: a %d, want -6", n, a.get(n))
 	}
 }
 
